@@ -1,14 +1,15 @@
 """Shared content-addressed JSON persistence idiom.
 
-Three subsystems persist derived results to disk and must survive
-concurrent writers, torn writes and stale formats: the NPN structure
-database (:mod:`repro.network.npn`), the benchmark row channel
-(:class:`repro.parallel.corpus.RowChannel`) and the service result cache
-(:mod:`repro.service.results`).  They all follow the same three rules,
-extracted here so the pattern exists exactly once:
+Three stores persist derived results to disk and must survive concurrent
+writers, torn writes and stale formats: the NPN structure database
+(:mod:`repro.network.npn`), the benchmark row channel
+(:class:`repro.parallel.corpus.RowChannel`) and the ``optimize_many``
+result cache (:mod:`repro.flows.result_cache`).  They all follow the
+same three rules, extracted here so the pattern exists exactly once:
 
 1. **Content-hash keys** — a cache entry's identity is a SHA-256 digest
-   over everything that shaped it (:func:`content_key`), so a change in
+   over everything that shaped it (:func:`content_key`), including the
+   source code that computed it (:func:`source_digest`), so a change in
    any ingredient starts a fresh entry instead of silently serving a
    stale one.
 2. **Atomic writes** — payloads land via temp-file + ``os.replace``
@@ -18,7 +19,7 @@ extracted here so the pattern exists exactly once:
 3. **Validate on load** — :func:`load_json` returns ``None`` for
    missing/torn/foreign files instead of raising, and callers replay
    domain-specific validation on every loaded payload (semantic replay
-   for NPN entries, fingerprint replay for service results): corruption
+   for NPN entries, fingerprint replay for cached results): corruption
    degrades to a cache miss, never to wrong results.
 """
 
@@ -29,9 +30,18 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
-__all__ = ["content_key", "atomic_write_json", "load_json"]
+__all__ = [
+    "PACKAGE_ROOT",
+    "content_key",
+    "source_digest",
+    "atomic_write_json",
+    "load_json",
+]
+
+#: Root directory of the ``repro`` package sources.
+PACKAGE_ROOT = Path(__file__).resolve().parent
 
 
 def content_key(*parts) -> str:
@@ -47,6 +57,24 @@ def content_key(*parts) -> str:
     for part in parts:
         digest.update(repr(part).encode())
         digest.update(b"\x00")
+    return digest.hexdigest()
+
+
+def source_digest(paths: Iterable[str], root: Path = PACKAGE_ROOT) -> str:
+    """SHA-256 hex digest over source files named relative to ``root``.
+
+    Each path and the file's bytes enter the digest in the given order;
+    a missing file hashes as a marker instead of raising.  Stores key
+    their entries on this so an edit to the code that computed an entry
+    retires it.
+    """
+    digest = hashlib.sha256()
+    for rel in paths:
+        digest.update(rel.encode())
+        try:
+            digest.update((root / rel).read_bytes())
+        except OSError:
+            digest.update(b"<missing>")
     return digest.hexdigest()
 
 

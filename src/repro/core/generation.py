@@ -187,7 +187,7 @@ def rebuild_shuffled(network, seed: int = 1):
     same PI/PO names and order, same gate fanin structure and complement
     bits — but with gates *created* in a different (uniformly drawn
     among valid) topological order, so raw node ids generally differ.
-    The fuzz counterpart of the service cache-key contract: the rebuilt
+    The fuzz counterpart of the result-cache key contract: the rebuilt
     network must hit the same
     :func:`repro.parallel.corpus.canonical_fingerprint` (content
     address) while its id-exact

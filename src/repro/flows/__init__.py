@@ -6,6 +6,10 @@ composable passes with per-pass size/depth/activity/runtime metrics);
 :mod:`repro.flows.optimize` and :mod:`repro.flows.synthesis` run the
 Table I experiments; :mod:`repro.flows.report` formats the tables and
 serialises the per-pass metrics for the benchmark harness.
+:mod:`repro.flows.batch` shards whole-network flows over a corpus
+(``optimize_many``, with the result cache of
+:mod:`repro.flows.result_cache` behind ``cache_dir=``) and windows one
+large network (``optimize_large``, :mod:`repro.flows.partitioned`).
 """
 
 from .engine import (
@@ -34,8 +38,6 @@ from .batch import (
     format_batch_report,
     optimize_large,
     optimize_many,
-    service_optimize_large,
-    service_optimize_many,
 )
 from .mighty import MightyResult, mighty_optimize, mighty_pipeline
 from .partitioned import (
@@ -95,14 +97,12 @@ __all__ = [
     "mighty_optimize",
     "mighty_pipeline",
     "MightyResult",
-    # batch (process-parallel corpus API)
+    # batch (process-parallel corpus API; optimize_many(cache_dir=) adds
+    # the content-addressed result cache of flows.result_cache)
     "optimize_many",
     "BatchItem",
     "BatchReport",
     "format_batch_report",
-    # service-backed entry points (repro.service daemon + result cache)
-    "service_optimize_many",
-    "service_optimize_large",
     # partition-parallel single-circuit API
     "optimize_large",
     "LargeResult",

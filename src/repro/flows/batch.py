@@ -42,8 +42,8 @@ __all__ = [
     "LargeResult",
     "optimize_many",
     "optimize_large",
-    "service_optimize_many",
-    "service_optimize_large",
+    "resolve_flow",
+    "run_flow",
     "format_batch_report",
 ]
 
@@ -151,41 +151,58 @@ class BatchReport:
         return record
 
 
-def _flow_for(network, flow: str) -> str:
+def resolve_flow(network, flow: str) -> str:
+    """The flow that runs on ``network``: ``"auto"`` picks by type.
+
+    AIGs take the ``resyn2`` script, everything else the MIGhty
+    pipeline; an explicit flow must be one of :data:`_FLOWS`.
+    """
+    if flow not in _FLOWS:
+        raise ValueError(f"unknown flow {flow!r} (expected one of {_FLOWS})")
     if flow != "auto":
         return flow
-    # Late imports keep batch importable without pulling both kernels.
+    # Late import keeps batch importable without pulling both kernels.
     from ..aig.aig import Aig
 
     return "resyn2" if isinstance(network, Aig) else "mighty"
 
 
+def run_flow(network, flow: str, options: Dict[str, object]):
+    """Run a resolved flow; returns ``(optimized, initial, pass_metrics)``.
+
+    ``initial`` is the ``(size, depth)`` before the run; ``options`` are
+    the flow's keyword arguments.  ``mighty``
+    (:func:`~repro.flows.mighty.mighty_optimize`) optimizes ``network``
+    in place and returns it; ``resyn2`` takes no options and returns a
+    new network, leaving ``network`` untouched.
+    """
+    if flow == "mighty":
+        from .mighty import mighty_optimize
+
+        result = mighty_optimize(network, **options)
+        initial = (result.initial_size, result.initial_depth)
+        return network, initial, result.pass_metrics
+    if flow == "resyn2":
+        from ..aig.resyn import resyn2
+
+        initial = (network.num_gates, network.depth())
+        optimized, stats = resyn2(network, **options)
+        return optimized, initial, stats.pass_metrics
+    raise ValueError(f"unknown flow {flow!r} (expected 'mighty' or 'resyn2')")
+
+
 def _optimize_task(item):
     """Worker task: one whole-network optimization job.
 
-    ``item`` is ``(flow, network, kwargs)``; the network is this
+    ``item`` is ``(flow, network, options)``; the network is this
     process's private unpickled copy, so in-place flows are safe.
     Returns the :class:`BatchItem` (minus its index, patched by the
     caller).
     """
-    flow, network, kwargs = item
+    flow, network, options = item
     name = getattr(network, "name", "network")
     start = time.perf_counter()
-    if flow == "mighty":
-        from .mighty import mighty_optimize
-
-        result = mighty_optimize(network, **kwargs)
-        optimized = network
-        passes = result.pass_metrics
-        initial = (result.initial_size, result.initial_depth)
-    elif flow == "resyn2":
-        from ..aig.resyn import resyn2
-
-        initial = (network.num_gates, network.depth())
-        optimized, stats = resyn2(network)
-        passes = stats.pass_metrics
-    else:
-        raise ValueError(f"unknown flow {flow!r} (expected one of {_FLOWS})")
+    optimized, initial, passes = run_flow(network, flow, options)
     return BatchItem(
         index=-1,
         name=name,
@@ -205,6 +222,7 @@ def optimize_many(
     workers: Optional[int] = None,
     flow: str = "auto",
     costs: Optional[Sequence[float]] = None,
+    cache_dir=None,
     **flow_kwargs,
 ) -> BatchReport:
     """Optimize a corpus of networks, sharded across worker processes.
@@ -218,11 +236,16 @@ def optimize_many(
     ``workers=None`` uses :func:`repro.parallel.default_workers`;
     ``workers=1`` runs the identical jobs in-process.
 
+    ``cache_dir`` enables the content-addressed result cache of
+    :mod:`repro.flows.result_cache`: items whose (circuit, flow, options)
+    computation is already stored there come back without running any
+    pass — ``flow`` suffixed ``"+cached"``, ``runtime_s == 0``, no pass
+    metrics — and only the misses reach the worker pool; their results
+    are written back atomically.  A hit is bit-identical to re-running.
+
     Input networks are left untouched; the optimized results are in
     ``report.items[i].network``, bit-identical to in-place serial runs.
     """
-    if flow not in _FLOWS:
-        raise ValueError(f"unknown flow {flow!r} (expected one of {_FLOWS})")
     if flow == "resyn2" and flow_kwargs:
         raise ValueError(
             f"flow 'resyn2' takes no flow options, got {sorted(flow_kwargs)}"
@@ -233,26 +256,49 @@ def optimize_many(
     # to its AIG items.
     items = []
     for network in corpus:
-        item_flow = _flow_for(network, flow)
+        item_flow = resolve_flow(network, flow)
         items.append(
             (item_flow, network, dict(flow_kwargs) if item_flow == "mighty" else {})
         )
     if costs is None:
         costs = [network.num_gates for network in corpus]
+    labels = [getattr(network, "name", f"net{i}") for i, network in enumerate(corpus)]
     start = time.perf_counter()
+    results: List[Optional[BatchItem]] = [None] * len(corpus)
+    if cache_dir is not None:
+        from . import result_cache
+
+        keys = [result_cache.result_cache_key(n, f, o) for f, n, o in items]
+        for index, key in enumerate(keys):
+            hit = result_cache.cache_get(cache_dir, key)
+            if hit is not None:
+                network, initial = hit
+                results[index] = BatchItem(
+                    index=index,
+                    name=labels[index],
+                    flow=items[index][0] + "+cached",
+                    initial_size=initial[0],
+                    initial_depth=initial[1],
+                    final_size=network.num_gates,
+                    final_depth=network.depth(),
+                    runtime_s=0.0,
+                    network=network,
+                )
+    misses = [index for index, result in enumerate(results) if result is None]
     execution = parallel_map(
         _optimize_task,
-        items,
+        [items[i] for i in misses],
         workers=workers,
-        costs=costs,
-        labels=[getattr(network, "name", f"net{i}") for i, network in enumerate(corpus)],
+        costs=[costs[i] for i in misses],
+        labels=[labels[i] for i in misses],
     )
-    batch_items: List[BatchItem] = []
-    for index, item in enumerate(execution.results):
+    for index, item in zip(misses, execution.results):
         item.index = index
-        batch_items.append(item)
+        results[index] = item
+        if cache_dir is not None:
+            result_cache.cache_put(cache_dir, keys[index], item)
     return BatchReport(
-        items=batch_items,
+        items=results,
         workers=execution.workers,
         wall_s=time.perf_counter() - start,
         parallel=execution.parallel,
@@ -353,8 +399,7 @@ def optimize_large(
     shifted window boundaries (gains trapped on one sweep's frontiers
     become interior to the next) and stops early once a sweep improves
     nothing.  All three knobs leave the result's structure invariant
-    *except* ``sweeps``, which changes what is computed and therefore
-    participates in the service result-cache key.
+    *except* ``sweeps``, which changes what is computed.
 
     The input network is never mutated: it crosses into a private copy
     by pickling (preserving node ids exactly, like the worker boundary
@@ -397,145 +442,6 @@ def optimize_large(
         pass_metrics=result.passes,
         network=work,
     )
-
-
-def service_optimize_many(
-    corpus: Sequence[object],
-    workers: Optional[int] = None,
-    flow: str = "auto",
-    state_dir=None,
-    service=None,
-    deadline_s: Optional[float] = None,
-    **flow_kwargs,
-) -> BatchReport:
-    """:func:`optimize_many` routed through the optimization service.
-
-    Submits every network as one job to an
-    :class:`repro.service.OptimizationService` (an existing ``service``,
-    one over ``state_dir``, or an ephemeral one), drains the queue at
-    ``workers``, and reassembles the per-job results into the same
-    :class:`BatchReport` shape ``optimize_many`` returns — results are
-    **bit-identical** to the direct call at any worker count (the
-    service determinism contract), and previously seen (circuit, flow
-    config) pairs come back from the content-addressed result cache
-    without any optimization pass running (``item.flow`` gains a
-    ``"+cached"`` suffix so callers can see the O(1) path).
-
-    A failed or expired job raises: the batch API promises a result per
-    item, and silently dropping one would break corpus-order alignment.
-    """
-    import tempfile
-
-    from ..service import OptimizationService
-
-    corpus = list(corpus)
-    ephemeral = None
-    if service is None:
-        if state_dir is None:
-            ephemeral = tempfile.TemporaryDirectory(prefix="repro-service-")
-            state_dir = ephemeral.name
-        service = OptimizationService(state_dir)
-    try:
-        start = time.perf_counter()
-        job_ids = service.submit_many(
-            corpus,
-            flow=flow,
-            flow_options=flow_kwargs or None,
-            deadline_s=deadline_s,
-        )
-        service.run_pending(workers=workers)
-        items: List[BatchItem] = []
-        for index, job_id in enumerate(job_ids):
-            result = service.result(job_id)
-            if result.status != "done":
-                raise RuntimeError(
-                    f"service job {job_id} ({result.name}) ended "
-                    f"{result.status}: {result.error}"
-                )
-            items.append(
-                BatchItem(
-                    index=index,
-                    name=result.name,
-                    flow=result.flow + ("+cached" if result.cached else ""),
-                    initial_size=result.initial_size,
-                    initial_depth=result.initial_depth,
-                    final_size=result.final_size,
-                    final_depth=result.final_depth,
-                    runtime_s=result.runtime_s,
-                    pass_metrics=result.pass_metrics,
-                    network=result.network,
-                )
-            )
-        from ..parallel.executor import default_workers
-
-        return BatchReport(
-            items=items,
-            workers=default_workers() if workers is None else max(1, workers),
-            wall_s=time.perf_counter() - start,
-            parallel=(workers or default_workers()) > 1 and len(corpus) > 1,
-        )
-    finally:
-        if ephemeral is not None:
-            ephemeral.cleanup()
-
-
-def service_optimize_large(
-    network,
-    workers: Optional[int] = None,
-    state_dir=None,
-    service=None,
-    deadline_s: Optional[float] = None,
-    **large_kwargs,
-) -> LargeResult:
-    """:func:`optimize_large` routed through the optimization service.
-
-    One partition-parallel job: the window fan-out runs *inside* the
-    worker (nested pools degrade to in-process there, so the daemon's
-    pool is never oversubscribed), results and the cache behave exactly
-    like :func:`service_optimize_many`.  Every :func:`optimize_large`
-    knob forwards through ``large_kwargs`` into the job's flow options —
-    including ``sweeps``/``pipeline``/``lookahead`` — and therefore into
-    the content-addressed result-cache key, so a ``sweeps=2`` request
-    never resolves from a ``sweeps=1`` cache entry.
-    """
-    import tempfile
-
-    from ..service import OptimizationService
-
-    ephemeral = None
-    if service is None:
-        if state_dir is None:
-            ephemeral = tempfile.TemporaryDirectory(prefix="repro-service-")
-            state_dir = ephemeral.name
-        service = OptimizationService(state_dir)
-    try:
-        job_id = service.submit(
-            network, flow="large", flow_options=large_kwargs or None,
-            deadline_s=deadline_s,
-        )
-        service.run_pending(workers=workers)
-        result = service.result(job_id)
-        if result.status != "done":
-            raise RuntimeError(
-                f"service job {job_id} ({result.name}) ended "
-                f"{result.status}: {result.error}"
-            )
-        return LargeResult(
-            name=result.name,
-            workers=1 if workers is None else max(1, workers),
-            parallel=False,
-            initial_size=result.initial_size,
-            initial_depth=result.initial_depth,
-            final_size=result.final_size,
-            final_depth=result.final_depth,
-            runtime_s=result.runtime_s,
-            details={"cached": result.cached, "job_id": job_id},
-            pass_metrics=result.pass_metrics,
-            network=result.network,
-        )
-    finally:
-        if ephemeral is not None:
-            ephemeral.cleanup()
 
 
 def format_batch_report(report: BatchReport) -> str:

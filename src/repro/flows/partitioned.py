@@ -71,6 +71,7 @@ from ..core.signal import make_signal
 from ..parallel.executor import OrderedCommitQueue, parallel_map, parallel_map_stream
 from ..parallel.partition import PartitionSpec, partition_network
 from ..parallel.window import StitchStats, extract_window, release_pins, stitch_window
+from .batch import resolve_flow, run_flow
 from .engine import Pass
 
 __all__ = [
@@ -127,14 +128,6 @@ def sweep_offset(sweep: int, max_window_gates: int) -> int:
     return (sweep * phase) % max_window_gates
 
 
-def _window_flow(network, flow: str) -> str:
-    if flow != "auto":
-        return flow
-    from ..aig.aig import Aig
-
-    return "resyn2" if isinstance(network, Aig) else "mighty"
-
-
 def _window_task(item):
     """Worker task: optimize (and certify) one extracted window.
 
@@ -150,17 +143,10 @@ def _window_task(item):
     """
     sub, flow, flow_kwargs, certify, certify_options = item
     size_before, depth_before = sub.num_gates, sub.depth()
-    if flow == "mighty":
-        from .mighty import mighty_optimize
-
-        optimized = sub.copy()
-        mighty_optimize(optimized, **flow_kwargs)
-    elif flow == "resyn2":
-        from ..aig.resyn import resyn2
-
-        optimized, _ = resyn2(sub)
-    else:
-        raise ValueError(f"unknown window flow {flow!r}")
+    # ``sub`` stays the certification reference: mighty optimizes in
+    # place, so it runs on a copy; resyn2 leaves its input untouched.
+    work = sub.copy() if flow == "mighty" else sub
+    optimized, _, _ = run_flow(work, flow, flow_kwargs)
     info: Dict[str, object] = {
         "pins": sub.num_pis,
         "outputs": sub.num_pos,
@@ -418,7 +404,7 @@ def partitioned_rewrite(
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     start = time.perf_counter()
-    resolved = _window_flow(network, flow)
+    resolved = resolve_flow(network, flow)
     if flow_kwargs is None:
         kwargs = dict(_DEFAULT_MIG_WINDOW_KWARGS) if resolved == "mighty" else {}
     else:

@@ -49,13 +49,12 @@ describes how the argument's inputs are wired onto ``f``'s inputs.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..cache import atomic_write_json, load_json
+from ..cache import atomic_write_json, content_key, load_json, source_digest
 from ..core.signal import CONST_FALSE, CONST_NODE, CONST_TRUE, negate_if
 
 __all__ = [
@@ -75,6 +74,7 @@ __all__ = [
     "get_structures",
     "register_structures",
     "structure_db_generation",
+    "structure_db_digest",
     "derive_structures_parallel",
     "replay_structure",
     "structure_cache_path",
@@ -349,6 +349,23 @@ def structure_db_generation() -> int:
     return _DB_GENERATION
 
 
+#: ``(generation, digest)`` of the last :func:`structure_db_digest` call.
+_DB_DIGEST: Tuple[int, str] = (-1, "")
+
+
+def structure_db_digest() -> str:
+    """Content digest of the in-memory structure database.
+
+    Memoized per :func:`structure_db_generation`.  Unlike the counter,
+    which is process-local, equal database contents digest equal in
+    every process — the form a persistent cache key needs.
+    """
+    global _DB_DIGEST
+    if _DB_DIGEST[0] != _DB_GENERATION:
+        _DB_DIGEST = (_DB_GENERATION, content_key(*sorted(_DB.items())))
+    return _DB_DIGEST[1]
+
+
 def _bump_generation() -> None:
     global _DB_GENERATION
     _DB_GENERATION += 1
@@ -403,15 +420,7 @@ def _pareto_front(entries) -> Tuple[DbEntry, ...]:
 
 @lru_cache(maxsize=1)
 def _db_fingerprint() -> str:
-    digest = hashlib.sha256()
-    package_root = Path(__file__).resolve().parent.parent
-    for rel in _DB_FINGERPRINT_SOURCES:
-        digest.update(rel.encode())
-        try:
-            digest.update((package_root / rel).read_bytes())
-        except OSError:
-            digest.update(b"<missing>")
-    return digest.hexdigest()[:16]
+    return source_digest(_DB_FINGERPRINT_SOURCES)[:16]
 
 
 def structure_cache_path(kind: str) -> Optional[Path]:

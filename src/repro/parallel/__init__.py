@@ -9,7 +9,14 @@ package provides the one orchestration substrate they all share:
 * :func:`~repro.parallel.executor.plan_shards` — a deterministic shard
   planner (contiguous chunks over a cost-ordered index list);
 * :func:`~repro.parallel.executor.parallel_map` — a chunked process-pool
-  executor with worker warm-up and per-task metric records;
+  executor with worker warm-up and per-task metric records, returning
+  results in input order once the pool drains (the engine of
+  :func:`repro.flows.batch.optimize_many`, whose ``cache_dir=`` result
+  cache sends it only the cache misses);
+* :func:`~repro.parallel.executor.parallel_map_stream` /
+  :class:`~repro.parallel.executor.OrderedCommitQueue` — the streaming
+  variant over lazily produced items and its in-order commit buffer
+  (see "In-order commit" below);
 * :func:`~repro.parallel.executor.warm_worker` — preloads the import-once
   network kernels and the disk-cached NPN database so forked workers
   inherit a hot process image instead of re-deriving per task;

@@ -96,9 +96,9 @@ def structural_fingerprint(net) -> str:
 def canonical_fingerprint(net) -> str:
     """SHA-256 over a *node-id-independent* canonical form of a network.
 
-    The content-address of the service result cache
-    (:mod:`repro.service`): two networks hash equal iff they are the
-    same DAG up to node renaming — same network kind, PI count and
+    The content address of the ``optimize_many`` result cache
+    (:mod:`repro.flows.result_cache`): two networks hash equal iff they
+    are the same DAG up to node renaming — same network kind, PI count and
     names, PO order and names, gate structure, sharing and complement
     bits — regardless of raw node ids or construction order, while
     :func:`structural_fingerprint` (the bit-identity contract of the
@@ -477,19 +477,6 @@ class RowChannel:
         if not atomic_write_json(path, payload):
             raise OSError(f"cannot persist row {suite}/{name} at {path}")
         return path
-
-    def read(self, suite: str, name: str) -> Optional[dict]:
-        """One row of ``suite`` by name, or ``None`` if absent/torn."""
-        payload = load_json(self._row_path(suite, name))
-        return payload if isinstance(payload, dict) else None
-
-    def delete(self, suite: str, name: str) -> bool:
-        """Drop one row (idempotent); returns whether a file was removed."""
-        try:
-            self._row_path(suite, name).unlink()
-        except OSError:
-            return False
-        return True
 
     def read_all(self, suite: str) -> Dict[str, dict]:
         """Every complete row of ``suite``, keyed by row name."""

@@ -219,7 +219,6 @@ def parallel_map(
     warmup: Optional[Callable[[], None]] = warm_worker,
     initializer: Optional[Callable] = None,
     initargs: tuple = (),
-    on_result: Optional[Callable[[int, object, float, int], None]] = None,
 ) -> ParallelReport:
     """Map ``fn`` over ``items`` on a process pool; results in input order.
 
@@ -228,15 +227,10 @@ def parallel_map(
     pool starts (forked workers inherit its effect) and inside every
     worker as part of the pool initializer; ``initializer(*initargs)``
     additionally installs per-call shared state (e.g. a CNF snapshot)
-    in each worker without re-pickling it per task.
-
-    ``on_result(index, result, runtime_s, worker_pid)`` — when given —
-    runs in the *parent* for every finished task as soon as its chunk
-    completes, in completion order (input order only under the serial
-    fallback).  This is the streaming hook of the service layer: a
-    consumer can persist or publish per-item results while other shards
-    are still running instead of barriering on the whole corpus.  The
-    returned report is unchanged (input order) either way.
+    in each worker without re-pickling it per task.  The first task
+    exception cancels the chunks not yet started and propagates (fail
+    fast).  Callers that need results as they finish stream lazily
+    produced items through :func:`parallel_map_stream` instead.
 
     Degrades to an in-process loop — same chunk runner, same record
     shape, items still pickle-round-tripped into private copies,
@@ -269,15 +263,13 @@ def parallel_map(
             # task that mutates its item (in-place optimization flows)
             # behaves identically at every worker count and the caller's
             # objects are never touched.
-            chunk_records = _run_chunk(
-                fn,
-                [(i, pickle.loads(pickle.dumps(items[i]))) for i in shard],
-                [labels[i] for i in shard],
+            raw.extend(
+                _run_chunk(
+                    fn,
+                    [(i, pickle.loads(pickle.dumps(items[i]))) for i in shard],
+                    [labels[i] for i in shard],
+                )
             )
-            raw.extend(chunk_records)
-            if on_result is not None:
-                for record in chunk_records:
-                    on_result(*record)
     else:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(items)),
@@ -293,16 +285,12 @@ def parallel_map(
                 )
                 for shard in shards
             ]
-            # Chunks are consumed as they complete so ``on_result`` can
-            # stream; the first task exception cancels pending chunks
-            # (fail fast) instead of burning the rest of the corpus.
+            # Chunks are consumed as they complete, so the first task
+            # exception cancels pending chunks (fail fast) instead of
+            # burning the rest of the corpus.
             try:
                 for future in as_completed(futures):
-                    chunk_records = future.result()
-                    raw.extend(chunk_records)
-                    if on_result is not None:
-                        for record in chunk_records:
-                            on_result(*record)
+                    raw.extend(future.result())
             except BaseException:
                 for future in futures:
                     future.cancel()

@@ -1,6 +1,6 @@
-"""Property battery for the service cache-key contract.
+"""Property battery for the result-cache key contract.
 
-The contract (see :mod:`repro.service`): the content address
+The contract (see :mod:`repro.flows.result_cache`): the content address
 ``result_cache_key(network, flow, options)`` must be *stable* across
 node renamings — structurally identical networks built in different
 orders hit the same entry — and *sound* across everything else: network
@@ -16,7 +16,7 @@ from repro.aig.aig import Aig
 from repro.core import Mig
 from repro.core.generation import rebuild_shuffled
 from repro.parallel.corpus import canonical_fingerprint, structural_fingerprint
-from repro.service import canonical_flow_config, result_cache_key
+from repro.flows.result_cache import canonical_flow_config, result_cache_key
 from repro.verify import check_equivalence
 
 KINDS = ("mig", "aig")
@@ -57,8 +57,8 @@ class TestCanonicalStability:
     def test_fingerprint_is_deterministic(self, network_forge):
         net = network_forge(kind="mig", seed=3, num_gates=30)
         assert canonical_fingerprint(net) == canonical_fingerprint(net)
-        assert result_cache_key(net, "mighty", {"rounds": 2}) == result_cache_key(
-            net, "mighty", {"rounds": 2}
+        assert result_cache_key(net, "mighty", {"rounds": 1}) == result_cache_key(
+            net, "mighty", {"rounds": 1}
         )
 
 
@@ -140,11 +140,11 @@ class TestKeySoundness:
         net = network_forge(kind="mig", seed=2, num_gates=25)
         keys = {
             result_cache_key(net, "mighty"),
-            result_cache_key(net, "mighty", {"rounds": 2}),
-            result_cache_key(net, "mighty", {"rounds": 2, "depth_effort": 1}),
+            result_cache_key(net, "mighty", {"rounds": 1}),
+            result_cache_key(net, "mighty", {"rounds": 1, "depth_effort": 1}),
+            result_cache_key(net, "mighty", {"depth_effort": 1}),
             result_cache_key(net, "mighty", {"boolean_rewrite": False}),
-            result_cache_key(net, "large"),
-            result_cache_key(net, "large", {"max_window_gates": 100}),
+            result_cache_key(net, "resyn2"),
         }
         assert len(keys) == 6
 
@@ -164,7 +164,7 @@ class TestKeySoundness:
                 )
         by_key = {}
         for net in nets:
-            for options in (None, {"rounds": 2}):
+            for options in (None, {"rounds": 1}):
                 key = result_cache_key(net, "mighty", options)
                 if key in by_key:
                     other_net, other_options = by_key[key]
@@ -174,45 +174,6 @@ class TestKeySoundness:
                     ), "cache-key collision between distinct structures"
                 by_key[key] = (net, options)
         assert len(by_key) == len(nets) * 2
-
-
-# --------------------------------------------------------------------- #
-# Pipeline / multi-sweep knobs participate in the key
-# --------------------------------------------------------------------- #
-class TestLargeFlowKnobKeys:
-    def test_sweeps_and_pipeline_knobs_split_keys(self, network_forge):
-        """A ``sweeps=2`` request must never resolve from a ``sweeps=1``
-        cache entry (different computation), and the pipeline/lookahead
-        knobs key apart too — the key is syntactic over the flow config."""
-        net = network_forge(kind="mig", seed=2, num_gates=25)
-        keys = {
-            result_cache_key(net, "large"),
-            result_cache_key(net, "large", {"sweeps": 1}),
-            result_cache_key(net, "large", {"sweeps": 2}),
-            result_cache_key(net, "large", {"sweeps": 2, "pipeline": False}),
-            result_cache_key(net, "large", {"pipeline": False}),
-            result_cache_key(net, "large", {"lookahead": 4}),
-        }
-        assert len(keys) == 6
-
-    def test_submit_forwards_sweep_knobs_into_cache_key(
-        self, network_forge, tmp_path
-    ):
-        """The service path: ``service_optimize_large(..., sweeps=N)``
-        lands ``sweeps`` in the job's flow options, and the stored
-        ``cache_key`` is exactly ``result_cache_key`` over them."""
-        from repro.service import OptimizationService
-
-        net = network_forge(kind="mig", seed=2, num_gates=25)
-        service = OptimizationService(tmp_path / "svc")
-        options = {"sweeps": 2, "pipeline": False, "max_window_gates": 50}
-        job_id = service.submit(net, flow="large", flow_options=options)
-        job = service.job(job_id)
-        assert job.flow_options == options
-        assert job.cache_key == result_cache_key(net, "large", options)
-        assert job.cache_key != result_cache_key(
-            net, "large", {**options, "sweeps": 1}
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -232,4 +193,22 @@ class TestFlowConfig:
 
     def test_non_json_options_rejected(self):
         with pytest.raises(ValueError):
-            canonical_flow_config("mighty", {"hook": object()})
+            canonical_flow_config("mighty", {"reshape_params": object()})
+
+    def test_defaults_are_resolved(self, network_forge):
+        """Regression: an omitted option and its explicit default are one
+        computation and share a key; a non-default value never does."""
+        net = network_forge(kind="mig", seed=2, num_gates=25)
+        defaults = {
+            "rounds": 2,
+            "depth_effort": 2,
+            "size_effort": 1,
+            "activity_recovery": True,
+            "boolean_rewrite": True,
+        }
+        assert result_cache_key(net, "mighty", {}) == result_cache_key(
+            net, "mighty", defaults
+        )
+        assert result_cache_key(net, "mighty", {}) != result_cache_key(
+            net, "mighty", {"boolean_rewrite": False}
+        )

@@ -136,53 +136,6 @@ class TestParallelMap:
             (False, [400, 441]),
         ]
 
-    def test_on_result_streams_every_record_once(self):
-        # The service layer's streaming hook: every (index, result) pair
-        # arrives exactly once, before parallel_map returns, and matches
-        # the final in-order report at every worker count.
-        items = list(range(9))
-        for workers in WORKER_COUNTS:
-            seen = {}
-
-            def _on_result(index, result, runtime_s, pid):
-                assert index not in seen  # exactly once per item
-                assert runtime_s >= 0 and isinstance(pid, int)
-                seen[index] = result
-
-            report = parallel_map(
-                _square,
-                items,
-                workers=workers,
-                on_result=_on_result,
-                warmup=_noop_warmup,
-            )
-            assert sorted(seen) == items
-            assert [seen[i] for i in items] == report.results
-
-    def test_on_result_serial_order_and_failure_cutoff(self):
-        # In-process fallback streams in submission order, and a failing
-        # task stops the stream with the error (fail-fast preserved).
-        streamed = []
-        parallel_map(
-            _square,
-            [3, 1, 2],
-            workers=1,
-            on_result=lambda i, r, t, p: streamed.append((i, r)),
-            warmup=_noop_warmup,
-        )
-        assert streamed == [(0, 9), (1, 1), (2, 4)]
-        streamed.clear()
-        with pytest.raises(RuntimeError, match="three"):
-            parallel_map(
-                _fail_on_three,
-                [1, 3, 2],
-                workers=1,
-                labels=["one", "three", "two"],
-                on_result=lambda i, r, t, p: streamed.append(i),
-                warmup=_noop_warmup,
-            )
-        assert streamed == [0]  # nothing after the failing task
-
 
 # --------------------------------------------------------------------- #
 # optimize_many: bit-identical across worker counts, totals consistent
@@ -333,18 +286,6 @@ class TestCorpusRunner:
         channel.write("suite", "zeta", {"name": "zeta"})
         ordered = channel.ordered("suite", ["beta"])
         assert [r["name"] for r in ordered] == ["beta", "alpha", "zeta"]
-
-    def test_row_channel_single_row_read_and_delete(self, tmp_path):
-        channel = RowChannel(tmp_path)
-        channel.write("suite", "alpha", {"name": "alpha", "v": 1})
-        assert channel.read("suite", "alpha") == {"name": "alpha", "v": 1}
-        assert channel.read("suite", "missing") is None
-        # A torn row reads as absent, same as read_all skips it.
-        (tmp_path / "suite" / "torn.json").write_text("{not json")
-        assert channel.read("suite", "torn") is None
-        assert channel.delete("suite", "alpha") is True
-        assert channel.delete("suite", "alpha") is False  # idempotent
-        assert channel.read("suite", "alpha") is None
 
 
 # --------------------------------------------------------------------- #

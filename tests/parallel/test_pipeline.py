@@ -250,12 +250,12 @@ class TestPipelinedRewrite:
         net.cleanup()
         before = structural_fingerprint(net)
         serial = net._mutation_serial
-        with pytest.raises(RuntimeError, match="unknown window flow"):
+        with pytest.raises(RuntimeError, match="bogus_option"):
             partitioned_rewrite(
                 net,
                 max_window_gates=60,
                 workers=1,
-                flow="bogus",
+                flow_kwargs={"bogus_option": 1},
                 pipeline=pipeline,
             )
         net.check_integrity()
