@@ -16,6 +16,8 @@ from repro.flows import (
     summarize_synthesis,
     synthesis_space_points,
 )
+from repro.flows.batch import resolve_flow, run_flow
+from repro.parallel.corpus import structural_fingerprint
 from repro.verify import check_equivalence
 
 SMALL = ["alu4", "my_adder", "count"]
@@ -52,6 +54,33 @@ class TestMightyFlow:
         assert combined.depth() <= algebraic.depth()
         assert combined.num_gates <= algebraic.num_gates
         assert "mig_rewrite" in [m.name for m in result.pass_metrics]
+
+
+class TestFlowDispatch:
+    def test_resolve_flow_picks_by_type(self, network_forge):
+        mig = network_forge(kind="mig", seed=1, num_gates=10)
+        aig = network_forge(kind="aig", seed=1, num_gates=10)
+        assert resolve_flow(mig, "auto") == "mighty"
+        assert resolve_flow(aig, "auto") == "resyn2"
+        assert resolve_flow(aig, "mighty") == "mighty"  # explicit passes through
+        with pytest.raises(ValueError):
+            resolve_flow(mig, "no-such-flow")
+
+    def test_run_flow_input_ownership(self, network_forge):
+        """``mighty`` optimizes in place and returns its input; ``resyn2``
+        leaves its input untouched."""
+        mig = network_forge(kind="mig", gate_mix="mixed", seed=4, num_gates=30)
+        initial = (mig.num_gates, mig.depth())
+        optimized, before, passes = run_flow(mig, "mighty", {"rounds": 1})
+        assert optimized is mig and before == initial and passes
+        aig = network_forge(kind="aig", gate_mix="mixed", seed=4, num_gates=30)
+        fingerprint = structural_fingerprint(aig)
+        optimized, before, _ = run_flow(aig, "resyn2", {})
+        assert structural_fingerprint(aig) == fingerprint
+        assert before == (aig.num_gates, aig.depth())
+        assert check_equivalence(aig, optimized).equivalent
+        with pytest.raises(ValueError):
+            run_flow(mig, "auto", {})
 
 
 class TestOptimizationExperiment:

@@ -17,6 +17,7 @@ import shutil
 
 import pytest
 
+from repro.aig.aig import Aig
 from repro.core.generation import rebuild_shuffled
 from repro.flows import optimize_many
 from repro.flows import result_cache
@@ -135,6 +136,59 @@ class TestCachedDeterminism:
                 corpus, workers=1, flow="mighty", cache_dir=tmp_path, rounds="boom"
             )
         assert not list(tmp_path.glob("*.json"))
+
+
+class TestKeyedComputation:
+    def test_entries_keyed_on_resolved_flow_and_forwarded_options(
+        self, tmp_path, network_forge
+    ):
+        """Each entry sits under the key of what actually ran: the resolved
+        flow and the options forwarded to it (none for AIG items under
+        "auto")."""
+        corpus = _corpus(network_forge)
+        optimize_many(corpus, workers=1, cache_dir=tmp_path, rounds=1)
+        expected = {
+            result_cache.result_cache_key(net, "resyn2", {})
+            if isinstance(net, Aig)
+            else result_cache.result_cache_key(net, "mighty", {"rounds": 1})
+            for net in corpus
+        }
+        assert {path.stem for path in tmp_path.glob("*.json")} == expected
+
+    def test_auto_and_explicit_flow_share_entries(self, tmp_path, network_forge):
+        """"auto" resolves per item before keying, so naming the same flow
+        explicitly is the same computation and hits the same entries."""
+        corpus = _corpus(network_forge)
+        optimize_many(corpus, workers=1, cache_dir=tmp_path, rounds=1)
+        migs = [net for net in corpus if not isinstance(net, Aig)]
+        aigs = [net for net in corpus if isinstance(net, Aig)]
+        mig_report = optimize_many(
+            migs, workers=1, flow="mighty", cache_dir=tmp_path, rounds=1
+        )
+        aig_report = optimize_many(aigs, workers=1, flow="resyn2", cache_dir=tmp_path)
+        assert all(_cached(mig_report)) and all(_cached(aig_report))
+
+    def test_partial_hits_run_only_the_misses(self, tmp_path, network_forge):
+        corpus = _corpus(network_forge)
+        direct = optimize_many(corpus, workers=1)
+        optimize_many(corpus[::2], workers=1, cache_dir=tmp_path)
+        report = optimize_many(corpus, workers=2, cache_dir=tmp_path)
+        assert _cached(report) == [True, False, True, False]
+        assert len(report.execution.tasks) == 2  # only the misses ran
+        assert [item.index for item in report.items] == list(range(len(corpus)))
+        _assert_items_bit_identical(report.items, direct.items)
+        assert all(_cached(optimize_many(corpus, workers=1, cache_dir=tmp_path)))
+
+    def test_no_cache_dir_computes_no_key(self, network_forge, monkeypatch):
+        """``cache_dir=None`` never touches the cache, not even to key."""
+
+        def _no_cache(*args, **kwargs):
+            raise AssertionError("result cache used without a cache_dir")
+
+        for name in ("result_cache_key", "cache_get", "cache_put"):
+            monkeypatch.setattr(result_cache, name, _no_cache)
+        report = optimize_many(_corpus(network_forge)[:2], workers=1)
+        assert not any(_cached(report))
 
 
 class _CreatesMarker:

@@ -145,6 +145,47 @@ class TestParallelMapStream:
         )
         assert sorted(seen) == [(i, i * i) for i in range(5)]
 
+    def test_on_result_streams_every_record_once(self):
+        # Every (index, result) pair arrives exactly once, before the call
+        # returns, and matches the final in-order report at every worker
+        # count.
+        items = list(range(9))
+        for workers in WORKER_COUNTS:
+            seen = {}
+
+            def _on_result(index, result, runtime_s, pid):
+                assert index not in seen  # exactly once per item
+                assert runtime_s >= 0 and isinstance(pid, int)
+                seen[index] = result
+
+            report = parallel_map_stream(
+                _square, iter(items), workers=workers, on_result=_on_result
+            )
+            assert sorted(seen) == items
+            assert [seen[i] for i in items] == report.results
+
+    def test_on_result_serial_order_and_failure_cutoff(self):
+        # The in-process fallback streams in producer order, and a failing
+        # task stops the stream with the error (fail fast).
+        streamed = []
+        parallel_map_stream(
+            _square,
+            iter([3, 1, 2]),
+            workers=1,
+            on_result=lambda i, r, t, p: streamed.append((i, r)),
+        )
+        assert streamed == [(0, 9), (1, 1), (2, 4)]
+        streamed.clear()
+        with pytest.raises(RuntimeError, match="three"):
+            parallel_map_stream(
+                _boom_on_three,
+                iter([1, 3, 2]),
+                workers=1,
+                labels=["one", "three", "two"],
+                on_result=lambda i, r, t, p: streamed.append(i),
+            )
+        assert streamed == [0]  # nothing after the failing task
+
     def test_serial_fallback_pulls_producer_lazily(self):
         """The producer is consumed one item per finished task — the point
         of the streamed path (no upfront materialization)."""
