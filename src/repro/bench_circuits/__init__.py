@@ -1,9 +1,9 @@
 """Synthetic MCNC-like benchmark circuit generators (see DESIGN.md).
 
 :mod:`~repro.bench_circuits.suite` holds the Table I suite;
-:mod:`~repro.bench_circuits.generator` holds the scalable 10^5–10^6 node
-presets used by the partition-parallel benchmark lanes.  Both resolve
-through :func:`build_benchmark`.
+:mod:`~repro.bench_circuits.generator` holds the scalable 10^4–10^6 node
+presets, the scaling inputs of whole-network optimization runs.  Both
+resolve through :func:`build_benchmark`.
 """
 
 from .generator import (

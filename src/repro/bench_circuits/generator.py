@@ -6,20 +6,19 @@ two orders of magnitude short of the ROADMAP's million-gate headline.
 This module grows three parametric families to the 10^5–10^6 node
 range, built from the same builder-agnostic components (so every family
 instantiates as a MIG or an AIG) and **seeded deterministic**: the same
-name always produces the same structure, which is what lets the
-partition-parallel benchmarks assert bit-identical stitched results
-across worker counts on top of them.
+name always produces the same structure, so a scaling measurement (size,
+depth, wall time of the whole-network passes at each preset) is
+comparable across code versions.
 
 * ``multiplier`` — a ``width x width`` unsigned array multiplier; gate
   count grows quadratically (~7.7k gates at width 32), dominated by
-  deep carry chains — the adversarial shape for windowing because cones
-  are long and narrow.
+  deep, long and narrow carry chains.
 * ``adder_tree`` — a balanced reduction tree summing ``operands``
   ``width``-bit inputs; linear in ``operands``, log-depth, with wide
-  middle levels — the friendly shape for level-banded windows.
+  middle levels.
 * ``random_logic`` — PLA-style random blocks over narrow overlapping
-  input cones; linear in ``blocks``, shallow, embarrassingly windowable
-  — the scaling workhorse of the million-gate lanes.
+  input cones; linear in ``blocks`` and shallow — the scaling workhorse
+  up to 10^6 gates.
 
 Named presets live in :data:`SCALABLE_BENCHMARKS` and resolve through
 :func:`repro.bench_circuits.build_benchmark` alongside the Table I

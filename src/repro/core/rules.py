@@ -140,18 +140,6 @@ def rebuild_cone(
     return mapped(root)
 
 
-def _level_of(levels: Sequence[int], signal: int) -> int:
-    # NOTE: the hot rules (try_associativity, try_distributivity_lr) inline
-    # this expression to avoid the call overhead in their inner loops; keep
-    # the inlined copies in sync with any change to this convention.
-    node = node_of(signal)
-    if node < len(levels):
-        return levels[node]
-    # Node created after the level snapshot was taken: treat it as deep so
-    # depth-driven decisions stay conservative (function is never affected).
-    return len(levels)
-
-
 # --------------------------------------------------------------------- #
 # Ω.M sweep
 # --------------------------------------------------------------------- #

@@ -8,8 +8,13 @@ Table I experiments; :mod:`repro.flows.report` formats the tables and
 serialises the per-pass metrics for the benchmark harness.
 :mod:`repro.flows.batch` shards whole-network flows over a corpus
 (``optimize_many``, with the result cache of
-:mod:`repro.flows.result_cache` behind ``cache_dir=``) and windows one
-large network (``optimize_large``, :mod:`repro.flows.partitioned`).
+:mod:`repro.flows.result_cache` behind ``cache_dir=``).
+
+Every flow rewrites the whole network.  Large networks run the same
+whole-network passes as small ones, as in ABC's DAG-aware rewriting
+(Mishchenko, Chatterjee and Brayton, DAC'06): the :class:`Balance` pass
+alone handles a 10^6-gate MIG (the ``rand_42000`` preset) in about 35 s
+on one core of a 2-CPU host.
 """
 
 from .engine import (
@@ -34,18 +39,10 @@ from .engine import (
 from .batch import (
     BatchItem,
     BatchReport,
-    LargeResult,
     format_batch_report,
-    optimize_large,
     optimize_many,
 )
 from .mighty import MightyResult, mighty_optimize, mighty_pipeline
-from .partitioned import (
-    PartitionedRewrite,
-    WindowVerificationError,
-    partitioned_rewrite,
-    sweep_offset,
-)
 from .optimize import (
     OptimizationComparison,
     compare_optimization,
@@ -103,13 +100,6 @@ __all__ = [
     "BatchItem",
     "BatchReport",
     "format_batch_report",
-    # partition-parallel single-circuit API
-    "optimize_large",
-    "LargeResult",
-    "PartitionedRewrite",
-    "WindowVerificationError",
-    "partitioned_rewrite",
-    "sweep_offset",
     # optimization experiment
     "compare_optimization",
     "run_optimization_experiment",

@@ -28,7 +28,6 @@ Example
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -39,9 +38,7 @@ from .engine import PassMetrics
 __all__ = [
     "BatchItem",
     "BatchReport",
-    "LargeResult",
     "optimize_many",
-    "optimize_large",
     "resolve_flow",
     "run_flow",
     "format_batch_report",
@@ -154,17 +151,27 @@ class BatchReport:
 def resolve_flow(network, flow: str) -> str:
     """The flow that runs on ``network``: ``"auto"`` picks by type.
 
-    AIGs take the ``resyn2`` script, everything else the MIGhty
-    pipeline; an explicit flow must be one of :data:`_FLOWS`.
+    AIGs take the ``resyn2`` script, MIGs the MIGhty pipeline; an
+    explicit flow must be one of :data:`_FLOWS`.  A flow that cannot run
+    on the network's type raises ``ValueError`` here, before any work
+    starts, instead of failing inside a worker.
     """
     if flow not in _FLOWS:
         raise ValueError(f"unknown flow {flow!r} (expected one of {_FLOWS})")
-    if flow != "auto":
-        return flow
     # Late import keeps batch importable without pulling both kernels.
     from ..aig.aig import Aig
+    from ..core.mig import Mig
 
-    return "resyn2" if isinstance(network, Aig) else "mighty"
+    resolved = flow
+    if flow == "auto":
+        resolved = "resyn2" if isinstance(network, Aig) else "mighty"
+    kind = Mig if resolved == "mighty" else Aig
+    if not isinstance(network, kind):
+        raise ValueError(
+            f"flow {flow!r} cannot run on a network of type "
+            f"{type(network).__name__} ({resolved!r} takes {kind.__name__})"
+        )
+    return resolved
 
 
 def run_flow(network, flow: str, options: Dict[str, object]):
@@ -303,144 +310,6 @@ def optimize_many(
         wall_s=time.perf_counter() - start,
         parallel=execution.parallel,
         execution=execution,
-    )
-
-
-@dataclass
-class LargeResult:
-    """Outcome of one :func:`optimize_large` run.
-
-    ``network`` is the optimized (stitched) network — the input object is
-    untouched; ``details`` is the :class:`~repro.flows.partitioned
-    .PartitionedRewrite` detail record (windows, frontier pins,
-    per-window gains and certification verdicts); ``pass_metrics``
-    carries the flow engine's measurement of the pass.
-    """
-
-    name: str
-    workers: int
-    parallel: bool
-    initial_size: int
-    initial_depth: int
-    final_size: int
-    final_depth: int
-    runtime_s: float
-    details: Dict[str, object] = field(default_factory=dict)
-    pass_metrics: List[PassMetrics] = field(default_factory=list)
-    network: object = None
-
-    @property
-    def windows(self) -> int:
-        return int(self.details.get("windows", 0))
-
-    def as_dict(self) -> Dict[str, object]:
-        record = {
-            "name": self.name,
-            "workers": self.workers,
-            "parallel": self.parallel,
-            "initial_size": self.initial_size,
-            "initial_depth": self.initial_depth,
-            "final_size": self.final_size,
-            "final_depth": self.final_depth,
-            "runtime_s": round(self.runtime_s, 6),
-        }
-        record.update(
-            {
-                key: self.details.get(key)
-                for key in (
-                    "windows",
-                    "frontier_pins",
-                    "improved_windows",
-                    "window_gain",
-                    "certified_windows",
-                    "stitch",
-                    "pipeline",
-                    "sweeps_run",
-                    "converged",
-                    "extract_wall_s",
-                    "stitch_wall_s",
-                    "parent_idle_s",
-                    "commit_queue_peak",
-                )
-                if key in self.details
-            }
-        )
-        return record
-
-
-def optimize_large(
-    network,
-    workers: Optional[int] = None,
-    max_window_gates: int = 400,
-    strategy: str = "topo",
-    certify: bool = True,
-    flow: str = "auto",
-    flow_kwargs: Optional[dict] = None,
-    certify_options: Optional[dict] = None,
-    sweeps: int = 1,
-    pipeline: bool = True,
-    lookahead: Optional[int] = None,
-) -> LargeResult:
-    """Optimize one large network by partition-parallel windowed rewriting.
-
-    The single-circuit counterpart of :func:`optimize_many`: the network
-    is decomposed into bounded windows, windows are optimized in worker
-    processes (with per-window SAT certification when ``certify``;
-    ``certify_options`` sizes the per-window equivalence budgets, and an
-    uncertified window rejects the run), and the results are stitched
-    back in window order — see :mod:`repro.flows.partitioned` for the
-    determinism contract (results are bit-identical at any worker count
-    for a fixed partition spec).
-
-    ``pipeline`` (default on) streams extract → optimize → stitch with
-    an in-order commit queue instead of barriering between the phases;
-    ``lookahead`` bounds the in-flight windows of the streamed path.
-    ``sweeps`` > 1 re-runs the decomposition with deterministically
-    shifted window boundaries (gains trapped on one sweep's frontiers
-    become interior to the next) and stops early once a sweep improves
-    nothing.  All three knobs leave the result's structure invariant
-    *except* ``sweeps``, which changes what is computed.
-
-    The input network is never mutated: it crosses into a private copy
-    by pickling (preserving node ids exactly, like the worker boundary
-    does), so ``result.network`` at ``workers=1`` is bit-identical to
-    the same call at ``workers=4``.
-    """
-    from .engine import Pipeline
-    from .partitioned import PartitionedRewrite
-
-    work = pickle.loads(pickle.dumps(network))
-    flow_pipeline = Pipeline(
-        [
-            PartitionedRewrite(
-                max_window_gates=max_window_gates,
-                strategy=strategy,
-                workers=workers,
-                certify=certify,
-                flow=flow,
-                flow_kwargs=flow_kwargs,
-                certify_options=certify_options,
-                sweeps=sweeps,
-                pipeline=pipeline,
-                lookahead=lookahead,
-            )
-        ],
-        name="optimize_large",
-    )
-    result = flow_pipeline.run(work)
-    details = result.passes[0].details
-    return LargeResult(
-        name=getattr(network, "name", "network"),
-        workers=int(details.get("workers", 1)),
-        parallel=bool(details.get("parallel", False)),
-        initial_size=result.initial_size,
-        initial_depth=result.initial_depth,
-        final_size=result.final_size,
-        final_depth=result.final_depth,
-        runtime_s=result.runtime_s,
-        details=details,
-        pass_metrics=result.passes,
-        network=work,
     )
 
 

@@ -855,27 +855,6 @@ class LogicNetwork:
         self._retarget_fanins(node, old_fanins, key)
         return None
 
-    def pin_node(self, node: int) -> None:
-        """Hold an extra reference on ``node`` so it cannot be reclaimed.
-
-        Substitution cascades reclaim any gate whose reference count
-        reaches zero.  Callers that keep raw node ids alive across a
-        sequence of substitutions — the window stitcher of
-        :mod:`repro.parallel.window` holds replacement targets for later
-        windows — pin those nodes first; a pinned node can be
-        retargeted or bypassed by a cascade but never dies.  Pins are
-        plain reference counts: every pin must be released by exactly
-        one :meth:`unpin_node`, after which :meth:`cleanup` (or the
-        release itself) reclaims whatever became dangling.
-        """
-        if self._dead[node]:
-            raise ValueError(f"cannot pin dead node {node}")
-        self._ref[node] += 1
-
-    def unpin_node(self, node: int) -> None:
-        """Release one :meth:`pin_node` hold (reclaims if now dangling)."""
-        self._deref(node)
-
     def cleanup(self) -> int:
         """Remove dangling nodes (no fanout, not driving a PO). Returns count.
 

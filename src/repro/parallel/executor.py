@@ -31,23 +31,16 @@ import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "OrderedCommitQueue",
     "TaskRecord",
     "ParallelReport",
     "default_workers",
     "plan_shards",
     "parallel_map",
-    "parallel_map_stream",
     "warm_worker",
 ]
 
@@ -229,8 +222,7 @@ def parallel_map(
     additionally installs per-call shared state (e.g. a CNF snapshot)
     in each worker without re-pickling it per task.  The first task
     exception cancels the chunks not yet started and propagates (fail
-    fast).  Callers that need results as they finish stream lazily
-    produced items through :func:`parallel_map_stream` instead.
+    fast).
 
     Degrades to an in-process loop — same chunk runner, same record
     shape, items still pickle-round-tripped into private copies,
@@ -319,200 +311,3 @@ def _worker_init(warmup, initializer, initargs) -> None:
         warmup()
     if initializer is not None:
         initializer(*initargs)
-
-
-class OrderedCommitQueue:
-    """Reorder buffer: commit streamed results in strict item-index order.
-
-    Results of a parallel run arrive in completion order; consumers whose
-    commit step is order-sensitive — the window stitcher of
-    :mod:`repro.flows.partitioned`, where substitution cascades make the
-    final structure depend on stitch order — feed each ``(index, value)``
-    through :meth:`offer` and receive ``commit(index, value)`` callbacks
-    in index order only: result *i* is committed the moment *i* and every
-    earlier index have been offered, while later indices are still in
-    flight.  Out-of-order arrivals wait in the buffer (``peak`` records
-    the high-water mark — the observability hook for how much reordering
-    the schedule actually produced).
-
-    :meth:`hold` / :meth:`release` gate the commit side without blocking
-    the offer side: a holder can keep buffering results while some
-    precondition of committing is not yet met (the pipelined stitcher
-    holds until every window has been extracted, because commits mutate
-    the structure extraction reads).  Commits run synchronously inside
-    ``offer``/``release`` on the calling thread — the queue adds ordering,
-    never concurrency.
-    """
-
-    def __init__(
-        self, commit: Callable[[int, object], None], start: int = 0
-    ) -> None:
-        self._commit = commit
-        self._next = start
-        self._buffer: dict = {}
-        self._held = False
-        self.peak = 0
-        self.committed = 0
-
-    @property
-    def next_index(self) -> int:
-        """The index the next commit is waiting for."""
-        return self._next
-
-    @property
-    def buffered(self) -> int:
-        """Results currently parked out of order (or behind a hold)."""
-        return len(self._buffer)
-
-    def hold(self) -> None:
-        """Gate commits: offers keep buffering until :meth:`release`."""
-        self._held = True
-
-    def release(self) -> None:
-        """Lift the commit gate and flush everything now in order."""
-        self._held = False
-        self._flush()
-
-    def offer(self, index: int, value: object) -> None:
-        """Buffer one result; commit it (and successors) when in order."""
-        if index < self._next or index in self._buffer:
-            raise ValueError(f"result index {index} offered twice")
-        self._buffer[index] = value
-        if len(self._buffer) > self.peak:
-            self.peak = len(self._buffer)
-        self._flush()
-
-    def _flush(self) -> None:
-        while not self._held and self._next in self._buffer:
-            value = self._buffer.pop(self._next)
-            index = self._next
-            self._next += 1
-            self._commit(index, value)
-            self.committed += 1
-
-
-def parallel_map_stream(
-    fn: Callable,
-    items: Iterable[object],
-    workers: Optional[int] = None,
-    lookahead: Optional[int] = None,
-    labels: Optional[Sequence[str]] = None,
-    warmup: Optional[Callable[[], None]] = warm_worker,
-    on_result: Optional[Callable[[int, object, float, int], None]] = None,
-) -> ParallelReport:
-    """Streaming :func:`parallel_map`: lazy items, bounded lookahead.
-
-    ``items`` is consumed **lazily** — at most ``lookahead`` items
-    (default ``2 * workers``) are materialized-and-unfinished at any
-    moment, so an expensive producer (window extraction over a
-    million-gate network) overlaps with worker execution instead of
-    barriering before it, and the parent never holds the whole item list.
-    Items are submitted in producer order, one task per item; results
-    stream back through ``on_result(index, result, runtime_s,
-    worker_pid)`` in completion order, and the returned report carries
-    them in input order like :func:`parallel_map`.
-
-    No LPT reordering: a lazy producer's costs are unknown ahead of time,
-    and in-order submission is what keeps an
-    :class:`OrderedCommitQueue` consumer's reorder buffer small (early
-    indices return early).  The serial fallback (``workers <= 1`` or
-    running inside a pool worker) pulls one item at a time, runs it
-    through the same chunk runner (with the same pickle round-trip), and
-    fires ``on_result`` before pulling the next — so producer code that
-    runs *after* its last ``yield`` still runs after every item finished,
-    exactly like the pool path.
-
-    The first task exception cancels everything pending and propagates
-    (fail fast); the producer is not pulled again after a failure.
-    """
-    workers = default_workers() if workers is None else max(1, workers)
-
-    def _label(index: int) -> str:
-        if labels is not None and index < len(labels):
-            return str(labels[index])
-        return f"task{index}"
-
-    start = time.perf_counter()
-    use_pool = workers > 1 and not _in_pool_worker()
-    if warmup is not None:
-        warmup()
-
-    raw: List[tuple] = []
-    iterator = iter(items)
-    submitted = 0
-    if not use_pool:
-        for item in iterator:
-            index = submitted
-            submitted += 1
-            chunk_records = _run_chunk(
-                fn,
-                [(index, pickle.loads(pickle.dumps(item)))],
-                [_label(index)],
-            )
-            raw.extend(chunk_records)
-            if on_result is not None:
-                for record in chunk_records:
-                    on_result(*record)
-    else:
-        if lookahead is None:
-            lookahead = 2 * workers
-        lookahead = max(1, lookahead)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(warmup, None, ()),
-        ) as pool:
-            pending: dict = {}
-            exhausted = False
-
-            def _top_up() -> None:
-                nonlocal submitted, exhausted
-                while not exhausted and len(pending) < lookahead:
-                    try:
-                        item = next(iterator)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    future = pool.submit(
-                        _run_chunk,
-                        fn,
-                        [(submitted, item)],
-                        [_label(submitted)],
-                    )
-                    pending[future] = submitted
-                    submitted += 1
-
-            try:
-                _top_up()
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    # ``done`` is a set: iterate in submission order so the
-                    # stream of on_result calls is as deterministic as the
-                    # completion times allow.
-                    for future in sorted(done, key=pending.get):
-                        del pending[future]
-                        chunk_records = future.result()
-                        raw.extend(chunk_records)
-                        if on_result is not None:
-                            for record in chunk_records:
-                                on_result(*record)
-                    _top_up()
-            except BaseException:
-                for future in pending:
-                    future.cancel()
-                raise
-
-    results: List[object] = [None] * submitted
-    tasks: List[TaskRecord] = []
-    for index, result, runtime_s, pid in raw:
-        results[index] = result
-        tasks.append(TaskRecord(index, _label(index), runtime_s, pid))
-    tasks.sort(key=lambda t: t.index)
-    return ParallelReport(
-        results=results,
-        tasks=tasks,
-        workers=workers,
-        num_shards=submitted,
-        wall_s=time.perf_counter() - start,
-        parallel=use_pool,
-    )

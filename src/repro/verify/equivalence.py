@@ -104,9 +104,10 @@ class EquivalenceResult:
     before being returned), but ``False`` when an ``equivalent=True``
     verdict only means "random simulation found no mismatch" — notably
     the auto dispatch's best-effort answer after the SAT sweep exhausted
-    its conflict budget.  Consumers that certify anything (pipeline
-    self-verification, window certification, CEC rows) must reject
-    uncertified verdicts rather than treat them as a pass.
+    its conflict budget.  Consumers that certify anything
+    (:func:`assert_equivalent`, pipeline self-verification, the corpus
+    runner's CEC rows) must reject uncertified verdicts rather than treat
+    them as a pass.
     """
 
     equivalent: bool

@@ -62,9 +62,38 @@ class TestFlowDispatch:
         aig = network_forge(kind="aig", seed=1, num_gates=10)
         assert resolve_flow(mig, "auto") == "mighty"
         assert resolve_flow(aig, "auto") == "resyn2"
-        assert resolve_flow(aig, "mighty") == "mighty"  # explicit passes through
+        assert resolve_flow(mig, "mighty") == "mighty"
+        assert resolve_flow(aig, "resyn2") == "resyn2"
         with pytest.raises(ValueError):
             resolve_flow(mig, "no-such-flow")
+
+    def test_flow_network_mismatch_rejected_before_work(
+        self, network_forge, monkeypatch
+    ):
+        """A flow that cannot run on the network's type fails fast with a
+        ``ValueError`` naming both, before a cache key or pool exists."""
+        from repro.flows import batch, result_cache
+
+        class Netlist:  # neither a Mig nor an Aig
+            name = "netlist"
+            num_gates = 0
+
+        def _no_work(*args, **kwargs):
+            raise AssertionError("work started before the flow was checked")
+
+        monkeypatch.setattr(batch, "parallel_map", _no_work)
+        monkeypatch.setattr(result_cache, "result_cache_key", _no_work)
+        mig = network_forge(kind="mig", seed=1, num_gates=10)
+        aig = network_forge(kind="aig", seed=1, num_gates=10)
+        for network, flow, kind in (
+            (aig, "mighty", "Aig"),
+            (mig, "resyn2", "Mig"),
+            (Netlist(), "auto", "Netlist"),
+        ):
+            with pytest.raises(ValueError, match=f"'{flow}'.*{kind}"):
+                resolve_flow(network, flow)
+            with pytest.raises(ValueError, match=f"'{flow}'.*{kind}"):
+                batch.optimize_many([network], workers=2, flow=flow, cache_dir="x")
 
     def test_run_flow_input_ownership(self, network_forge):
         """``mighty`` optimizes in place and returns its input; ``resyn2``

@@ -3,19 +3,26 @@
 The bugfix contract: an ``EquivalenceResult`` whose ``certified`` flag is
 false (the complete backends ran out of budget, or the caller picked the
 random backend) means "no mismatch found", *not* "proven equivalent" —
-and every certifying consumer (``assert_equivalent``, the flow engine's
-verify hook, window certification in the partitioned flow) must reject
-it exactly like a proven mismatch.  Each test here forces the uncertified
-path with a starved budget (or the explicitly sampling backend) and
-asserts the rejection.
+and every certifying consumer must reject it exactly like a proven
+mismatch.  The consumers are ``assert_equivalent``, the flow engine's
+per-pass verify hook (``Pipeline(verify=True)``, tested in
+``tests/flows/test_engine.py``) and the corpus runner's CEC rows
+(``optimization_row(verify=True)`` and ``rewrite_acceptance_row``).
+Each test here forces the uncertified path with a starved budget, the
+explicitly sampling backend or a stubbed checker, and asserts the
+rejection.
 """
 
 import pytest
 
-from repro.flows.batch import optimize_large
+import repro.verify
 from repro.flows.mighty import mighty_optimize
-from repro.flows.partitioned import partitioned_rewrite
-from repro.verify.equivalence import assert_equivalent, check_equivalence
+from repro.parallel.corpus import optimization_row
+from repro.verify.equivalence import (
+    EquivalenceResult,
+    assert_equivalent,
+    check_equivalence,
+)
 
 #: SAT-sweep options guaranteed to exhaust on any non-trivial miter.
 _STARVED = {
@@ -61,28 +68,14 @@ def test_assert_equivalent_rejects_uncertified_verdict(network_forge):
     assert_equivalent(net, opt, method="random")
 
 
-def test_partitioned_rewrite_rejects_uncertified_window(network_forge):
-    net = network_forge(kind="mig", num_pis=12, num_gates=120, num_pos=4, seed=3)
-    with pytest.raises(RuntimeError, match="NOT be certified"):
-        partitioned_rewrite(
-            net.copy(),
-            max_window_gates=60,
-            workers=1,
-            certify_options={"method": "random"},
+def test_optimization_row_rejects_uncertified_verdict(monkeypatch):
+    def _uncertified(first, second, **kwargs):
+        return EquivalenceResult(
+            equivalent=True, method="random-simulation", certified=False
         )
 
-
-def test_optimize_large_threads_certify_options(network_forge):
-    net = network_forge(kind="mig", num_pis=12, num_gates=120, num_pos=4, seed=3)
-    with pytest.raises(RuntimeError, match="NOT be certified"):
-        optimize_large(
-            net.copy(),
-            max_window_gates=60,
-            workers=1,
-            certify_options={"method": "random"},
+    monkeypatch.setattr(repro.verify, "check_equivalence", _uncertified)
+    with pytest.raises(AssertionError, match="NOT certified"):
+        optimization_row(
+            "b9", rounds=1, depth_effort=1, include_bdd=False, verify=True
         )
-    # With a real (certifying) budget the same call goes through.
-    result = optimize_large(net.copy(), max_window_gates=60, workers=1)
-    assert result.details["certified_windows"] == result.details["windows"]
-    for verdict in (r["certified"] for r in result.details["per_window"]):
-        assert verdict["certified"] is True
