@@ -36,6 +36,31 @@ def _fail_on_three(x):
     return x
 
 
+def _append_marker(item):
+    """Mutate the task's item; the caller's object must not see it."""
+    item.append("touched")
+    return len(item)
+
+
+_CALLS = []
+
+
+def _record_call(x):
+    _CALLS.append(x)
+    return _fail_on_three(x)
+
+
+_SHARED = {}
+
+
+def _install_offset(offset):
+    _SHARED["offset"] = offset
+
+
+def _add_offset(x):
+    return x + _SHARED["offset"]
+
+
 def _noop_warmup():
     """Cheap warm-up for executor unit tests (skips the NPN preload)."""
 
@@ -119,6 +144,55 @@ class TestParallelMap:
         assert all(t.runtime_s >= 0 for t in report.tasks)
         assert report.busy_s >= 0
         assert report.as_dict()["workers"] == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_task_failure_names_item_and_cause(self, workers):
+        # Default labels are task<index>; the task's own message survives
+        # the trip back from a pool worker.
+        with pytest.raises(
+            RuntimeError, match=r"'task2' \(item 2\) failed: three is right out"
+        ):
+            parallel_map(
+                _fail_on_three, [1, 2, 3], workers=workers, warmup=_noop_warmup
+            )
+
+    def test_serial_failure_stops_at_failing_item(self):
+        _CALLS.clear()
+        with pytest.raises(RuntimeError):
+            parallel_map(
+                _record_call, [1, 3, 5, 7], workers=1, chunk_size=1,
+                warmup=_noop_warmup,
+            )
+        assert _CALLS == [1, 3]
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="expected 2 labels"):
+            parallel_map(
+                _square, [1, 2], labels=["only"], warmup=_noop_warmup
+            )
+
+    def test_empty_items(self):
+        report = parallel_map(_square, [], workers=2, warmup=_noop_warmup)
+        assert report.results == [] and report.tasks == []
+        assert report.num_shards == 0 and not report.parallel
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tasks_receive_private_copies(self, workers):
+        items = [[1], [2, 3]]
+        report = parallel_map(
+            _append_marker, items, workers=workers, warmup=_noop_warmup
+        )
+        assert report.results == [2, 3]
+        assert items == [[1], [2, 3]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_initializer_installs_shared_state(self, workers):
+        report = parallel_map(
+            _add_offset, [1, 2, 3], workers=workers, warmup=_noop_warmup,
+            initializer=_install_offset, initargs=(100,),
+        )
+        assert report.results == [101, 102, 103]
+        assert report.parallel == (workers > 1)
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
