@@ -17,7 +17,7 @@ the node count.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .mig import Mig
 from .signal import (
@@ -94,27 +94,22 @@ def balance_mig(mig: Mig) -> Mig:
 
     memo: Dict[int, int] = {}
 
-    def build(signal: int) -> int:
+    def lookup(signal: int) -> Optional[int]:
+        """The mapped ``signal`` when its node needs no building, else None."""
         node = node_of(signal)
-        if node in memo:
-            return negate_if(memo[node], is_complemented(signal))
-        if not mig.is_maj(node):
-            mapped = mapping[node]
-            memo[node] = mapped
-            return negate_if(mapped, is_complemented(signal))
+        if node not in memo:
+            if mig.is_maj(node):
+                return None
+            memo[node] = mapping[node]
+        return negate_if(memo[node], is_complemented(signal))
 
-        constant = _tree_constant(mig, node)
+    def combine(constant: Optional[int], built: List[int]) -> int:
+        """The new node over ``built``, the mapped operands of one frame."""
         if constant is None:
-            a, b, c = (build(f) for f in mig.fanins(node))
+            a, b, c = built
             mapped = result.maj(a, b, c)
-            record_level(
-                mapped, 1 + max(new_level(a), new_level(b), new_level(c))
-            )
-            memo[node] = mapped
-            return negate_if(mapped, is_complemented(signal))
-
-        leaves = collect_tree_leaves(mig, node, constant)
-        built = [build(leaf) for leaf in leaves]
+            record_level(mapped, 1 + max(new_level(a), new_level(b), new_level(c)))
+            return mapped
         # Huffman-style balanced combination by arrival level.
         heap = [(new_level(s), index, s) for index, s in enumerate(built)]
         heapq.heapify(heap)
@@ -126,9 +121,43 @@ def balance_mig(mig: Mig) -> Mig:
             record_level(merged, max(la, lb) + 1)
             heapq.heappush(heap, (new_level(merged), counter, merged))
             counter += 1
-        root = heap[0][2]
-        memo[node] = root
-        return negate_if(root, is_complemented(signal))
+        return heap[0][2]
+
+    def frame(node: int):
+        """Build frame of a majority node: its fanins or its tree leaves."""
+        constant = _tree_constant(mig, node)
+        if constant is None:
+            operands = mig.fanins(node)
+        else:
+            operands = collect_tree_leaves(mig, node, constant)
+        return node, constant, operands, []
+
+    def build(signal: int) -> int:
+        """Map ``signal`` into ``result``, building its cone depth-first.
+
+        An explicit stack of frames ``(node, constant, operands, built)``
+        replaces recursion (deep networks would overflow the interpreter
+        stack); operands are built left to right, each completely before
+        the next, so nodes are created in the order a recursive build
+        would create them.
+        """
+        mapped = lookup(signal)
+        if mapped is not None:
+            return mapped
+        stack = [frame(node_of(signal))]
+        while stack:
+            node, constant, operands, built = stack[-1]
+            if len(built) < len(operands):
+                operand = operands[len(built)]
+                mapped = lookup(operand)
+                if mapped is None:
+                    stack.append(frame(node_of(operand)))
+                else:
+                    built.append(mapped)
+                continue
+            stack.pop()
+            memo[node] = combine(constant, built)
+        return lookup(signal)
 
     for po, name in zip(mig.po_signals(), mig.po_names()):
         result.add_po(build(po), name)

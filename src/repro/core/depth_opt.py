@@ -64,10 +64,10 @@ def push_up(
 ) -> int:
     """Move critical operands toward the outputs until no move helps.
 
-    Each round recomputes the levels and the critical section once, then
-    visits the critical nodes from the outputs toward the inputs applying
-    the cheapest applicable rule (Ω.M implicitly, then Ω.A, Ψ.C and finally
-    Ω.D L→R).  Returns the number of accepted rewrites.
+    Each round snapshots the levels and computes the critical section
+    once, then visits the critical nodes from the outputs toward the inputs
+    applying the cheapest applicable rule (Ω.M implicitly, then Ω.A, Ψ.C
+    and finally Ω.D L→R).  Returns the number of accepted rewrites.
     """
     rewrites = 0
     for _ in range(max_rounds):
@@ -75,14 +75,14 @@ def push_up(
         depth_before = mig.depth()
         if depth_before == 0:
             break
-        levels = mig.levels()
+        levels = list(mig._level)  # snapshot, no DFS
         round_rewrites = 0
         for node in mig.critical_nodes():
             if mig.is_dead(node):
                 continue
             if try_associativity(mig, node, levels):
                 round_rewrites += 1
-            elif try_complementary_associativity(mig, node, levels):
+            elif try_complementary_associativity(mig, node):
                 round_rewrites += 1
             elif try_distributivity_lr(
                 mig, node, levels, allow_area_increase=allow_area_increase

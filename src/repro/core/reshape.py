@@ -69,7 +69,9 @@ def reshape(mig: Mig, params: Optional[ReshapeParams] = None) -> int:
     rejected attempts are reclaimed before returning.
     """
     params = params or ReshapeParams()
-    levels = mig.levels()
+    # Snapshot of the kernel's incrementally maintained levels: an O(n)
+    # list copy, no DFS.  Nodes created after it count as deep.
+    levels = list(mig._level)
     rewrites = 0
     visited = 0
     for node in list(mig.gates()):
@@ -83,9 +85,7 @@ def reshape(mig: Mig, params: Optional[ReshapeParams] = None) -> int:
             applied = True
         elif params.use_associativity and try_associativity_reshape(mig, node):
             applied = True
-        elif params.use_complementary and try_complementary_associativity(
-            mig, node, levels
-        ):
+        elif params.use_complementary and try_complementary_associativity(mig, node):
             applied = True
         elif params.use_relevance and try_relevance(
             mig, node, bound=params.cone_bound, max_growth=params.relevance_growth
@@ -99,10 +99,11 @@ def reshape(mig: Mig, params: Optional[ReshapeParams] = None) -> int:
             applied = True
         if applied:
             rewrites += 1
-            # Levels drift as the structure changes; refresh periodically so
-            # the associativity decisions stay meaningful without paying an
-            # O(n) recomputation per rewrite.
+            # Levels drift as the structure changes; refresh the snapshot
+            # periodically (an O(n) list copy, no DFS) so the associativity
+            # decisions stay meaningful without copying per rewrite.  Keep
+            # it a copy: reading ``_level`` live gives larger networks.
             if rewrites % 64 == 0:
-                levels = mig.levels()
+                levels = list(mig._level)
     mig.cleanup()
     return rewrites

@@ -230,6 +230,10 @@ def try_distributivity_lr(
     Pushes the latest-arriving fanin ``z`` of a child one level closer to
     the output (Section IV-B), at the price of up to one duplicated node.
     Applied only when the rewrite strictly reduces the local depth.
+
+    ``levels`` is a per-node level snapshot indexed by node id, taken by
+    the caller before a batch of rewrites; nodes created after the
+    snapshot (ids past its end) count as deep.
     """
     if mig.is_dead(node) or not mig.is_maj(node):
         return False
@@ -287,9 +291,9 @@ def try_associativity(
 
     Exchanges the outer operand ``x`` with the inner operand ``z`` when the
     inner one arrives later, reducing the local depth with no size penalty
-    (when the child is not shared).  With ``levels=None`` the rule is applied
-    whenever the pattern exists and the exchange moves a structurally deeper
-    operand up (used by the reshape phase).
+    (when the child is not shared).  ``levels`` is a level snapshot as in
+    :func:`try_distributivity_lr`; with ``levels=None`` the rule takes a
+    fresh one from :meth:`~repro.core.mig.Mig.levels`.
     """
     if mig.is_dead(node) or not mig.is_maj(node):
         return False
@@ -387,9 +391,7 @@ def _support_nodes(mig: Mig, signal: int, bound: int = 64) -> set:
     return seen
 
 
-def try_complementary_associativity(
-    mig: Mig, node: int, levels: Optional[Sequence[int]] = None
-) -> bool:
+def try_complementary_associativity(mig: Mig, node: int) -> bool:
     """Ψ.C: ``M(x, u, M(y, u', z)) = M(x, u, M(y, x, z))``.
 
     Replaces the complemented reconvergent operand ``u'`` inside the child
@@ -400,8 +402,6 @@ def try_complementary_associativity(
     """
     if mig.is_dead(node) or not mig.is_maj(node):
         return False
-    if levels is None:
-        levels = mig.levels()
     fanins = mig.fanins(node)
     for k in range(3):
         child = effective_fanins(mig, fanins[k])

@@ -49,14 +49,18 @@ Cache-exactness invariants (relied on by the optimizers, validated by
 ``tests/network/test_level_cache.py``):
 
 * ``_level[n]`` always equals the longest-path level of every *live*
-  node ``n``, kept exact by worklist repair over the affected cone after
-  every fanin retarget — so ``depth()`` is O(#POs) at any time.
+  node ``n``, dangling ones (no fanout, no PO) included, kept exact by
+  worklist repair over the affected cone after every fanin retarget — so
+  ``depth()`` is O(#POs) at any time.  Dead nodes keep the level they
+  had when they died.
 * The cached topological order contains exactly the gates reachable from
   the primary outputs.  Creating a node never invalidates it (a fresh
   node is unreachable until something references it); redirecting a
   primary output or substituting a node does.
 * ``levels()`` reports 0 for nodes that are not PO-reachable, matching a
-  from-scratch recomputation.
+  from-scratch recomputation.  With no dangling nodes it therefore equals
+  ``_level`` on every live node, which is why the Ω/Ψ hot loops take
+  ``list(_level)`` (an O(n) copy) instead of calling ``levels()``.
 """
 
 from __future__ import annotations
@@ -421,7 +425,10 @@ class LogicNetwork:
         """Return per-node logic levels (PIs and constant at level 0).
 
         Nodes outside the transitive fanin of the primary outputs report
-        level 0, exactly as a from-scratch recomputation would.
+        level 0, exactly as a from-scratch recomputation would.  After a
+        substitution this costs a PO-reachability DFS; the internal hot
+        loops (:func:`repro.core.reshape.reshape`,
+        :func:`repro.core.depth_opt.push_up`) snapshot ``_level`` instead.
         """
         if self._order_cache is None:
             self._rebuild_topology()
@@ -1030,9 +1037,37 @@ class LogicNetwork:
             self._take_out(node)
 
     def _take_out(self, node: int) -> None:
-        """Remove a dead gate node and recursively release its fanins."""
-        if self._dead[node] or self._fanins[node] is None:
+        """Remove a dead gate node and release its fanins, cascading.
+
+        Depth-first with an explicit stack holding the path from ``node``
+        to the fanin being released, so deep chains cannot overflow the
+        interpreter stack: each fanin whose reference count drops to zero
+        is taken out in full before the next fanin is released.
+        """
+        fanins = self._fanins
+        dead = self._dead
+        if dead[node] or fanins[node] is None:
             return
+        ref = self._ref
+        fanouts = self._fanouts
+        self._kill(node)
+        stack = [(node, iter(fanins[node]))]
+        while stack:
+            current, pending = stack[-1]
+            for f in pending:
+                fn = f >> 1
+                fanouts[fn].discard(current)
+                ref[fn] -= 1
+                if ref[fn] == 0 and fanins[fn] is not None and not dead[fn]:
+                    self._kill(fn)
+                    stack.append((fn, iter(fanins[fn])))
+                    break
+            else:
+                stack.pop()
+                fanouts[current] = set()
+
+    def _kill(self, node: int) -> None:
+        """Mark ``node`` dead and drop it from the structural hash table."""
         self._dead[node] = True
         self._num_gates -= 1
         self._mutation_serial += 1
@@ -1042,13 +1077,6 @@ class LogicNetwork:
         key = self._gate_key(self._fanins[node])
         if self._strash.get(key) == node:
             del self._strash[key]
-        for f in self._fanins[node]:
-            fn = node_of(f)
-            self._fanouts[fn].discard(node)
-            self._ref[fn] -= 1
-            if self._ref[fn] == 0 and self.is_gate(fn) and not self._dead[fn]:
-                self._take_out(fn)
-        self._fanouts[node] = set()
 
     def _in_tfi(self, target: int, start: int) -> bool:
         """Return True when ``target`` is in the transitive fanin of ``start``.

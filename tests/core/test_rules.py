@@ -166,7 +166,7 @@ class TestAssociativity:
         mig = make_network_with(builder)
         reference = mig.copy()
         root = node_of(mig.po_signals()[0])
-        assert try_complementary_associativity(mig, root, mig.levels())
+        assert try_complementary_associativity(mig, root)
         mig.cleanup()
         assert_equivalent(mig, reference)
 
@@ -177,7 +177,7 @@ class TestAssociativity:
 
         mig = make_network_with(builder)
         root = node_of(mig.po_signals()[0])
-        assert not try_complementary_associativity(mig, root, mig.levels())
+        assert not try_complementary_associativity(mig, root)
 
 
 class TestRelevanceAndSubstitution:
@@ -236,7 +236,7 @@ class TestRulePreservationOnRandomNetworks:
                 continue
             try_distributivity_rl(mig, node)
             try_associativity(mig, node, levels)
-            try_complementary_associativity(mig, node, levels)
+            try_complementary_associativity(mig, node)
             try_relevance(mig, node, max_growth=2)
         mig.cleanup()
         assert_equivalent(mig, reference)
