@@ -29,6 +29,7 @@ run manually or from a scheduled job)::
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,7 +37,8 @@ import time
 
 from repro.bench_circuits import BENCHMARKS, build_benchmark
 from repro.core import Mig, mutate_network
-from repro.parallel.corpus import cec_prove_row, run_corpus
+from repro.flows.mighty import mighty_optimize
+from repro.parallel import parallel_map
 from repro.verify import check_equivalence
 
 #: Fast >16-input benchmarks for the CI smoke lane.
@@ -49,6 +51,47 @@ MUTATION_BENCHMARK = "my_adder"
 def wide_benchmark_names():
     """Table I benchmarks beyond the exhaustive limit, in table order."""
     return [spec.name for spec in BENCHMARKS.values() if spec.num_inputs > 16]
+
+
+def cec_prove_row(name, rounds=1, depth_effort=1):
+    """Prove one pre/post ``mighty_optimize`` pair end-to-end (SAT sweep).
+
+    The per-benchmark proof obligation: the pair must come back
+    ``method="sat-sweep"``, equivalent, with no counterexample.
+    """
+    pre = build_benchmark(name, Mig)
+    post = build_benchmark(name, Mig)
+    t_opt = time.time()
+    mighty_optimize(post, rounds=rounds, depth_effort=depth_effort)
+    t_cec = time.time()
+    result = check_equivalence(pre, post, num_random_vectors=256)
+    elapsed = time.time() - t_cec
+
+    if not result.equivalent:
+        raise AssertionError(
+            f"{name}: mighty_optimize broke equivalence "
+            f"(output {result.failing_output}, cex {result.counterexample})"
+        )
+    if result.method != "sat-sweep":
+        raise AssertionError(
+            f"{name}: expected a sat-sweep proof, got method={result.method!r}"
+        )
+    if result.counterexample is not None:
+        raise AssertionError(f"{name}: proof must not carry a counterexample")
+
+    return {
+        "benchmark": name,
+        "num_pis": pre.num_pis,
+        "num_pos": pre.num_pos,
+        "size_pre": pre.num_gates,
+        "size_post": post.num_gates,
+        "depth_pre": pre.depth(),
+        "depth_post": post.depth(),
+        "method": result.method,
+        "proved": True,
+        "optimize_s": round(t_cec - t_opt, 3),
+        "cec_s": round(elapsed, 3),
+    }
 
 
 def refute_mutants(name, count, seed_base=0):
@@ -140,21 +183,22 @@ def main(argv=None):
         "benchmarks": [],
         "mutants": None,
     }
-    # The proof obligations shard per benchmark through the corpus
-    # runner; each worker proves its pairs end-to-end and the records
-    # come back in benchmark order, identical at any worker count.
+    # The proof obligations shard per benchmark through parallel_map;
+    # each worker proves its pairs end-to-end and the records come back
+    # in benchmark order, identical at any worker count.
     # Result lines print after the merge, so announce the workload first.
     print(
         f"proving {len(names)} benchmarks across {args.workers} worker(s): "
         f"{', '.join(names)} ...",
         flush=True,
     )
-    sweep = run_corpus(
-        cec_prove_row,
+    sweep = parallel_map(
+        functools.partial(
+            cec_prove_row, rounds=args.rounds, depth_effort=args.depth_effort
+        ),
         names,
         workers=args.workers,
-        rounds=args.rounds,
-        depth_effort=args.depth_effort,
+        labels=names,
     )
     for record in sweep.results:
         report["benchmarks"].append(record)

@@ -19,7 +19,7 @@ _DEFAULT_SUBSET = ["alu4", "my_adder", "b9", "count", "misex3", "C1908"]
 
 def _subset():
     names = selected_benchmarks()
-    if set(names) == set(selected_benchmarks()) and len(names) > 8:
+    if len(names) > 8:
         return _DEFAULT_SUBSET
     return names
 

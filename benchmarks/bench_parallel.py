@@ -32,6 +32,7 @@ Results land in ``BENCH_parallel.json`` (override with ``--json`` /
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,10 +43,9 @@ from repro.bench_circuits import benchmark_names, build_benchmark
 from repro.core import Mig
 from repro.flows import optimize_many
 from repro.network import npn
-from repro.parallel import warm_worker
+from repro.parallel import parallel_map, warm_worker
 from repro.parallel.corpus import (
     optimization_row,
-    run_corpus,
     structural_fingerprint,
     structural_row,
 )
@@ -77,8 +77,12 @@ def bench_table1_sweep(names, workers, rounds, depth_effort, verify):
         serial_times.append(time.perf_counter() - t_task)
     t_serial = time.perf_counter() - t0
 
-    sweep = run_corpus(
-        optimization_row, names, workers=workers, costs=serial_times, **kwargs
+    sweep = parallel_map(
+        functools.partial(optimization_row, **kwargs),
+        names,
+        workers=workers,
+        costs=serial_times,
+        labels=names,
     )
     t_parallel = sweep.wall_s
 

@@ -5,81 +5,44 @@ benchmark of the synthetic MCNC-like suite and prints the formatted table
 together with the headline averages (MIG depth −18.6% vs AIG and −23.7% vs
 BDD in the paper).
 
-Rows travel through the shared corpus runner's row channel
-(:class:`repro.parallel.corpus.RowChannel`) instead of a module global,
-so the suite is safe under ``pytest-xdist`` and under sharded CI
-invocations (one benchmark per process): the summary test aggregates
-every row present in the channel, wherever it was computed.
-
 Run with ``pytest benchmarks/bench_table1_optimization.py --benchmark-only``.
 """
 
-import pytest
-
 from repro.flows import (
-    compare_optimization,
     format_optimization_table,
+    run_optimization_experiment,
     summarize_optimization,
 )
-from repro.parallel.corpus import _optimization_to_row, optimization_from_row
 
 from .conftest import flow_depth_effort, flow_rounds, report, selected_benchmarks
 
-_SUITE = "table1_optimization"
 
-
-def _config():
-    """Row tag: rows only aggregate with rows of the same flow effort."""
-    return {"rounds": flow_rounds(), "depth_effort": flow_depth_effort()}
-
-
-@pytest.mark.parametrize("name", selected_benchmarks())
-def test_table1_optimization_row(benchmark, name, bench_rows):
-    """One Table I (top) row: run the three optimization flows once."""
+def test_table1_optimization(benchmark):
+    """Run the three optimization flows per benchmark; print the table."""
 
     def run():
-        return compare_optimization(
-            name,
+        return run_optimization_experiment(
+            selected_benchmarks(),
             rounds=flow_rounds(),
             depth_effort=flow_depth_effort(),
             include_bdd=True,
         )
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
-    bench_rows.write(_SUITE, name, {"config": _config(), **_optimization_to_row(result)})
-    benchmark.extra_info["mig_size"] = result.mig.size
-    benchmark.extra_info["mig_depth"] = result.mig.depth
-    benchmark.extra_info["aig_size"] = result.aig.size
-    benchmark.extra_info["aig_depth"] = result.aig.depth
-    if result.bdd is not None:
-        benchmark.extra_info["bdd_size"] = result.bdd.size
-        benchmark.extra_info["bdd_depth"] = result.bdd.depth
-    # The MIG flow must never end up deeper than its own starting point;
-    # comparative assertions across flows live in the summary test below.
-    assert result.mig.size > 0
-    assert result.mig.depth > 0
+    results = benchmark.pedantic(run, iterations=1, rounds=1)
+    for result in results:
+        benchmark.extra_info[f"{result.name}_mig_size"] = result.mig.size
+        benchmark.extra_info[f"{result.name}_mig_depth"] = result.mig.depth
+        benchmark.extra_info[f"{result.name}_aig_size"] = result.aig.size
+        benchmark.extra_info[f"{result.name}_aig_depth"] = result.aig.depth
+        if result.bdd is not None:
+            benchmark.extra_info[f"{result.name}_bdd_size"] = result.bdd.size
+            benchmark.extra_info[f"{result.name}_bdd_depth"] = result.bdd.depth
+        assert result.mig.size > 0, result.name
+        assert result.mig.depth > 0, result.name
 
-
-def test_table1_optimization_summary(benchmark, bench_rows):
-    """Print the full table and check the headline shape of the experiment."""
-    # Only rows produced at this invocation's effort settings aggregate;
-    # a shared REPRO_BENCH_ROWS_DIR may also hold rows of other configs.
-    rows = [
-        row
-        for row in bench_rows.ordered(_SUITE, selected_benchmarks())
-        if row.get("config") == _config()
-    ]
-    if not rows:
-        pytest.skip("no per-benchmark rows for this config in the channel")
-    results = [optimization_from_row(row) for row in rows]
-
-    def summarize():
-        return summarize_optimization(results)
-
-    summary = benchmark.pedantic(summarize, iterations=1, rounds=1)
+    summary = summarize_optimization(results)
     print()
     report("Table I (top) — logic optimization\n" + format_optimization_table(results))
-    benchmark.extra_info["rows_aggregated"] = len(results)
     benchmark.extra_info["depth_improvement_vs_aig_percent"] = round(
         summary.depth_improvement_vs_aig, 2
     )

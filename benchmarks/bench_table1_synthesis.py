@@ -4,69 +4,40 @@ Regenerates the estimated area (µm²) / delay (ns) / power (µW) rows of
 Table I (bottom) and prints the formatted table with the headline averages
 (paper: MIG flow −22% delay, −14% area, −11% power vs the best
 academic/commercial counterpart).
-
-Like the optimization sweep, rows travel through the shared corpus
-runner's row channel, keeping the summary aggregation xdist- and
-shard-safe.
 """
 
-import pytest
-
 from repro.flows import (
-    compare_synthesis,
     format_synthesis_table,
+    run_synthesis_experiment,
     summarize_synthesis,
 )
-from repro.parallel.corpus import _synthesis_to_row, synthesis_from_row
 
 from .conftest import flow_depth_effort, flow_rounds, report, selected_benchmarks
 
-_SUITE = "table1_synthesis"
 
-
-def _config():
-    """Row tag: rows only aggregate with rows of the same flow effort."""
-    return {"rounds": flow_rounds(), "depth_effort": flow_depth_effort()}
-
-
-@pytest.mark.parametrize("name", selected_benchmarks())
-def test_table1_synthesis_row(benchmark, name, bench_rows):
-    """One Table I (bottom) row: three optimization-mapping flows."""
+def test_table1_synthesis(benchmark):
+    """Run the three optimization-mapping flows per benchmark; print the table."""
 
     def run():
-        return compare_synthesis(
-            name, rounds=flow_rounds(), depth_effort=flow_depth_effort()
+        return run_synthesis_experiment(
+            selected_benchmarks(),
+            rounds=flow_rounds(),
+            depth_effort=flow_depth_effort(),
         )
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
-    bench_rows.write(_SUITE, name, {"config": _config(), **_synthesis_to_row(result)})
-    benchmark.extra_info["mig_area_um2"] = round(result.mig.area_um2, 2)
-    benchmark.extra_info["mig_delay_ns"] = round(result.mig.delay_ns, 3)
-    benchmark.extra_info["mig_power_uw"] = round(result.mig.power_uw, 2)
-    benchmark.extra_info["aig_delay_ns"] = round(result.aig.delay_ns, 3)
-    benchmark.extra_info["cst_delay_ns"] = round(result.cst.delay_ns, 3)
-    assert result.mig.area_um2 > 0
-    assert result.mig.delay_ns > 0
+    results = benchmark.pedantic(run, iterations=1, rounds=1)
+    for result in results:
+        benchmark.extra_info[f"{result.name}_mig_area_um2"] = round(result.mig.area_um2, 2)
+        benchmark.extra_info[f"{result.name}_mig_delay_ns"] = round(result.mig.delay_ns, 3)
+        benchmark.extra_info[f"{result.name}_mig_power_uw"] = round(result.mig.power_uw, 2)
+        benchmark.extra_info[f"{result.name}_aig_delay_ns"] = round(result.aig.delay_ns, 3)
+        benchmark.extra_info[f"{result.name}_cst_delay_ns"] = round(result.cst.delay_ns, 3)
+        assert result.mig.area_um2 > 0, result.name
+        assert result.mig.delay_ns > 0, result.name
 
-
-def test_table1_synthesis_summary(benchmark, bench_rows):
-    """Print the full synthesis table and check the headline delay shape."""
-    rows = [
-        row
-        for row in bench_rows.ordered(_SUITE, selected_benchmarks())
-        if row.get("config") == _config()
-    ]
-    if not rows:
-        pytest.skip("no per-benchmark rows for this config in the channel")
-    results = [synthesis_from_row(row) for row in rows]
-
-    def summarize():
-        return summarize_synthesis(results)
-
-    summary = benchmark.pedantic(summarize, iterations=1, rounds=1)
+    summary = summarize_synthesis(results)
     print()
     report("Table I (bottom) — synthesis\n" + format_synthesis_table(results))
-    benchmark.extra_info["rows_aggregated"] = len(results)
     benchmark.extra_info["delay_improvement_percent"] = round(
         summary.delay_improvement, 2
     )

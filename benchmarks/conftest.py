@@ -7,23 +7,11 @@ Environment knobs
 ``REPRO_BENCH_ROUNDS`` / ``REPRO_BENCH_DEPTH_EFFORT``
     Effort of the MIGhty flow (default 1 / 1 — enough to reproduce the
     comparative shape at Python speed; raise for closer-to-paper effort).
-``REPRO_BENCH_ROWS_DIR``
-    Row-channel directory of the Table I sweeps.  Point separately
-    sharded pytest invocations (e.g. one benchmark per CI shard) at one
-    directory and the summary test of any shard aggregates every row
-    written so far; unset, a per-session temporary directory is used
-    (shared across ``pytest-xdist`` workers).  Use a fresh directory per
-    logical run — rows persist until deleted; rows are additionally
-    tagged with the flow-effort config, and summaries only aggregate
-    rows matching their own settings.
 """
 
 import os
 
-import pytest
-
 from repro.bench_circuits import benchmark_names
-from repro.parallel.corpus import RowChannel
 
 __all__ = [
     "selected_benchmarks",
@@ -32,22 +20,6 @@ __all__ = [
     "report",
 ]
 
-
-@pytest.fixture(scope="session")
-def bench_rows(tmp_path_factory):
-    """Session row channel of the sharded Table I sweeps.
-
-    Rows written here survive process boundaries: xdist workers share
-    the session base temp directory, and independent shard invocations
-    share an explicit ``REPRO_BENCH_ROWS_DIR``.
-    """
-    custom = os.environ.get("REPRO_BENCH_ROWS_DIR")
-    if custom:
-        return RowChannel(custom)
-    base = tmp_path_factory.getbasetemp()
-    if os.environ.get("PYTEST_XDIST_WORKER"):
-        base = base.parent  # the workers' shared session directory
-    return RowChannel(base / "table1-rows")
 
 _REPORT_PATH = os.path.join(os.path.dirname(__file__), "..", "benchmarks_report.txt")
 

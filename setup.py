@@ -1,10 +1,13 @@
-"""Setup shim.
+"""Package metadata of the ``repro`` library.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that editable installs keep working in offline environments where the
-``wheel`` package (needed by PEP 660 editable builds) is unavailable.
+The package lives under ``src/``; ``pip install -e .`` (or running from
+the repository root with ``PYTHONPATH=src``) makes ``import repro`` work.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

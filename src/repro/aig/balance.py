@@ -73,21 +73,19 @@ def balance(aig: Aig) -> Aig:
     def new_level(signal: int) -> int:
         return levels.get(node_of(signal), 0)
 
-    def build(signal: int) -> int:
-        """Map an old signal to a balanced new signal."""
+    def lookup(signal: int) -> Optional[int]:
+        """The mapped ``signal`` when its node needs no building, else None."""
         node = node_of(signal)
-        if node in memo:
-            return negate_if(memo[node], is_complemented(signal))
-        if not aig.is_and(node):
-            mapped = mapping[node]
-            memo[node] = mapped
-            return negate_if(mapped, is_complemented(signal))
+        if node not in memo:
+            if aig.is_and(node):
+                return None
+            memo[node] = mapping[node]
+        return negate_if(memo[node], is_complemented(signal))
 
-        leaves = collect_conjuncts(aig, node * 2)
-        built = [build(leaf) for leaf in leaves]
+    def combine(built: List[int]) -> int:
+        """The balanced AND over ``built``, the mapped leaves of one tree."""
         if CONST_FALSE in built:
-            memo[node] = CONST_FALSE
-            return negate_if(CONST_FALSE, is_complemented(signal))
+            return CONST_FALSE
         built = [s for s in built if s != CONST_TRUE] or [CONST_TRUE]
 
         # Huffman-style combination: always merge the two earliest-arriving
@@ -104,9 +102,36 @@ def balance(aig: Aig) -> Aig:
             )
             heapq.heappush(heap, (levels[node_of(merged)], counter, merged))
             counter += 1
-        root = heap[0][2]
-        memo[node] = root
-        return negate_if(root, is_complemented(signal))
+        return heap[0][2]
+
+    def build(signal: int) -> int:
+        """Map an old signal to a balanced new signal.
+
+        An explicit stack of frames ``(node, leaves, built)`` replaces
+        recursion (deep AIGs would overflow the interpreter stack); the
+        leaves of each AND-tree are built left to right, each completely
+        before the next, so nodes are created in the order a recursive
+        build would create them.
+        """
+        mapped = lookup(signal)
+        if mapped is not None:
+            return mapped
+        node = node_of(signal)
+        stack = [(node, collect_conjuncts(aig, node * 2), [])]
+        while stack:
+            node, leaves, built = stack[-1]
+            if len(built) < len(leaves):
+                leaf = leaves[len(built)]
+                mapped = lookup(leaf)
+                if mapped is None:
+                    child = node_of(leaf)
+                    stack.append((child, collect_conjuncts(aig, child * 2), []))
+                else:
+                    built.append(mapped)
+                continue
+            stack.pop()
+            memo[node] = combine(built)
+        return lookup(signal)
 
     for po, name in zip(aig.po_signals(), aig.po_names()):
         result.add_po(build(po), name)

@@ -1,11 +1,10 @@
 """Shared content-addressed JSON persistence idiom.
 
-Three stores persist derived results to disk and must survive concurrent
+Two stores persist derived results to disk and must survive concurrent
 writers, torn writes and stale formats: the NPN structure database
-(:mod:`repro.network.npn`), the benchmark row channel
-(:class:`repro.parallel.corpus.RowChannel`) and the ``optimize_many``
-result cache (:mod:`repro.flows.result_cache`).  They all follow the
-same three rules, extracted here so the pattern exists exactly once:
+(:mod:`repro.network.npn`) and the ``optimize_many`` result cache
+(:mod:`repro.flows.result_cache`).  Both follow the same three rules,
+extracted here so the pattern exists exactly once:
 
 1. **Content-hash keys** — a cache entry's identity is a SHA-256 digest
    over everything that shaped it (:func:`content_key`), including the

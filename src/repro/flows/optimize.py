@@ -62,8 +62,9 @@ class OptimizationComparison:
     ``mig_passes`` / ``aig_passes`` hold the engine's per-pass metrics
     trace of the two optimizing flows (empty when a flow did not run).
     ``*_network`` carry the optimized networks themselves when the row
-    was produced with ``keep_networks=True`` (the sharded corpus runner
-    uses them for structural fingerprints and CEC verdicts).
+    was produced with ``keep_networks=True``
+    (:func:`repro.parallel.corpus.optimization_row` uses them for
+    structural fingerprints and CEC verdicts).
     """
 
     name: str
@@ -163,40 +164,17 @@ def compare_optimization(
     )
 
 
-def _compare_task(task) -> OptimizationComparison:
-    """Worker task of the sharded experiment: one Table I (top) row."""
-    name, kwargs = task
-    return compare_optimization(name, **kwargs)
-
-
 def run_optimization_experiment(
     benchmarks: Optional[List[str]] = None,
     rounds: int = 2,
     depth_effort: int = 2,
     include_bdd: bool = True,
-    workers: int = 1,
 ) -> List[OptimizationComparison]:
-    """Run the full Table I (top) experiment.
-
-    ``workers > 1`` shards the per-benchmark rows across a process pool
-    (:mod:`repro.parallel`); rows come back in benchmark order and are
-    bit-identical to a serial run — each row is a pure function of its
-    benchmark name.
-    """
+    """Run the full Table I (top) experiment."""
     names = benchmarks if benchmarks is not None else benchmark_names()
-    kwargs = {
-        "rounds": rounds,
-        "depth_effort": depth_effort,
-        "include_bdd": include_bdd,
-    }
-    if workers > 1:
-        from ..parallel.executor import parallel_map
-
-        report = parallel_map(
-            _compare_task,
-            [(name, kwargs) for name in names],
-            workers=workers,
-            labels=names,
+    return [
+        compare_optimization(
+            name, rounds=rounds, depth_effort=depth_effort, include_bdd=include_bdd
         )
-        return list(report.results)
-    return [compare_optimization(name, **kwargs) for name in names]
+        for name in names
+    ]

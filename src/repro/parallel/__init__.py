@@ -16,9 +16,11 @@ package provides the one orchestration substrate they all share:
 * :func:`~repro.parallel.executor.warm_worker` — preloads the import-once
   network kernels and the disk-cached NPN database so forked workers
   inherit a hot process image instead of re-deriving per task;
-* :mod:`repro.parallel.corpus` (imported separately — it pulls in the
-  flow stack) — the shared corpus runner of the benchmark harness plus
-  the crash-safe row channel used by the sharded Table I sweeps.
+* :mod:`repro.parallel.corpus` (imported separately — its row task
+  pulls in the flow stack) — the Table I row task
+  :func:`~repro.parallel.corpus.optimization_row` that the sharded
+  sweep maps over benchmark names, and the structural / canonical
+  network fingerprints.
 
 No optimization flow splits a network across processes: each task
 rewrites one whole network.

@@ -78,7 +78,7 @@ def warm_worker() -> None:
 
 @dataclass
 class TaskRecord:
-    """Per-task execution metrics (aggregated by the corpus runners)."""
+    """Per-task execution metrics of one :func:`parallel_map` item."""
 
     index: int
     label: str

@@ -93,6 +93,30 @@ class TestBalance:
             assert_equivalent(aig, balanced)
             assert balanced.depth() <= aig.depth()
 
+    @staticmethod
+    def _deep_chain(levels=1501):
+        """One fresh PI ANDed per level with the complemented previous AND.
+
+        Complemented edges stop every AND-tree at one gate, so the chain
+        stays ``levels`` deep — deeper than the default recursion limit.
+        """
+        aig = Aig()
+        prev = aig.add_pi("x0")
+        for i in range(1, levels + 1):
+            prev = aig.and_(aig.add_pi(f"x{i}"), negate(prev))
+        aig.add_po(prev, "f")
+        return aig
+
+    @pytest.mark.parametrize(
+        "flow", [balance, lambda aig: resyn2(aig)[0]], ids=["balance", "resyn2"]
+    )
+    def test_deep_chain_does_not_recurse(self, flow):
+        aig = self._deep_chain()
+        assert aig.depth() == 1501
+        optimized = flow(aig)
+        assert optimized.depth() == 1501
+        assert check_equivalence(aig, optimized).equivalent
+
 
 class TestRewriteAndResyn:
     def test_rewrite_preserves_function(self):

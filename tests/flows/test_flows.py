@@ -12,6 +12,8 @@ from repro.flows import (
     mighty_optimize,
     optimization_space_points,
     run_bdd_optimization,
+    run_optimization_experiment,
+    run_synthesis_experiment,
     summarize_optimization,
     summarize_synthesis,
     synthesis_space_points,
@@ -124,9 +126,7 @@ class TestOptimizationExperiment:
         assert run_bdd_optimization(mig) is None
 
     def test_summary_and_table_formatting(self):
-        rows = [
-            compare_optimization(name, rounds=1, depth_effort=1) for name in SMALL
-        ]
+        rows = run_optimization_experiment(SMALL, rounds=1, depth_effort=1)
         summary = summarize_optimization(rows)
         assert summary.avg_depth["MIG"] > 0
         table = format_optimization_table(rows)
@@ -144,7 +144,7 @@ class TestSynthesisExperiment:
             assert metrics.power_uw > 0
 
     def test_summary_and_table_formatting(self):
-        rows = [compare_synthesis(name, rounds=1, depth_effort=1) for name in SMALL]
+        rows = run_synthesis_experiment(SMALL, rounds=1, depth_effort=1)
         summary = summarize_synthesis(rows)
         assert summary.avg_delay["MIG"] > 0
         table = format_synthesis_table(rows)

@@ -7,6 +7,7 @@ a pure wall-clock property.  Worker counts 1, 2 and 4 are exercised
 explicitly (1 is the in-process fallback, 2 and 4 real pools).
 """
 
+import functools
 import pickle
 
 import pytest
@@ -15,10 +16,7 @@ from repro.core import Mig
 from repro.flows import mighty_optimize, optimize_many
 from repro.parallel import default_workers, parallel_map, plan_shards
 from repro.parallel.corpus import (
-    RowChannel,
-    optimization_from_row,
     optimization_row,
-    run_corpus,
     structural_fingerprint,
     structural_row,
 )
@@ -324,42 +322,24 @@ class TestParallelNpnDerivation:
 
 
 # --------------------------------------------------------------------- #
-# Sharded corpus rows and the row channel
+# Sharded Table I rows
 # --------------------------------------------------------------------- #
-class TestCorpusRunner:
-    def test_optimization_rows_identical_serial_vs_sharded(self):
+class TestCorpusRows:
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_optimization_rows_identical_serial_vs_sharded(self, workers):
         names = ["b9", "alu4"]
         kwargs = {"rounds": 1, "depth_effort": 1, "include_bdd": False}
         serial = [optimization_row(name, **kwargs) for name in names]
-        sharded = run_corpus(optimization_row, names, workers=2, **kwargs)
+        sharded = parallel_map(
+            functools.partial(optimization_row, **kwargs),
+            names,
+            workers=workers,
+            labels=names,
+        )
+        assert sharded.parallel == (workers > 1)
         assert [structural_row(r) for r in serial] == [
             structural_row(r) for r in sharded.results
         ]
-
-    def test_row_roundtrip_preserves_metrics(self):
-        row = optimization_row("b9", rounds=1, depth_effort=1, include_bdd=False)
-        rebuilt = optimization_from_row(row)
-        assert rebuilt.name == "b9"
-        assert rebuilt.mig.size == row["mig"]["size"]
-        assert rebuilt.aig.depth == row["aig"]["depth"]
-        assert rebuilt.bdd is None
-
-    def test_row_channel_atomic_and_ordered(self, tmp_path):
-        channel = RowChannel(tmp_path)
-        channel.write("suite", "beta", {"name": "beta", "v": 2})
-        channel.write("suite", "alpha", {"name": "alpha", "v": 1})
-        channel.write("suite", "alpha", {"name": "alpha", "v": 3})  # overwrite
-        # A torn/foreign file must be skipped, not crash the summary.
-        (tmp_path / "suite" / "torn.json").write_text("{not json")
-        rows = channel.read_all("suite")
-        assert rows == {"alpha": {"name": "alpha", "v": 3},
-                        "beta": {"name": "beta", "v": 2}}
-        ordered = channel.ordered("suite", ["beta", "missing", "alpha"])
-        assert [r["name"] for r in ordered] == ["beta", "alpha"]
-        # Rows not named in the canonical order still surface (sorted).
-        channel.write("suite", "zeta", {"name": "zeta"})
-        ordered = channel.ordered("suite", ["beta"])
-        assert [r["name"] for r in ordered] == ["beta", "alpha", "zeta"]
 
 
 # --------------------------------------------------------------------- #

@@ -6,8 +6,10 @@ random backend) means "no mismatch found", *not* "proven equivalent" —
 and every certifying consumer must reject it exactly like a proven
 mismatch.  The consumers are ``assert_equivalent``, the flow engine's
 per-pass verify hook (``Pipeline(verify=True)``, tested in
-``tests/flows/test_engine.py``) and the corpus runner's CEC rows
-(``optimization_row(verify=True)`` and ``rewrite_acceptance_row``).
+``tests/flows/test_engine.py``) and the CEC-verified Table I row
+``optimization_row(verify=True)``; the cut-rewriting acceptance script
+``benchmarks/acceptance_cut_rewrite.py`` certifies through the same
+``check_equivalence`` contract.
 Each test here forces the uncertified path with a starved budget, the
 explicitly sampling backend or a stubbed checker, and asserts the
 rejection.
