@@ -19,8 +19,8 @@ enumeration on the *same* workload with *bit-identical results asserted*:
    timings on the paper's circuits (reported, not asserted — the circuits
    are small enough that Python overhead dominates).
 
-The NPN structure-database cold start (derive vs load the on-disk cache)
-is timed alongside.  Results land in ``BENCH_cuts.json`` (override with
+The NPN structure-database cold start (derive vs load the committed
+file) is timed alongside.  Results land in ``BENCH_cuts.json`` (override with
 ``--json`` / ``REPRO_BENCH_CUTS_JSON``) for the CI artifact upload::
 
     PYTHONPATH=src python benchmarks/bench_cuts.py [--smoke]
@@ -172,51 +172,23 @@ def bench_table1(name):
 
 
 def bench_npn_cold_start():
-    """Structure-DB cold start: fresh derivation vs on-disk cache load."""
-    import tempfile
-
-    from repro.network.npn import (
-        get_structure,
-        npn_representatives,
-        reset_structure_db,
-    )
-
-    from repro.network.npn import flush_structure_cache
+    """Structure-DB cold start: fresh derivation vs committed-file load."""
+    from repro.network.npn import _derive_structures, load_structure_db, npn_representatives
 
     reps = npn_representatives()
-    # Flush warmup-derived entries to the *default* location first: a reset
-    # after redirecting the dir would write them into the "cold" tmp cache
-    # and the derive lane would load instead of deriving.
-    reset_structure_db()
-    previous_dir = os.environ.get("REPRO_NPN_CACHE_DIR")
-    with tempfile.TemporaryDirectory() as tmp:
-        os.environ["REPRO_NPN_CACHE_DIR"] = tmp
-        try:
-            reset_structure_db()
-            t0 = time.perf_counter()
-            for kind in ("mig", "aig"):
-                for rep in reps:
-                    get_structure(kind, rep)
-            flush_structure_cache()  # derive lane = derivation + persistence
-            t_derive = time.perf_counter() - t0
-            reset_structure_db()
-            t0 = time.perf_counter()
-            for kind in ("mig", "aig"):
-                for rep in reps:
-                    get_structure(kind, rep)
-            t_cached = time.perf_counter() - t0
-        finally:
-            flush_structure_cache()  # before the tmp dir disappears
-            if previous_dir is None:
-                os.environ.pop("REPRO_NPN_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_NPN_CACHE_DIR"] = previous_dir
-            reset_structure_db()
+    t0 = time.perf_counter()
+    for kind in ("mig", "aig"):
+        for rep in reps:
+            _derive_structures(kind, rep)
+    t_derive = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    load_structure_db()
+    t_load = time.perf_counter() - t0
     return {
         "classes": len(reps),
         "derive_s": round(t_derive, 3),
-        "cached_load_s": round(t_cached, 4),
-        "speedup": round(t_derive / max(t_cached, 1e-9), 1),
+        "load_s": round(t_load, 4),
+        "speedup": round(t_derive / max(t_load, 1e-9), 1),
     }
 
 
@@ -289,8 +261,8 @@ def main(argv):
     record = bench_npn_cold_start()
     report["npn_cold_start"] = record
     print(
-        f"npn db cold start: derive {record['derive_s']}s vs cached load "
-        f"{record['cached_load_s']}s ({record['speedup']}x)",
+        f"npn db cold start: derive {record['derive_s']}s vs committed-file load "
+        f"{record['load_s']}s ({record['speedup']}x)",
         flush=True,
     )
 

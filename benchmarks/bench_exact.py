@@ -19,8 +19,8 @@ Two lanes over :mod:`repro.synth.exact` and the top-k structure database:
    never larger than the fast-tier head — UNSAT proves the fast tier
    optimal, UNKNOWN keeps it).  Enriched fronts are registered through
    :func:`repro.network.npn.register_structures` (full semantic
-   validation) and written through the on-disk cache, so the CI job can
-   cache the derived database as a workflow artifact.
+   validation, in memory only); ``benchmarks/regen_structure_db.py
+   --exact`` is what ships an enriched database.
 
 Results land in ``BENCH_exact.json`` (override with ``--json`` /
 ``REPRO_BENCH_EXACT_JSON``)::
@@ -222,15 +222,6 @@ def main(argv):
             f"{lane['total_wall_s']}s"
         )
 
-    # Persist the enriched database through the disk cache so CI can
-    # stash it as a workflow artifact (REPRO_NPN_CACHE_DIR names the dir).
-    npn.flush_structure_cache()
-    cache_files = []
-    for kind in ("mig", "aig"):
-        path = npn.structure_cache_path(kind)
-        if path is not None and path.exists():
-            cache_files.append(str(path))
-    report["cache_files"] = cache_files
     report["wall_s"] = round(time.perf_counter() - t0, 3)
 
     with open(args.json, "w", encoding="utf-8") as handle:

@@ -36,7 +36,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 import time
 
 from repro.bench_circuits import benchmark_names, build_benchmark
@@ -137,36 +136,12 @@ def bench_optimize_many(names, workers, rounds, depth_effort):
 
 def bench_npn_derivation(workers):
     """Lane 3: sharded vs 1-worker structure-database derivation."""
-    previous_dir = os.environ.get("REPRO_NPN_CACHE_DIR")
-    npn.reset_structure_db()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.environ["REPRO_NPN_CACHE_DIR"] = tmp
-        try:
-            npn.reset_structure_db()
-            serial_stats = npn.derive_structures_parallel(workers=1)
-            serial_db = dict(npn._DB)
-            npn.reset_structure_db()
-            # reset re-arms the cache load; drop the file so the parallel
-            # lane derives instead of loading the serial lane's save.
-            for kind in ("mig", "aig"):
-                path = npn.structure_cache_path(kind)
-                if path is not None and path.exists():
-                    path.unlink()
-            npn._DB.clear()
-            npn._DB_LOADED.clear()
-            parallel_stats = npn.derive_structures_parallel(workers=workers)
-            assert dict(npn._DB) == serial_db, (
-                "parallel NPN derivation diverged from serial"
-            )
-        finally:
-            if previous_dir is None:
-                os.environ.pop("REPRO_NPN_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_NPN_CACHE_DIR"] = previous_dir
-            npn.reset_structure_db()
+    serial, serial_stats = npn.derive_structures_parallel(workers=1)
+    sharded, parallel_stats = npn.derive_structures_parallel(workers=workers)
+    assert sharded == serial, "parallel NPN derivation diverged from serial"
     return {
         "classes": serial_stats["classes"],
-        "entries": len(serial_db),
+        "entries": len(serial),
         "workers": parallel_stats["workers"],
         "time_serial_s": serial_stats["wall_s"],
         "time_parallel_s": parallel_stats["wall_s"],

@@ -2,6 +2,7 @@
 
 The package lives under ``src/``; ``pip install -e .`` (or running from
 the repository root with ``PYTHONPATH=src``) makes ``import repro`` work.
+The NPN structure database ships as package data next to its loader.
 """
 
 from setuptools import find_packages, setup
@@ -10,4 +11,5 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    package_data={"repro.network": ["structure_db.json"]},
 )

@@ -1,10 +1,11 @@
-"""Shared content-addressed JSON persistence idiom.
+"""Content-addressed JSON persistence idiom.
 
-Two stores persist derived results to disk and must survive concurrent
-writers, torn writes and stale formats: the NPN structure database
-(:mod:`repro.network.npn`) and the ``optimize_many`` result cache
-(:mod:`repro.flows.result_cache`).  Both follow the same three rules,
-extracted here so the pattern exists exactly once:
+The ``optimize_many`` result cache (:mod:`repro.flows.result_cache`)
+persists derived results to disk and must survive concurrent writers,
+torn writes and stale formats.  It follows three rules, kept here apart
+from the store itself; :func:`content_key` is also how the NPN structure
+database (:mod:`repro.network.npn`, committed package data) digests its
+contents into those keys:
 
 1. **Content-hash keys** — a cache entry's identity is a SHA-256 digest
    over everything that shaped it (:func:`content_key`), including the
@@ -17,9 +18,9 @@ extracted here so the pattern exists exactly once:
    killed.
 3. **Validate on load** — :func:`load_json` returns ``None`` for
    missing/torn/foreign files instead of raising, and callers replay
-   domain-specific validation on every loaded payload (semantic replay
-   for NPN entries, fingerprint replay for cached results): corruption
-   degrades to a cache miss, never to wrong results.
+   domain-specific validation on every loaded payload (fingerprint
+   replay for cached results): corruption degrades to a cache miss,
+   never to wrong results.
 """
 
 from __future__ import annotations

@@ -74,7 +74,8 @@ def cone_nodes(mig: Mig, root: int, bound: int) -> Optional[List[int]]:
     """Gate nodes in the transitive fanin cone of signal ``root``.
 
     The result is in topological order (fanins first).  Returns ``None``
-    when the cone contains more than ``bound`` gates.
+    when the cone contains more than ``bound`` gates — as soon as the walk
+    has visited that many, since every visited node is a cone gate.
     """
     fanins_store = mig._fanins
     root_node = root >> 1
@@ -88,12 +89,12 @@ def cone_nodes(mig: Mig, root: int, bound: int) -> Optional[List[int]]:
         node = stack.pop()
         if node < 0:
             order.append(~node)
-            if len(order) > bound:
-                return None
             continue
         if node in visited:
             continue
         visited.add(node)
+        if len(visited) > bound:
+            return None
         stack.append(~node)
         for f in fanins_store[node]:
             fn = f >> 1
@@ -444,12 +445,14 @@ def try_relevance(
         z = fanins[z_pos]
         if not mig.is_maj(node_of(z)):
             continue
+        # A rejected attempt below only adds nodes, so z's cone is the
+        # same for both operand orders.
+        cone = cone_nodes(mig, z, bound)
+        if cone is None:
+            continue
         others = [fanins[m] for m in range(3) if m != z_pos]
         for x, y in (others, list(reversed(others))):
             x_node = node_of(x)
-            cone = cone_nodes(mig, z, bound)
-            if cone is None:
-                continue
             reconvergent = any(
                 node_of(f) == x_node for n in cone for f in mig.fanins(n)
             )

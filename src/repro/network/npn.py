@@ -22,23 +22,23 @@ module provides the three pieces:
   on (size, depth) — list head is size-optimal-first, list tail is the
   shallowest known structure — so area-oriented rewriting takes ``[0]``
   and depth-oriented rewriting (``max_level_growth < 0``) scans for the
-  shallowest admissible entry.  The fast tier derives candidates by
-  Shannon/XOR decomposition with structural hashing, polished by the
-  repository's size *and* depth optimizers; an optional exact tier
-  (:mod:`repro.synth.exact`, via ``derive_structures_parallel(exact=True)``
-  or :func:`register_structures`) adds SAT-proven size/depth-optimal
-  programs where the conflict budget allows.
+  shallowest admissible entry.
 
-Derived entries are additionally persisted to a small on-disk JSON cache
-(one file per kind) so cold starts skip the derivation entirely.  The
-cache is keyed by a content hash over the source modules that shape the
-derivation — a code change silently invalidates stale files — and every
-loaded entry is semantically validated (its program is re-evaluated over
-the projection tables and must reproduce the class function) before it is
-trusted, so a corrupt or hand-edited file degrades to a fresh derivation
-rather than wrong logic.  ``REPRO_NPN_CACHE_DIR`` overrides the location
-(default ``~/.cache/repro/npn``); ``REPRO_NPN_CACHE=0`` disables
-persistence.
+The database ships with the package as ``structure_db.json`` (both
+kinds, one file) and is loaded once per process.  Every loaded entry is
+validated before it is trusted — its program is replayed over the
+projection tables and must reproduce the class function, each class list
+must be a strict Pareto front, and each kind must cover all 222 classes —
+so a damaged file raises ``ValueError`` instead of serving wrong logic.
+Nothing is derived at run time: the derivation code at the end of this
+module is the offline tool that writes the file
+(``benchmarks/regen_structure_db.py``).  Its fast tier derives candidates
+by Shannon/XOR decomposition with structural hashing, polished by the
+repository's size *and* depth optimizers; an optional exact tier
+(:mod:`repro.synth.exact`, via ``derive_structures_parallel(exact=True)``)
+adds SAT-proven size/depth-optimal programs where the conflict budget
+allows.  :func:`register_structures` merges further entries into the
+in-memory database only.
 
 Truth-table convention: bit ``m`` of a table is the function value when
 input ``i`` carries bit ``i`` of the minterm index ``m``.
@@ -49,12 +49,12 @@ describes how the argument's inputs are wired onto ``f``'s inputs.
 
 from __future__ import annotations
 
-import os
+import json
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..cache import atomic_write_json, content_key, load_json, source_digest
+from ..cache import content_key
 from ..core.signal import CONST_FALSE, CONST_NODE, CONST_TRUE, negate_if
 
 __all__ = [
@@ -77,8 +77,9 @@ __all__ = [
     "structure_db_digest",
     "derive_structures_parallel",
     "replay_structure",
-    "structure_cache_path",
-    "flush_structure_cache",
+    "STRUCTURE_DB_PATH",
+    "load_structure_db",
+    "write_structure_db",
     "reset_structure_db",
 ]
 
@@ -277,54 +278,30 @@ class DbEntry(NamedTuple):
 #: a list, so every entry is the unique best answer for some trade-off.
 _DB: Dict[Tuple[str, int], Tuple[DbEntry, ...]] = {}
 
-#: Kinds whose on-disk cache file has already been consulted this process.
-_DB_LOADED: set = set()
-
 #: Monotonic identity of the in-memory database: bumped on every visible
-#: change (cache load, fresh derivation, registration, reset).  Consumers
-#: that memoize decisions made *against* the database — notably the
-#: cut-rewrite convergence skip — fold this into their tokens so a DB
-#: swap re-arms them.
+#: change (load, registration, reset).  Consumers that memoize decisions
+#: made *against* the database — notably the cut-rewrite convergence skip
+#: — fold this into their tokens so a DB swap re-arms them.
 _DB_GENERATION = 0
 
-#: Bumped when the serialised layout changes (stale files are ignored).
+#: Bumped when the serialised layout changes (other versions are rejected).
 #: v2: entry lists per class (top-k Pareto fronts) instead of one entry.
 _DB_FORMAT_VERSION = 2
 
-#: Gate arity per database kind (cached entries must match).
+#: Gate arity per database kind (loaded entries must match).
 _KIND_ARITY = {"mig": 3, "aig": 2}
 
-#: Kinds with derivations not yet persisted, and the flush batch size:
-#: saves are deferred so a cold full-database derivation writes the file a
-#: handful of times instead of once per class.
-_DB_PENDING: Dict[str, int] = {}
-_DB_FLUSH_EVERY = 32
-_DB_ATEXIT_ARMED = False
-
-#: Source modules whose code shapes the derived structures; their content
-#: hash keys the cache file name, so any change starts a fresh cache.
-_DB_FINGERPRINT_SOURCES = (
-    "network/npn.py",
-    "network/base.py",
-    "core/mig.py",
-    "core/rules.py",
-    "core/algebra.py",
-    "core/size_opt.py",
-    "core/reshape.py",
-    "core/depth_opt.py",
-    "aig/aig.py",
-    "aig/balance.py",
-    "synth/__init__.py",
-    "synth/exact.py",
-)
+#: The committed structure database (package data, written offline by
+#: ``benchmarks/regen_structure_db.py``).
+STRUCTURE_DB_PATH = Path(__file__).with_name("structure_db.json")
 
 
 def entry_truth_table(entry: DbEntry) -> int:
     """Evaluate a :class:`DbEntry` program over the projection tables.
 
     The pure-table counterpart of :func:`replay_structure`: 2-fanin ops
-    are ANDs, 3-fanin ops majorities.  Used to validate disk-cached
-    entries semantically before trusting them.
+    are ANDs, 3-fanin ops majorities.  Used to validate loaded and
+    registered entries semantically before trusting them.
     """
     tables: List[int] = [0, *PROJECTIONS]
     for op in entry.ops:
@@ -342,9 +319,9 @@ def entry_truth_table(entry: DbEntry) -> int:
 def structure_db_generation() -> int:
     """Monotonic identity of the in-memory structure database.
 
-    Changes whenever the database visibly changes (cache load, fresh
-    derivation, :func:`register_structures`, :func:`reset_structure_db`),
-    so decisions memoized against the database can detect a swap.
+    Changes whenever the database visibly changes (load,
+    :func:`register_structures`, :func:`reset_structure_db`), so
+    decisions memoized against the database can detect a swap.
     """
     return _DB_GENERATION
 
@@ -361,6 +338,8 @@ def structure_db_digest() -> str:
     every process — the form a persistent cache key needs.
     """
     global _DB_DIGEST
+    if not _DB:
+        reset_structure_db()
     if _DB_DIGEST[0] != _DB_GENERATION:
         _DB_DIGEST = (_DB_GENERATION, content_key(*sorted(_DB.items())))
     return _DB_DIGEST[1]
@@ -418,140 +397,79 @@ def _pareto_front(entries) -> Tuple[DbEntry, ...]:
     return tuple(front)
 
 
-@lru_cache(maxsize=1)
-def _db_fingerprint() -> str:
-    return source_digest(_DB_FINGERPRINT_SOURCES)[:16]
+def write_structure_db(path, fronts: Dict[Tuple[str, int], Tuple[DbEntry, ...]]) -> None:
+    """Write ``{(kind, table): front}`` in the layout :func:`load_structure_db` reads.
+
+    One class per line, kinds and classes in sorted order: the file is a
+    deterministic function of its contents, and a data change diffs per
+    class.
+    """
+    blocks = []
+    for kind in sorted({kind for kind, _ in fronts}):
+        rows = ",\n".join(
+            f'  "{table}": {json.dumps([entry._asdict() for entry in fronts[(kind, table)]])}'
+            for table in sorted(table for k, table in fronts if k == kind)
+        )
+        blocks.append(f' "{kind}": {{\n{rows}\n }}')
+    body = ",\n".join([f' "version": {_DB_FORMAT_VERSION}', *blocks])
+    Path(path).write_text(f"{{\n{body}\n}}\n", encoding="utf-8")
 
 
-def structure_cache_path(kind: str) -> Optional[Path]:
-    """On-disk cache file of one kind's database, or ``None`` if disabled."""
-    if os.environ.get("REPRO_NPN_CACHE", "1").lower() in ("0", "off", "false"):
-        return None
-    custom = os.environ.get("REPRO_NPN_CACHE_DIR")
-    base = Path(custom) if custom else Path.home() / ".cache" / "repro" / "npn"
-    return base / f"npn_db_{kind}_v{_DB_FORMAT_VERSION}_{_db_fingerprint()}.json"
+def load_structure_db(path=STRUCTURE_DB_PATH) -> Dict[Tuple[str, int], Tuple[DbEntry, ...]]:
+    """Read and validate a file written by :func:`write_structure_db`.
 
-
-def _load_structure_cache(kind: str) -> None:
-    """Merge validated entries from the kind's cache file into ``_DB``."""
-    path = structure_cache_path(kind)
-    if path is None:
-        return
-    payload = load_json(path)
-    if payload is None:
-        return
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != _DB_FORMAT_VERSION
-        or payload.get("fingerprint") != _db_fingerprint()
-    ):
-        return
-    entries = payload.get("entries")
-    if not isinstance(entries, dict):
-        return
-    canon = _canonical_map()
-    loaded = False
-    for key, raw_list in entries.items():
-        try:
+    Each kind must cover exactly the 222 canonical representatives, each
+    class list must be a strict Pareto front, and each entry must match
+    the kind's gate arity and replay to its class function with
+    consistent size/depth metadata.  Anything else raises ``ValueError``.
+    """
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict) or payload.get("version") != _DB_FORMAT_VERSION:
+        raise ValueError(f"{path}: not a v{_DB_FORMAT_VERSION} structure database")
+    expected = {str(rep) for rep in npn_representatives()}
+    fronts: Dict[Tuple[str, int], Tuple[DbEntry, ...]] = {}
+    for kind in _KIND_ARITY:
+        classes = payload.get(kind)
+        if not isinstance(classes, dict) or set(classes) != expected:
+            raise ValueError(
+                f"{path}: {kind} keys are not the {NUM_NPN_CLASSES} canonical representatives"
+            )
+        for key, raw_list in classes.items():
             table = int(key)
-        except (TypeError, ValueError):
-            continue
-        # Only canonical representatives are valid keys; every entry of a
-        # class list must parse, match the kind's gate arity, and replay
-        # to the class function (plus consistent size/depth metadata).  A
-        # damaged list invalidates *that class only* — it will be
-        # re-derived — while the rest of the file stays usable.
-        if not 0 <= table <= _FULL or canon[table][0] != table:
-            continue
-        if not isinstance(raw_list, list):
-            continue
-        parsed: List[DbEntry] = []
-        valid = True
-        for raw in raw_list:
             try:
-                entry = DbEntry(
-                    tuple(tuple(int(lit) for lit in op) for op in raw["ops"]),
-                    int(raw["output"]),
-                    int(raw["size"]),
-                    int(raw["depth"]),
+                front = tuple(
+                    DbEntry(
+                        tuple(tuple(int(lit) for lit in op) for op in raw["ops"]),
+                        int(raw["output"]),
+                        int(raw["size"]),
+                        int(raw["depth"]),
+                    )
+                    for raw in raw_list
                 )
-            except (KeyError, TypeError, ValueError):
-                valid = False
-                break
-            if not _validate_entry(kind, table, entry):
-                valid = False
-                break
-            parsed.append(entry)
-        if not valid or not parsed:
-            continue
-        if (kind, table) not in _DB:
-            _DB[(kind, table)] = _pareto_front(parsed)
-            loaded = True
-    if loaded:
-        _bump_generation()
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"{path}: {kind} class {key}: malformed entry") from exc
+            if (
+                not front
+                or front != _pareto_front(front)
+                or not all(_validate_entry(kind, table, entry) for entry in front)
+            ):
+                raise ValueError(
+                    f"{path}: {kind} class {key}: not a Pareto front of valid entries"
+                )
+            fronts[(kind, table)] = front
+    return fronts
 
 
-def _save_structure_cache(kind: str) -> None:
-    """Atomically persist every in-memory entry of ``kind`` (best effort)."""
-    path = structure_cache_path(kind)
-    if path is None:
-        return
-    entries = {
-        str(table): [
-            {
-                "ops": [list(op) for op in entry.ops],
-                "output": entry.output,
-                "size": entry.size,
-                "depth": entry.depth,
-            }
-            for entry in front
-        ]
-        for (entry_kind, table), front in _DB.items()
-        if entry_kind == kind
-    }
-    payload = {
-        "version": _DB_FORMAT_VERSION,
-        "fingerprint": _db_fingerprint(),
-        "kind": kind,
-        "entries": entries,
-    }
-    # Atomic temp-file + replace via the shared idiom; a read-only cache
-    # dir degrades persistence (False return), never correctness.
-    atomic_write_json(path, payload)
-
-
-def flush_structure_cache() -> None:
-    """Persist any not-yet-saved derivations (best effort, idempotent)."""
-    for kind in [k for k, pending in _DB_PENDING.items() if pending]:
-        _DB_PENDING[kind] = 0
-        _save_structure_cache(kind)
+@lru_cache(maxsize=1)
+def _committed_db() -> Dict[Tuple[str, int], Tuple[DbEntry, ...]]:
+    return load_structure_db()
 
 
 def reset_structure_db() -> None:
-    """Drop the in-memory database and re-arm the disk-cache load.
-
-    Test hook: pending derivations are flushed first, then the next
-    :func:`get_structure` call re-reads the cache file (or re-derives).
-    On-disk files are left untouched.
-    """
-    flush_structure_cache()
+    """Drop :func:`register_structures` additions: reload the committed file."""
     _DB.clear()
-    _DB_LOADED.clear()
+    _DB.update(_committed_db())
     _bump_generation()
-
-
-def _note_pending(kind: str) -> None:
-    """Record an unsaved change of ``kind`` and batch-persist."""
-    global _DB_ATEXIT_ARMED
-    if not _DB_ATEXIT_ARMED:
-        _DB_ATEXIT_ARMED = True
-        import atexit
-
-        atexit.register(flush_structure_cache)
-    _DB_PENDING[kind] = _DB_PENDING.get(kind, 0) + 1
-    if _DB_PENDING[kind] >= _DB_FLUSH_EVERY:
-        _DB_PENDING[kind] = 0
-        _save_structure_cache(kind)
 
 
 def get_structures(kind: str, canonical_table: int) -> Tuple[DbEntry, ...]:
@@ -559,25 +477,18 @@ def get_structures(kind: str, canonical_table: int) -> Tuple[DbEntry, ...]:
 
     Returns the class's Pareto front on (size, depth): ``[0]`` is the
     size-best entry (what area-oriented rewriting wants), ``[-1]`` the
-    shallowest (what depth-oriented rewriting scans towards).  Resolution
-    order: in-memory database, then the validated on-disk cache (loaded
-    once per kind per process), then a fresh derivation.  Fresh
-    derivations are persisted back in batches (every ``_DB_FLUSH_EVERY``
-    misses, plus an atexit flush) so the next cold start skips them
-    without paying one file rewrite per class.
+    shallowest (what depth-oriented rewriting scans towards).  The first
+    lookup of a process loads the committed database.  An unknown kind or
+    a non-canonical table raises ``ValueError``.
     """
     key = (kind, canonical_table)
     front = _DB.get(key)
     if front is None:
-        if kind not in _DB_LOADED:
-            _DB_LOADED.add(kind)
-            _load_structure_cache(kind)
+        if not _DB:
+            reset_structure_db()
             front = _DB.get(key)
         if front is None:
-            front = _derive_structures(kind, canonical_table)
-            _DB[key] = front
-            _bump_generation()
-            _note_pending(kind)
+            raise ValueError(f"no {kind!r} structures for table {canonical_table:#06x}")
     return front
 
 
@@ -593,6 +504,7 @@ def register_structures(kind: str, canonical_table: int, entries) -> Tuple[DbEnt
     a semantic replay against ``canonical_table``) before being merged
     into the Pareto front — an entry that does not implement the class
     function raises ``ValueError`` rather than poisoning the database.
+    The merge lives in memory only; :func:`reset_structure_db` drops it.
     Returns the class's new front; bumps the database generation when the
     front actually changed (so convergence-skip tokens re-arm).
     """
@@ -612,15 +524,14 @@ def register_structures(kind: str, canonical_table: int, entries) -> Tuple[DbEnt
     if merged != current:
         _DB[(kind, canonical_table)] = merged
         _bump_generation()
-        _note_pending(kind)
     return merged
 
 
 def _warm_canonical() -> None:
     """Pool warm-up of the parallel derivation: the canonical map only.
 
-    The default pool warm-up preloads the full structure database, which
-    would defeat the point of measuring a parallel cold start.
+    The default pool warm-up also loads the committed structure database,
+    which a derivation does not read.
     """
     _canonical_map()
 
@@ -628,13 +539,11 @@ def _warm_canonical() -> None:
 def _derive_shard(task) -> List[Tuple[str, int, Tuple[DbEntry, ...]]]:
     """Worker task: derive the entry lists of one ``(kind, tables)`` shard.
 
-    Calls :func:`_derive_structures` directly — bypassing both the
-    in-memory database and the disk cache — so every worker derives from
-    first principles and never races another worker's cache writes; the
-    parent merges the returned fronts and persists once.  Derivation is a
-    pure function of the task, so shard composition cannot change any
-    entry.  A third task element ``(budget, size_slack)`` enables the
-    exact-synthesis enrichment tier for the shard.
+    Every worker derives from first principles, never reading the
+    database.  Derivation is a pure function of the task, so shard
+    composition cannot change any entry.  A third task element
+    ``(budget, size_slack)`` enables the exact-synthesis enrichment tier
+    for the shard.
     """
     kind, tables = task[0], task[1]
     exact_opts = task[2] if len(task) > 2 else None
@@ -656,18 +565,16 @@ def derive_structures_parallel(
     exact_budget: int = 2_000,
     exact_size_slack: int = 2,
     tables: Optional[Tuple[int, ...]] = None,
-) -> Dict[str, object]:
-    """Derive the full structure database sharded across worker processes.
+) -> Tuple[Dict[Tuple[str, int], Tuple[DbEntry, ...]], Dict[str, object]]:
+    """Derive the structure database sharded across worker processes.
 
     The 222 canonical classes x ``len(kinds)`` kinds are split into
     shards of ``classes_per_shard`` classes (sharded deterministically by
     canonical-class order); each worker derives its shard from first
-    principles, the parent merges the results into the in-memory
-    database and writes them through the existing content-hash disk
-    cache in one atomic save per kind.  Entries are **structurally
-    identical to a serial derivation** (asserted by
-    ``tests/parallel/test_parallel.py``); the merge never clobbers an
-    entry list that is already in memory.
+    principles.  Entries are **structurally identical to a serial
+    derivation** (asserted by ``tests/parallel/test_parallel.py``).
+    Neither the in-memory database nor any file is touched; pass the
+    fronts to :func:`write_structure_db` to ship them.
 
     With ``exact=True`` each shard additionally runs the SAT-based
     exact-synthesis enrichment tier (:mod:`repro.synth.exact`) with
@@ -677,9 +584,10 @@ def derive_structures_parallel(
     ``tables`` restricts the run to a subset of canonical classes (for
     smoke shards / CI).
 
-    Returns a stats dict (classes, kinds, workers, wall-clock, merge
-    counts).  With ``workers=1`` the same shard tasks run in-process —
-    useful as the determinism baseline.
+    Returns ``(fronts, stats)``: ``{(kind, table): front}`` and a stats
+    dict (classes, kinds, entries, workers, shards, wall-clock).  With
+    ``workers=1`` the same shard tasks run in-process — useful as the
+    determinism baseline.
     """
     from ..parallel.executor import parallel_map
 
@@ -702,23 +610,15 @@ def derive_structures_parallel(
         labels=[f"{task[0]}[{task[1][0]:#06x}..]" for task in tasks],
         warmup=_warm_canonical,
     )
-    merged = 0
-    for shard_result in report.results:
-        for kind, table, front in shard_result:
-            if _DB.setdefault((kind, table), front) is front:
-                merged += 1
-    if merged:
-        _bump_generation()
-    for kind in kinds:
-        # The database is now complete for these kinds: mark the disk
-        # cache as consulted and persist the merged entries atomically.
-        _DB_LOADED.add(kind)
-        _DB_PENDING[kind] = 0
-        _save_structure_cache(kind)
-    return {
+    fronts = {
+        (kind, table): front
+        for shard_result in report.results
+        for kind, table, front in shard_result
+    }
+    return fronts, {
         "classes": len(reps),
         "kinds": list(kinds),
-        "entries_merged": merged,
+        "entries": sum(len(front) for front in fronts.values()),
         "workers": report.workers,
         "shards": report.num_shards,
         "parallel": report.parallel,
@@ -900,11 +800,6 @@ def _candidate_entries(kind: str, table: int) -> List[DbEntry]:
 def _derive_structures(kind: str, table: int) -> Tuple[DbEntry, ...]:
     """Derive a class's top-k list: the fast-tier candidates' Pareto front."""
     return _pareto_front(_candidate_entries(kind, table))
-
-
-def _derive_structure(kind: str, table: int) -> DbEntry:
-    """Derive only the size-best entry of a class (compat wrapper)."""
-    return _derive_structures(kind, table)[0]
 
 
 def _exact_enrich(

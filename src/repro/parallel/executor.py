@@ -60,20 +60,17 @@ def warm_worker() -> None:
     """Preload the import-once kernels and the NPN rewriting database.
 
     Idempotent and cheap when already warm: the canonical map and the
-    structure database are process-level caches, and the database load
-    goes through the validated disk cache (~7ms for all 222x2 classes)
-    when one exists.  Called in the parent before a pool forks, and as
-    the pool initializer for non-fork start methods.
+    structure database are process-level caches, and the database is the
+    committed package file, validated once on load.  Called in the parent
+    before a pool forks, and as the pool initializer for non-fork start
+    methods.
     """
     from ..aig import aig as _aig  # noqa: F401  (import-once kernels)
     from ..core import mig as _mig  # noqa: F401
     from ..network import npn
 
     npn.npn_canonical(0)  # derive the 65,536-entry canonical map once
-    for kind in ("mig", "aig"):
-        for rep in npn.npn_representatives():
-            npn.get_structure(kind, rep)
-    npn.flush_structure_cache()
+    npn.get_structure("mig", 0)  # the first lookup loads the whole database
 
 
 @dataclass

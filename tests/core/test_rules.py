@@ -57,6 +57,28 @@ class TestStructuralHelpers:
         assert cone_nodes(mig, f3, bound=2) is None
         assert cone_size(mig, f3) == 3
 
+    def test_cone_nodes_gives_up_at_the_bound(self):
+        """A cone over ``bound`` gates is rejected once ``bound + 1`` gates
+        are visited, without walking the rest of the cone."""
+
+        class CountingStore(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                CountingStore.reads += 1
+                return super().__getitem__(index)
+
+        mig = Mig()
+        pis = [mig.add_pi(f"x{i}") for i in range(4)]
+        chain = [mig.and_(pis[0], pis[1])]
+        for i in range(199):
+            chain.append(mig.and_(chain[-1], pis[i % 4]))
+        mig.add_po(chain[-1], "y")
+        assert cone_nodes(mig, chain[-1], bound=200) == [node_of(s) for s in chain]
+        mig._fanins = CountingStore(mig._fanins)
+        assert cone_nodes(mig, chain[-1], bound=8) is None
+        assert CountingStore.reads < 50
+
     def test_rebuild_cone_replacement(self):
         mig = Mig()
         pis = [mig.add_pi(f"x{i}") for i in range(4)]

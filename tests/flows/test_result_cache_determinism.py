@@ -13,7 +13,6 @@ are misses.
 import base64
 import json
 import pickle
-import shutil
 
 import pytest
 
@@ -240,17 +239,8 @@ class TestLoadRunsNoCode:
 
 
 @pytest.fixture()
-def isolated_db(tmp_path, monkeypatch):
-    """A private structure database seeded from the current disk cache."""
-    npn.flush_structure_cache()
-    db_dir = tmp_path / "npn"
-    db_dir.mkdir()
-    for kind in ("mig", "aig"):
-        source = npn.structure_cache_path(kind)
-        if source is not None and source.is_file():
-            shutil.copy(source, db_dir / source.name)
-    monkeypatch.delenv("REPRO_NPN_CACHE", raising=False)
-    monkeypatch.setenv("REPRO_NPN_CACHE_DIR", str(db_dir))
+def isolated_db():
+    """The committed structure database, with registrations dropped after."""
     npn.reset_structure_db()
     yield
     npn.reset_structure_db()

@@ -35,10 +35,8 @@ from repro.synth import SAT, synthesize_exact
 
 
 @pytest.fixture()
-def fresh_db(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_NPN_CACHE", raising=False)
+def fresh_db():
     npn.reset_structure_db()
-    monkeypatch.setenv("REPRO_NPN_CACHE_DIR", str(tmp_path))
     yield
     npn.reset_structure_db()
 
@@ -50,7 +48,7 @@ def _xor3_rep():
 
 @pytest.mark.parametrize("kind", ["mig", "aig"])
 def test_topk_fronts_are_strict_pareto_and_replay(fresh_db, kind):
-    for rep in npn_representatives()[::5]:
+    for rep in npn_representatives():
         front = get_structures(kind, rep)
         assert front, f"{rep:#06x}: empty entry list"
         assert front[0] == get_structure(kind, rep)
@@ -100,6 +98,21 @@ def test_exact_entry_improves_the_fast_tier_front(fresh_db):
     merged = register_structures("mig", rep, [result.entry])
     assert merged[0].size == result.gates
     assert entry_truth_table(merged[0]) == rep
+
+
+def test_reset_drops_registered_entries(fresh_db):
+    """Regression: a reset used to flush registrations into the disk cache
+    and reload them, so an exact-enriched entry outlived the reset and
+    leaked into every later run reading that cache directory."""
+    rep = _xor3_rep()
+    committed = get_structures("mig", rep)
+    digest = npn.structure_db_digest()
+    result = synthesize_exact(rep, "mig")
+    assert result.status == SAT and result.gates < committed[0].size
+    register_structures("mig", rep, [result.entry])
+    npn.reset_structure_db()
+    assert get_structures("mig", rep) == committed
+    assert npn.structure_db_digest() == digest
 
 
 def _build_xor3_cascade():
