@@ -75,7 +75,7 @@ def push_up(
         depth_before = mig.depth()
         if depth_before == 0:
             break
-        levels = list(mig._level)  # snapshot, no DFS
+        levels = mig.level_snapshot()  # exact copy, no DFS
         round_rewrites = 0
         for node in mig.critical_nodes():
             if mig.is_dead(node):

@@ -71,7 +71,7 @@ def reshape(mig: Mig, params: Optional[ReshapeParams] = None) -> int:
     params = params or ReshapeParams()
     # Snapshot of the kernel's incrementally maintained levels: an O(n)
     # list copy, no DFS.  Nodes created after it count as deep.
-    levels = list(mig._level)
+    levels = mig.level_snapshot()
     rewrites = 0
     visited = 0
     for node in list(mig.gates()):
@@ -102,8 +102,8 @@ def reshape(mig: Mig, params: Optional[ReshapeParams] = None) -> int:
             # Levels drift as the structure changes; refresh the snapshot
             # periodically (an O(n) list copy, no DFS) so the associativity
             # decisions stay meaningful without copying per rewrite.  Keep
-            # it a copy: reading ``_level`` live gives larger networks.
+            # it a copy: reading levels live gives larger networks.
             if rewrites % 64 == 0:
-                levels = list(mig._level)
+                levels = mig.level_snapshot()
     mig.cleanup()
     return rewrites

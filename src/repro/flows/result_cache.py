@@ -66,7 +66,7 @@ def result_cache_key(network, flow: str, options: Optional[Dict] = None) -> str:
 def encode_network(net) -> dict:
     """JSON form preserving node ids: live gates in level (topological)
     order; slots of dead nodes decode as dead gaps."""
-    fanins, dead, level = net._fanins, net._dead, net._level
+    fanins, dead, level = net._fanins, net._dead, net.level_snapshot()
     live = [n for n in range(1, len(fanins)) if fanins[n] is not None and not dead[n]]
     live.sort(key=lambda n: (level[n], n))
     return {

@@ -13,9 +13,10 @@ nodes) have in common:
 * bit-parallel simulation and exhaustive truth tables;
 * compacting copy / ``assign_from`` rollback support;
 * **incremental structural state**: per-node logic levels are maintained
-  eagerly (a substitution re-sweeps only the affected fanout cone), and
-  the PO-reachable topological order plus the level snapshot are cached
-  with dirty-region invalidation, so :meth:`depth`, :meth:`levels` and
+  incrementally (rises propagate through the fanout cone at once, falls
+  are repaired lazily when a reader needs exact levels), and the
+  PO-reachable topological order plus the level snapshot are cached with
+  dirty-region invalidation, so :meth:`depth`, :meth:`levels` and
   :meth:`topological_order` are O(1) when the network has not changed;
 * **mutation notifications**: a monotone mutation serial
   (``_mutation_serial``, bumped on every structural change) plus a
@@ -23,7 +24,7 @@ nodes) have in common:
   derived-state caches — the incremental cut engine of
   :class:`repro.network.cuts.CutManager` — subscribe to in-place fanin
   retargets, node deaths and wholesale resets alongside the existing
-  level-repair worklist.
+  level repair.
 
 Subclasses provide the gate semantics through four small hooks:
 
@@ -48,24 +49,33 @@ level; :meth:`depth` is the maximum level over the primary outputs.
 Cache-exactness invariants (relied on by the optimizers, validated by
 ``tests/network/test_level_cache.py``):
 
-* ``_level[n]`` always equals the longest-path level of every *live*
-  node ``n``, dangling ones (no fanout, no PO) included, kept exact by
-  worklist repair over the affected cone after every fanin retarget — so
-  ``depth()`` is O(#POs) at any time.  Dead nodes keep the level they
-  had when they died.
+* ``_level`` is always an upper bound on the longest-path level of every
+  *live* node ``n`` and always a strict topological labelling
+  (``_level[p] > _level[f]`` for every fanin ``f`` of ``p``).  Every live
+  node is either *tight* (its label is one plus its largest fanin label)
+  or pending in ``_level_falls``.  A fanin retarget pushes a rise through
+  the fanouts at once but only records a fall; :meth:`_settle_levels`
+  applies the pending falls, after which every label is exact.  Every
+  reader that needs exact levels settles first — :meth:`depth`,
+  :meth:`levels`, :meth:`level_snapshot`, the topology rebuild, copies
+  and pickles — so ``depth()`` stays O(#POs) between changes.  The
+  labelling property alone is what :meth:`_in_tfi` prunes on and what
+  gate creation builds on, so cycle checks stay exact while falls are
+  pending.  Dead nodes keep the label they had when they died.
 * The cached topological order contains exactly the gates reachable from
   the primary outputs.  Creating a node never invalidates it (a fresh
   node is unreachable until something references it); redirecting a
   primary output or substituting a node does.
 * ``levels()`` reports 0 for nodes that are not PO-reachable, matching a
   from-scratch recomputation.  With no dangling nodes it therefore equals
-  ``_level`` on every live node, which is why the Ω/Ψ hot loops take
-  ``list(_level)`` (an O(n) copy) instead of calling ``levels()``.
+  :meth:`level_snapshot` on every live node, which is why the Ω/Ψ hot
+  loops take that O(n) copy instead of calling ``levels()``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.signal import (
@@ -137,10 +147,12 @@ class LogicNetwork:
         # majority of nodes that drive no output.
         self._po_refs: Dict[int, int] = {}
 
-        # Incremental structural state.  ``_level`` is exact for every live
-        # node at all times; the order/levels caches cover the PO-reachable
-        # subgraph and are invalidated by substitutions and PO changes.
+        # Incremental structural state.  ``_level`` is exact once the nodes
+        # pending in ``_level_falls`` are settled (module docstring); the
+        # order/levels caches cover the PO-reachable subgraph and are
+        # invalidated by substitutions and PO changes.
         self._level: List[int] = [0]
+        self._level_falls: set = set()
         self._order_cache: Optional[List[int]] = None
         self._levels_cache: Optional[List[int]] = None
         # Nodes whose stored fanin tuple changed in place since creation.
@@ -426,9 +438,11 @@ class LogicNetwork:
 
         Nodes outside the transitive fanin of the primary outputs report
         level 0, exactly as a from-scratch recomputation would.  After a
-        substitution this costs a PO-reachability DFS; the internal hot
-        loops (:func:`repro.core.reshape.reshape`,
-        :func:`repro.core.depth_opt.push_up`) snapshot ``_level`` instead.
+        substitution this costs a PO-reachability DFS (which settles the
+        pending level falls); the internal hot loops
+        (:func:`repro.core.reshape.reshape`,
+        :func:`repro.core.depth_opt.push_up`) take :meth:`level_snapshot`
+        instead.
         """
         if self._order_cache is None:
             self._rebuild_topology()
@@ -440,9 +454,14 @@ class LogicNetwork:
         return list(cached)
 
     def depth(self) -> int:
-        """Depth of the network: the paper's *delay* proxy.  O(#POs)."""
+        """Depth of the network: the paper's *delay* proxy.
+
+        O(#POs) once the pending level falls are settled.
+        """
         if not self._pos:
             return 0
+        if self._level_falls:
+            self._settle_levels()
         level = self._level
         return max(level[po >> 1] for po in self._pos)
 
@@ -479,8 +498,11 @@ class LogicNetwork:
         """Recompute the PO-reachable topological order and level snapshot.
 
         Levels are copied from the incrementally-maintained ``_level``
-        array rather than recomputed, so the rebuild is a single DFS.
+        array (settled first) rather than recomputed, so the rebuild is a
+        single DFS.
         """
+        if self._level_falls:
+            self._settle_levels()
         fanins = self._fanins
         order: List[int] = []
         visited = bytearray(len(fanins))
@@ -517,36 +539,92 @@ class LogicNetwork:
         self._order_cache = order
         self._levels_cache = snapshot
 
-    def _update_level(self, seed: int) -> None:
-        """Repair ``_level`` after the fanins of ``seed`` changed.
+    def level_snapshot(self) -> List[int]:
+        """A copy of the exact per-node level array, indexed by node id.
 
-        Worklist relaxation over the affected fanout cone: a node is
-        re-evaluated only when one of its fanins' levels actually changed,
-        so the cost is proportional to the dirty region, not the network.
+        Settles the pending level falls and copies ``_level``: O(n), no
+        DFS.  Unlike :meth:`levels`, dangling live nodes report their own
+        level, and dead slots hold the stale level the node died with.
+        """
+        if self._level_falls:
+            self._settle_levels()
+        return list(self._level)
+
+    def _update_level(self, seed: int) -> None:
+        """Restore the level invariant after the fanins of ``seed`` changed.
+
+        Recomputes ``seed`` from its fanins.  A rise is pushed through the
+        fanout cone at once: every parent labelled below one plus its
+        raised fanin is lifted to exactly that value, which keeps the
+        labelling strictly topological and every lifted parent tight.  A
+        fall only marks ``seed`` pending in ``_level_falls`` and keeps its
+        (now upper-bound) label; :meth:`_settle_levels` applies it when a
+        reader needs exact levels.  Rises and falls nearly cancel between
+        two reads in the optimizers, so deferring the falls skips most of
+        the repair work.
         """
         level = self._level
-        fanins = self._fanins
+        top = 0
+        for f in self._fanins[seed]:
+            fl = level[f >> 1]
+            if fl > top:
+                top = fl
+        top += 1
+        current = level[seed]
+        if top < current:
+            self._level_falls.add(seed)
+            return
+        if top == current:
+            return
+        level[seed] = top
+        fanouts = self._fanouts
         dead = self._dead
-        queue: deque = deque((seed,))
-        queued = {seed}
-        while queue:
-            node = queue.popleft()
-            queued.discard(node)
-            node_fanins = fanins[node]
-            if node_fanins is None or dead[node]:
-                continue
+        stack = [seed]
+        while stack:
+            node = stack.pop()
+            lifted = level[node] + 1
+            for parent in fanouts[node]:
+                if level[parent] < lifted and not dead[parent]:
+                    level[parent] = lifted
+                    stack.append(parent)
+
+    def _settle_levels(self) -> None:
+        """Apply the pending level falls; afterwards ``_level`` is exact.
+
+        Recomputes every live pending node from its fanins.  When a node
+        falls from ``was``, only the fanouts labelled exactly ``was + 1``
+        can have lost their longest path through it (a tight fanout
+        labelled higher owes its level to another fanin), so only those
+        are queued in turn.  The queue is ordered by label: a fanout is
+        always queued above the node that queued it, so every node is
+        recomputed once, after all of its fanins reached their final level.
+        """
+        falls = self._level_falls
+        level = self._level
+        fanins = self._fanins
+        fanouts = self._fanouts
+        dead = self._dead
+        heap = [(level[node], node) for node in falls]
+        heapify(heap)
+        queued = falls  # the seeds, plus every fanout queued below
+        while heap:
+            was, node = heappop(heap)
+            if dead[node]:
+                continue  # a pending node removed since its fall
             top = 0
-            for f in node_fanins:
+            for f in fanins[node]:
                 fl = level[f >> 1]
                 if fl > top:
                     top = fl
             top += 1
-            if top != level[node]:
+            if top < was:
                 level[node] = top
-                for parent in self._fanouts[node]:
-                    if not dead[parent] and parent not in queued:
+                was += 1
+                for parent in fanouts[node]:
+                    if level[parent] == was and parent not in queued and not dead[parent]:
                         queued.add(parent)
-                        queue.append(parent)
+                        heappush(heap, (was, parent))
+        falls.clear()
 
     # ------------------------------------------------------------------ #
     # Simulation
@@ -848,11 +926,15 @@ class LogicNetwork:
             self.substitute(node, simplified)
             return simplified
 
-        key = self._gate_key(tuple(fanins))
-        existing = self._strash.get(key)
-        if existing is not None and existing != node and not self._dead[existing]:
-            self.substitute(node, make_signal(existing))
-            return make_signal(existing)
+        key = None
+        for cand_key, out_compl in self._strash_candidates(tuple(fanins)):
+            if key is None:
+                key = cand_key
+            existing = self._strash.get(cand_key)
+            if existing is not None and existing != node and not self._dead[existing]:
+                replacement = make_signal(existing, out_compl)
+                self.substitute(node, replacement)
+                return replacement
 
         self._invalidate_topology()
         old_key = self._gate_key(old_fanins)
@@ -925,6 +1007,7 @@ class LogicNetwork:
         self._num_gates = clone._num_gates
         self.name = clone.name
         self._level = clone._level
+        self._level_falls = clone._level_falls
         self._order_cache = clone._order_cache
         self._levels_cache = clone._levels_cache
         self._touched = clone._touched
@@ -947,8 +1030,11 @@ class LogicNetwork:
         closures.  All are rebuilt on demand after unpickling.  The
         structural state itself — node storage, strash, levels, ids —
         crosses the boundary verbatim, which is what makes a worker's
-        result bit-identical to an in-process run.
+        result bit-identical to an in-process run.  Pending level falls
+        are settled first, so the pickle holds exact levels.
         """
+        if self._level_falls:
+            self._settle_levels()
         state = self.__dict__.copy()
         state["_mutation_listeners"] = []
         state["_sim_program"] = None
@@ -972,10 +1058,20 @@ class LogicNetwork:
 
         Intended for tests and debugging: checks that live nodes only point
         at live nodes, that reference counts match the actual number of
-        fanin/PO references, that fanout sets are consistent and that the
-        incrementally-maintained level of every live gate equals one plus
-        the maximum level of its fanins.
+        fanin/PO references, that fanout sets are consistent, that the
+        level labels satisfy the kernel invariant (strictly topological,
+        every live gate tight or pending) and that, once settled, the level
+        of every live gate equals one plus the maximum level of its fanins.
         """
+        level = self._level
+        for node in range(len(self._fanins)):
+            if self._dead[node] or self._fanins[node] is None:
+                continue
+            top = 1 + max(level[node_of(f)] for f in self._fanins[node])
+            assert level[node] == top or (
+                level[node] > top and node in self._level_falls
+            ), f"node {node}: level label {level[node]} breaks the invariant ({top})"
+        self._settle_levels()
         expected_refs = [0] * len(self._fanins)
         for node in range(len(self._fanins)):
             if self._dead[node] or self._fanins[node] is None:
@@ -989,9 +1085,9 @@ class LogicNetwork:
                 assert node in self._fanouts[fn], (
                     f"fanout set of {fn} misses parent {node}"
                 )
-            expected_level = 1 + max(self._level[node_of(f)] for f in self._fanins[node])
-            assert self._level[node] == expected_level, (
-                f"node {node}: cached level {self._level[node]} != expected "
+            expected_level = 1 + max(level[node_of(f)] for f in self._fanins[node])
+            assert level[node] == expected_level, (
+                f"node {node}: cached level {level[node]} != expected "
                 f"{expected_level}"
             )
         expected_po_refs: Dict[int, int] = {}
@@ -1081,9 +1177,12 @@ class LogicNetwork:
     def _in_tfi(self, target: int, start: int) -> bool:
         """Return True when ``target`` is in the transitive fanin of ``start``.
 
-        Pruned by the incremental level array: a node can only lie in the
-        transitive fanin of nodes at strictly greater level, so the search
-        never descends below ``level(target)``.
+        Pruned by the incremental level array: ``_level`` is a strict
+        topological labelling even while level falls are pending, so a node
+        can only lie in the transitive fanin of nodes labelled strictly
+        higher, and the search never descends below the label of
+        ``target``.  The labels need not be exact, so no settling is
+        needed and the answer is exact.
         """
         if target == start:
             return True

@@ -154,6 +154,10 @@ def cut_rewrite(
     for root in order:
         if dead[root]:
             continue
+        if net._level_falls:
+            # The dry runs and the level filter read exact levels; settle
+            # the falls the previous root's replacement left pending.
+            net._settle_levels()
         best = None  # (candidate_key, gain, entry, inputs)
         for cut in cuts.get(root, ()):
             leaves = cut.leaves

@@ -1,14 +1,17 @@
 """Property tests for the kernel's incremental topology/level caches.
 
 The :class:`repro.network.base.LogicNetwork` kernel maintains per-node
-levels eagerly (worklist repair over the affected cone after every
-substitution) and caches the PO-reachable topological order.  These tests
-hammer both ``Mig`` and ``Aig`` with randomized build/substitute/cleanup
-sequences and assert, after every step, that the cached ``depth()``,
-``levels()`` and ``topological_order()`` agree with a from-scratch
-recomputation done by an independent reference implementation.
+levels incrementally (rises pushed through the fanout cone at once, falls
+left pending until a reader settles them) and caches the PO-reachable
+topological order.  These tests hammer both ``Mig`` and ``Aig`` with
+randomized build/substitute/cleanup sequences and assert that the cached
+``depth()``, ``levels()``, ``level_snapshot()`` and
+``topological_order()`` agree with a from-scratch recomputation done by
+an independent reference implementation — after every step, and after
+batches of steps with no read in between, while falls are still pending.
 """
 
+import pickle
 import random
 
 import pytest
@@ -62,6 +65,43 @@ def reference_depth(net):
         return 0
     level = reference_levels(net)
     return max(level[node_of(po)] for po in net.po_signals())
+
+
+def reference_live_levels(net):
+    """Longest-path level of every live node (dangling ones included)."""
+    level = {}
+    for node in range(net.num_nodes):
+        if net.is_dead(node) or node in level:
+            continue
+        stack = [node]
+        while stack:
+            current = stack[-1]
+            if net.is_pi(current) or net.is_constant(current):
+                level[current] = 0
+                stack.pop()
+                continue
+            pending = [node_of(f) for f in net.fanins(current) if node_of(f) not in level]
+            if pending:
+                stack.extend(pending)
+                continue
+            level[current] = 1 + max(level[node_of(f)] for f in net.fanins(current))
+            stack.pop()
+    return level
+
+
+def reference_in_tfi(net, target, start):
+    """``target`` reachable from ``start`` through fanins, by plain DFS."""
+    seen = set()
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == target:
+            return True
+        if node in seen or not net.is_gate(node):
+            continue
+        seen.add(node)
+        stack.extend(node_of(f) for f in net.fanins(node))
+    return False
 
 
 def assert_caches_consistent(net):
@@ -130,6 +170,83 @@ def random_substitutions(net, rng, steps=30):
     assert_caches_consistent(net)
 
 
+def live_gates(net):
+    """Every live gate, dangling ones included (``Aig.gates`` skips those)."""
+    return [n for n in range(net.num_nodes) if net.is_gate(n) and not net.is_dead(n)]
+
+
+def random_edit(net, rng):
+    """One random ``substitute`` or ``replace_fanins`` step, no read."""
+    gates = live_gates(net)
+    if not gates:
+        return
+    signals = [make_signal(n) for n in gates] + net.pi_signals()
+    node = rng.choice(gates)
+    if rng.random() < 0.3:
+        target = rng.choice(signals)
+        net.substitute(node, negate(target) if rng.random() < 0.4 else target)
+        return
+    arity = len(net.fanins(node))
+    fanins = tuple(
+        negate(s) if rng.random() < 0.4 else s for s in rng.sample(signals, arity)
+    )
+    try:
+        net.replace_fanins(node, fanins)
+    except ValueError:
+        pass  # the rewire would close a cycle
+
+
+def drive_every_sink(net):
+    """Put a PO on every dangling gate, so no edit step reclaims it."""
+    for node in live_gates(net):
+        if net.fanout_size(node) == 0:
+            net.add_po(make_signal(node))
+    return net
+
+
+def pending_fall_batches(net, rng, batches=10):
+    """Run edit batches with no read in between; check each batch's end.
+
+    Returns how many batches ended with level falls still pending, so the
+    caller can assert the lazy path was exercised at all.
+    """
+    pending = 0
+    for batch in range(batches):
+        for _ in range(rng.randint(5, 10)):
+            random_edit(net, rng)
+        if net._level_falls:
+            pending += 1
+            live = [n for n in range(net.num_nodes) if not net.is_dead(n)]
+            for _ in range(40):
+                target, start = rng.choice(live), rng.choice(live)
+                assert net._in_tfi(target, start) == reference_in_tfi(net, target, start)
+        if batch % 2:
+            net.check_integrity()  # the invariant with falls pending, then settled
+        expected = reference_live_levels(net)
+        snapshot = net.level_snapshot()
+        assert not net._level_falls
+        assert {node: snapshot[node] for node in expected} == expected
+        assert net.depth() == reference_depth(net)
+        assert net.levels() == reference_levels(net)
+        net.check_integrity()
+    return pending
+
+
+def assert_falls_settled_by_readers(net, rng):
+    for _ in range(30):
+        random_edit(net, rng)
+    assert net._level_falls
+    net.depth()
+    assert not net._level_falls
+    for _ in range(30):
+        random_edit(net, rng)
+    assert net._level_falls
+    clone = pickle.loads(pickle.dumps(net))
+    assert not clone._level_falls
+    assert not net._level_falls
+    assert clone.level_snapshot() == net.level_snapshot()
+
+
 # --------------------------------------------------------------------- #
 # Tests
 # --------------------------------------------------------------------- #
@@ -177,6 +294,19 @@ class TestMigLevelCache:
         assert mig.depth() == 1
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batches_with_pending_falls(self, seed):
+        rng = random.Random(300 + seed)
+        mig = drive_every_sink(random_mig(rng, num_pis=8, num_gates=120))
+        assert pending_fall_batches(mig, rng) > 0
+
+    def test_readers_settle_pending_falls(self):
+        rng = random.Random(77)
+        assert_falls_settled_by_readers(
+            drive_every_sink(random_mig(rng, num_pis=8, num_gates=120)), rng
+        )
+
+
 class TestAigLevelCache:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_substitutions(self, seed):
@@ -203,3 +333,15 @@ class TestAigLevelCache:
         aig = random_aig(rng, num_pis=5, num_gates=30)
         random_substitutions(aig, rng, steps=15)
         assert aig.num_gates == len(reference_topological_order(aig))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batches_with_pending_falls(self, seed):
+        rng = random.Random(400 + seed)
+        aig = drive_every_sink(random_aig(rng, num_pis=8, num_gates=120))
+        assert pending_fall_batches(aig, rng) > 0
+
+    def test_readers_settle_pending_falls(self):
+        rng = random.Random(78)
+        assert_falls_settled_by_readers(
+            drive_every_sink(random_aig(rng, num_pis=8, num_gates=120)), rng
+        )

@@ -62,6 +62,24 @@ def test_builder_polarity_of_complemented_hit_is_correct():
     assert_equivalent(mig, reference)
 
 
+def test_replace_fanins_hits_complemented_key():
+    """``replace_fanins`` onto the complement of an existing gate merges it."""
+    mig = Mig()
+    a, b, c, d = (mig.add_pi(n) for n in "abcd")
+    n1 = mig.maj(a, b, c)
+    n2 = mig.maj(a, b, d)
+    mig.add_po(n1, "f")
+    mig.add_po(n2, "g")
+    # M(a', b', c') = M(a, b, c)' by self-duality: n2 becomes ¬n1.
+    rewired = (negate(a), negate(b), negate(c))
+    result = mig.replace_fanins(node_of(n2), rewired)
+    assert result == negate(n1)
+    assert mig.num_gates == 1
+    assert mig.po_signals() == [n1, negate(n1)]
+    assert mig.maj(*rewired) == negate(n1)
+    mig.check_integrity()
+
+
 class TestStrashCompletenessFuzz:
     """The regression above, generalized over the shared network forge.
 
