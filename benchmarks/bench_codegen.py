@@ -17,26 +17,19 @@ Three measured lanes, each comparing the generated kernels of
    MIG pair, interpreted versus compiled (again including compile time);
    per-block PO patterns and the final verdict are asserted identical.
    The pair is deliberately wider than ``EXHAUSTIVE_LIMIT`` (the width
-   callers opt into explicitly with ``method="exhaustive"``) so the total
-   sweep clears ``_COMPILED_MIN_MINTERMS`` — the regime where
-   ``_check_exhaustive`` itself compiles kernels, with one compile
-   amortized across the whole block loop.  The lane simulates in blocks
-   of 2^11 minterms, narrower than the consumer's 2^16 default: the
-   narrow-block regime is dominated by the per-gate dispatch that code
-   generation removes and measures it stably, whereas at 2^16-minterm
-   blocks both paths are dominated by the same multi-kilobyte big-int
-   arithmetic and the record collapses into allocator noise (+/-40% run
-   to run) with only ~2x of real headroom left to measure.  (The
-   consumer keeps 2^16 blocks because the wide blocks are faster for
-   both paths in absolute terms.)
-3. **CNF encode**: repeated Tseitin construction of the same unchanged
-   network — the shape of repeated SAT calls — as the pre-IR per-gate
-   ``gate_truth_table`` re-walk versus the serial-cached
-   :func:`repro.codegen.clause_stream`; clause databases and PO literals
-   are asserted clause-for-clause identical.  The solver bulk-load path
-   behind ``sat_sweep(final_workers=)`` (``ClauseStream.load_into`` vs
-   per-clause ``add_clause``) is timed alongside and reported.
-4. **Probe batching**: ``sat_sweep`` on a refinement-heavy
+   callers opt into explicitly with ``method="exhaustive"``) so the sweep
+   runs many blocks — the regime where ``_check_exhaustive`` itself runs
+   compiled kernels (``simulate_patterns`` promotes from the second block
+   on), with one compile amortized across the whole block loop.  The
+   lane simulates in blocks of 2^11 minterms, narrower than the
+   consumer's 2^16 default: the narrow-block regime is dominated by the
+   per-gate dispatch that code generation removes and measures it
+   stably, whereas at 2^16-minterm blocks both paths are dominated by
+   the same multi-kilobyte big-int arithmetic and the record collapses
+   into allocator noise (+/-40% run to run) with only ~2x of real
+   headroom left to measure.  (The consumer keeps 2^16 blocks because
+   the wide blocks are faster for both paths in absolute terms.)
+3. **Probe batching**: ``sat_sweep`` on a refinement-heavy
    near-equivalent pair (every primary output wrapped in absorption
    blocks that agree with the original except on rare inputs — the
    classic FRAIG false-candidate shape), at ``probe_flush_bits=1`` (one
@@ -59,31 +52,17 @@ import random
 import sys
 import time
 
-from repro.codegen import ClauseStream, clause_stream, compile_network_kernel
+from repro.codegen import compile_network_kernel
 from repro.core import Mig, rewrite_mig
 from repro.core.generation import random_network
-from repro.verify.cnf import FALSE_LIT, GateGraph, encode_network
 from repro.verify.equivalence import _input_patterns_block
-from repro.verify.sat import SatSolver
 
 
 def _drop_generated(net) -> None:
     """Strip cached codegen artifacts so a lane times a true cold start."""
     for key in ("_codegen_ir", "_codegen_ir_serial", "_codegen_kernel",
-                "_codegen_kernel_serial", "_codegen_clauses",
-                "_codegen_clauses_serial", "_sim_seen_serial"):
+                "_codegen_kernel_serial", "_sim_seen_serial"):
         net.__dict__.pop(key, None)
-
-
-def _oracle_encode(graph, net):
-    """The pre-IR encode walk: per-gate ``gate_truth_table`` dispatch."""
-    node_lit = {0: FALSE_LIT}
-    for index, node in enumerate(net.pi_nodes()):
-        node_lit[node] = graph.pi_lit(index)
-    for node in net.topological_order():
-        in_lits = tuple(node_lit[f >> 1] ^ (f & 1) for f in net.fanins(node))
-        node_lit[node] = graph.add_gate(net.gate_truth_table(node), in_lits)
-    return [node_lit[po >> 1] ^ (po & 1) for po in net.po_signals()]
 
 
 def _warmup():
@@ -94,7 +73,6 @@ def _warmup():
     patterns = [random.Random(0).getrandbits(64) for _ in range(8)]
     net.simulate_patterns_interpreted(patterns, 64)
     compile_network_kernel(net).simulate(patterns, 64)
-    clause_stream(net)
 
 
 def bench_sweep_signatures(num_gates, rounds, num_bits=256, seed=1):
@@ -166,8 +144,8 @@ def bench_exhaustive_cec(num_pis, num_gates, seed=2):
         expected_second = second.simulate_patterns_interpreted(patterns, block_bits)
         t_interpreted += time.perf_counter() - t0
         t0 = time.perf_counter()
-        got_first = kernel_first.simulate_auto(patterns, block_bits)
-        got_second = kernel_second.simulate_auto(patterns, block_bits)
+        got_first = kernel_first.simulate(patterns, block_bits)
+        got_second = kernel_second.simulate(patterns, block_bits)
         t_codegen += time.perf_counter() - t0
         assert got_first == expected_first and got_second == expected_second, (
             "compiled CEC blocks diverged from interpreted"
@@ -183,64 +161,6 @@ def bench_exhaustive_cec(num_pis, num_gates, seed=2):
         "time_interpreted_s": round(t_interpreted, 3),
         "time_codegen_s": round(t_codegen, 3),
         "speedup": round(t_interpreted / t_codegen, 2),
-    }
-
-
-def bench_cnf_encode(num_gates, rounds, seed=3):
-    """Repeated Tseitin construction of one unchanged network."""
-    net = random_network(Mig, num_pis=14, num_gates=num_gates, num_pos=100,
-                         seed=seed, gate_mix="mixed")
-
-    t0 = time.perf_counter()
-    oracle_graphs = []
-    for _ in range(rounds):
-        graph = GateGraph(net.num_pis)
-        pos = _oracle_encode(graph, net)
-        oracle_graphs.append((graph, pos))
-    t_interpreted = time.perf_counter() - t0
-
-    _drop_generated(net)
-    t0 = time.perf_counter()
-    streams = [clause_stream(net) for _ in range(rounds)]
-    t_codegen = time.perf_counter() - t0
-
-    graph, pos = oracle_graphs[0]
-    for stream in streams:
-        assert stream is streams[0], "serial cache missed on unchanged network"
-    assert streams[0].clause_lists() == graph.clauses
-    assert streams[0].po_lits == tuple(pos)
-
-    # Reported alongside: rebuilding a fresh solver from the snapshot (the
-    # per-pair cost in sat_sweep's final_workers pool) via the unchecked
-    # bulk loader vs the validating per-clause path.
-    stream = streams[0]
-    load_rounds = max(10, rounds)
-    t0 = time.perf_counter()
-    for _ in range(load_rounds):
-        solver = SatSolver()
-        solver.ensure_vars(stream.num_vars)
-        for clause in stream.clauses():
-            solver.add_clause(clause)
-    t_checked = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for _ in range(load_rounds):
-        solver = SatSolver()
-        stream.load_into(solver)
-    t_unchecked = time.perf_counter() - t0
-
-    return {
-        "gates": net.num_gates,
-        "rounds": rounds,
-        "clauses": stream.num_clauses,
-        "time_interpreted_s": round(t_interpreted, 3),
-        "time_codegen_s": round(t_codegen, 3),
-        "speedup": round(t_interpreted / t_codegen, 2),
-        "solver_load": {
-            "rounds": load_rounds,
-            "time_checked_s": round(t_checked, 3),
-            "time_unchecked_s": round(t_unchecked, 3),
-            "speedup": round(t_checked / t_unchecked, 2),
-        },
     }
 
 
@@ -358,24 +278,7 @@ def main(argv):
         flush=True,
     )
 
-    # --- lane 3: CNF encode ------------------------------------------- #
-    record = bench_cnf_encode(
-        num_gates=4000 if args.smoke else 10000,
-        rounds=8 if args.smoke else 20,
-    )
-    report["cnf_encode"] = record
-    print(
-        f"cnf-encode: {record['gates']} gates x {record['rounds']} rounds "
-        f"({record['clauses']} clauses): per-gate re-walk "
-        f"{record['time_interpreted_s']}s -> clause stream "
-        f"{record['time_codegen_s']}s ({record['speedup']}x); solver load "
-        f"checked {record['solver_load']['time_checked_s']}s -> unchecked "
-        f"{record['solver_load']['time_unchecked_s']}s "
-        f"({record['solver_load']['speedup']}x)",
-        flush=True,
-    )
-
-    # --- lane 4: probe-flush batching in sat_sweep -------------------- #
+    # --- lane 3: probe-flush batching in sat_sweep -------------------- #
     record = bench_probe_batching(
         num_gates=3000 if args.smoke else 8000,
         num_pos=60 if args.smoke else 150,
@@ -408,7 +311,6 @@ def main(argv):
     lanes = {
         "sweep_signatures": report["sweep_signatures"]["speedup"],
         "exhaustive_cec": report["exhaustive_cec"]["speedup"],
-        "cnf_encode": report["cnf_encode"]["speedup"],
     }
     for name, speedup in lanes.items():
         assert speedup >= 2.0, f"{name} speedup regressed: {speedup}x < 2x floor"

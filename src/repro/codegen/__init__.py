@@ -1,21 +1,15 @@
-"""Per-network code generation: specialized simulation and CNF kernels.
+"""Per-network code generation: specialized simulation kernels.
 
 The interpreted kernels optimize *per gate* — a closure call or a
-truth-table dispatch for every gate of every simulation word, a graph
-re-walk for every CNF encode.  This package optimizes *per network*, in
-the meta-function style: flatten the network once into a small IR
-(:mod:`.ir`), make all specialization decisions at generation time, and
-emit artifacts that the hot loops then run without any per-gate
-dispatch:
+truth-table dispatch for every gate of every simulation word.  This
+package optimizes *per network*, in the meta-function style: flatten the
+network once into a small IR (:mod:`.ir`), make all specialization
+decisions at generation time, and emit artifacts that the hot loops then
+run without any per-gate dispatch:
 
 * :mod:`.simgen` — a flat Python function per network for word-parallel
   simulation: one straight-line bitwise statement per gate over local
-  variables, constants folded, complement masks pre-applied.  The same
-  generated source also runs over numpy ``uint64`` word blocks
-  (:meth:`SimKernel.simulate_blocks`).
-* :mod:`.clausegen` — the network's Tseitin clause database as a frozen,
-  cheaply picklable :class:`ClauseStream` (flat literal/offset arrays),
-  bulk-loadable into a solver without per-clause re-validation.
+  variables, constants folded, complement masks pre-applied.
 * :mod:`.graphsim` — incrementally compiled evaluation of an append-only
   :class:`~repro.verify.cnf.GateGraph`, for loops (the SAT sweeper) that
   simulate a graph while still growing it.
@@ -34,52 +28,30 @@ the append-only construction shape (for :class:`MappedNetlist` and
   ``network/cuts.py``'s managers and the PR 5 closure program;
 * compiled artifacts hold code objects and are process-local: the
   kernel's ``__getstate__`` strips them (``_codegen_ir``,
-  ``_codegen_kernel``, ``_codegen_clauses`` and their serial keys), and
-  an unpickled network regenerates on first use.  :class:`ClauseStream`
-  itself *is* picklable — that is how swept miters ship to
-  ``final_workers`` pools;
+  ``_codegen_kernel`` and their serial keys), and an unpickled network
+  regenerates on first use;
 * compilation costs one ``exec`` per ~:data:`~repro.codegen.simgen.CHUNK_GATES`
   gates.  ``LogicNetwork.simulate_patterns`` therefore tiers adaptively:
   the first call at a new serial runs the cheap closure program and only
   a repeat call at the same serial compiles the generated kernel, so
   mutate-once/simulate-once loops (NPN derivation, mutation fuzzing)
   never pay the compile.
-
-When to prefer the numpy variant
---------------------------------
-``simulate()`` computes each gate as Python big-int operations — already
-word-parallel, and the faster backend up to roughly ``2**18`` pattern
-bits, because numpy pays a fixed per-ufunc dispatch cost per gate while
-big-int bitwise ops on moderate widths run at memory speed.  Beyond that
-(multi-hundred-kilobit pattern sets: batched exhaustive blocks, large
-sample sweeps) ``simulate_blocks()`` pulls ahead; measured crossover on
-this container sits between ``2**17`` and ``2**18`` bits, which is what
-:data:`~repro.codegen.simgen.NUMPY_MIN_BITS` (used by
-``simulate_auto``) encodes.  Both backends run the *same* generated
-source and return bit-identical results; numpy availability is probed
-with :func:`has_numpy`.
 """
 
-from .clausegen import ClauseStream, clause_stream, miter_stream
 from .graphsim import GraphSimKernel
 from .ir import SimProgram, netlist_ir, network_ir
 from .simgen import (
     SimKernel,
     compile_netlist_kernel,
     compile_network_kernel,
-    has_numpy,
 )
 
 __all__ = [
-    "ClauseStream",
     "GraphSimKernel",
     "SimKernel",
     "SimProgram",
-    "clause_stream",
     "compile_netlist_kernel",
     "compile_network_kernel",
-    "has_numpy",
-    "miter_stream",
     "netlist_ir",
     "network_ir",
 ]

@@ -72,7 +72,7 @@ class GraphSimKernel:
         """
         self._extend()
         for slab in self._slabs:
-            slab(values, mask, 0)
+            slab(values, mask)
         gates = self.graph.gates
         for var, tt, lits in gates[self._compiled :]:
             values[var] = eval_gate(values, tt, lits, mask)

@@ -1,8 +1,7 @@
 """The shared intermediate representation behind all generated kernels.
 
-Every generator in this package — the word-parallel simulation kernels of
-:mod:`.simgen` and the Tseitin clause streams of :mod:`.clausegen` — and
-the CNF encoder of :mod:`repro.verify.cnf` consume the *same* flattened
+The word-parallel simulation kernels of :mod:`.simgen` and the CNF
+encoder of :mod:`repro.verify.cnf` consume the *same* flattened
 view of a network, built from **one** cached topological traversal:
 
 ``SimProgram``

@@ -27,12 +27,8 @@ Generation details:
   kernel and reused across calls (every slot is written before it is
   read, so no per-call clearing is needed).
 
-The same generated source runs two backends: Python big-int words
-(:meth:`SimKernel.simulate`, any pattern width in one call) and — because
-the code is pure ``& | ^`` over whatever the operands are — numpy
-``uint64`` word blocks (:meth:`SimKernel.simulate_blocks`), where the
-mask operand becomes an all-ones word array.  See the package docstring
-for when the numpy variant pays off.
+The generated code runs over Python big-int words
+(:meth:`SimKernel.simulate`), so any pattern width is one call.
 """
 
 from __future__ import annotations
@@ -42,35 +38,17 @@ from typing import Callable, List, Sequence, Tuple
 from ..verify.cnf import _cached_cover, _tt_restrict
 from .ir import SimProgram, netlist_ir, network_ir
 
-try:  # pragma: no cover - exercised indirectly via has_numpy()
-    import numpy as _np
-except Exception:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
 __all__ = [
     "SimKernel",
     "compile_network_kernel",
     "compile_netlist_kernel",
     "gate_expression",
-    "has_numpy",
     "CHUNK_GATES",
-    "NUMPY_MIN_BITS",
 ]
 
 #: Gates per compiled chunk function.  Bounds single-function compile time
 #: (and bytecode size) on huge networks; one chunk is the common case.
 CHUNK_GATES = 3000
-
-#: Pattern width (bits) from which :meth:`SimKernel.simulate_auto` routes
-#: to the numpy word-block backend.  Measured crossover: Python big-int
-#: bitwise ops win below ~2^18 bits (numpy pays fixed per-ufunc overhead
-#: per gate), numpy wins above.
-NUMPY_MIN_BITS = 1 << 18
-
-
-def has_numpy() -> bool:
-    """Whether the numpy word-block backend is available."""
-    return _np is not None
 
 
 # --------------------------------------------------------------------- #
@@ -94,7 +72,7 @@ def gate_expression(tt: int, edges: Sequence[int], name_of) -> str:
     ``edges`` use the ``(slot << 1) | compl`` encoding with slot 0 pinned
     to constant 0; ``name_of(slot)`` supplies the operand names.  The
     emitted expression assumes operands are pre-masked words and ``mask``
-    / ``zero`` are in scope.
+    is in scope.
     """
     ops = list(edges)
     i = 0
@@ -108,7 +86,7 @@ def gate_expression(tt: int, edges: Sequence[int], name_of) -> str:
     full = (1 << (1 << k)) - 1
     tt &= full
     if tt == 0:
-        return "zero"
+        return "0"
     if tt == full:
         return "mask"
     if k == 1:
@@ -138,22 +116,19 @@ def gate_expression(tt: int, edges: Sequence[int], name_of) -> str:
 def compile_gate_slab(
     gates: Sequence[Tuple[int, int, Tuple[int, ...]]],
     label: str,
-    defined: frozenset = frozenset(),
     spill: frozenset = frozenset(),
     store_all: bool = False,
 ) -> Callable:
-    """Compile one run of gates into ``fn(V, mask, zero)``.
+    """Compile one run of gates into ``fn(V, mask)``.
 
-    ``defined`` slots are produced inside this slab's scope by an earlier
-    statement of the same function (unused by callers today but mirrors
-    the chunker's contract); every other referenced slot is loaded from
+    Every referenced slot not produced inside the slab is loaded from
     ``V`` once at the top.  Outputs in ``spill`` (or all outputs with
     ``store_all``, the append-only :class:`GraphSimKernel` policy) are
     written back to ``V`` at their definition via a chained assignment, so
     in-slab consumers still read the local.
     """
-    lines = [f"def {label}(V, mask, zero):"]
-    local = set(defined)
+    lines = [f"def {label}(V, mask):"]
+    local = set()
     loads = []
     body = []
     for out, tt, edges in gates:
@@ -237,14 +212,6 @@ class SimKernel:
         """The generated source of all chunks (debugging/tests)."""
         return "\n\n".join(c.__codegen_source__ for c in self._chunks)
 
-    def simulate_auto(
-        self, pi_patterns: Sequence[int], num_bits: int
-    ) -> List[int]:
-        """Backend-selecting simulation: numpy beyond :data:`NUMPY_MIN_BITS`."""
-        if _np is not None and num_bits >= NUMPY_MIN_BITS:
-            return self.simulate_blocks(pi_patterns, num_bits)
-        return self.simulate(pi_patterns, num_bits)
-
     def simulate(self, pi_patterns: Sequence[int], num_bits: int) -> List[int]:
         """Bit-parallel simulation; drop-in for ``simulate_patterns``."""
         program = self.program
@@ -258,7 +225,7 @@ class SimKernel:
         for slot, pattern in zip(program.pi_slots, pi_patterns):
             values[slot] = pattern & mask
         for chunk in self._chunks:
-            chunk(values, mask, 0)
+            chunk(values, mask)
         out = []
         for e in program.po_edges:
             slot = e >> 1
@@ -267,52 +234,6 @@ class SimKernel:
             else:
                 v = values[slot]
                 out.append(v ^ mask if e & 1 else v)
-        return out
-
-    # ------------------------------------------------------------------ #
-    # numpy word-block backend
-    # ------------------------------------------------------------------ #
-    def simulate_blocks(
-        self, pi_patterns: Sequence[int], num_bits: int
-    ) -> List[int]:
-        """Simulation over numpy ``uint64`` word blocks.
-
-        Same contract and results as :meth:`simulate`; the pattern words
-        live in numpy arrays so each gate costs a few vectorized ufunc
-        calls instead of big-int operations.  Worth it for very wide
-        pattern sets (:data:`NUMPY_MIN_BITS` and up); see the package
-        docstring.  Raises ``RuntimeError`` when numpy is unavailable.
-        """
-        if _np is None:
-            raise RuntimeError("numpy backend requested but numpy is unavailable")
-        program = self.program
-        if len(pi_patterns) != len(program.pi_slots):
-            raise ValueError(
-                f"expected {len(program.pi_slots)} PI patterns, "
-                f"got {len(pi_patterns)}"
-            )
-        words = (num_bits + 63) // 64
-        nbytes = words * 8
-        int_mask = (1 << num_bits) - 1
-        full = _np.full(words, _np.uint64(0xFFFFFFFFFFFFFFFF))
-        zero = _np.zeros(words, dtype=_np.uint64)
-        values = self._values
-        for slot, pattern in zip(program.pi_slots, pi_patterns):
-            values[slot] = _np.frombuffer(
-                (pattern & int_mask).to_bytes(nbytes, "little"), dtype=_np.uint64
-            )
-        for chunk in self._chunks:
-            chunk(values, full, zero)
-        out = []
-        for e in program.po_edges:
-            slot = e >> 1
-            if slot == 0:
-                out.append(int_mask if e & 1 else 0)
-                continue
-            v = values[slot]
-            if e & 1:
-                v = v ^ full
-            out.append(int.from_bytes(v.tobytes(), "little") & int_mask)
         return out
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional
+from typing import List, Optional
 
 from ..core.mig import Mig
 from ..core.reshape import ReshapeParams
@@ -117,7 +117,6 @@ def mighty_optimize(
     rounds: int = 2,
     depth_effort: int = 2,
     size_effort: int = 1,
-    pi_probabilities: Optional[Mapping[str, float]] = None,
     activity_recovery: bool = True,
     reshape_params: Optional[ReshapeParams] = None,
     boolean_rewrite: bool = True,

@@ -160,7 +160,7 @@ class MappedNetlist:
         :func:`repro.codegen.ir.netlist_ir`; mapper verification therefore
         pays per-cell dispatch once, at generation time, not per call.
         """
-        return self.compiled_kernel().simulate_auto(pi_patterns, num_bits)
+        return self.compiled_kernel().simulate(pi_patterns, num_bits)
 
     def compiled_kernel(self):
         """The generated :class:`repro.codegen.SimKernel`, shape-cached."""

@@ -100,8 +100,6 @@ _CODEGEN_STATE_KEYS = (
     "_codegen_ir_serial",
     "_codegen_kernel",
     "_codegen_kernel_serial",
-    "_codegen_clauses",
-    "_codegen_clauses_serial",
     "_sim_seen_serial",
 )
 
@@ -658,8 +656,7 @@ class LogicNetwork:
         """The generated :class:`repro.codegen.SimKernel` for this network.
 
         Serial-cached; compiling is deferred to here so the cost is only
-        paid by call sites that simulate the same network state repeatedly
-        (or ask explicitly, as the exhaustive-CEC block loop does).
+        paid by call sites that simulate the same network state repeatedly.
         """
         serial = self._mutation_serial
         kernel = self.__dict__.get("_codegen_kernel")

@@ -188,10 +188,10 @@ _WORKER_ENV_FLAG = "REPRO_IN_POOL_WORKER"
 def _in_pool_worker() -> bool:
     """True inside a multiprocessing pool worker (no nested pools).
 
-    A task that itself calls :func:`parallel_map` — e.g. an
-    ``optimize_many`` job whose flow runs ``sat_sweep(final_workers=N)``
-    — degrades to the in-process path instead of oversubscribing the
-    host with ``workers**2`` processes.
+    A task that itself calls :func:`parallel_map` — e.g. one that runs
+    ``optimize_many(workers=N)`` on its own sub-corpus — degrades to the
+    in-process path instead of oversubscribing the host with
+    ``workers**2`` processes.
     """
     return (
         multiprocessing.current_process().daemon
@@ -207,19 +207,14 @@ def parallel_map(
     costs: Optional[Sequence[float]] = None,
     labels: Optional[Sequence[str]] = None,
     warmup: Optional[Callable[[], None]] = warm_worker,
-    initializer: Optional[Callable] = None,
-    initargs: tuple = (),
 ) -> ParallelReport:
     """Map ``fn`` over ``items`` on a process pool; results in input order.
 
     ``fn`` must be a picklable (module-level) callable and a pure
     function of its item.  ``warmup`` runs once in the parent before the
     pool starts (forked workers inherit its effect) and inside every
-    worker as part of the pool initializer; ``initializer(*initargs)``
-    additionally installs per-call shared state (e.g. a CNF snapshot)
-    in each worker without re-pickling it per task.  The first task
-    exception cancels the chunks not yet started and propagates (fail
-    fast).
+    worker as part of the pool initializer.  The first task exception
+    cancels the chunks not yet started and propagates (fail fast).
 
     Degrades to an in-process loop — same chunk runner, same record
     shape, items still pickle-round-tripped into private copies,
@@ -244,8 +239,6 @@ def parallel_map(
 
     raw: List[tuple] = []
     if not use_pool:
-        if initializer is not None:
-            initializer(*initargs)
         for shard in shards:
             # Round-trip the items through pickle exactly like the pool
             # path does: tasks receive a private copy either way, so a
@@ -263,7 +256,7 @@ def parallel_map(
         with ProcessPoolExecutor(
             max_workers=min(workers, len(items)),
             initializer=_worker_init,
-            initargs=(warmup, initializer, initargs),
+            initargs=(warmup,),
         ) as pool:
             futures = [
                 pool.submit(
@@ -301,10 +294,8 @@ def parallel_map(
     )
 
 
-def _worker_init(warmup, initializer, initargs) -> None:
-    """Pool initializer: mark the worker, warm it, install shared state."""
+def _worker_init(warmup) -> None:
+    """Pool initializer: mark the worker and warm it."""
     os.environ[_WORKER_ENV_FLAG] = "1"
     if warmup is not None:
         warmup()
-    if initializer is not None:
-        initializer(*initargs)

@@ -23,9 +23,8 @@ method         completeness input width       notes
                                               conflict budget — reports
                                               *unknown* when exceeded
 ``bdd``        complete     memory-bound      canonical ROBDDs of all
-                                              outputs; fallback when the
-                                              SAT budget blows, opt-in via
-                                              ``use_bdd``
+                                              outputs; run explicitly when
+                                              the SAT budget blows
 ============== ============ ================= ==============================
 
 The automatic dispatch (``method="auto"``) runs, in order:
@@ -33,8 +32,8 @@ The automatic dispatch (``method="auto"``) runs, in order:
 1. a 64-vector **random prefilter** (fail fast on inequivalent pairs);
 2. ``num_pis <= EXHAUSTIVE_LIMIT`` → **exhaustive** simulation;
 3. otherwise **random** simulation, then **SAT sweeping** for the actual
-   proof, then — only if the SAT budget was exhausted and ``use_bdd`` is
-   set — the **BDD** backend.
+   proof.  If the SAT budget was exhausted the random verdict comes back
+   uncertified; a caller may then run ``method="bdd"``.
 
 Every backend that reports inequivalence returns a *replayable*
 counterexample, and every counterexample is validated by a one-vector
@@ -67,16 +66,6 @@ EXHAUSTIVE_LIMIT = 16
 
 #: Exhaustive simulation runs in blocks of at most this many minterms.
 _BLOCK_BITS = 16
-
-#: Exhaustive sweeps covering at least this many total minterms are worth
-#: compiling a generated simulation kernel for (:mod:`repro.codegen`).
-#: Generation costs ~15-20us per gate while the kernel saves roughly
-#: 20us per gate per 2^20 simulated minterms over the memoized closure
-#: program, so the compile breaks even near 2^20 minterms; one power of
-#: two above that keeps a 2x margin.  Narrower one-shot checks stay on
-#: ``simulate_patterns`` (whose own tiering still promotes networks that
-#: are checked repeatedly).
-_COMPILED_MIN_MINTERMS = 1 << 21
 
 #: Width of the fail-fast random pre-filter run before any complete check.
 _PREFILTER_VECTORS = 64
@@ -125,7 +114,6 @@ def check_equivalence(
     second,
     num_random_vectors: int = 4096,
     seed: int = 7,
-    use_bdd: bool = False,
     method: str = "auto",
     sat_options: Optional[dict] = None,
 ) -> EquivalenceResult:
@@ -138,9 +126,8 @@ def check_equivalence(
     ``method`` selects a specific backend (see the module docstring's
     dispatch table) or ``"auto"`` for the layered default.  ``sat_options``
     is forwarded to :func:`repro.verify.sweep.sat_sweep` (budgets, pattern
-    counts).  With ``use_bdd`` the BDD backend backstops an
-    out-of-budget SAT sweep; without it the (incomplete) random verdict is
-    returned in that case.
+    counts).  When an auto-dispatched SAT sweep runs out of budget, the
+    (incomplete) random verdict is returned with ``certified=False``.
     """
     if first.num_pis != second.num_pis:
         raise ValueError(
@@ -166,7 +153,7 @@ def check_equivalence(
         if result is None:
             raise RuntimeError(
                 "SAT sweep exhausted its conflict budget; raise the budget "
-                "via sat_options or use method='auto' with use_bdd=True"
+                "via sat_options or use method='bdd'"
             )
         return _validated(first, second, result)
 
@@ -192,11 +179,9 @@ def check_equivalence(
     proof = _check_sat_sweep(first, second, seed, sat_options)
     if proof is not None:
         return _validated(first, second, proof)
-    if use_bdd:
-        return _validated(first, second, _check_bdd(first, second))
-    # SAT budget exhausted, no BDD fallback requested: best effort is the
-    # (incomplete) random verdict — its ``certified=False`` is what tells
-    # certifying consumers this is *not* a proof.
+    # SAT budget exhausted: best effort is the (incomplete) random verdict
+    # — its ``certified=False`` is what tells certifying consumers this is
+    # *not* a proof.
     return result
 
 
@@ -219,7 +204,7 @@ def assert_equivalent(first, second, **kwargs) -> None:
         raise AssertionError(
             "equivalence NOT certified: the complete backends ran out of "
             f"budget and only {result.method} found no mismatch — raise the "
-            "budget via sat_options or pass use_bdd=True"
+            "budget via sat_options or use method='bdd'"
         )
 
 
@@ -282,30 +267,14 @@ def _input_patterns_block(num_pis: int, start: int, block_bits: int) -> List[int
     return patterns
 
 
-def _block_simulator(network, total_minterms: int):
-    """``simulate_patterns``-shaped callable, compiled when it pays off.
-
-    The decision is keyed on the *total* sweep width, not the per-block
-    width: compilation is a per-network fixed cost, so only the number of
-    minterms it amortizes over matters.
-    """
-    if total_minterms >= _COMPILED_MIN_MINTERMS:
-        compiled = getattr(network, "compiled_kernel", None)
-        if compiled is not None:
-            return compiled().simulate_auto
-    return network.simulate_patterns
-
-
 def _check_exhaustive(first, second) -> EquivalenceResult:
     num_pis = first.num_pis
     total = 1 << num_pis
     block_bits = min(total, 1 << _BLOCK_BITS)
-    simulate_first = _block_simulator(first, total)
-    simulate_second = _block_simulator(second, total)
     for start in range(0, total, block_bits):
         patterns = _input_patterns_block(num_pis, start, block_bits)
-        out_first = simulate_first(patterns, block_bits)
-        out_second = simulate_second(patterns, block_bits)
+        out_first = first.simulate_patterns(patterns, block_bits)
+        out_second = second.simulate_patterns(patterns, block_bits)
         for index, (a, b) in enumerate(zip(out_first, out_second)):
             if a != b:
                 diff = a ^ b

@@ -161,28 +161,6 @@ class SatSolver:
         self._attach(clause)
         return True
 
-    def add_clause_unchecked(self, lits: Sequence[int]) -> bool:
-        """Add one clause known to be clean, skipping the per-literal scan.
-
-        The fast path behind :meth:`repro.codegen.ClauseStream.load_into`:
-        bulk-loading a clause database that a
-        :class:`~repro.verify.cnf.GateGraph` emitted.  The caller
-        guarantees what :meth:`add_clause` would otherwise re-derive per
-        literal — no tautologies, no duplicate literals, and no literal
-        already assigned at root level (graph clauses only mention the
-        pinned constant variable in its own unit clause, which must come
-        first in graph order, as it does in ``graph.clauses``).  Variables
-        must already exist (:meth:`ensure_vars`).
-        """
-        if not self._ok:
-            return False
-        if len(lits) == 1:
-            self._enqueue(lits[0], None)
-            self._ok = self._propagate() is None
-            return self._ok
-        self._attach(list(lits))
-        return True
-
     def _attach(self, clause: list) -> None:
         self._watches[clause[0]].append(clause)
         self._watches[clause[1]].append(clause)

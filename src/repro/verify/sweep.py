@@ -34,27 +34,14 @@ topological order, over shared primary-input variables — through one
    merge.
 4. After both networks are encoded, each primary-output pair is either
    already the *same literal* (proved structurally/by merge), or is
-   decided by a final budgeted SAT call per output: UNSAT proves the
-   pair, SAT yields a counterexample, a blown budget reports *unknown*
-   so the caller can fall back to BDDs.
+   decided by a final budgeted SAT call per output on the same
+   incremental solver, whose learned clauses make later pairs cheaper:
+   UNSAT proves the pair, SAT yields a counterexample, a blown budget
+   reports *unknown*, and a caller may then run
+   ``check_equivalence(method="bdd")``.
 
 The entry point :func:`sat_sweep` works for any pair of same-interface
 networks the CNF encoder understands (MIG, AIG, mapped netlist, mixed).
-
-``final_workers`` dispatches step 4 — the per-PO budgeted final calls,
-the dominant cost on miters whose outputs resist merging — across
-worker processes through :mod:`repro.parallel`.  The clause snapshot is
-shipped to each worker once (pool initializer), but each pair is decided
-on a **fresh solver**, so every pair pays one clause-database rebuild —
-the price that makes a pair's verdict a pure function of ``(clauses,
-pair, budget)``: the same statuses and models come back at any worker
-count (including ``final_workers=1``, the in-process baseline), and the
-reported outcome is the lowest-index refuted pair, matching the serial
-scan order.  Worth it when unmerged pairs are few and each is hard (the
-per-pair SAT search dwarfs the rebuild); the default (``None``) keeps
-the classical sequential scan on the shared incremental solver, whose
-learned clauses make later pairs cheaper — preferable when pairs are
-many and individually easy, or mostly merged during encoding.
 """
 
 from __future__ import annotations
@@ -63,7 +50,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..codegen.clausegen import ClauseStream
 from ..codegen.graphsim import GraphSimKernel
 from .cnf import GateGraph, encode_network, eval_gate
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
@@ -290,44 +276,6 @@ class _Sweeper:
         return "unknown"
 
 
-#: Worker-process snapshot installed once per worker by the pool
-#: initializer: ``(clause_stream, num_pis, budget)``.
-_FINAL_STATE = None
-
-
-def _install_final_state(stream, num_pis, budget) -> None:
-    global _FINAL_STATE
-    _FINAL_STATE = (stream, num_pis, budget)
-
-
-def _final_pair(pair):
-    """Decide one unmerged primary-output pair on a fresh solver.
-
-    A fresh solver per pair (rather than one shared per worker) is what
-    makes the verdict independent of which pairs share a worker — the
-    determinism contract of :mod:`repro.parallel` requires it.  The
-    clause database is rebuilt from the generated
-    :class:`~repro.codegen.ClauseStream` snapshot through the solver's
-    unchecked bulk loader, so the per-pair rebuild skips the per-literal
-    clause re-validation the graph already performed at emission time.
-    Returns ``(status_a, status_b, counterexample_or_None, sat_calls,
-    conflicts)``.
-    """
-    stream, num_pis, budget = _FINAL_STATE
-    a, b = pair
-    solver = SatSolver()
-    stream.load_into(solver)
-    res_a = solver.solve([a, b ^ 1], max_conflicts=budget)
-    if res_a == SAT:
-        model = [solver.model_value((1 + i) << 1) for i in range(num_pis)]
-        return (res_a, None, model, 1, solver.num_conflicts)
-    res_b = solver.solve([a ^ 1, b], max_conflicts=budget)
-    model = None
-    if res_b == SAT:
-        model = [solver.model_value((1 + i) << 1) for i in range(num_pis)]
-    return (res_a, res_b, model, 2, solver.num_conflicts)
-
-
 def sat_sweep(
     first,
     second,
@@ -336,7 +284,6 @@ def sat_sweep(
     merge_conflict_budget: int = 2_000,
     output_conflict_budget: int = 200_000,
     max_refinements: int = 512,
-    final_workers: Optional[int] = None,
     probe_flush_bits: int = _DEFAULT_PROBE_FLUSH_BITS,
 ) -> SweepOutcome:
     """Decide equivalence of ``first`` and ``second`` by SAT sweeping.
@@ -348,9 +295,7 @@ def sat_sweep(
     separately (``merge_conflict_budget``) because a failed merge only
     costs later queries some sharing, never soundness.
 
-    ``final_workers`` (see module docstring) dispatches the final per-PO
-    calls across processes; verdicts are bit-identical at any worker
-    count.  ``probe_flush_bits`` sets the refutation-batch width: queued
+    ``probe_flush_bits`` sets the refutation-batch width: queued
     counterexample patterns are folded into the simulation signatures in
     sub-word vectorized batches of this size (``1`` recovers the
     per-probe flushing baseline; the verdict is identical either way —
@@ -405,54 +350,10 @@ def sat_sweep(
             return finish(SweepOutcome(INEQUIVALENT, counterexample, index))
 
     # Final, complete decision per unmerged primary-output pair.
-    pending = [
-        (index, a, b)
-        for index, (a, b) in enumerate(zip(pos_first, pos_second))
-        if a != b  # pairs merged during encoding are already proved
-    ]
-
-    if final_workers is not None and pending:
-        from ..parallel.executor import parallel_map
-
-        global _FINAL_STATE
-        try:
-            report = parallel_map(
-                _final_pair,
-                [(a, b) for _, a, b in pending],
-                workers=final_workers,
-                labels=[f"po{index}" for index, _, _ in pending],
-                warmup=None,
-                initializer=_install_final_state,
-                initargs=(
-                    ClauseStream.from_graph(graph),
-                    graph.num_pis,
-                    output_conflict_budget,
-                ),
-            )
-            unknown = False
-            stats["final_workers"] = report.workers
-            stats["final_pairs"] = len(pending)
-            for (index, _, _), outcome in zip(pending, report.results):
-                res_a, res_b, model, calls, conflicts = outcome
-                stats["sat_calls"] += calls
-                stats["final_conflicts"] = stats.get("final_conflicts", 0) + conflicts
-                if model is not None:
-                    # Lowest-index refutation wins, matching the serial scan.
-                    return finish(SweepOutcome(INEQUIVALENT, model, index))
-                if res_a != UNSAT or (res_b is not None and res_b != UNSAT):
-                    unknown = True
-            if unknown:
-                return finish(SweepOutcome(UNKNOWN))
-            return finish(SweepOutcome(EQUIVALENT))
-        finally:
-            # The in-process fallback installs the snapshot in *this*
-            # process; drop it so the full clause list (potentially the
-            # largest miter ever swept) is not pinned for the process
-            # lifetime.  Worker-side copies die with the pool.
-            _FINAL_STATE = None
-
     unknown = False
-    for index, a, b in pending:
+    for index, (a, b) in enumerate(zip(pos_first, pos_second)):
+        if a == b:
+            continue  # merged during encoding: already proved
         sweeper._sync_solver()
         solver = sweeper.solver
         stats["sat_calls"] += 1

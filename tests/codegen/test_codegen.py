@@ -4,11 +4,12 @@ The contract under test (see the :mod:`repro.codegen` package docstring):
 for *any* network state — including after arbitrary in-place mutation
 sequences, ``assign_from`` resets and pickle round-trips — the generated
 simulation kernel is bit-identical to the interpreted per-gate oracle,
-and the generated Tseitin clause stream is clause-for-clause identical to
-a direct per-gate ``gate_truth_table`` encode of the same network.  The
-mutation sequences mirror ``tests/network/test_cuts_incremental.py``; the
-staleness tests additionally pin regeneration against every mutation
-notification class the kernel emits (retarget, node death, reset).
+and the IR-driven CNF encoder (``encode_network``) is clause-for-clause
+identical to a direct per-gate ``gate_truth_table`` encode of the same
+network.  The mutation sequences mirror
+``tests/network/test_cuts_incremental.py``; the staleness tests
+additionally pin regeneration against every mutation notification class
+the kernel emits (retarget, node death, reset).
 """
 
 import pickle
@@ -16,19 +17,11 @@ import random
 
 import pytest
 
-from repro.codegen import (
-    ClauseStream,
-    GraphSimKernel,
-    clause_stream,
-    compile_network_kernel,
-    has_numpy,
-    network_ir,
-)
+from repro.codegen import GraphSimKernel, network_ir
 from repro.core import mutate_network
 from repro.core.signal import make_signal, negate
 from repro.mapping import default_library, map_mig
 from repro.verify.cnf import FALSE_LIT, GateGraph, encode_network, eval_gate
-from repro.verify.sat import SAT, UNSAT, SatSolver
 
 
 def _random_patterns(rng, num_pis, num_bits):
@@ -58,23 +51,22 @@ def _oracle_encode(graph, net):
 
 
 def _assert_generated_matches(net, rng, num_bits=192):
-    """Kernel (both backends) == oracle; clause stream == oracle encode."""
+    """Kernel == oracle simulation; ``encode_network`` == oracle encode."""
     patterns = _random_patterns(rng, net.num_pis, num_bits)
     expected = _oracle_simulation(net, patterns, num_bits)
     kernel = net.compiled_kernel()
     assert kernel.simulate(patterns, num_bits) == expected
-    if has_numpy():
-        assert kernel.simulate_blocks(patterns, num_bits) == expected
     # The public entry point (whatever tier it picked) must agree too.
     assert net.simulate_patterns(patterns, num_bits) == expected
     assert net.simulate_patterns_interpreted(patterns, num_bits) == expected
 
     oracle_graph = GateGraph(net.num_pis)
     oracle_pos = _oracle_encode(oracle_graph, net)
-    stream = clause_stream(net)
-    assert stream.clause_lists() == oracle_graph.clauses
-    assert stream.po_lits == tuple(oracle_pos)
-    assert stream.num_vars == oracle_graph.num_vars
+    graph = GateGraph(net.num_pis)
+    pos = encode_network(graph, net)
+    assert graph.clauses == oracle_graph.clauses
+    assert pos == oracle_pos
+    assert graph.num_vars == oracle_graph.num_vars
 
 
 class TestDifferentialAgainstOracle:
@@ -110,11 +102,9 @@ class TestDifferentialAgainstOracle:
         patterns = _random_patterns(rng, net.num_pis, 128)
         expected = net.simulate_patterns(patterns, 128)
         net.compiled_kernel()
-        clause_stream(net)
         clone = pickle.loads(pickle.dumps(net))
         # Generated artifacts never cross the pickle boundary.
-        for key in ("_codegen_kernel", "_codegen_ir", "_codegen_clauses",
-                    "_sim_seen_serial"):
+        for key in ("_codegen_kernel", "_codegen_ir", "_sim_seen_serial"):
             assert key not in clone.__dict__, key
         assert clone.simulate_patterns(patterns, 128) == expected
         _assert_generated_matches(clone, rng)
@@ -171,14 +161,12 @@ class TestStalenessPerEventClass:
     """
 
     def _charge(self, net, rng):
-        net.compiled_kernel()
-        clause_stream(net)
-        return (net.__dict__["_codegen_kernel"], net.__dict__["_codegen_clauses"])
+        return (net.compiled_kernel(), network_ir(net))
 
     def _assert_regenerated(self, net, rng, old):
         _assert_generated_matches(net, rng)
         assert net.__dict__["_codegen_kernel"] is not old[0]
-        assert net.__dict__["_codegen_clauses"] is not old[1]
+        assert net.__dict__["_codegen_ir"] is not old[1]
 
     def test_retarget_event(self, network_forge):
         rng = random.Random(31)
@@ -240,8 +228,6 @@ class TestMappedNetlist:
         patterns = _random_patterns(rng, netlist.num_pis, 192)
         expected = netlist.simulate_patterns_interpreted(patterns, 192)
         assert netlist.simulate_patterns(patterns, 192) == expected
-        if has_numpy():
-            assert netlist.compiled_kernel().simulate_blocks(patterns, 192) == expected
         # Growing the netlist invalidates the shape-keyed kernel.
         kernel = netlist.__dict__["_codegen_kernel"]
         out = netlist.instances[-1].output
@@ -263,53 +249,25 @@ class TestMappedNetlist:
         assert clone.simulate_patterns(patterns, 64) == expected
 
 
-class TestClauseStream:
+class TestNetworkIrCache:
     @pytest.mark.parametrize("kind", ["mig", "aig"])
-    def test_pickle_round_trip(self, network_forge, kind):
-        net = network_forge(kind=kind, gate_mix="mixed", num_pis=7,
-                            num_gates=50, num_pos=4, seed=13)
-        stream = clause_stream(net)
-        clone = pickle.loads(pickle.dumps(stream))
-        assert clone.clause_lists() == stream.clause_lists()
-        assert clone.po_lits == stream.po_lits
-        assert clone.num_vars == stream.num_vars
-        assert clone.num_pis == stream.num_pis
-
-    def test_unchecked_load_agrees_with_checked(self, network_forge):
-        """Solver verdicts from the bulk loader == per-clause add_clause."""
-        net = network_forge(kind="mig", gate_mix="mixed", num_pis=7,
-                            num_gates=60, num_pos=4, seed=17)
-        stream = clause_stream(net)
-        for po_lit in stream.po_lits:
-            fast, slow = SatSolver(), SatSolver()
-            assert stream.load_into(fast)
-            slow.ensure_vars(stream.num_vars)
-            for clause in stream.clauses():
-                slow.add_clause(clause)
-            for assumption in (po_lit, po_lit ^ 1):
-                res_fast = fast.solve([assumption])
-                res_slow = slow.solve([assumption])
-                assert res_fast == res_slow
-                if res_fast == SAT:
-                    pis = [(1 + i) << 1 for i in range(stream.num_pis)]
-                    model = [fast.model_value(p) for p in pis]
-                    # The model must replay on the network itself: assuming
-                    # the PO literal forces the output high, its negation low.
-                    outputs = net.simulate([bool(b) for b in model])
-                    index = stream.po_lits.index(po_lit)
-                    assert outputs[index] == (assumption == po_lit)
-
-    def test_serial_cache_hits_and_invalidates(self, network_forge):
-        net = network_forge(kind="aig", gate_mix="mixed", num_pis=6,
+    def test_hits_and_invalidates(self, network_forge, kind):
+        """``network_ir`` is reused while the network is unchanged and
+        rebuilt after a mutation; the CNF encoded from the rebuilt IR
+        matches the per-gate oracle encode."""
+        net = network_forge(kind=kind, gate_mix="mixed", num_pis=6,
                             num_gates=40, seed=19)
-        stream = clause_stream(net)
-        assert clause_stream(net) is stream
+        program = network_ir(net)
+        assert network_ir(net) is program
         mutate_network(net, seed=20, in_place=True)
-        fresh = clause_stream(net)
-        assert fresh is not stream
+        fresh = network_ir(net)
+        assert fresh is not program
+        assert network_ir(net) is fresh
         oracle = GateGraph(net.num_pis)
-        _oracle_encode(oracle, net)
-        assert fresh.clause_lists() == oracle.clauses
+        oracle_pos = _oracle_encode(oracle, net)
+        graph = GateGraph(net.num_pis)
+        assert encode_network(graph, net) == oracle_pos
+        assert graph.clauses == oracle.clauses
 
 
 class TestGraphSimKernel:
@@ -334,32 +292,54 @@ class TestGraphSimKernel:
             assert values == oracle, f"divergence after growth round {round_index}"
 
 
-class TestEquivalenceIntegration:
-    """``_check_exhaustive`` engages compiled kernels by total sweep width."""
+def _interpreted_exhaustive(first, second):
+    """Reference exhaustive sweep: a block loop over the closure program.
 
-    def test_compiled_sweep_matches_interpreted_verdicts(
-        self, network_forge, monkeypatch
-    ):
-        from repro.verify import equivalence
+    Returns ``(equivalent, counterexample, failing_output)``.
+    """
+    from repro.verify.equivalence import _input_patterns_block
+
+    num_pis = first.num_pis
+    block_bits = 1 << 16
+    for start in range(0, 1 << num_pis, block_bits):
+        patterns = _input_patterns_block(num_pis, start, block_bits)
+        out_first = first.simulate_patterns_interpreted(patterns, block_bits)
+        out_second = second.simulate_patterns_interpreted(patterns, block_bits)
+        for index, (a, b) in enumerate(zip(out_first, out_second)):
+            if a != b:
+                diff = a ^ b
+                minterm = start + (diff & -diff).bit_length() - 1
+                return False, [bool((minterm >> k) & 1) for k in range(num_pis)], index
+    return True, None, None
+
+
+class TestEquivalenceIntegration:
+    """``_check_exhaustive`` rides ``simulate_patterns``' promotion."""
+
+    def test_wide_sweep_compiles_and_matches_interpreted(self, network_forge):
         from repro.verify.equivalence import check_equivalence
 
-        net = network_forge(kind="mig", gate_mix="mixed", num_pis=8,
-                            num_gates=60, seed=77)
-        pairs = [(net, net.copy()), (net, mutate_network(net, seed=78)[0])]
-        for first, second in pairs:
-            monkeypatch.setattr(equivalence, "_COMPILED_MIN_MINTERMS", 1 << 30)
-            interpreted = check_equivalence(first, second, method="exhaustive")
-            monkeypatch.setattr(equivalence, "_COMPILED_MIN_MINTERMS", 1)
+        net = network_forge(kind="mig", gate_mix="mixed", num_pis=18,
+                            num_gates=80, num_pos=4, seed=77)
+        mutant = net.copy()
+        # Differs from ``net`` only where the two top PIs are both 1, i.e.
+        # in the last of the four 2^16-minterm blocks, which the sweep
+        # reaches on the promoted kernels.
+        pis = [make_signal(node) for node in mutant.pi_nodes()]
+        rare = mutant.and_(pis[16], pis[17])
+        mutant.set_po(0, mutant.or_(mutant.po_signals()[0], rare))
+        for second, equivalent in ((net.copy(), True), (mutant, False)):
+            first = net.copy()
+            expected = _interpreted_exhaustive(first, second)
+            assert expected[0] == equivalent
+            result = check_equivalence(first, second, method="exhaustive")
             for target in (first, second):
-                target.__dict__.pop("_codegen_kernel", None)
-                target.__dict__.pop("_codegen_kernel_serial", None)
-            compiled = check_equivalence(first, second, method="exhaustive")
-            assert "_codegen_kernel" in first.__dict__, (
-                "compiled tier did not engage above the minterm threshold"
-            )
-            assert compiled.equivalent == interpreted.equivalent
-            assert compiled.counterexample == interpreted.counterexample
-            assert compiled.failing_output == interpreted.failing_output
+                assert "_codegen_kernel" in target.__dict__, (
+                    "a multi-block sweep did not promote to the compiled kernel"
+                )
+            assert (
+                result.equivalent, result.counterexample, result.failing_output
+            ) == expected
 
     def test_narrow_one_shot_does_not_compile(self, network_forge):
         from repro.verify.equivalence import check_equivalence

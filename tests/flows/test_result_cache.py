@@ -195,6 +195,13 @@ class TestFlowConfig:
         with pytest.raises(ValueError):
             canonical_flow_config("mighty", {"reshape_params": object()})
 
+    def test_unknown_mighty_option_rejected(self):
+        """Regression: ``pi_probabilities`` was accepted and ignored by
+        ``mighty_optimize``, so passing it split one computation across
+        two cache keys."""
+        with pytest.raises(TypeError):
+            canonical_flow_config("mighty", {"pi_probabilities": {"a": 0.9}})
+
     def test_defaults_are_resolved(self, network_forge):
         """Regression: an omitted option and its explicit default are one
         computation and share a key; a non-default value never does."""

@@ -48,19 +48,16 @@ def _record_call(x):
     return _fail_on_three(x)
 
 
-_SHARED = {}
-
-
-def _install_offset(offset):
-    _SHARED["offset"] = offset
-
-
-def _add_offset(x):
-    return x + _SHARED["offset"]
-
-
 def _noop_warmup():
     """Cheap warm-up for executor unit tests (skips the NPN preload)."""
+
+
+def _sweep_verdict(pair):
+    """Run ``sat_sweep`` on one network pair; keep only the verdict."""
+    from repro.verify.sweep import sat_sweep
+
+    outcome = sat_sweep(*pair)
+    return (outcome.status, outcome.failing_output, outcome.counterexample)
 
 
 def _nested_map(x):
@@ -182,15 +179,6 @@ class TestParallelMap:
         )
         assert report.results == [2, 3]
         assert items == [[1], [2, 3]]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_initializer_installs_shared_state(self, workers):
-        report = parallel_map(
-            _add_offset, [1, 2, 3], workers=workers, warmup=_noop_warmup,
-            initializer=_install_offset, initargs=(100,),
-        )
-        assert report.results == [101, 102, 103]
-        assert report.parallel == (workers > 1)
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
@@ -332,30 +320,31 @@ class TestCorpusRows:
 
 
 # --------------------------------------------------------------------- #
-# Parallel per-PO final SAT calls (verify/sweep.py)
+# sat_sweep inside pool workers (verify/sweep.py)
 # --------------------------------------------------------------------- #
-class TestSweepFinalWorkers:
-    def test_verdicts_identical_across_worker_counts(self, network_forge, mutant_forge):
-        from repro.verify.sweep import sat_sweep
-
+class TestSweepInPoolWorkers:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verdicts_equal_in_process_sweep(self, network_forge, mutant_forge, workers):
+        """The final per-output scan runs on the sweeper's own solver, so
+        a sweep sharded into pool workers returns the in-process verdicts
+        and counterexamples."""
         base = network_forge(kind="mig", gate_mix="mixed", num_pis=17,
                              num_gates=120, num_pos=8, seed=21)
         optimized = pickle.loads(pickle.dumps(base))
         mighty_optimize(optimized, rounds=1, depth_effort=1)
         mutant, _ = mutant_forge(base, seed=5)
+        pairs = [(base, optimized), (base, mutant)]
 
-        for first, second in ((base, optimized), (base, mutant)):
-            serial = sat_sweep(first, second)
-            runs = {
-                workers: sat_sweep(first, second, final_workers=workers)
-                for workers in WORKER_COUNTS
-            }
-            for workers, outcome in runs.items():
-                assert outcome.status == serial.status, f"workers={workers}"
-                assert outcome.failing_output == runs[1].failing_output
-                assert outcome.counterexample == runs[1].counterexample
-                if outcome.counterexample is not None:
-                    replay_first = first.simulate(outcome.counterexample)
-                    replay_second = second.simulate(outcome.counterexample)
-                    index = outcome.failing_output
-                    assert replay_first[index] != replay_second[index]
+        serial = [_sweep_verdict(pair) for pair in pairs]
+        report = parallel_map(
+            _sweep_verdict, pairs, workers=workers, warmup=_noop_warmup
+        )
+        assert report.parallel == (workers > 1)
+        assert report.results == serial
+        assert serial[0][0] == "equivalent"
+        for (first, second), (status, index, counterexample) in zip(pairs, serial):
+            if counterexample is not None:
+                assert status == "inequivalent"
+                assert first.simulate(counterexample)[index] != (
+                    second.simulate(counterexample)[index]
+                )

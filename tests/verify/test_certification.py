@@ -70,6 +70,24 @@ def test_assert_equivalent_rejects_uncertified_verdict(network_forge):
     assert_equivalent(net, opt, method="random")
 
 
+def test_starved_forced_sweep_raises_and_bdd_certifies(network_forge):
+    """A forced ``sat-sweep`` that blows its budget has no verdict to
+    return; the error names the BDD backend, which then certifies."""
+    net, opt = _wide_pair(network_forge)
+    with pytest.raises(RuntimeError, match="method='bdd'"):
+        check_equivalence(net, opt, method="sat-sweep", sat_options=_STARVED)
+    result = check_equivalence(net, opt, method="bdd")
+    assert result.equivalent is True
+    assert result.certified is True
+
+
+def test_uncertified_rejection_names_bdd_backend(network_forge):
+    net, opt = _wide_pair(network_forge)
+    with pytest.raises(AssertionError, match="method='bdd'"):
+        assert_equivalent(net, opt, sat_options=_STARVED)
+    assert_equivalent(net, opt, method="bdd")
+
+
 def test_optimization_row_rejects_uncertified_verdict(monkeypatch):
     def _uncertified(first, second, **kwargs):
         return EquivalenceResult(
