@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Regenerate the committed NPN structure database from first principles.
+"""Regenerate the committed NPN data files from first principles.
 
-Derives the MIG and AIG Pareto fronts of all 222 NPN classes and rewrites
-``src/repro/network/structure_db.json``, the package data file every
-process loads.  Without ``--exact`` the result is the fast
-(decomposition) tier; ``--exact`` adds the budget-bounded SAT tier.
-Review the data diff like a code change: it shifts ``mig_rewrite``
-results and every result-cache key.
+Derives the 65,536-entry canonical map by a closure over the NPN
+transform group and rewrites ``src/repro/network/npn_canonical.bin``;
+then derives the MIG and AIG Pareto fronts of all 222 NPN classes and
+rewrites ``src/repro/network/structure_db.json``.  Every process loads
+both files as package data.  Without ``--exact`` the database is the
+fast (decomposition) tier; ``--exact`` adds the budget-bounded SAT tier.
+Review a data diff like a code change: it shifts ``mig_rewrite`` results
+and every result-cache key.
 
     PYTHONPATH=src python benchmarks/regen_structure_db.py [--exact] [--workers N]
 """
@@ -14,7 +16,14 @@ results and every result-cache key.
 import argparse
 import sys
 
-from repro.network.npn import STRUCTURE_DB_PATH, derive_structures_parallel, write_structure_db
+from repro.network.npn import (
+    CANONICAL_MAP_PATH,
+    STRUCTURE_DB_PATH,
+    _derive_canonical_map,
+    derive_structures_parallel,
+    write_canonical_map,
+    write_structure_db,
+)
 
 
 def main(argv):
@@ -22,6 +31,8 @@ def main(argv):
     parser.add_argument("--exact", action="store_true", help="add the exact-synthesis tier")
     parser.add_argument("--workers", type=int, default=None, help="derivation processes")
     args = parser.parse_args(argv)
+    write_canonical_map(CANONICAL_MAP_PATH, _derive_canonical_map())
+    print(f"{CANONICAL_MAP_PATH}: {CANONICAL_MAP_PATH.stat().st_size} bytes")
     fronts, stats = derive_structures_parallel(workers=args.workers, exact=args.exact)
     write_structure_db(STRUCTURE_DB_PATH, fronts)
     print(f"{STRUCTURE_DB_PATH}: {stats['entries']} entries, {stats['classes']} classes "

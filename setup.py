@@ -2,7 +2,8 @@
 
 The package lives under ``src/``; ``pip install -e .`` (or running from
 the repository root with ``PYTHONPATH=src``) makes ``import repro`` work.
-The NPN structure database ships as package data next to its loader.
+The NPN canonical map and structure database ship as package data next
+to their loader.
 """
 
 from setuptools import find_packages, setup
@@ -11,5 +12,5 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro.network": ["structure_db.json"]},
+    package_data={"repro.network": ["npn_canonical.bin", "structure_db.json"]},
 )

@@ -158,19 +158,17 @@ def _try_activity_relevance(
                 continue
             if not any(node_of(f) == x_node for n in cone for f in mig.fanins(n)):
                 continue
-            best = (z, x, y, x_node)
+            best = (z, x, y, x_node, cone)
             break
         if best is not None:
             break
     if best is None:
         return None
 
-    z, x, y, x_node = best
+    z, x, y, x_node, cone = best
     size_before = mig.num_gates
     replacement_target = negate_if(negate(y), is_complemented(x))
-    new_z = rebuild_cone(mig, z, {x_node: replacement_target}, cone_bound)
-    if new_z is None:
-        return None
+    new_z = rebuild_cone(mig, z, cone, {x_node: replacement_target})
     replacement = mig.maj(x, y, new_z)
     if not mig.substitute(node, replacement):
         mig.cleanup()

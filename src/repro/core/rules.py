@@ -112,19 +112,18 @@ def cone_size(mig: Mig, root: int, bound: int = 10_000) -> int:
 def rebuild_cone(
     mig: Mig,
     root: int,
+    nodes: List[int],
     replacements: Dict[int, int],
-    bound: int = DEFAULT_CONE_BOUND,
-) -> Optional[int]:
+) -> int:
     """Rebuild the cone of ``root`` applying a node→signal replacement map.
 
-    ``replacements`` maps a node index to the signal that its *regular*
-    output should become.  Every gate of the cone is re-expressed through
-    :meth:`Mig.maj`, so simplifications propagate.  Returns the new signal
-    for ``root`` or ``None`` when the cone exceeds ``bound`` gates.
+    ``nodes`` is the cone as :func:`cone_nodes` returned it; callers
+    rebuilding one cone several times walk it once, since a rebuild only
+    adds nodes.  ``replacements`` maps a node index to the signal that its
+    *regular* output should become.  Every gate of the cone is
+    re-expressed through :meth:`Mig.maj`, so simplifications propagate.
+    Returns the new signal for ``root``.
     """
-    nodes = cone_nodes(mig, root, bound)
-    if nodes is None:
-        return None
     mapping: Dict[int, int] = dict(replacements)
 
     def mapped(signal: int) -> int:
@@ -460,9 +459,7 @@ def try_relevance(
                 continue
             size_before = mig.num_gates
             replacement_target = negate_if(negate(y), is_complemented(x))
-            new_z = rebuild_cone(mig, z, {x_node: replacement_target}, bound)
-            if new_z is None:
-                continue
+            new_z = rebuild_cone(mig, z, cone, {x_node: replacement_target})
             created = mig.num_gates - size_before
             if created > len(cone) + max_growth:
                 continue  # too much duplication; dangling nodes are swept later
@@ -510,10 +507,8 @@ def try_substitution(
     u = u_node * 2
 
     size_before = mig.num_gates
-    k_v_u = rebuild_cone(mig, root, {v_node: u}, bound)
-    k_v_nu = rebuild_cone(mig, root, {v_node: negate(u)}, bound)
-    if k_v_u is None or k_v_nu is None:
-        return False
+    k_v_u = rebuild_cone(mig, root, cone, {v_node: u})
+    k_v_nu = rebuild_cone(mig, root, cone, {v_node: negate(u)})
     replacement = mig.maj(
         v,
         mig.maj(negate(v), k_v_u, u),

@@ -3,11 +3,12 @@
 One JSON file per entry under ``cache_dir`` (the :mod:`repro.cache`
 idiom).  The key covers the input's node-id-independent
 :func:`~repro.parallel.corpus.canonical_fingerprint`, the resolved flow
-and options (defaults filled in), the package sources and the NPN
-structure database.  Networks are stored as JSON that preserves node
-ids, so a hit is bit-identical to re-running; decoding rebuilds the
-kernel bookkeeping, runs nothing from the file, and must pass
-``check_integrity`` and the structural-fingerprint replay.
+and options (defaults filled in), the package sources, the NPN
+canonical map and the NPN structure database.  Networks are stored as
+JSON that preserves node ids, so a hit is bit-identical to re-running;
+decoding rebuilds the kernel bookkeeping, runs nothing from the file,
+and must pass ``check_integrity`` and the structural-fingerprint
+replay.
 """
 
 from __future__ import annotations
@@ -50,15 +51,17 @@ def code_fingerprint() -> str:
 
 def result_cache_key(network, flow: str, options: Optional[Dict] = None) -> str:
     """The content address of one (circuit, flow, options) computation."""
-    from ..network.npn import structure_db_digest
+    from ..network.npn import canonical_map_digest, structure_db_digest
     from ..parallel.executor import warm_worker
 
     warm_worker()  # digest the whole database, as the flows will see it
+    # The map's transforms decide which structure mig_rewrite replays.
     return content_key(
         CACHE_FORMAT_VERSION,
         canonical_fingerprint(network),
         canonical_flow_config(flow, options),
         code_fingerprint(),
+        canonical_map_digest(),
         structure_db_digest(),
     )
 

@@ -12,11 +12,12 @@ module provides the three pieces:
   / ``compose``, all operating on 16-bit truth tables in the 4-variable
   space (smaller functions are first padded with :func:`extend_table`);
 * :func:`npn_canonical`: the canonical representative of a table plus the
-  recorded transform mapping the table onto it.  The full 65,536-entry
-  map is derived once per process by a breadth-first closure over the
-  transform group's generators (adjacent swaps, single-input negations,
-  output negation), each implemented as an O(1) mask-and-shift on the
-  table — far cheaper than scoring all 768 transforms per function;
+  recorded transform mapping the table onto it, read from the full
+  65,536-entry map.  The map ships with the package as
+  ``npn_canonical.bin`` (one class index and one transform-group index
+  per table) and is loaded once per process; the loader checks the
+  file's checksum, lengths, index ranges and that every representative
+  maps to itself, and raises ``ValueError`` otherwise;
 * the structure database: for every canonical class, a **top-k list** of
   MIG and AIG implementations (:class:`DbEntry`) forming the Pareto front
   on (size, depth) — list head is size-optimal-first, list tail is the
@@ -30,10 +31,11 @@ validated before it is trusted — its program is replayed over the
 projection tables and must reproduce the class function, each class list
 must be a strict Pareto front, and each kind must cover all 222 classes —
 so a damaged file raises ``ValueError`` instead of serving wrong logic.
-Nothing is derived at run time: the derivation code at the end of this
-module is the offline tool that writes the file
-(``benchmarks/regen_structure_db.py``).  Its fast tier derives candidates
-by Shannon/XOR decomposition with structural hashing, polished by the
+Nothing is derived at run time.  ``benchmarks/regen_structure_db.py``
+writes both files offline: the canonical map from a closure over the
+transform group's generators, the database from the derivation code at
+the end of this module, whose fast tier derives candidates by
+Shannon/XOR decomposition with structural hashing, polished by the
 repository's size *and* depth optimizers; an optional exact tier
 (:mod:`repro.synth.exact`, via ``derive_structures_parallel(exact=True)``)
 adds SAT-proven size/depth-optimal programs where the conflict budget
@@ -49,7 +51,11 @@ describes how the argument's inputs are wired onto ``f``'s inputs.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
+import struct
+import zlib
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -68,6 +74,10 @@ __all__ = [
     "extend_table",
     "npn_canonical",
     "npn_representatives",
+    "CANONICAL_MAP_PATH",
+    "load_canonical_map",
+    "write_canonical_map",
+    "canonical_map_digest",
     "DbEntry",
     "entry_truth_table",
     "get_structure",
@@ -167,8 +177,116 @@ def extend_table(table: int, num_vars: int) -> int:
 
 
 # --------------------------------------------------------------------- #
-# Canonical map (derived once per process)
+# Canonical map (committed package data)
 # --------------------------------------------------------------------- #
+#: The committed canonical map (package data, written offline by
+#: ``benchmarks/regen_structure_db.py``).
+CANONICAL_MAP_PATH = Path(__file__).with_name("npn_canonical.bin")
+
+#: Bumped when the canonical-map file layout changes (other versions are
+#: rejected).
+_MAP_FORMAT_VERSION = 1
+
+_NUM_TABLES = 1 << 16
+_MAP_HEADER = struct.pack("<4sH", b"NPNC", _MAP_FORMAT_VERSION)  # magic, version
+_MAP_REPS = struct.Struct(f"<{NUM_NPN_CLASSES}H")
+_MAP_TRANSFORMS = struct.Struct(f"<{_NUM_TABLES}H")
+_MAP_SIZE = len(_MAP_HEADER) + _MAP_REPS.size + _NUM_TABLES + _MAP_TRANSFORMS.size
+_PERMUTATIONS = tuple(itertools.permutations(range(4)))
+
+
+def _transform_group() -> List[NpnTransform]:
+    """All 768 transforms in file order.
+
+    ``index = (output_neg * 16 + input_neg) * 24 + rank(perm)``, with
+    ``rank`` the position in ``itertools.permutations(range(4))``.
+    """
+    return [
+        _intern(perm, input_neg, output_neg)
+        for output_neg in (False, True)
+        for input_neg in range(16)
+        for perm in _PERMUTATIONS
+    ]
+
+
+def write_canonical_map(path, canon: List[Tuple[int, NpnTransform]]) -> None:
+    """Write a 65,536-entry canonical map in the layout the loader reads.
+
+    A zlib stream of: the header, the sorted representatives (uint16),
+    one class index per table (uint8) and one transform-group index per
+    table (uint16), all little-endian.  The bytes are a deterministic
+    function of the map.
+    """
+    reps = sorted({rep for rep, _ in canon})
+    if len(canon) != _NUM_TABLES or len(reps) != NUM_NPN_CLASSES:
+        raise ValueError("not a complete canonical map")
+    class_of = {rep: index for index, rep in enumerate(reps)}
+    index_of = {transform: index for index, transform in enumerate(_transform_group())}
+    payload = b"".join([
+        _MAP_HEADER,
+        _MAP_REPS.pack(*reps),
+        bytes(class_of[rep] for rep, _ in canon),
+        _MAP_TRANSFORMS.pack(*(index_of[transform] for _, transform in canon)),
+    ])
+    Path(path).write_bytes(zlib.compress(payload, 9))
+
+
+def load_canonical_map(path=CANONICAL_MAP_PATH) -> Tuple[List[Tuple[int, NpnTransform]], str]:
+    """Read and check a file written by :func:`write_canonical_map`.
+
+    Returns the map and a digest of its contents.  A failed checksum, a
+    wrong version or length, an out-of-range index, representatives that
+    are not 222 strictly increasing tables, or a representative that does
+    not map to itself under the identity raises ``ValueError``.  Every
+    table's transform is checked by the tests, not here: an
+    ``apply_transform`` sweep would cost more than deriving the map.
+    """
+    try:
+        raw = zlib.decompress(Path(path).read_bytes())
+    except zlib.error as exc:
+        raise ValueError(f"{path}: corrupt canonical map ({exc})") from exc
+    if raw[:len(_MAP_HEADER)] != _MAP_HEADER:
+        raise ValueError(f"{path}: not a v{_MAP_FORMAT_VERSION} canonical map")
+    if len(raw) != _MAP_SIZE:
+        raise ValueError(f"{path}: canonical map has {len(raw)} bytes, expected {_MAP_SIZE}")
+    offset = len(_MAP_HEADER)
+    reps = _MAP_REPS.unpack_from(raw, offset)
+    offset += _MAP_REPS.size
+    classes = raw[offset:offset + _NUM_TABLES]
+    transforms = _MAP_TRANSFORMS.unpack_from(raw, offset + _NUM_TABLES)
+    if any(a >= b for a, b in zip(reps, reps[1:])):
+        raise ValueError(f"{path}: representatives are not strictly increasing")
+    group = _transform_group()
+    if max(classes) >= NUM_NPN_CLASSES or max(transforms) >= len(group):
+        raise ValueError(f"{path}: class or transform index out of range")
+    canon = [(reps[c], group[t]) for c, t in zip(classes, transforms)]
+    for rep in reps:
+        if canon[rep] != (rep, IDENTITY_TRANSFORM):
+            raise ValueError(f"{path}: representative {rep:#06x} does not map to itself")
+    return canon, hashlib.sha256(raw).hexdigest()
+
+
+#: ``(map, digest)`` of the committed file, loaded on first use.
+_CANON: Optional[Tuple[List[Tuple[int, NpnTransform]], str]] = None
+
+
+def _loaded_canonical_map() -> Tuple[List[Tuple[int, NpnTransform]], str]:
+    global _CANON
+    if _CANON is None:
+        _CANON = load_canonical_map(CANONICAL_MAP_PATH)
+    return _CANON
+
+
+def _canonical_map() -> List[Tuple[int, NpnTransform]]:
+    """``table -> (canonical table, transform table→canonical)`` for all 2^16."""
+    return _loaded_canonical_map()[0]
+
+
+def canonical_map_digest() -> str:
+    """Content digest of the loaded canonical map (equal in every process)."""
+    return _loaded_canonical_map()[1]
+
+
 def _generators():
     """The transform group's generators as (fast-op, NpnTransform) pairs.
 
@@ -207,17 +325,18 @@ def _generators():
     return gens
 
 
-_CANON: Optional[List[Tuple[int, NpnTransform]]] = None
+def _derive_canonical_map() -> List[Tuple[int, NpnTransform]]:
+    """Derive the canonical map from first principles (offline only).
 
-
-def _canonical_map() -> List[Tuple[int, NpnTransform]]:
-    """``table -> (canonical table, transform table→canonical)`` for all 2^16."""
-    global _CANON
-    if _CANON is not None:
-        return _CANON
-    canon: List[Optional[Tuple[int, NpnTransform]]] = [None] * (1 << 16)
+    A closure over the transform group's generators: each orbit's
+    smallest table is its representative, and every member records
+    the transform onto it.  ``benchmarks/regen_structure_db.py`` writes
+    the result to :data:`CANONICAL_MAP_PATH`; the tests use it as the
+    oracle of the committed file.
+    """
+    canon: List[Optional[Tuple[int, NpnTransform]]] = [None] * _NUM_TABLES
     gens = _generators()
-    for seed in range(1 << 16):
+    for seed in range(_NUM_TABLES):
         if canon[seed] is not None:
             continue
         # Closure of the orbit; each member records its transform from seed.
@@ -236,7 +355,6 @@ def _canonical_map() -> List[Tuple[int, NpnTransform]]:
         for t, from_seed in orbit.items():
             # seed = apply(t, invert(from_seed)); rep = apply(seed, to_rep).
             canon[t] = (rep, compose_transforms(invert_transform(from_seed), to_rep))
-    _CANON = canon
     return canon
 
 
@@ -528,7 +646,7 @@ def register_structures(kind: str, canonical_table: int, entries) -> Tuple[DbEnt
 
 
 def _warm_canonical() -> None:
-    """Pool warm-up of the parallel derivation: the canonical map only.
+    """Pool warm-up of the parallel derivation: load the canonical map only.
 
     The default pool warm-up also loads the committed structure database,
     which a derivation does not read.

@@ -15,9 +15,10 @@ sharding/determinism contract.  The execution model:
    list is always in input order no matter which worker finished first.
 3. Worker warm-up: the ``warmup`` callable runs in the *parent* before
    the pool is created — under the default ``fork`` start method every
-   worker inherits the hot caches (NPN canonical map, structure DB,
-   imported kernels) for free — and is installed as the pool initializer
-   as well, so ``spawn``/``forkserver`` platforms warm up explicitly.
+   worker inherits the hot caches (imported kernels, and the NPN
+   canonical map and structure DB loaded from package data) for free —
+   and is installed as the pool initializer as well, so
+   ``spawn``/``forkserver`` platforms warm up explicitly.
 
 ``workers <= 1`` (or a single item, or running inside a pool worker)
 degrades to an in-process loop over the *same* chunk runner, so the
@@ -60,8 +61,8 @@ def warm_worker() -> None:
     """Preload the import-once kernels and the NPN rewriting database.
 
     Idempotent and cheap when already warm: the canonical map and the
-    structure database are process-level caches, and the database is the
-    committed package file, validated once on load.  Called in the parent
+    structure database are process-level caches of committed package
+    files, each checked once on load.  Called in the parent
     before a pool forks, and as the pool initializer for non-fork start
     methods.
     """
@@ -69,7 +70,7 @@ def warm_worker() -> None:
     from ..core import mig as _mig  # noqa: F401
     from ..network import npn
 
-    npn.npn_canonical(0)  # derive the 65,536-entry canonical map once
+    npn.npn_canonical(0)  # load the 65,536-entry canonical map once
     npn.get_structure("mig", 0)  # the first lookup loads the whole database
 
 

@@ -85,7 +85,7 @@ class TestStructuralHelpers:
         f1 = mig.and_(pis[0], pis[1])
         f2 = mig.or_(f1, pis[2])
         mig.add_po(f2, "y")
-        new_sig = rebuild_cone(mig, f2, {node_of(pis[0]): pis[3]})
+        new_sig = rebuild_cone(mig, f2, cone_nodes(mig, f2, 10), {node_of(pis[0]): pis[3]})
         mig.add_po(new_sig, "y_rebuilt")
         tts = mig.truth_tables()
         # y = x0&x1 | x2 ; y_rebuilt = x3&x1 | x2

@@ -219,3 +219,34 @@ class TestFlowConfig:
         assert result_cache_key(net, "mighty", {}) != result_cache_key(
             net, "mighty", {"boolean_rewrite": False}
         )
+
+
+# --------------------------------------------------------------------- #
+# Package data: the NPN files shape results, so they shape keys
+# --------------------------------------------------------------------- #
+class TestNpnData:
+    def test_canonical_map_change_changes_key(self, network_forge, monkeypatch, tmp_path):
+        """Regression: the key hashed the sources and the structure DB but
+        not the canonical map, whose transforms decide which structure
+        ``mig_rewrite`` replays.  A map differing in one (still valid)
+        transform must start fresh entries."""
+        from repro.network import npn
+
+        net = network_forge(kind="mig", seed=4, num_gates=30)
+        before = result_cache_key(net, "mighty")
+        canon = list(npn._canonical_map())
+        group = npn._transform_group()
+        for table, (rep, transform) in enumerate(canon):
+            other = next(
+                (t for t in group if t != transform and npn.apply_transform(table, t) == rep),
+                None,
+            )
+            if other is not None and rep != table:
+                break
+        canon[table] = (rep, other)
+        path = tmp_path / "npn_canonical.bin"
+        npn.write_canonical_map(path, canon)
+        monkeypatch.setattr(npn, "CANONICAL_MAP_PATH", path)
+        monkeypatch.setattr(npn, "_CANON", None)
+        assert npn.npn_canonical(table) == (rep, other)
+        assert result_cache_key(net, "mighty") != before
