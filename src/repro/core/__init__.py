@@ -13,7 +13,8 @@ from .rewrite import rewrite_mig
 from .size_opt import SizeOptStats, optimize_size
 from .depth_opt import DepthOptStats, optimize_depth
 from .activity_opt import ActivityOptStats, optimize_activity
-from .reshape import ReshapeParams, reshape
+from .reshape import reshape
+from .rules import RESHAPE_RULES
 from .generation import (
     mig_from_truth_tables,
     mutate_network,
@@ -37,7 +38,7 @@ __all__ = [
     "SizeOptStats",
     "DepthOptStats",
     "ActivityOptStats",
-    "ReshapeParams",
+    "RESHAPE_RULES",
     "reshape",
     "random_mig",
     "random_aoig_mig",

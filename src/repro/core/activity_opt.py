@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from .mig import Mig
-from .reshape import ReshapeParams
-from .rules import DEFAULT_CONE_BOUND, cone_nodes, rebuild_cone
+from .rules import DEFAULT_CONE_BOUND, RESHAPE_RULES, cone_nodes, rebuild_cone
 from .signal import is_complemented, negate, negate_if, node_of
-from .size_opt import SizeOptStats, optimize_size
+from .size_opt import SizeOptStats, _optimize_size
 
 __all__ = ["ActivityOptStats", "optimize_activity"]
 
@@ -52,26 +51,17 @@ def optimize_activity(
     mig: Mig,
     effort: int = 2,
     pi_probabilities: Optional[Mapping[str, float]] = None,
-    max_candidates: int = 200,
-    cone_bound: int = DEFAULT_CONE_BOUND,
 ) -> ActivityOptStats:
-    """Reduce the total switching activity of ``mig`` in place."""
+    """Reduce the total switching activity of ``mig`` in place: Algorithm 1
+    with a non-growing Ψ.R, then shaping of the 200 most toggle-prone nodes."""
     from ..analysis.activity import total_switching_activity
 
     start = time.perf_counter()
     initial_size = mig.num_gates
     initial_activity = total_switching_activity(mig, pi_probabilities)
 
-    size_stats = optimize_size(
-        mig, effort=effort, reshape_params=ReshapeParams(relevance_growth=0)
-    )
-
-    relevance_rewrites = _shape_probabilities(
-        mig,
-        pi_probabilities=pi_probabilities,
-        max_candidates=max_candidates,
-        cone_bound=cone_bound,
-    )
+    size_stats = _optimize_size(mig, effort, RESHAPE_RULES, relevance_growth=0)
+    relevance_rewrites = _shape_probabilities(mig, pi_probabilities)
 
     return ActivityOptStats(
         initial_size=initial_size,
@@ -84,25 +74,20 @@ def optimize_activity(
     )
 
 
-def _shape_probabilities(
-    mig: Mig,
-    pi_probabilities: Optional[Mapping[str, float]],
-    max_candidates: int,
-    cone_bound: int,
-) -> int:
+def _shape_probabilities(mig: Mig, pi_probabilities: Optional[Mapping[str, float]]) -> int:
     """Relevance-driven probability shaping (the Fig. 2(d) move)."""
     from ..analysis.activity import signal_probabilities, total_switching_activity
 
     rewrites = 0
     probabilities = signal_probabilities(mig, pi_probabilities)
     activity = total_switching_activity(mig, pi_probabilities)
-    candidates = _rank_candidates(mig, probabilities)[:max_candidates]
+    candidates = _rank_candidates(mig, probabilities)[:200]
 
     for node in candidates:
         if mig.is_dead(node) or not mig.is_maj(node):
             continue
         improved = _try_activity_relevance(
-            mig, node, probabilities, activity, pi_probabilities, cone_bound
+            mig, node, probabilities, activity, pi_probabilities
         )
         if improved is not None:
             activity = improved
@@ -131,7 +116,6 @@ def _try_activity_relevance(
     probabilities: Dict[int, float],
     current_activity: float,
     pi_probabilities: Optional[Mapping[str, float]],
-    cone_bound: int,
 ):
     """Apply Ψ.R on ``node`` if it lowers the global activity.
 
@@ -153,7 +137,7 @@ def _try_activity_relevance(
             # Only replace a "toggly" operand by a strongly biased one.
             if abs(px - 0.5) > 0.2 or abs(py - 0.5) < 0.3:
                 continue
-            cone = cone_nodes(mig, z, cone_bound)
+            cone = cone_nodes(mig, z, DEFAULT_CONE_BOUND)
             if cone is None:
                 continue
             if not any(node_of(f) == x_node for n in cone for f in mig.fanins(n)):

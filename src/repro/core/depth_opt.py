@@ -21,16 +21,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Sequence
 
 from .mig import Mig
-from .reshape import ReshapeParams, reshape
-from .rules import (
-    sweep_majority,
-    try_associativity,
-    try_complementary_associativity,
-    try_distributivity_lr,
-)
+from .reshape import reshape
+from .rules import PUSH_UP_RULES, RESHAPE_RULES, RuleSweep, sweep_majority
 from .size_opt import eliminate
 
 __all__ = ["DepthOptStats", "push_up", "optimize_depth"]
@@ -57,17 +52,14 @@ class DepthOptStats:
         return 100.0 * (self.initial_depth - self.final_depth) / self.initial_depth
 
 
-def push_up(
-    mig: Mig,
-    max_rounds: int = 32,
-    allow_area_increase: bool = True,
-) -> int:
+def push_up(mig: Mig, max_rounds: int = 32) -> int:
     """Move critical operands toward the outputs until no move helps.
 
     Each round snapshots the levels and computes the critical section
     once, then visits the critical nodes from the outputs toward the inputs
-    applying the cheapest applicable rule (Ω.M implicitly, then Ω.A, Ψ.C
-    and finally Ω.D L→R).  Returns the number of accepted rewrites.
+    applying the cheapest applicable rule (Ω.M implicitly, then the
+    :data:`~repro.core.rules.PUSH_UP_RULES` Ω.A, Ψ.C and finally Ω.D L→R).
+    Returns the number of accepted rewrites.
     """
     rewrites = 0
     for _ in range(max_rounds):
@@ -75,19 +67,9 @@ def push_up(
         depth_before = mig.depth()
         if depth_before == 0:
             break
-        levels = mig.level_snapshot()  # exact copy, no DFS
-        round_rewrites = 0
-        for node in mig.critical_nodes():
-            if mig.is_dead(node):
-                continue
-            if try_associativity(mig, node, levels):
-                round_rewrites += 1
-            elif try_complementary_associativity(mig, node):
-                round_rewrites += 1
-            elif try_distributivity_lr(
-                mig, node, levels, allow_area_increase=allow_area_increase
-            ):
-                round_rewrites += 1
+        # Exact level copy, no DFS.
+        sweep = RuleSweep("push_up", PUSH_UP_RULES, mig.level_snapshot())
+        round_rewrites = sum(1 for _ in sweep.run(mig, mig.critical_nodes()))
         mig.cleanup()
         rewrites += round_rewrites
         if round_rewrites == 0:
@@ -98,8 +80,7 @@ def push_up(
 def optimize_depth(
     mig: Mig,
     effort: int = 3,
-    reshape_params: Optional[ReshapeParams] = None,
-    size_recovery: bool = True,
+    reshape_rules: Sequence[str] = RESHAPE_RULES,
 ) -> DepthOptStats:
     """Run Algorithm 2 (MIG-depth optimization) in place.
 
@@ -109,17 +90,16 @@ def optimize_depth(
         The network to optimize (modified in place).
     effort:
         Number of push-up / reshape cycles.
-    reshape_params:
-        Reshape tuning used to escape local minima between push-up rounds.
-    size_recovery:
-        When true (the default, matching the MIGhty flow of Section V-A),
-        an elimination pass is interlaced after each cycle so the duplication
-        introduced by Ω.D L→R is partially reclaimed.
+    reshape_rules:
+        Rule list of the reshape step between push-up rounds, where Ψ.R
+        may add one node (see :func:`~repro.core.reshape.reshape`).
+
+    Each cycle ends with an elimination pass (as in the MIGhty flow of
+    Section V-A) that reclaims part of the Ω.D L→R duplication.
     """
     start = time.perf_counter()
     initial_size = mig.num_gates
     initial_depth = mig.depth()
-    params = reshape_params or ReshapeParams(relevance_growth=1)
 
     push_rewrites = 0
     reshape_rewrites = 0
@@ -136,11 +116,10 @@ def optimize_depth(
         size_before_cycle = mig.num_gates
 
         push_rewrites += push_up(mig)
-        cycle_reshapes = reshape(mig, params)
+        cycle_reshapes = reshape(mig, 1, reshape_rules)
         reshape_rewrites += cycle_reshapes
         push_rewrites += push_up(mig)
-        if size_recovery:
-            eliminate(mig)
+        eliminate(mig)
 
         if better_than_best():
             best = mig.copy()

@@ -16,17 +16,30 @@ The functions return ``True`` when a rewrite was performed.  Rewrites that
 are attempted but rejected (no benefit) may leave dangling nodes behind;
 callers run :meth:`~repro.core.mig.Mig.cleanup` once per optimization pass
 to reclaim them, exactly like the "elimination" step of Algorithms 1 and 2.
+
+The passes reach these functions through the named table :data:`RULES`:
+push-up, reshape and elimination each apply a list of rule names with a
+:class:`RuleSweep` (the first rule that applies to a node wins), and a
+:func:`rule_counts` block counts the tries and accepted rewrites.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .mig import Mig
 from .signal import is_complemented, negate, negate_if, node_of
 
 __all__ = [
+    "RULES",
+    "PUSH_UP_RULES",
+    "RESHAPE_RULES",
+    "ELIMINATE_RULES",
+    "RuleSweep",
+    "rule_counts",
     "effective_fanins",
     "cone_nodes",
     "cone_size",
@@ -41,8 +54,8 @@ __all__ = [
     "sweep_majority",
 ]
 
-#: Default bound on the number of gates of a reconvergent cone inspected by
-#: the Ψ.R / Ψ.S rules.  Larger values find more rewrites but cost more time.
+#: Bound on the number of gates of a reconvergent cone inspected by Ψ.R
+#: (Ψ.S: 24).  Larger values find more rewrites but cost more time.
 DEFAULT_CONE_BOUND = 48
 
 
@@ -222,9 +235,7 @@ def try_distributivity_rl(mig: Mig, node: int) -> bool:
     return False
 
 
-def try_distributivity_lr(
-    mig: Mig, node: int, levels: Sequence[int], allow_area_increase: bool = True
-) -> bool:
+def try_distributivity_lr(mig: Mig, node: int, levels: Sequence[int]) -> bool:
     """Ω.D left-to-right: ``M(x, y, M(u,v,z)) = M(M(x,y,u), M(x,y,v), z)``.
 
     Pushes the latest-arriving fanin ``z`` of a child one level closer to
@@ -270,8 +281,6 @@ def try_distributivity_lr(
         new_level = 1 + max(1 + deepest, lz)
         if new_level >= old_level:
             continue
-        if not allow_area_increase and mig.fanout_size(node_of(fanins[k])) > 1:
-            continue
         if best is None or new_level < best[0]:
             best = (new_level, x, y, u, v, z)
     if best is None:
@@ -284,32 +293,31 @@ def try_distributivity_lr(
 # --------------------------------------------------------------------- #
 # Ω.A — associativity
 # --------------------------------------------------------------------- #
-def try_associativity(
-    mig: Mig, node: int, levels: Optional[Sequence[int]] = None
-) -> bool:
+#: Per fanin position ``k``: the two splits ``(i, j)`` of the other two
+#: positions, in the order the Ω.A and Ψ.C rules try them.
+_SPLITS = (((1, 2), (2, 1)), ((0, 2), (2, 0)), ((0, 1), (1, 0)))
+
+
+def try_associativity(mig: Mig, node: int, levels: Sequence[int]) -> bool:
     """Ω.A: ``M(x, u, M(y, u, z)) = M(z, u, M(y, u, x))``.
 
     Exchanges the outer operand ``x`` with the inner operand ``z`` when the
     inner one arrives later, reducing the local depth with no size penalty
     (when the child is not shared).  ``levels`` is a level snapshot as in
-    :func:`try_distributivity_lr`; with ``levels=None`` the rule takes a
-    fresh one from :meth:`~repro.core.mig.Mig.levels`.
+    :func:`try_distributivity_lr`.
     """
     if mig.is_dead(node) or not mig.is_maj(node):
         return False
-    if levels is None:
-        levels = mig.levels()
     fanins = mig.fanins(node)
     num_levels = len(levels)
     for k in range(3):
         child = effective_fanins(mig, fanins[k])
         if child is None:
             continue
-        others = [fanins[m] for m in range(3) if m != k]
-        for u in others:
+        for i, j in _SPLITS[k]:
+            u, x = fanins[i], fanins[j]
             if u not in child:
                 continue
-            x = others[0] if others[1] == u else others[1]
             inner_rest = [s for s in child if s != u]
             if len(inner_rest) != 2:
                 continue
@@ -346,11 +354,10 @@ def try_associativity_reshape(mig: Mig, node: int) -> bool:
         child = effective_fanins(mig, fanins[k])
         if child is None:
             continue
-        others = [fanins[m] for m in range(3) if m != k]
-        for u in others:
+        for i, j in _SPLITS[k]:
+            u, x = fanins[i], fanins[j]
             if u not in child:
                 continue
-            x = others[0] if others[1] == u else others[1]
             inner_rest = [s for s in child if s != u]
             if len(inner_rest) != 2:
                 continue
@@ -407,12 +414,11 @@ def try_complementary_associativity(mig: Mig, node: int) -> bool:
         child = effective_fanins(mig, fanins[k])
         if child is None:
             continue
-        others = [fanins[m] for m in range(3) if m != k]
-        for idx, u in enumerate(others):
+        for i, j in _SPLITS[k]:
+            u, x = fanins[i], fanins[j]
             nu = negate(u)
             if nu not in child:
                 continue
-            x = others[1 - idx]
             new_child = tuple(x if s == nu else s for s in child)
             replacement = mig.maj(x, u, mig.maj(*new_child))
             if mig.substitute(node, replacement):
@@ -423,12 +429,7 @@ def try_complementary_associativity(mig: Mig, node: int) -> bool:
 # --------------------------------------------------------------------- #
 # Ψ.R — relevance
 # --------------------------------------------------------------------- #
-def try_relevance(
-    mig: Mig,
-    node: int,
-    bound: int = DEFAULT_CONE_BOUND,
-    max_growth: int = 0,
-) -> bool:
+def try_relevance(mig: Mig, node: int, max_growth: int = 0) -> bool:
     """Ψ.R: ``M(x, y, z) = M(x, y, z_{x/y'})``.
 
     For each choice of the reconvergent operand ``x``, the cone of ``z`` is
@@ -446,7 +447,7 @@ def try_relevance(
             continue
         # A rejected attempt below only adds nodes, so z's cone is the
         # same for both operand orders.
-        cone = cone_nodes(mig, z, bound)
+        cone = cone_nodes(mig, z, DEFAULT_CONE_BOUND)
         if cone is None:
             continue
         others = [fanins[m] for m in range(3) if m != z_pos]
@@ -472,11 +473,7 @@ def try_relevance(
 # --------------------------------------------------------------------- #
 # Ψ.S — substitution
 # --------------------------------------------------------------------- #
-def try_substitution(
-    mig: Mig,
-    node: int,
-    bound: int = 24,
-) -> bool:
+def try_substitution(mig: Mig, node: int) -> bool:
     """Ψ.S — replace a reconvergent pair of operands inside the node's cone.
 
     ``M(x,y,z) = M(v, M(v', M_{v/u}(x,y,z), u), M(v', M_{v/u'}(x,y,z), u'))``
@@ -489,7 +486,7 @@ def try_substitution(
     if mig.is_dead(node) or not mig.is_maj(node):
         return False
     root = node * 2
-    cone = cone_nodes(mig, root, bound)
+    cone = cone_nodes(mig, root, 24)
     if cone is None or len(cone) < 2:
         return False
     # Candidate (v, u): the two most frequently referenced leaves of the cone.
@@ -515,13 +512,105 @@ def try_substitution(
         mig.maj(negate(v), k_v_nu, negate(u)),
     )
     old_cone_gates = len(cone)
-    new_cone_gates = cone_size(mig, replacement, bound * 4)
+    new_cone_gates = cone_size(mig, replacement, 96)
     if new_cone_gates > old_cone_gates:
         return False  # dangling nodes reclaimed by the caller's cleanup()
     if not mig.substitute(node, replacement):
         return False
     mig.cleanup()
     return True
+
+
+# --------------------------------------------------------------------- #
+# The rule table
+# --------------------------------------------------------------------- #
+#: Every rule by name, in the paper's notation: ``(fn, arg, period)``.
+#: ``fn(mig, node)`` returns whether it rewrote ``node``; ``arg`` names the
+#: :class:`RuleSweep` argument passed as a third argument, if any (the
+#: ``levels`` snapshot or the Ψ.R node budget ``growth``).  A rule with
+#: ``period > 1`` is tried only on every ``period``-th node a sweep visits.
+RULES: Dict[str, Tuple[Callable[..., bool], Optional[str], int]] = {
+    "Ω.A": (try_associativity, "levels", 1),
+    "Ω.A-reshape": (try_associativity_reshape, None, 1),
+    "Ψ.C": (try_complementary_associativity, None, 1),
+    "Ψ.R": (try_relevance, "growth", 1),
+    "Ψ.S": (try_substitution, None, 16),  # the most expensive rule
+    "Ω.D L→R": (try_distributivity_lr, "levels", 1),
+    "Ω.D R→L": (try_distributivity_rl, None, 1),
+}
+
+#: The rule lists of the push-up (Algorithm 2), reshape and elimination
+#: (Algorithm 1) sweeps, in the order they are tried on each node.
+PUSH_UP_RULES = ("Ω.A", "Ψ.C", "Ω.D L→R")
+RESHAPE_RULES = ("Ω.A", "Ω.A-reshape", "Ψ.C", "Ψ.R", "Ψ.S")
+ELIMINATE_RULES = ("Ω.D R→L",)
+
+RuleCounts = Dict[str, Dict[str, Dict[str, int]]]  # step -> rule -> tried/accepted
+
+#: The counts of the innermost open :func:`rule_counts` block, if any.
+_open_counts: ContextVar[Optional[RuleCounts]] = ContextVar("rule_counts", default=None)
+
+
+@contextmanager
+def rule_counts() -> Iterator[RuleCounts]:
+    """Count the rule tries of the sweeps run inside the block.
+
+    Yields ``{step: {rule name: {"tried": n, "accepted": m}}}``, where
+    ``step`` is a :class:`RuleSweep` step (``"push_up"``, ``"reshape"`` or
+    ``"eliminate"``).  Only the innermost open block counts.
+    """
+    counts: RuleCounts = {}
+    token = _open_counts.set(counts)
+    try:
+        yield counts
+    finally:
+        _open_counts.reset(token)
+
+
+class RuleSweep:
+    """An ordered rule list applied node by node: the first rule that
+    rewrites a node wins.
+
+    ``step`` names the sweep in :func:`rule_counts`.  ``levels`` (a list
+    that a pass may refresh in place between rewrites) and ``growth`` go to
+    the rules whose ``arg`` names them.  Raises ``ValueError`` on a name
+    missing from :data:`RULES`.
+    """
+
+    def __init__(
+        self, step: str, names: Sequence[str], levels: Sequence[int] = (), growth: int = 0
+    ) -> None:
+        unknown = [name for name in names if name not in RULES]
+        if unknown:
+            raise ValueError(f"unknown rules {unknown}; known: {list(RULES)}")
+        counts = _open_counts.get()
+        counts = {} if counts is None else counts.setdefault(step, {})
+        self.plan = []
+        for name in names:
+            fn, arg, period = RULES[name]
+            extra = {"levels": levels, "growth": growth}.get(arg)
+            count = counts.setdefault(name, {"tried": 0, "accepted": 0})
+            self.plan.append((fn, extra, period, count))
+
+    def run(self, mig: Mig, nodes: Sequence[int]) -> Iterator[int]:
+        """Try the rules on each live node of ``nodes`` in turn; yield the
+        gate-count change of each rewrite.  Rule periods count the live
+        nodes this run visits."""
+        dead = mig._dead
+        visited = 0
+        for node in nodes:
+            if dead[node]:
+                continue
+            visited += 1
+            before = mig._num_gates
+            for fn, extra, period, count in self.plan:
+                if visited % period:
+                    continue
+                count["tried"] += 1
+                if fn(mig, node) if extra is None else fn(mig, node, extra):
+                    count["accepted"] += 1
+                    yield mig._num_gates - before
+                    break
 
 
 # --------------------------------------------------------------------- #

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Sequence
 
 from .mig import Mig
-from .reshape import ReshapeParams, reshape
-from .rules import sweep_majority, try_distributivity_rl
+from .reshape import reshape
+from .rules import ELIMINATE_RULES, RESHAPE_RULES, RuleSweep, sweep_majority
 
 __all__ = ["SizeOptStats", "eliminate", "optimize_size"]
 
@@ -52,20 +52,17 @@ class SizeOptStats:
         return 100.0 * (self.initial_size - self.final_size) / self.initial_size
 
 
-def eliminate(mig: Mig, max_iterations: int = 8) -> int:
+def eliminate(mig: Mig) -> int:
     """The elimination step: Ω.M (L→R) and Ω.D (R→L) to a fixpoint.
 
-    Returns the number of nodes removed.
+    Runs at most 8 rounds of an Ω.M sweep followed by a sweep of
+    :data:`~repro.core.rules.ELIMINATE_RULES`.  Returns the number of
+    nodes removed.
     """
     removed_total = 0
-    for _ in range(max_iterations):
-        removed = sweep_majority(mig)
-        for node in list(mig.gates()):
-            if mig.is_dead(node):
-                continue
-            before = mig.num_gates
-            if try_distributivity_rl(mig, node):
-                removed += before - mig.num_gates
+    sweep = RuleSweep("eliminate", ELIMINATE_RULES)
+    for _ in range(8):
+        removed = sweep_majority(mig) - sum(sweep.run(mig, list(mig.gates())))
         mig.cleanup()
         if removed == 0:
             break
@@ -74,9 +71,7 @@ def eliminate(mig: Mig, max_iterations: int = 8) -> int:
 
 
 def optimize_size(
-    mig: Mig,
-    effort: int = 2,
-    reshape_params: Optional[ReshapeParams] = None,
+    mig: Mig, effort: int = 2, reshape_rules: Sequence[str] = RESHAPE_RULES
 ) -> SizeOptStats:
     """Run Algorithm 1 (MIG-size optimization) in place.
 
@@ -86,15 +81,20 @@ def optimize_size(
         The network to optimize (modified in place).
     effort:
         Number of reshape/eliminate cycles (the paper's *effort* knob).
-    reshape_params:
-        Optional reshape tuning; by default relevance is allowed to grow the
-        network by a couple of nodes because the following elimination pass
-        usually reclaims them.
+    reshape_rules:
+        Rule list of the reshape step (see :func:`~repro.core.reshape.reshape`),
+        where Ψ.R may add two nodes: the next elimination usually reclaims them.
     """
+    return _optimize_size(mig, effort, reshape_rules, relevance_growth=2)
+
+
+def _optimize_size(
+    mig: Mig, effort: int, reshape_rules: Sequence[str], relevance_growth: int
+) -> SizeOptStats:
+    """:func:`optimize_size` with the Ψ.R node budget of its reshape step."""
     start = time.perf_counter()
     initial_size = mig.num_gates
     initial_depth = mig.depth()
-    params = reshape_params or ReshapeParams(relevance_growth=2)
 
     eliminations = 0
     reshape_rewrites = 0
@@ -107,7 +107,7 @@ def optimize_size(
         size_before_cycle = mig.num_gates
 
         cycle_eliminations = eliminate(mig)
-        cycle_reshapes = reshape(mig, params)
+        cycle_reshapes = reshape(mig, relevance_growth, reshape_rules)
         cycle_eliminations += eliminate(mig)
         eliminations += cycle_eliminations
         reshape_rewrites += cycle_reshapes

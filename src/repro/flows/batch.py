@@ -267,6 +267,11 @@ def optimize_many(
         items.append(
             (item_flow, network, dict(flow_kwargs) if item_flow == "mighty" else {})
         )
+    if any(item_flow == "mighty" for item_flow, _, _ in items):
+        from .mighty import mighty_pipeline
+
+        # Builds nothing but the pass list: rejects bad options before any work.
+        mighty_pipeline(**flow_kwargs)
     if costs is None:
         costs = [network.num_gates for network in corpus]
     labels = [getattr(network, "name", f"net{i}") for i, network in enumerate(corpus)]

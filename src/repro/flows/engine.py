@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.balance import balance_mig
-from ..core.reshape import ReshapeParams, reshape
+from ..core.reshape import reshape
+from ..core.rules import RESHAPE_RULES, rule_counts
 from ..core.size_opt import eliminate
 
 __all__ = [
@@ -345,21 +346,15 @@ class Repeat(Pass):
     After each round the ``(depth, size)`` pair is compared against the
     round's starting point; when neither improved the loop exits early —
     the shared stopping rule of Algorithms 1/2 and the MIGhty flow.
-    ``until_no_improvement=False`` disables the early exit.
     """
 
     composite = True
 
     def __init__(
-        self,
-        passes: Sequence[Pass],
-        rounds: int = 1,
-        name: str = "repeat",
-        until_no_improvement: bool = True,
+        self, passes: Sequence[Pass], rounds: int = 1, name: str = "repeat"
     ) -> None:
         self.name = name
         self.rounds = max(1, rounds)
-        self.until_no_improvement = until_no_improvement
         self._pipeline = Pipeline(passes, name=name)
 
     def apply(
@@ -371,11 +366,7 @@ class Repeat(Pass):
             depth_before = network.depth()
             size_before = network.num_gates
             self._pipeline.run(network, collect=collect)
-            if (
-                self.until_no_improvement
-                and network.depth() >= depth_before
-                and network.num_gates >= size_before
-            ):
+            if network.depth() >= depth_before and network.num_gates >= size_before:
                 break
         return {"rounds": executed}
 
@@ -442,33 +433,33 @@ class Balance(RebuildPass):
 
 
 class DepthOpt(Pass):
-    """Algorithm 2: majority-specific depth optimization."""
+    """Algorithm 2: majority-specific depth optimization.
+
+    Its details carry the rule counts of :func:`repro.core.rules.rule_counts`
+    under ``"rules"``, as do those of :class:`SizeOpt`, :class:`Eliminate`
+    and :class:`Reshape`.
+    """
 
     name = "depth_opt"
 
     def __init__(
-        self,
-        effort: int = 3,
-        reshape_params: Optional[ReshapeParams] = None,
-        size_recovery: bool = True,
+        self, effort: int = 3, reshape_rules: Sequence[str] = RESHAPE_RULES
     ) -> None:
         self.effort = effort
-        self.reshape_params = reshape_params
-        self.size_recovery = size_recovery
+        self.reshape_rules = reshape_rules
 
     def apply(self, network) -> Dict[str, object]:
         from ..core.depth_opt import optimize_depth
 
-        stats = optimize_depth(
-            network,
-            effort=self.effort,
-            reshape_params=self.reshape_params,
-            size_recovery=self.size_recovery,
-        )
+        with rule_counts() as rules:
+            stats = optimize_depth(
+                network, effort=self.effort, reshape_rules=self.reshape_rules
+            )
         return {
             "cycles": stats.cycles,
             "push_up_rewrites": stats.push_up_rewrites,
             "reshape_rewrites": stats.reshape_rewrites,
+            "rules": rules,
         }
 
 
@@ -478,21 +469,23 @@ class SizeOpt(Pass):
     name = "size_opt"
 
     def __init__(
-        self, effort: int = 2, reshape_params: Optional[ReshapeParams] = None
+        self, effort: int = 2, reshape_rules: Sequence[str] = RESHAPE_RULES
     ) -> None:
         self.effort = effort
-        self.reshape_params = reshape_params
+        self.reshape_rules = reshape_rules
 
     def apply(self, network) -> Dict[str, object]:
         from ..core.size_opt import optimize_size
 
-        stats = optimize_size(
-            network, effort=self.effort, reshape_params=self.reshape_params
-        )
+        with rule_counts() as rules:
+            stats = optimize_size(
+                network, effort=self.effort, reshape_rules=self.reshape_rules
+            )
         return {
             "cycles": stats.cycles,
             "eliminations": stats.eliminations,
             "reshape_rewrites": stats.reshape_rewrites,
+            "rules": rules,
         }
 
 
@@ -504,26 +497,12 @@ class MigRewrite(Pass):
     MIG structures when the shared-logic-aware gain is positive (see
     :func:`repro.core.rewrite.rewrite_mig`).  Depth-safe by default, so it
     can be interleaved anywhere in a MIGhty-style pipeline without
-    breaking the flow's depth monotonicity.
+    breaking the flow's depth monotonicity.  It runs ``rewrite_mig`` with
+    its defaults; a non-default sweep is
+    ``FunctionPass("mig_rewrite", lambda n: rewrite_mig(n, ...))``.
     """
 
     name = "mig_rewrite"
-
-    def __init__(
-        self,
-        k: int = 4,
-        cut_limit: int = 6,
-        allow_zero_gain: bool = False,
-        max_level_growth: Optional[int] = 0,
-        max_size_growth: int = 0,
-        incremental: bool = True,
-    ) -> None:
-        self.k = k
-        self.cut_limit = cut_limit
-        self.allow_zero_gain = allow_zero_gain
-        self.max_level_growth = max_level_growth
-        self.max_size_growth = max_size_growth
-        self.incremental = incremental
 
     def apply(self, network) -> Dict[str, object]:
         from ..core.rewrite import rewrite_mig
@@ -531,15 +510,7 @@ class MigRewrite(Pass):
         # The returned stats carry the incremental cut engine's per-sweep
         # reuse counters (cut_nodes_recomputed / cut_nodes_reused /
         # converged_skip), which land in PassMetrics.details verbatim.
-        return rewrite_mig(
-            network,
-            k=self.k,
-            cut_limit=self.cut_limit,
-            allow_zero_gain=self.allow_zero_gain,
-            max_level_growth=self.max_level_growth,
-            max_size_growth=self.max_size_growth,
-            incremental=self.incremental,
-        )
+        return rewrite_mig(network)
 
 
 class Eliminate(Pass):
@@ -547,12 +518,10 @@ class Eliminate(Pass):
 
     name = "eliminate"
 
-    def __init__(self, max_iterations: int = 8) -> None:
-        self.max_iterations = max_iterations
-
     def apply(self, network) -> Dict[str, object]:
-        removed = eliminate(network, max_iterations=self.max_iterations)
-        return {"removed": removed}
+        with rule_counts() as rules:
+            removed = eliminate(network)
+        return {"removed": removed, "rules": rules}
 
 
 class Reshape(Pass):
@@ -560,12 +529,10 @@ class Reshape(Pass):
 
     name = "reshape"
 
-    def __init__(self, params: Optional[ReshapeParams] = None) -> None:
-        self.params = params
-
     def apply(self, network) -> Dict[str, object]:
-        rewrites = reshape(network, self.params)
-        return {"rewrites": rewrites}
+        with rule_counts() as rules:
+            rewrites = reshape(network)
+        return {"rewrites": rewrites, "rules": rules}
 
 
 class ActivityOpt(Pass):

@@ -6,14 +6,17 @@ pass pipeline over the flow engine (:mod:`repro.flows.engine`)::
 
     Pipeline([
         Balance(),
-        Repeat([DepthOpt(effort), SizeOpt(effort), Eliminate(), Balance()],
+        Repeat([DepthOpt(depth_effort), SizeOpt(effort=1), MigRewrite(),
+                Eliminate(), Balance()],
                rounds=rounds),
     ])
 
-so the experiment harness, the examples and downstream users all run the
-same flow — and all get the engine's per-pass size/depth/runtime metrics
-for free (see :attr:`MightyResult.pass_metrics` and the serialisation
-helpers in :mod:`repro.flows.report`).
+``boolean_rewrite=False`` leaves out ``MigRewrite`` (NPN cut rewriting,
+beyond the paper's algebraic passes).  The experiment harness, the
+examples and downstream users all run this same flow — and all get the
+engine's per-pass size/depth/runtime metrics for free (see
+:attr:`MightyResult.pass_metrics` and the serialisation helpers in
+:mod:`repro.flows.report`).
 
 Balancing commits its rebuilt candidate only when it *strictly* improves
 the ``(depth, size)`` order; a candidate that merely ties no longer
@@ -24,10 +27,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Sequence
 
 from ..core.mig import Mig
-from ..core.reshape import ReshapeParams
+from ..core.rules import RESHAPE_RULES
 from .engine import (
     Balance,
     DepthOpt,
@@ -59,21 +62,25 @@ class MightyResult:
 def mighty_pipeline(
     rounds: int = 2,
     depth_effort: int = 2,
-    size_effort: int = 1,
-    activity_recovery: bool = True,
-    reshape_params: Optional[ReshapeParams] = None,
+    reshape_rules: Sequence[str] = RESHAPE_RULES,
     boolean_rewrite: bool = True,
     verify=None,
 ) -> Pipeline:
     """Build the MIGhty flow as a declarative pass pipeline.
 
-    Each round performs depth optimization (Algorithm 2), then a size
-    recovery phase (Algorithm 1 with low effort), then an optional
-    activity recovery phase (a cheap elimination pass that keeps the size
-    in check after the depth-oriented duplication), then re-balances.
-    Rounds stop early when neither depth nor size improves.  The leading
-    balance (closed-form Ω.A) gives the majority-specific depth moves a
-    well-conditioned starting point.
+    Each round performs depth optimization (Algorithm 2 with
+    ``depth_effort`` cycles), then a size recovery phase (Algorithm 1 with
+    effort 1), then Boolean rewriting, then an activity recovery phase (a
+    cheap elimination pass that keeps the size in check after the
+    depth-oriented duplication), then re-balances.  Rounds stop early when
+    neither depth nor size improves.  The leading balance (closed-form
+    Ω.A) gives the majority-specific depth moves a well-conditioned
+    starting point.  ``rounds`` and ``depth_effort`` must be at least 1
+    (``ValueError`` otherwise).
+
+    ``reshape_rules`` is the rule list of the reshape step inside both
+    Algorithms (names from :data:`repro.core.rules.RULES`); a subset
+    ablates rules.
 
     ``boolean_rewrite`` (default **on** since the top-k structure
     database landed) interleaves NPN-database cut rewriting
@@ -93,19 +100,21 @@ def mighty_pipeline(
     width) and raises :class:`~repro.flows.engine.PassVerificationError`
     on the first violation; a callable supplies a custom checker.
     """
+    if rounds < 1 or depth_effort < 1:
+        raise ValueError(
+            f"rounds and depth_effort must be >= 1, got {rounds} and {depth_effort}"
+        )
     round_passes: List[Pass] = [
-        DepthOpt(effort=depth_effort, reshape_params=reshape_params),
-        SizeOpt(effort=size_effort, reshape_params=reshape_params),
+        DepthOpt(effort=depth_effort, reshape_rules=reshape_rules),
+        SizeOpt(effort=1, reshape_rules=reshape_rules),
     ]
     if boolean_rewrite:
         round_passes.append(MigRewrite())
-    if activity_recovery:
-        round_passes.append(Eliminate())
-    round_passes.append(Balance())
+    round_passes += [Eliminate(), Balance()]
     return Pipeline(
         [
             Balance(),
-            Repeat(round_passes, rounds=max(1, rounds), name="mighty_round"),
+            Repeat(round_passes, rounds=rounds, name="mighty_round"),
         ],
         name="mighty",
         verify=verify,
@@ -116,9 +125,7 @@ def mighty_optimize(
     mig: Mig,
     rounds: int = 2,
     depth_effort: int = 2,
-    size_effort: int = 1,
-    activity_recovery: bool = True,
-    reshape_params: Optional[ReshapeParams] = None,
+    reshape_rules: Sequence[str] = RESHAPE_RULES,
     boolean_rewrite: bool = True,
     verify=None,
 ) -> MightyResult:
@@ -131,9 +138,7 @@ def mighty_optimize(
     pipeline = mighty_pipeline(
         rounds=rounds,
         depth_effort=depth_effort,
-        size_effort=size_effort,
-        activity_recovery=activity_recovery,
-        reshape_params=reshape_params,
+        reshape_rules=reshape_rules,
         boolean_rewrite=boolean_rewrite,
         verify=verify,
     )

@@ -226,7 +226,10 @@ def format_pass_metrics(passes: Sequence[PassMetrics], title: str = "") -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for m in passes:
-        details = ", ".join(f"{k}={v}" for k, v in sorted(m.details.items()))
+        # Per-rule counts ("rules") are left to the JSON form.
+        details = ", ".join(
+            f"{k}={v}" for k, v in sorted(m.details.items()) if k != "rules"
+        )
         lines.append(
             f"{m.name:<14s} {m.size_before:>7d} {'':>2s} {m.size_after:>7d} "
             f"{m.depth_before:>5d} {'':>2s} {m.depth_after:>5d} "

@@ -81,7 +81,6 @@ def cut_rewrite(
     max_level_growth: Optional[int] = None,
     max_size_growth: int = 0,
     incremental: bool = True,
-    manager: Optional[CutManager] = None,
 ) -> Dict[str, int]:
     """Run one cut-rewriting sweep over ``net`` in place.
 
@@ -89,8 +88,7 @@ def cut_rewrite(
     the network's gate semantics.  Returns a stats dictionary with the
     number of rewrites applied, the total size gain realised and the cut
     engine's reuse counters.  ``incremental=False`` forces a from-scratch
-    enumeration (the benchmark baseline); ``manager`` supplies an explicit
-    :class:`CutManager` instead of the network's shared one.
+    enumeration (the benchmark baseline).
 
     ``max_level_growth < 0`` switches the sweep into depth mode: the
     candidate ordering prefers the largest level drop (size gain breaks
@@ -99,8 +97,7 @@ def cut_rewrite(
     (``max_level_growth`` ``None`` or ``>= 0``) ``max_size_growth`` is
     ignored and only the size-best entry of each class is used.
     """
-    if manager is None and incremental:
-        manager = CutManager.for_network(net, k=k, cut_limit=cut_limit)
+    manager = CutManager.for_network(net, k=k, cut_limit=cut_limit) if incremental else None
     depth_mode = max_level_growth is not None and max_level_growth < 0
     convergence_key = (
         "cut_rewrite",

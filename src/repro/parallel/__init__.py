@@ -2,7 +2,7 @@
 
 The repository's heavyweight workloads — the Table I benchmark sweeps,
 whole-corpus ``mighty_optimize``/``resyn2`` batches, the 222-class NPN
-structure-database derivation, per-output final SAT calls — are
+structure-database derivation behind the committed database file — are
 embarrassingly parallel: independent tasks over a fixed item list.  This
 package provides the one orchestration substrate they all share:
 
@@ -14,8 +14,9 @@ package provides the one orchestration substrate they all share:
   :func:`repro.flows.batch.optimize_many`, whose ``cache_dir=`` result
   cache sends it only the cache misses);
 * :func:`~repro.parallel.executor.warm_worker` — preloads the import-once
-  network kernels and the disk-cached NPN database so forked workers
-  inherit a hot process image instead of re-deriving per task;
+  network kernels, the NPN canonical map and the structure database
+  (both committed package data) so forked workers inherit a hot process
+  image instead of loading them per task;
 * :mod:`repro.parallel.corpus` (imported separately — its row task
   pulls in the flow stack) — the Table I row task
   :func:`~repro.parallel.corpus.optimization_row` that the sharded

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import total_switching_activity
+from repro.bench_circuits import build_benchmark
 from repro.core import (
     Mig,
-    ReshapeParams,
+    RESHAPE_RULES,
     negate,
     optimize_activity,
     optimize_depth,
@@ -17,6 +18,8 @@ from repro.core import (
 )
 from repro.core.depth_opt import push_up
 from repro.core.size_opt import eliminate
+from repro.flows import mighty_optimize
+from repro.parallel.corpus import structural_fingerprint
 from repro.verify import assert_equivalent
 
 
@@ -214,8 +217,66 @@ class TestOptimizerProperties:
     def test_depth_opt_without_reshape_rules_still_sound(self, seed):
         mig = random_aoig_mig(6, 30, num_pos=3, seed=seed)
         reference = mig.copy()
-        params = ReshapeParams(
-            use_relevance=False, use_substitution=False, use_complementary=False
-        )
-        optimize_depth(mig, effort=1, reshape_params=params)
+        optimize_depth(mig, effort=1, reshape_rules=("Ω.A", "Ω.A-reshape"))
         assert_equivalent(mig, reference)
+
+
+# The reshape ablation's rule subsets, and the outputs the same subsets
+# gave when they were chosen through four on/off flags (Ω.A and
+# Ω.A-reshape shared one flag).  Each entry: (size, depth, fingerprint).
+ABLATION_SUBSETS = {
+    "full": RESHAPE_RULES,
+    "no_relevance": ("Ω.A", "Ω.A-reshape", "Ψ.C", "Ψ.S"),
+    "no_substitution": ("Ω.A", "Ω.A-reshape", "Ψ.C", "Ψ.R"),
+    "no_complementary": ("Ω.A", "Ω.A-reshape", "Ψ.R", "Ψ.S"),
+    "associativity_only": ("Ω.A", "Ω.A-reshape"),
+}
+CLA_DEPTH_GOLDEN = {
+    "full": (784, 39, "a516c1aaade30038ecb7a9e9c23632927a9993841fa31f707dfea4a4b1b5ffb9"),
+    "no_relevance": (
+        1756, 32, "b224682722cb2282e03e104d4c660290263d504f4f8ae74f0e2026e7eb83324c"
+    ),
+    "no_substitution": (
+        784, 39, "a516c1aaade30038ecb7a9e9c23632927a9993841fa31f707dfea4a4b1b5ffb9"
+    ),
+    "no_complementary": (
+        784, 39, "a516c1aaade30038ecb7a9e9c23632927a9993841fa31f707dfea4a4b1b5ffb9"
+    ),
+    "associativity_only": (
+        1335, 33, "6e0e71eb3a863a047d05aa966ca77f48fbddcd372023fccc87ea1aa52ad8af58"
+    ),
+}
+MY_ADDER_MIGHTY_GOLDEN = {
+    "full": (445, 17, "686ddcced22ec8e3f7d663f38bfe70b48047ca266207c6687ca13b976282a201"),
+    "no_relevance": (
+        372, 16, "a482079c1a74453a6d9dbc1f7286315c9d3c5ec77ec68f636842a5b4f0313d02"
+    ),
+    "no_substitution": (
+        425, 17, "abadeb5a88e609920f26a2fa75dcd4d7cec3753c82832982d17b7262f6ea5fe3"
+    ),
+    "no_complementary": (
+        600, 19, "51fa8a5df794f93d4f076468318c084a0301db04579e4424dcbe12649c466898"
+    ),
+    "associativity_only": (
+        317, 17, "5b1a3f6546aa6690b673bec0aabfdd741f8ef9ef7d6bb5b39879542f8beb95bc"
+    ),
+}
+
+
+@pytest.mark.parametrize("subset", sorted(ABLATION_SUBSETS))
+def test_reshape_rule_subsets_reproduce_flag_goldens(subset):
+    mig = build_benchmark("cla")
+    optimize_depth(mig, effort=1, reshape_rules=ABLATION_SUBSETS[subset])
+    assert (mig.num_gates, mig.depth(), structural_fingerprint(mig)) == (
+        CLA_DEPTH_GOLDEN[subset]
+    )
+    mig = build_benchmark("my_adder")
+    mighty_optimize(mig, rounds=1, depth_effort=1, reshape_rules=ABLATION_SUBSETS[subset])
+    assert (mig.num_gates, mig.depth(), structural_fingerprint(mig)) == (
+        MY_ADDER_MIGHTY_GOLDEN[subset]
+    )
+
+
+def test_unknown_rule_name_rejected():
+    with pytest.raises(ValueError, match="unknown rules"):
+        optimize_depth(random_mig(4, 6, num_pos=1, seed=1), reshape_rules=("Ω.Z",))

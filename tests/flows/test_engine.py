@@ -5,7 +5,10 @@ import json
 import pytest
 
 from repro.bench_circuits import build_benchmark
+from repro.core.depth_opt import push_up
 from repro.core.mig import Mig
+from repro.core.reshape import reshape
+from repro.core.rules import PUSH_UP_RULES, RESHAPE_RULES, rule_counts
 from repro.core.signal import negate
 from repro.flows import (
     Balance,
@@ -17,6 +20,7 @@ from repro.flows import (
     PassVerificationError,
     Pipeline,
     Repeat,
+    Reshape,
     SizeOpt,
     format_pass_metrics,
     mighty_optimize,
@@ -197,6 +201,49 @@ class TestMightyPipeline:
         assert result.final_depth == mig.depth()
 
 
+def accepted(counts, step):
+    return sum(c["accepted"] for c in counts[step].values())
+
+
+class TestRuleCounts:
+    """Per-rule counters: the rewrite counts the passes report add up."""
+
+    def test_pass_details_add_up(self):
+        mig = small_mig("my_adder")
+        result = Pipeline(
+            [DepthOpt(effort=1), SizeOpt(effort=1), Eliminate(), Reshape()]
+        ).run(mig)
+        depth, size, elim, resh = (m.details for m in result.passes)
+        assert set(depth["rules"]) == {"push_up", "reshape", "eliminate"}
+        assert list(depth["rules"]["push_up"]) == list(PUSH_UP_RULES)
+        assert list(depth["rules"]["reshape"]) == list(RESHAPE_RULES)
+        assert accepted(depth["rules"], "push_up") == depth["push_up_rewrites"] > 0
+        assert accepted(depth["rules"], "reshape") == depth["reshape_rewrites"] > 0
+        assert set(size["rules"]) == {"reshape", "eliminate"}
+        assert accepted(size["rules"], "reshape") == size["reshape_rewrites"]
+        assert set(elim["rules"]) == {"eliminate"}
+        assert accepted(resh["rules"], "reshape") == resh["rewrites"] > 0
+        for details in (depth, size, elim, resh):
+            for per_rule in details["rules"].values():
+                for count in per_rule.values():
+                    assert 0 <= count["accepted"] <= count["tried"]
+
+    def test_blocks_nest(self):
+        mig = small_mig("C1908")
+        with rule_counts() as outer:
+            with rule_counts() as inner:
+                pushed = push_up(mig)
+            reshaped = reshape(mig)
+        assert (pushed, reshaped) == (980, 657)  # test_level_snapshot's golden
+        assert accepted(inner, "push_up") == pushed
+        assert accepted(outer, "reshape") == reshaped
+        # Only the innermost block counts.
+        assert "push_up" not in outer and "reshape" not in inner
+        # Substitution is tried on every 16th visited node only.
+        visited = outer["reshape"]["Ω.A"]["tried"]
+        assert outer["reshape"]["Ψ.S"]["tried"] <= visited // 16
+
+
 class TestSerialisation:
     def _trace(self):
         mig = small_mig()
@@ -206,6 +253,7 @@ class TestSerialisation:
         table = format_pass_metrics(self._trace(), title="alu4 / MIGhty")
         assert "alu4 / MIGhty" in table
         assert "depth_opt" in table and "balance" in table
+        assert "rules=" not in table  # per-rule counts stay in the JSON form
 
     def test_pass_metrics_to_json_roundtrip(self):
         trace = self._trace()

@@ -13,9 +13,10 @@ different circuit, so the fuzz lanes are deliberately adversarial.
 import pytest
 
 from repro.aig.aig import Aig
-from repro.core import Mig
+from repro.core import RESHAPE_RULES, Mig
 from repro.core.generation import rebuild_shuffled
 from repro.parallel.corpus import canonical_fingerprint, structural_fingerprint
+from repro.flows import mighty_optimize
 from repro.flows.result_cache import canonical_flow_config, result_cache_key
 from repro.verify import check_equivalence
 
@@ -193,7 +194,7 @@ class TestFlowConfig:
 
     def test_non_json_options_rejected(self):
         with pytest.raises(ValueError):
-            canonical_flow_config("mighty", {"reshape_params": object()})
+            canonical_flow_config("mighty", {"reshape_rules": object()})
 
     def test_unknown_mighty_option_rejected(self):
         """Regression: ``pi_probabilities`` was accepted and ignored by
@@ -209,8 +210,7 @@ class TestFlowConfig:
         defaults = {
             "rounds": 2,
             "depth_effort": 2,
-            "size_effort": 1,
-            "activity_recovery": True,
+            "reshape_rules": list(RESHAPE_RULES),
             "boolean_rewrite": True,
         }
         assert result_cache_key(net, "mighty", {}) == result_cache_key(
@@ -219,6 +219,34 @@ class TestFlowConfig:
         assert result_cache_key(net, "mighty", {}) != result_cache_key(
             net, "mighty", {"boolean_rewrite": False}
         )
+        assert result_cache_key(net, "mighty", {}) != result_cache_key(
+            net, "mighty", {"reshape_rules": ["Ω.A", "Ω.A-reshape"]}
+        )
+
+    @pytest.mark.parametrize(
+        "options", [{"rounds": 0}, {"depth_effort": 0}, {"rounds": -3, "depth_effort": 1}]
+    )
+    def test_no_run_below_one_round_or_cycle(
+        self, network_forge, tmp_path, monkeypatch, options
+    ):
+        """Regression: ``rounds`` and ``depth_effort`` below 1 were clamped
+        to 1 at run time but keyed raw, so one computation had several
+        cache keys.  They are rejected, before any work and any key."""
+        import repro.flows.batch as batch
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(batch, "parallel_map", no_work)
+        net = network_forge(kind="mig", seed=3, num_gates=20)
+        with pytest.raises(ValueError):
+            mighty_optimize(net.copy(), **options)
+        for cache_dir in (None, tmp_path):
+            with pytest.raises(ValueError):
+                batch.optimize_many(
+                    [net], workers=1, flow="mighty", cache_dir=cache_dir, **options
+                )
+        assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------- #

@@ -130,9 +130,11 @@ class TestCachedDeterminism:
     def test_failed_items_raise_and_are_not_cached(self, tmp_path, network_forge):
         """The batch API never silently drops a corpus item."""
         corpus = _corpus(network_forge)[:1]
+        # An unknown rule name fails inside the job, at its first reshape.
         with pytest.raises(RuntimeError, match="failed"):
             optimize_many(
-                corpus, workers=1, flow="mighty", cache_dir=tmp_path, rounds="boom"
+                corpus, workers=1, flow="mighty", cache_dir=tmp_path,
+                reshape_rules=["boom"],
             )
         assert not list(tmp_path.glob("*.json"))
 
