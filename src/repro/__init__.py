@@ -3,7 +3,11 @@
 Public API highlights
 ---------------------
 * :class:`repro.core.Mig` — the MIG data structure (Section III-A).
-* :mod:`repro.core.algebra` — the MIG Boolean algebra Ω / Ψ (Section III-B).
+* :mod:`repro.core.algebra` — the MIG Boolean algebra (Section III-B), the
+  language in which :data:`repro.core.rules.RULES` states each Ω / Ψ rule
+  as a pattern pair.  Those patterns are the rule specification: the tests
+  prove each pair sound, and a forged-match test checks that every graph
+  rule builds exactly its right-hand side.
 * :func:`repro.core.optimize_size` / :func:`repro.core.optimize_depth` /
   :func:`repro.core.optimize_activity` — Algorithms 1, 2 and the activity
   optimization of Section IV.

@@ -6,7 +6,7 @@ from .activity import (
     signal_probabilities,
     total_switching_activity,
 )
-from .metrics import NetworkMetrics, geometric_improvement, measure_aig, measure_mig
+from .metrics import NetworkMetrics, geometric_improvement, measure_network
 
 __all__ = [
     "signal_probabilities",
@@ -14,7 +14,6 @@ __all__ = [
     "total_switching_activity",
     "estimate_activity_by_simulation",
     "NetworkMetrics",
-    "measure_mig",
-    "measure_aig",
+    "measure_network",
     "geometric_improvement",
 ]

@@ -14,10 +14,7 @@ from typing import Mapping, Optional
 
 __all__ = [
     "NetworkMetrics",
-    "measure_mig",
-    "measure_aig",
     "measure_network",
-    "measure_activity",
     "geometric_improvement",
 ]
 
@@ -50,78 +47,23 @@ class NetworkMetrics:
         )
 
 
-def measure_mig(
-    mig,
-    name: Optional[str] = None,
-    runtime_s: float = 0.0,
-    pi_probabilities: Optional[Mapping[str, float]] = None,
-) -> NetworkMetrics:
-    """Measure a MIG (size = majority nodes, depth = levels, activity)."""
-    from .activity import total_switching_activity
-
-    return NetworkMetrics(
-        name=name or mig.name,
-        num_pis=mig.num_pis,
-        num_pos=mig.num_pos,
-        size=mig.num_gates,
-        depth=mig.depth(),
-        activity=total_switching_activity(mig, pi_probabilities),
-        runtime_s=runtime_s,
-    )
-
-
-def measure_aig(
-    aig,
-    name: Optional[str] = None,
-    runtime_s: float = 0.0,
-    pi_probabilities: Optional[Mapping[str, float]] = None,
-) -> NetworkMetrics:
-    """Measure an AIG (size = AND nodes, depth = levels, activity)."""
-    from ..aig.activity import total_switching_activity as aig_activity
-
-    return NetworkMetrics(
-        name=name or aig.name,
-        num_pis=aig.num_pis,
-        num_pos=aig.num_pos,
-        size=aig.num_gates,
-        depth=aig.depth(),
-        activity=aig_activity(aig, pi_probabilities),
-        runtime_s=runtime_s,
-    )
-
-
-def measure_activity(
-    network, pi_probabilities: Optional[Mapping[str, float]] = None
-) -> float:
-    """Total switching activity of a MIG or AIG (dispatch on gate arity).
-
-    Used by the pass-manager engine (:mod:`repro.flows.engine`) when a
-    pipeline is asked to record per-pass activity, so a single pass
-    implementation works for both network types.
-    """
-    if getattr(network, "is_maj", None) is not None:
-        from .activity import total_switching_activity
-
-        return total_switching_activity(network, pi_probabilities)
-    from ..aig.activity import total_switching_activity as aig_activity
-
-    return aig_activity(network, pi_probabilities)
-
-
 def measure_network(
     network,
     name: Optional[str] = None,
     runtime_s: float = 0.0,
     pi_probabilities: Optional[Mapping[str, float]] = None,
 ) -> NetworkMetrics:
-    """Measure any :class:`~repro.network.base.LogicNetwork` subclass."""
+    """Measure a MIG or AIG: size = gates, depth = levels, and the total
+    switching activity of :mod:`repro.analysis.activity`."""
+    from .activity import total_switching_activity
+
     return NetworkMetrics(
         name=name or network.name,
         num_pis=network.num_pis,
         num_pos=network.num_pos,
         size=network.num_gates,
         depth=network.depth(),
-        activity=measure_activity(network, pi_probabilities),
+        activity=total_switching_activity(network, pi_probabilities),
         runtime_s=runtime_s,
     )
 

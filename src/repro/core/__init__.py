@@ -16,7 +16,6 @@ from .activity_opt import ActivityOptStats, optimize_activity
 from .reshape import reshape
 from .rules import RESHAPE_RULES
 from .generation import (
-    mig_from_truth_tables,
     mutate_network,
     random_aoig_mig,
     random_mig,
@@ -44,5 +43,4 @@ __all__ = [
     "random_aoig_mig",
     "random_network",
     "mutate_network",
-    "mig_from_truth_tables",
 ]

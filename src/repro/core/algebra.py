@@ -1,27 +1,23 @@
 """Symbolic MIG Boolean algebra ``(B, M, ', 0, 1)``.
 
 This module implements Section III-B of the paper at the *expression*
-level: immutable majority/inverter expression trees, evaluation, and the
-primitive axioms Ω (commutativity, majority, associativity, distributivity,
-inverter propagation) together with the derived rules Ψ (relevance,
-complementary associativity, substitution) as explicit, checkable
-transformations.
+level: immutable majority/inverter expression trees, evaluation,
+exhaustive equivalence and variable replacement.
 
-The graph-level optimizers in :mod:`repro.core.rules` apply the same
-identities directly on :class:`~repro.core.mig.Mig` networks; this symbolic
-layer exists so that
-
-* every axiom can be unit- and property-tested for soundness in isolation,
-* the worked examples of the paper (Fig. 1 and Fig. 2) can be reproduced
-  literally, and
-* users can experiment with the algebra interactively.
+It is the specification language of the Ω/Ψ rules: every entry of
+:data:`repro.core.rules.RULES` (and the kernel axioms of
+:data:`repro.core.rules.KERNEL_AXIOMS`) states its rewrite as a pattern
+pair of these expressions.  The tests prove each pair sound with
+:func:`equivalent`, and a forged-match test builds each left-hand side
+into a :class:`~repro.core.mig.Mig`, applies the graph rule and checks
+that it produced exactly the right-hand side.  The worked examples of the
+paper (Fig. 1 and Fig. 2) are reproduced with the same expressions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 __all__ = [
     "Expr",
@@ -41,15 +37,6 @@ __all__ = [
     "equivalent",
     "expr_size",
     "expr_depth",
-    "omega_commutativity",
-    "omega_majority",
-    "omega_associativity",
-    "omega_distributivity_rl",
-    "omega_distributivity_lr",
-    "omega_inverter_propagation",
-    "psi_relevance",
-    "psi_complementary_associativity",
-    "psi_substitution",
     "replace_variable",
     "to_string",
     "from_aoig_and",
@@ -235,104 +222,7 @@ def to_string(e: Expr) -> str:
 
 
 # --------------------------------------------------------------------- #
-# Primitive axioms Ω
-# --------------------------------------------------------------------- #
-def omega_commutativity(e: Maj, permutation: Tuple[int, int, int] = (1, 0, 2)) -> Maj:
-    """Ω.C — reorder the operands of a majority node."""
-    children = e.children
-    if sorted(permutation) != [0, 1, 2]:
-        raise ValueError(f"invalid permutation {permutation}")
-    return maj(children[permutation[0]], children[permutation[1]], children[permutation[2]])
-
-
-def omega_majority(e: Maj) -> Optional[Expr]:
-    """Ω.M — ``M(x, x, z) = x`` and ``M(x, x', z) = z`` (left-to-right).
-
-    Returns the simplified expression, or ``None`` when the axiom does not
-    apply syntactically.
-    """
-    a, b, c = e.children
-    pairs = [((a, b), c), ((a, c), b), ((b, c), a)]
-    for (p, q), other in pairs:
-        if p == q:
-            return p
-        if p == inv(q):
-            return other
-    return None
-
-
-def omega_associativity(e: Maj) -> Optional[Maj]:
-    """Ω.A — ``M(x, u, M(y, u, z)) = M(z, u, M(y, u, x))``.
-
-    The inner node must share one operand ``u`` with the outer node; ``x``
-    and ``z`` are exchanged.  Returns ``None`` if the pattern is absent.
-    """
-    outer = list(e.children)
-    for inner_pos, inner in enumerate(outer):
-        if not isinstance(inner, Maj):
-            continue
-        rest = [outer[i] for i in range(3) if i != inner_pos]
-        for u in rest:
-            if u in inner.children:
-                x = rest[0] if rest[1] == u else rest[1]
-                inner_rest = [child for child in inner.children if child != u]
-                if len(inner_rest) != 2:
-                    # ``u`` appears twice in the inner node; Ω.M applies instead.
-                    continue
-                y, z = inner_rest
-                return maj(z, u, maj(y, u, x))
-    return None
-
-
-def omega_distributivity_rl(e: Maj) -> Optional[Maj]:
-    """Ω.D evaluated right-to-left.
-
-    ``M(M(x, y, u), M(x, y, v), z) = M(x, y, M(u, v, z))`` — the direction
-    that *removes* one majority operator (used for size optimization).
-    """
-    children = list(e.children)
-    for i, j in itertools.combinations(range(3), 2):
-        first, second = children[i], children[j]
-        if not (isinstance(first, Maj) and isinstance(second, Maj)):
-            continue
-        z = children[3 - i - j]
-        common = _shared_pair(first, second)
-        if common is None:
-            continue
-        (x, y), u, v = common
-        return maj(x, y, maj(u, v, z))
-    return None
-
-
-def omega_distributivity_lr(e: Maj) -> Optional[Maj]:
-    """Ω.D evaluated left-to-right.
-
-    ``M(x, y, M(u, v, z)) = M(M(x, y, u), M(x, y, v), z)`` — the direction
-    that *duplicates* logic but can push a late-arriving operand ``z`` one
-    level closer to the output (used for depth optimization).
-    """
-    children = list(e.children)
-    for inner_pos, inner in enumerate(children):
-        if not isinstance(inner, Maj):
-            continue
-        x, y = [children[i] for i in range(3) if i != inner_pos]
-        u, v, z = inner.children
-        return maj(maj(x, y, u), maj(x, y, v), z)
-    return None
-
-
-def omega_inverter_propagation(e: Expr) -> Expr:
-    """Ω.I — ``M'(x, y, z) = M(x', y', z')`` (push an inverter through)."""
-    if isinstance(e, Not) and isinstance(e.child, Maj):
-        inner = e.child
-        return maj(inv(inner.a), inv(inner.b), inv(inner.c))
-    if isinstance(e, Maj):
-        return inv(maj(inv(e.a), inv(e.b), inv(e.c)))
-    raise ValueError("Ω.I applies to a complemented majority or a majority")
-
-
-# --------------------------------------------------------------------- #
-# Derived rules Ψ
+# Variable replacement
 # --------------------------------------------------------------------- #
 def replace_variable(e: Expr, name: str, replacement: Expr) -> Expr:
     """Return ``e`` with every occurrence of variable ``name`` replaced."""
@@ -349,106 +239,3 @@ def replace_variable(e: Expr, name: str, replacement: Expr) -> Expr:
             replace_variable(e.c, name, replacement),
         )
     raise TypeError(f"unknown expression type: {type(e)!r}")
-
-
-def psi_relevance(e: Maj, x_pos: int = 0, y_pos: int = 1) -> Optional[Maj]:
-    """Ψ.R — ``M(x, y, z) = M(x, y, z_{x/y'})``.
-
-    Inside ``z`` the operand ``x`` only matters when ``x = y'`` (axiom Ω.M),
-    so ``x`` may be replaced by ``y'`` there.  The operand at ``x_pos`` must
-    be a plain or complemented variable so that the substitution is well
-    defined: for ``x = v`` the variable ``v`` becomes ``y'``; for ``x = v'``
-    it becomes ``y`` (this is the form used in the Fig. 2(a) walkthrough).
-    """
-    children = list(e.children)
-    z_pos = 3 - x_pos - y_pos
-    x, y, z = children[x_pos], children[y_pos], children[z_pos]
-    if isinstance(x, Var):
-        name, replacement = x.name, inv(y)
-    elif isinstance(x, Not) and isinstance(x.child, Var):
-        name, replacement = x.child.name, y
-    else:
-        return None
-    new_z = replace_variable(z, name, replacement)
-    result = [None, None, None]
-    result[x_pos], result[y_pos], result[z_pos] = x, y, new_z
-    return maj(*result)
-
-
-def psi_complementary_associativity(e: Maj) -> Optional[Maj]:
-    """Ψ.C — ``M(x, u, M(y, u', z)) = M(x, u, M(y, x, z))``."""
-    children = list(e.children)
-    for inner_pos, inner in enumerate(children):
-        if not isinstance(inner, Maj):
-            continue
-        rest = [children[i] for i in range(3) if i != inner_pos]
-        for u_index, u in enumerate(rest):
-            u_compl = inv(u)
-            if u_compl in inner.children:
-                x = rest[1 - u_index]
-                inner_children = list(inner.children)
-                idx = inner_children.index(u_compl)
-                inner_children[idx] = x
-                result = [None, None, None]
-                positions = [i for i in range(3) if i != inner_pos]
-                result[positions[1 - u_index]] = x
-                result[positions[u_index]] = u
-                result[inner_pos] = maj(*inner_children)
-                return maj(*result)
-    return None
-
-
-def psi_substitution(e: Maj, v_name: str, u: Expr) -> Maj:
-    """Ψ.S — variable substitution.
-
-    ``M(x,y,z) = M(v, M(v', M_{v/u}(x,y,z), u), M(v', M_{v/u'}(x,y,z), u'))``
-
-    ``v_name`` must appear in ``e``; ``u`` is an arbitrary expression that
-    does not depend on ``v``.  The rule temporarily inflates the expression
-    (as discussed in Section IV-A) but exposes new simplification
-    opportunities.
-    """
-    if v_name not in variables(e):
-        raise ValueError(f"variable {v_name!r} does not occur in the expression")
-    if v_name in variables(u):
-        raise ValueError("the replacement expression must not depend on v")
-    v = var(v_name)
-    k_v_u = replace_variable(e, v_name, u)
-    k_v_not_u = replace_variable(e, v_name, inv(u))
-    return maj(
-        v,
-        maj(inv(v), k_v_u, u),
-        maj(inv(v), k_v_not_u, inv(u)),
-    )
-
-
-# --------------------------------------------------------------------- #
-# Helpers
-# --------------------------------------------------------------------- #
-def _shared_pair(
-    first: Maj, second: Maj
-) -> Optional[Tuple[Tuple[Expr, Expr], Expr, Expr]]:
-    """Find two operands shared by two majority expressions.
-
-    Returns ``((x, y), u, v)`` where ``x, y`` are shared and ``u``/``v`` are
-    the remaining operands of ``first``/``second`` respectively, or ``None``
-    when fewer than two operands are shared.
-    """
-    first_children = list(first.children)
-    second_children = list(second.children)
-    shared = []
-    second_pool = list(second_children)
-    for child in first_children:
-        if child in second_pool:
-            shared.append(child)
-            second_pool.remove(child)
-    if len(shared) < 2:
-        return None
-    x, y = shared[0], shared[1]
-    first_rest = list(first_children)
-    first_rest.remove(x)
-    first_rest.remove(y)
-    second_rest = list(second_children)
-    second_rest.remove(x)
-    second_rest.remove(y)
-    return (x, y), first_rest[0], second_rest[0]

@@ -8,7 +8,7 @@ diverse networks), by the examples, and by the synthetic benchmark suite in
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Type
+from typing import List, Optional, Type
 
 from .mig import Mig
 from .signal import make_signal, negate, node_of
@@ -19,7 +19,6 @@ __all__ = [
     "random_network",
     "mutate_network",
     "rebuild_shuffled",
-    "mig_from_truth_tables",
 ]
 
 
@@ -303,35 +302,3 @@ def mutate_network(network, seed: int = 1, in_place: bool = False):
     # All rewire attempts hit cycles: fall back to a PO polarity fault.
     mutant.set_po(0, negate(mutant.po_signals()[0]))
     return mutant, {"kind": "negate_po", "po": 0}
-
-
-def mig_from_truth_tables(truth_tables: Sequence[int], num_vars: int) -> Mig:
-    """Build a MIG from explicit truth tables (Shannon decomposition).
-
-    Mostly used in tests to create MIGs with known functions; the resulting
-    structure is a (non-optimized) multiplexer tree, a good stress input for
-    the optimizers.
-    """
-    mig = Mig()
-    mig.name = f"tt_{num_vars}vars"
-    pis = [mig.add_pi(f"x{i}") for i in range(num_vars)]
-
-    def build(table: int, var_index: int, num_bits: int) -> int:
-        if num_bits == 1:
-            return mig.constant(bool(table & 1))
-        half = num_bits // 2
-        low_mask = (1 << half) - 1
-        low = table & low_mask
-        high = (table >> half) & low_mask
-        if low == high:
-            return build(low, var_index + 1, half)
-        t_high = build(high, var_index + 1, half)
-        t_low = build(low, var_index + 1, half)
-        # Variable ordering: bit k of the assignment index is variable k, so
-        # the *most significant* half corresponds to the last variable.
-        sel = pis[num_vars - 1 - var_index]
-        return mig.mux_(sel, t_high, t_low)
-
-    for index, table in enumerate(truth_tables):
-        mig.add_po(build(table, 0, 1 << num_vars), f"y{index}")
-    return mig

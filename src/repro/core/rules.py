@@ -21,6 +21,15 @@ The passes reach these functions through the named table :data:`RULES`:
 push-up, reshape and elimination each apply a list of rule names with a
 :class:`RuleSweep` (the first rule that applies to a node wins), and a
 :func:`rule_counts` block counts the tries and accepted rewrites.
+
+Each :data:`RULES` entry also carries its specification: a left-hand and
+a right-hand side written as :mod:`repro.core.algebra` expressions over
+at most five variables, and :data:`KERNEL_AXIOMS` does the same for the axioms
+the kernel applies on every node it builds (Ω.M, Ω.I, Ω.C).  The tests
+prove every pattern pair sound by exhaustive evaluation, and a
+forged-match test builds each ``lhs`` into a MIG, runs the rule's
+function on it and checks that the result is the strashed ``rhs``; that
+test ties the graph code to its pattern.
 """
 
 from __future__ import annotations
@@ -28,13 +37,16 @@ from __future__ import annotations
 import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .mig import Mig
+from .algebra import Expr, inv, maj, replace_variable, var
+from .mig import Mig, _simplify_maj
 from .signal import is_complemented, negate, negate_if, node_of
 
 __all__ = [
+    "Rule",
     "RULES",
+    "KERNEL_AXIOMS",
     "PUSH_UP_RULES",
     "RESHAPE_RULES",
     "ELIMINATE_RULES",
@@ -178,18 +190,7 @@ def sweep_majority(mig: Mig) -> int:
         touched.discard(node)
         if mig.is_dead(node) or not mig.is_maj(node):
             continue
-        a, b, c = mig.fanins(node)
-        replacement = None
-        if a == b or a == c:
-            replacement = a
-        elif b == c:
-            replacement = b
-        elif a == negate(b):
-            replacement = c
-        elif a == negate(c):
-            replacement = b
-        elif b == negate(c):
-            replacement = a
+        replacement = _simplify_maj(*mig.fanins(node))
         if replacement is not None and mig.substitute(node, replacement):
             removed += 1
             # The substitution may have retargeted nodes ahead of the
@@ -524,19 +525,85 @@ def try_substitution(mig: Mig, node: int) -> bool:
 # --------------------------------------------------------------------- #
 # The rule table
 # --------------------------------------------------------------------- #
-#: Every rule by name, in the paper's notation: ``(fn, arg, period)``.
-#: ``fn(mig, node)`` returns whether it rewrote ``node``; ``arg`` names the
-#: :class:`RuleSweep` argument passed as a third argument, if any (the
-#: ``levels`` snapshot or the Ψ.R node budget ``growth``).  A rule with
-#: ``period > 1`` is tried only on every ``period``-th node a sweep visits.
-RULES: Dict[str, Tuple[Callable[..., bool], Optional[str], int]] = {
-    "Ω.A": (try_associativity, "levels", 1),
-    "Ω.A-reshape": (try_associativity_reshape, None, 1),
-    "Ψ.C": (try_complementary_associativity, None, 1),
-    "Ψ.R": (try_relevance, "growth", 1),
-    "Ψ.S": (try_substitution, None, 16),  # the most expensive rule
-    "Ω.D L→R": (try_distributivity_lr, "levels", 1),
-    "Ω.D R→L": (try_distributivity_rl, None, 1),
+class Rule(NamedTuple):
+    """One Ω/Ψ rewrite: its graph code and its pattern pair.
+
+    ``fn(mig, node)`` returns whether it rewrote ``node``; ``arg`` names
+    the :class:`RuleSweep` argument passed as a third argument, if any
+    (the ``levels`` snapshot or the Ψ.R node budget ``growth``).  A rule
+    with ``period > 1`` is tried only on every ``period``-th node a sweep
+    visits.  ``lhs`` is a match of ``fn`` and ``rhs`` the cone ``fn``
+    builds for it; both are functions of the same variables, so a pattern
+    pair is a proof for every sub-expression substituted for them.
+    """
+
+    fn: Callable[..., bool]
+    arg: Optional[str]
+    period: int
+    lhs: Expr
+    rhs: Expr
+
+
+_x, _y, _z, _u, _v, _w = (var(name) for name in "xyzuvw")
+
+
+def _substituted(cone: Expr, v: Expr, u: Expr) -> Expr:
+    """Ψ.S's right-hand side ``M(v, M(v', K_{v/u}, u), M(v', K_{v/u'}, u'))``."""
+    return maj(
+        v,
+        maj(inv(v), replace_variable(cone, v.name, u), u),
+        maj(inv(v), replace_variable(cone, v.name, inv(u)), inv(u)),
+    )
+
+
+#: Ψ.R's reconvergent one-gate cone and Ψ.S's smallest accepted cone.
+_RELEVANCE_CONE = maj(_x, _v, _w)
+_SUBSTITUTION_CONE = maj(maj(_v, _u, _x), maj(_v, inv(_u), _y), maj(_v, _u, _z))
+
+#: Every rule by name, in the paper's notation.  The Ω.A and Ω.D L→R
+#: matches need ``z`` to arrive last; Ω.A-reshape moves out the inner
+#: operand that does not reconverge with ``x``.
+RULES: Dict[str, Rule] = {
+    "Ω.A": Rule(
+        try_associativity, "levels", 1,
+        maj(_x, _u, maj(_y, _u, _z)), maj(_z, _u, maj(_y, _u, _x)),
+    ),
+    "Ω.A-reshape": Rule(
+        try_associativity_reshape, None, 1,
+        maj(_x, _u, maj(_y, _u, maj(_x, _v, _w))),
+        maj(_y, _u, maj(maj(_x, _v, _w), _u, _x)),
+    ),
+    "Ψ.C": Rule(
+        try_complementary_associativity, None, 1,
+        maj(_x, _u, maj(_y, inv(_u), _z)), maj(_x, _u, maj(_y, _x, _z)),
+    ),
+    "Ψ.R": Rule(
+        try_relevance, "growth", 1,
+        maj(_x, _y, _RELEVANCE_CONE),
+        maj(_x, _y, replace_variable(_RELEVANCE_CONE, "x", inv(_y))),
+    ),
+    "Ψ.S": Rule(  # the most expensive rule
+        try_substitution, None, 16,
+        _SUBSTITUTION_CONE, _substituted(_SUBSTITUTION_CONE, _v, _u),
+    ),
+    "Ω.D L→R": Rule(
+        try_distributivity_lr, "levels", 1,
+        maj(_x, _y, maj(_u, _v, _z)), maj(maj(_x, _y, _u), maj(_x, _y, _v), _z),
+    ),
+    "Ω.D R→L": Rule(
+        try_distributivity_rl, None, 1,
+        maj(maj(_x, _y, _u), maj(_x, _y, _v), _z), maj(_x, _y, maj(_u, _v, _z)),
+    ),
+}
+
+#: The axioms the kernel applies itself rather than through a sweep, as
+#: ``(lhs, rhs)`` pattern pairs: Ω.M in :meth:`Mig.maj` (and
+#: :func:`sweep_majority`), Ω.I in its polarity normalization and in
+#: :func:`effective_fanins`, Ω.C in its sorted fanin order.
+KERNEL_AXIOMS: Dict[str, Tuple[Tuple[Expr, Expr], ...]] = {
+    "Ω.M": ((maj(_x, _x, _z), _x), (maj(_x, inv(_x), _z), _z)),
+    "Ω.I": ((inv(maj(_x, _y, _z)), maj(inv(_x), inv(_y), inv(_z))),),
+    "Ω.C": ((maj(_x, _y, _z), maj(_y, _x, _z)), (maj(_x, _y, _z), maj(_y, _z, _x))),
 }
 
 #: The rule lists of the push-up (Algorithm 2), reshape and elimination
@@ -587,10 +654,10 @@ class RuleSweep:
         counts = {} if counts is None else counts.setdefault(step, {})
         self.plan = []
         for name in names:
-            fn, arg, period = RULES[name]
-            extra = {"levels": levels, "growth": growth}.get(arg)
+            rule = RULES[name]
+            extra = {"levels": levels, "growth": growth}.get(rule.arg)
             count = counts.setdefault(name, {"tried": 0, "accepted": 0})
-            self.plan.append((fn, extra, period, count))
+            self.plan.append((rule.fn, extra, rule.period, count))
 
     def run(self, mig: Mig, nodes: Sequence[int]) -> Iterator[int]:
         """Try the rules on each live node of ``nodes`` in turn; yield the
@@ -613,9 +680,6 @@ class RuleSweep:
                     break
 
 
-# --------------------------------------------------------------------- #
-# Internal utilities
-# --------------------------------------------------------------------- #
 def _shared_two(
     first: Tuple[int, int, int], second: Tuple[int, int, int]
 ) -> Optional[Tuple[Tuple[int, int], int, int]]:
@@ -624,21 +688,15 @@ def _shared_two(
     Returns ``((x, y), u, v)`` where ``x, y`` are shared and ``u`` / ``v``
     are the remaining signals of ``first`` / ``second``, or ``None``.
     """
-    first_list = list(first)
-    second_list = list(second)
+    pool = list(second)
     shared = []
-    pool = list(second_list)
-    for s in first_list:
-        if s in pool:
+    for s in first:
+        if len(shared) < 2 and s in pool:
             shared.append(s)
             pool.remove(s)
     if len(shared) < 2:
         return None
-    x, y = shared[0], shared[1]
-    rest_first = list(first_list)
-    rest_first.remove(x)
-    rest_first.remove(y)
-    rest_second = list(second_list)
-    rest_second.remove(x)
-    rest_second.remove(y)
-    return (x, y), rest_first[0], rest_second[0]
+    rest = list(first)
+    rest.remove(shared[0])
+    rest.remove(shared[1])
+    return (shared[0], shared[1]), rest[0], pool[0]

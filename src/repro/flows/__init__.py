@@ -18,7 +18,6 @@ on one core of a 2-CPU host.
 """
 
 from .engine import (
-    ActivityOpt,
     Balance,
     Cleanup,
     DepthOpt,
@@ -88,7 +87,6 @@ __all__ = [
     "MigRewrite",
     "Eliminate",
     "Reshape",
-    "ActivityOpt",
     "Cleanup",
     # mighty
     "mighty_optimize",

@@ -52,7 +52,6 @@ __all__ = [
     "MigRewrite",
     "Eliminate",
     "Reshape",
-    "ActivityOpt",
     "Cleanup",
 ]
 
@@ -265,9 +264,9 @@ class Pipeline:
     def _activity(self, network) -> Optional[float]:
         if not self.measure_activity:
             return None
-        from ..analysis.metrics import measure_activity
+        from ..analysis.activity import total_switching_activity
 
-        return measure_activity(network)
+        return total_switching_activity(network)
 
     def _verifier(self):
         if not self.verify:
@@ -533,28 +532,6 @@ class Reshape(Pass):
         with rule_counts() as rules:
             rewrites = reshape(network)
         return {"rewrites": rewrites, "rules": rules}
-
-
-class ActivityOpt(Pass):
-    """Section IV-C switching-activity optimization."""
-
-    name = "activity_opt"
-
-    def __init__(self, effort: int = 2, pi_probabilities=None) -> None:
-        self.effort = effort
-        self.pi_probabilities = pi_probabilities
-
-    def apply(self, network) -> Dict[str, object]:
-        from ..core.activity_opt import optimize_activity
-
-        stats = optimize_activity(
-            network, effort=self.effort, pi_probabilities=self.pi_probabilities
-        )
-        return {
-            "relevance_rewrites": stats.relevance_rewrites,
-            "initial_activity": stats.initial_activity,
-            "final_activity": stats.final_activity,
-        }
 
 
 class Cleanup(Pass):

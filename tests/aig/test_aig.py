@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import Aig, balance, resyn2, rewrite, run_script
-from repro.aig.activity import signal_probabilities, total_switching_activity
 from repro.aig.balance import collect_conjuncts
+from repro.analysis.activity import signal_probabilities, total_switching_activity
 from repro.core import random_aoig_mig
 from repro.core.signal import negate, node_of
 from repro.network import mig_to_aig

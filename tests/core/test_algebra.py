@@ -1,12 +1,14 @@
-"""Tests of the symbolic MIG Boolean algebra (axioms Ω and derived rules Ψ)."""
+"""Tests of the symbolic MIG Boolean algebra.
+
+The Ω/Ψ rules themselves are pattern pairs in :data:`repro.core.rules.RULES`;
+``tests/core/test_rules.py::TestRulePatterns`` proves them sound and ties
+them to the graph code.
+"""
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import algebra as alg
 from repro.core.algebra import (
     FALSE,
     TRUE,
@@ -18,40 +20,13 @@ from repro.core.algebra import (
     from_aoig_or,
     inv,
     maj,
-    omega_associativity,
-    omega_commutativity,
-    omega_distributivity_lr,
-    omega_distributivity_rl,
-    omega_inverter_propagation,
-    omega_majority,
-    psi_complementary_associativity,
-    psi_relevance,
-    psi_substitution,
     replace_variable,
     truth_table,
     var,
     variables,
 )
 
-x, y, z, u, v, w = (var(n) for n in "xyzuvw")
-
-
-# --------------------------------------------------------------------- #
-# Hypothesis strategy: random (M, ', 0, 1)-expressions over few variables
-# --------------------------------------------------------------------- #
-VARIABLES = [x, y, z, u, v]
-
-
-def exprs(max_leaves=5, max_depth=4):
-    leaf = st.sampled_from(VARIABLES + [TRUE, FALSE])
-    return st.recursive(
-        leaf,
-        lambda children: st.one_of(
-            st.builds(inv, children),
-            st.builds(maj, children, children, children),
-        ),
-        max_leaves=2 ** max_depth,
-    )
+x, y, z, w = (var(n) for n in "xyzw")
 
 
 class TestEvaluation:
@@ -90,113 +65,6 @@ class TestEvaluation:
         assert expr_depth(e) == 2
         assert expr_size(inv(e)) == 2
 
-
-class TestOmegaAxioms:
-    def test_commutativity_all_permutations(self):
-        e = maj(x, y, z)
-        for perm in itertools.permutations(range(3)):
-            assert equivalent(e, omega_commutativity(e, tuple(perm)))
-
-    def test_commutativity_invalid_permutation(self):
-        with pytest.raises(ValueError):
-            omega_commutativity(maj(x, y, z), (0, 0, 1))
-
-    def test_majority_equal_operands(self):
-        assert omega_majority(maj(x, x, z)) == x
-        assert omega_majority(maj(x, z, x)) == x
-        assert omega_majority(maj(z, x, x)) == x
-
-    def test_majority_complementary_operands(self):
-        assert omega_majority(maj(x, inv(x), z)) == z
-        assert omega_majority(maj(inv(x), z, x)) == z
-
-    def test_majority_no_match(self):
-        assert omega_majority(maj(x, y, z)) is None
-
-    def test_majority_identity_0_x_1(self):
-        # M(0, x, 1) = x, the property used in Theorem 3.4.
-        assert omega_majority(maj(FALSE, x, TRUE)) == x
-
-    def test_associativity(self):
-        e = maj(x, u, maj(y, u, z))
-        result = omega_associativity(e)
-        assert result is not None
-        assert equivalent(e, result)
-        # The exchanged operands must actually have swapped.
-        assert result == maj(z, u, maj(y, u, x))
-
-    def test_associativity_no_shared_operand(self):
-        assert omega_associativity(maj(x, u, maj(y, v, z))) is None
-
-    def test_distributivity_lr(self):
-        e = maj(x, y, maj(u, v, z))
-        result = omega_distributivity_lr(e)
-        assert result is not None
-        assert equivalent(e, result)
-        assert expr_size(result) == expr_size(e) + 1
-
-    def test_distributivity_rl(self):
-        e = maj(maj(x, y, u), maj(x, y, v), z)
-        result = omega_distributivity_rl(e)
-        assert result is not None
-        assert equivalent(e, result)
-        assert expr_size(result) == expr_size(e) - 1
-
-    def test_distributivity_roundtrip(self):
-        e = maj(x, y, maj(u, v, z))
-        assert omega_distributivity_rl(omega_distributivity_lr(e)) == e
-
-    def test_inverter_propagation(self):
-        e = inv(maj(x, y, z))
-        pushed = omega_inverter_propagation(e)
-        assert equivalent(e, pushed)
-        assert pushed == maj(inv(x), inv(y), inv(z))
-
-    def test_inverter_propagation_from_regular(self):
-        e = maj(x, y, z)
-        assert equivalent(e, omega_inverter_propagation(e))
-
-    def test_inverter_propagation_invalid(self):
-        with pytest.raises(ValueError):
-            omega_inverter_propagation(x)
-
-
-class TestPsiRules:
-    def test_relevance(self):
-        e = maj(x, y, maj(x, u, z))
-        result = psi_relevance(e, x_pos=0, y_pos=1)
-        assert result is not None
-        assert equivalent(e, result)
-        # x inside the third operand must have become y'.
-        assert result == maj(x, y, maj(inv(y), u, z))
-
-    def test_relevance_requires_variable(self):
-        e = maj(maj(x, y, z), y, z)
-        assert psi_relevance(e, x_pos=0, y_pos=1) is None
-
-    def test_complementary_associativity(self):
-        e = maj(x, u, maj(y, inv(u), z))
-        result = psi_complementary_associativity(e)
-        assert result is not None
-        assert equivalent(e, result)
-        assert result == maj(x, u, maj(y, x, z))
-
-    def test_complementary_associativity_no_match(self):
-        assert psi_complementary_associativity(maj(x, u, maj(y, u, z))) is None
-
-    def test_substitution(self):
-        e = maj(x, y, z)
-        result = psi_substitution(e, "x", u)
-        assert equivalent(e, result)
-
-    def test_substitution_requires_occurrence(self):
-        with pytest.raises(ValueError):
-            psi_substitution(maj(y, z, u), "x", v)
-
-    def test_substitution_rejects_dependent_replacement(self):
-        with pytest.raises(ValueError):
-            psi_substitution(maj(x, y, z), "x", maj(x, y, z))
-
     def test_replace_variable(self):
         e = maj(x, inv(x), y)
         replaced = replace_variable(e, "x", z)
@@ -227,10 +95,11 @@ class TestPaperExamples:
         # Step 1: associativity swaps w and M(x, y, z).
         step1 = maj(x, maj(x, inv(z), maj(x, y, z)), w)
         assert equivalent(h, step1)
-        # Step 2: relevance replaces z by x inside the reconvergent operand.
+        # Step 2: relevance (Ψ.R with operands z', x) replaces z by x inside
+        # the reconvergent operand.
         inner = maj(x, inv(z), maj(x, y, z))
-        step2_inner = psi_relevance(maj(inv(z), x, maj(x, y, z)), x_pos=0, y_pos=1)
-        assert step2_inner is not None
+        step2_inner = maj(inv(z), x, replace_variable(maj(x, y, z), "z", x))
+        assert step2_inner == maj(inv(z), x, maj(x, y, x))
         assert equivalent(inner, step2_inner)
         # Step 3: the whole expression collapses to x.
         assert equivalent(h, x)
@@ -238,58 +107,6 @@ class TestPaperExamples:
     def test_fig2d_activity_example_function_preserved(self):
         # k = M(x, y, M(x', z, w)) = M(x, y, M(y, z, w)) by Ψ.R.
         k = maj(x, y, maj(inv(x), z, w))
-        rewritten = psi_relevance(k, x_pos=0, y_pos=1)
-        assert rewritten is not None
+        rewritten = maj(x, y, replace_variable(maj(inv(x), z, w), "x", inv(y)))
+        assert rewritten == maj(x, y, maj(y, z, w))
         assert equivalent(k, rewritten)
-
-
-class TestAxiomSoundnessProperties:
-    """Property-based soundness: every axiom preserves the Boolean function."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(exprs(), exprs(), exprs())
-    def test_majority_axiom_equal(self, a, b, c):
-        assert equivalent(maj(a, a, c), a)
-        assert equivalent(maj(a, inv(a), c), c)
-
-    @settings(max_examples=60, deadline=None)
-    @given(exprs(), exprs(), exprs())
-    def test_commutativity_property(self, a, b, c):
-        e = maj(a, b, c)
-        assert equivalent(e, maj(b, a, c))
-        assert equivalent(e, maj(c, b, a))
-
-    @settings(max_examples=40, deadline=None)
-    @given(exprs(), exprs(), exprs(), exprs(), exprs())
-    def test_distributivity_property(self, a, b, c, d, e5):
-        lhs = maj(a, b, maj(c, d, e5))
-        rhs = maj(maj(a, b, c), maj(a, b, d), e5)
-        assert equivalent(lhs, rhs)
-
-    @settings(max_examples=40, deadline=None)
-    @given(exprs(), exprs(), exprs(), exprs())
-    def test_associativity_property(self, a, b, c, d):
-        lhs = maj(a, b, maj(c, b, d))
-        rhs = maj(d, b, maj(c, b, a))
-        assert equivalent(lhs, rhs)
-
-    @settings(max_examples=40, deadline=None)
-    @given(exprs(), exprs(), exprs())
-    def test_inverter_propagation_property(self, a, b, c):
-        assert equivalent(inv(maj(a, b, c)), maj(inv(a), inv(b), inv(c)))
-
-    @settings(max_examples=40, deadline=None)
-    @given(exprs(), exprs(), exprs(), exprs())
-    def test_complementary_associativity_property(self, a, b, c, d):
-        lhs = maj(a, b, maj(c, inv(b), d))
-        rhs = maj(a, b, maj(c, a, d))
-        assert equivalent(lhs, rhs)
-
-    @settings(max_examples=30, deadline=None)
-    @given(exprs(max_depth=3))
-    def test_substitution_property(self, e):
-        names = sorted(variables(e))
-        if not names:
-            return
-        result = psi_substitution(e, names[0], w)
-        assert equivalent(e, result)

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core import random_aoig_mig, random_mig
+from repro.core.algebra import Const, Expr, Not, Var, equivalent, to_string, variables
 from repro.core.mig import Mig
 from repro.core.rules import (
+    KERNEL_AXIOMS,
+    RULES,
     cone_nodes,
     cone_size,
     effective_fanins,
@@ -19,6 +22,30 @@ from repro.core.rules import (
 )
 from repro.core.signal import negate, node_of
 from repro.verify import assert_equivalent, check_equivalence
+
+
+PATTERN_PAIRS = [(name, rule.lhs, rule.rhs) for name, rule in RULES.items()] + [
+    (name, lhs, rhs) for name, pairs in KERNEL_AXIOMS.items() for lhs, rhs in pairs
+]
+
+
+def first_appearance(expr: Expr):
+    """Variable names of ``expr`` in the order a left-to-right reading meets them."""
+    if isinstance(expr, Var):
+        return [expr.name]
+    children = [expr.child] if isinstance(expr, Not) else getattr(expr, "children", ())
+    return list(dict.fromkeys(n for child in children for n in first_appearance(child)))
+
+
+def build_expr(mig, expr: Expr, pis) -> int:
+    """Build ``expr`` into ``mig`` over the PI signals ``pis`` (by name)."""
+    if isinstance(expr, Var):
+        return pis[expr.name]
+    if isinstance(expr, Const):
+        return mig.constant(expr.value)
+    if isinstance(expr, Not):
+        return negate(build_expr(mig, expr.child, pis))
+    return mig.maj(*(build_expr(mig, child, pis) for child in expr.children))
 
 
 def make_network_with(builder):
@@ -277,3 +304,55 @@ class TestRulePreservationOnRandomNetworks:
         mig.cleanup()
         result = check_equivalence(mig, reference)
         assert result.equivalent, result
+
+
+class TestRulePatterns:
+    """The pattern pairs of ``RULES`` and ``KERNEL_AXIOMS`` are the rule
+    specification: each is proved sound, and each graph rule is checked to
+    build exactly its right-hand side on a forged match."""
+
+    @pytest.mark.parametrize(
+        "name, lhs, rhs", PATTERN_PAIRS, ids=[f"{n}:{to_string(l)}" for n, l, _ in PATTERN_PAIRS]
+    )
+    def test_pattern_is_sound(self, name, lhs, rhs):
+        """Exhaustive over the pattern's variables; since the variables
+        stand for any sub-expression, this proves every instance."""
+        assert 2 <= len(variables(lhs) | variables(rhs)) <= 5
+        assert equivalent(lhs, rhs), name
+
+    #: Gates the rewrite adds to its strashed cone (Ψ.S only by collapse).
+    GATE_CHANGE = {
+        "Ω.A": 0, "Ω.A-reshape": 0, "Ψ.C": 0, "Ψ.R": 0, "Ψ.S": -1,
+        "Ω.D L→R": 1, "Ω.D R→L": -1,
+    }
+
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_pattern_gate_change(self, name):
+        """Ω.D L→R duplicates a gate to cut depth, R→L removes one; the
+        other moves keep the size, except Ψ.S on its collapsing cone."""
+
+        def gates(expr):
+            mig = Mig()
+            pis = {v: mig.add_pi(v) for v in first_appearance(RULES[name].lhs)}
+            mig.add_po(build_expr(mig, expr, pis), "f")
+            return mig.num_gates
+
+        assert gates(RULES[name].rhs) - gates(RULES[name].lhs) == self.GATE_CHANGE[name]
+
+    @pytest.mark.parametrize("name", list(RULES))
+    def test_rule_builds_its_right_hand_side(self, name):
+        rule = RULES[name]
+        mig = Mig()
+        # Ψ.S breaks the tie between the equally used leaves v and u by
+        # the order it meets them, so the PIs follow the pattern's order.
+        pis = {v: mig.add_pi(v) for v in first_appearance(rule.lhs)}
+        root = build_expr(mig, rule.lhs, pis)
+        mig.add_po(root, "f")
+        # The depth rules move the operand that arrives last: ``z``.
+        levels = [0] * mig.num_nodes
+        if "z" in pis:
+            levels[node_of(pis["z"])] = 1
+        extra = {"levels": levels, "growth": 0}.get(rule.arg)
+        node = node_of(root)
+        assert rule.fn(mig, node) if extra is None else rule.fn(mig, node, extra)
+        assert mig.po_signals()[0] == build_expr(mig, rule.rhs, pis)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.aig import Aig
+from repro.analysis import total_switching_activity
 from repro.bench_circuits import build_benchmark
 from repro.core.depth_opt import push_up
 from repro.core.mig import Mig
@@ -74,6 +76,13 @@ class TestPipeline:
         # Without the flag the engine skips the (expensive) measurement.
         result = Pipeline([Eliminate()]).run(small_mig("count"))
         assert result.passes[0].activity_before is None
+
+    def test_measure_activity_on_an_aig(self):
+        """The engine measures an AIG with the same propagation as a MIG."""
+        aig = build_benchmark("count", Aig)
+        result = Pipeline([FunctionPass("probe", lambda net: None)], measure_activity=True).run(aig)
+        assert result.passes[0].activity_before == total_switching_activity(aig)
+        assert result.passes[0].activity_after == result.passes[0].activity_before
 
 
 class TestRepeat:
