@@ -1,9 +1,10 @@
 """E8a — ablation: which reshape rules matter (Section IV design choices).
 
 The size/depth optimizers rely on the reshape process (Ω.A, Ψ.C, Ψ.R, Ψ.S)
-to escape local minima.  This ablation runs the depth-oriented MIG flow
-with subsets of the reshape rule list and reports the resulting average
-depth and size, quantifying each rule's contribution.
+to escape local minima.  This ablation runs the paper's algebraic MIG flow
+(``boolean_rewrite=False``, whose depth phase is Algorithm 2) with subsets
+of the reshape rule list and reports the resulting average depth and size,
+quantifying each rule's contribution.
 """
 
 import pytest
@@ -39,7 +40,9 @@ def test_reshape_ablation(benchmark, config_name):
         depths, sizes = [], []
         for name in _SUBSET:
             mig = build_benchmark(name, Mig)
-            mighty_optimize(mig, rounds=1, depth_effort=1, reshape_rules=rules)
+            mighty_optimize(
+                mig, rounds=1, depth_effort=1, reshape_rules=rules, boolean_rewrite=False
+            )
             depths.append(mig.depth())
             sizes.append(mig.num_gates)
         return sum(depths) / len(depths), sum(sizes) / len(sizes)

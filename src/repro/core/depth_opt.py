@@ -25,7 +25,7 @@ from typing import List, Sequence
 
 from .mig import Mig
 from .reshape import reshape
-from .rules import PUSH_UP_RULES, RESHAPE_RULES, RuleSweep, sweep_majority
+from .rules import PUSH_UP_RULES, RESHAPE_RULES, RuleSweep
 from .size_opt import eliminate
 
 __all__ = ["DepthOptStats", "push_up", "optimize_depth"]
@@ -63,7 +63,6 @@ def push_up(mig: Mig, max_rounds: int = 32) -> int:
     """
     rewrites = 0
     for _ in range(max_rounds):
-        sweep_majority(mig)
         depth_before = mig.depth()
         if depth_before == 0:
             break

@@ -18,11 +18,16 @@ The heavy lifting is the network-generic engine in
   the MIGhty flow's acceptance policy relies on;
 * zero-gain replacements are off by default (the MIG optimizers work in
   place, so canonicalization-for-strashing pays off less than in the
-  rebuild-based AIG flow).
+  rebuild-based AIG flow);
+* depth mode (``max_level_growth < 0``) rewrites only critical roots,
+  each move lowering its root's level; a move off the critical path buys
+  no depth, so it spends no nodes.
 
 Use through the flow engine as the ``mig_rewrite`` pass
 (:class:`repro.flows.engine.MigRewrite`) to interleave Boolean rewriting
-with the algebraic passes, or call :func:`rewrite_mig` directly.
+with the algebraic passes, as the ``depth_rewrite`` pass
+(:class:`repro.flows.engine.DepthRewrite`) for depth, or call
+:func:`rewrite_mig` directly.
 """
 
 from __future__ import annotations
@@ -51,9 +56,11 @@ def rewrite_mig(
     cut engine's ``cut_nodes_recomputed`` / ``cut_nodes_reused``
     counters).  With the default ``max_level_growth=0`` the sweep never
     increases ``mig.depth()``; pass ``None`` to lift the bound
-    (size-first mode) or a negative value for depth mode, where the
-    shallowest admissible top-k entry wins and ``max_size_growth`` extra
-    nodes may be spent per depth-improving move.  Sweeps share the MIG's
+    (size-first mode) or a negative value for depth mode, which visits
+    only the nodes critical at sweep start, where the shallowest
+    admissible top-k entry wins and ``max_size_growth`` extra nodes may be
+    spent per depth-improving move (the MIGhty flow's
+    :class:`~repro.flows.engine.DepthRewrite` pass).  Sweeps share the MIG's
     :class:`~repro.network.cuts.CutManager`, so repeated rounds
     re-enumerate only touched cones; ``incremental=False`` forces
     from-scratch enumeration.

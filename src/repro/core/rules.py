@@ -34,13 +34,12 @@ test ties the graph code to its pattern.
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Expr, inv, maj, replace_variable, var
-from .mig import Mig, _simplify_maj
+from .mig import Mig
 from .signal import is_complemented, negate, negate_if, node_of
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "try_complementary_associativity",
     "try_relevance",
     "try_substitution",
-    "sweep_majority",
 ]
 
 #: Bound on the number of gates of a reconvergent cone inspected by Ψ.R
@@ -163,43 +161,6 @@ def rebuild_cone(
         a, b, c = mig.fanins(node)
         mapping[node] = mig.maj(mapped(a), mapped(b), mapped(c))
     return mapped(root)
-
-
-# --------------------------------------------------------------------- #
-# Ω.M sweep
-# --------------------------------------------------------------------- #
-def sweep_majority(mig: Mig) -> int:
-    """Apply Ω.M left-to-right over the whole network.
-
-    Node creation already performs these simplifications, so only nodes
-    whose stored triple was rewritten in place by a substitution can have
-    become reducible.  The kernel tracks exactly those in its ``_touched``
-    set, which this sweep drains in ascending node order — the same visit
-    order (and therefore the same result) as a full scan, at a fraction of
-    the cost.  A node retargeted *behind* the sweep cursor stays in the set
-    and is picked up by the next sweep, again matching the full-scan
-    behaviour.  Returns the number of nodes removed.
-    """
-    removed = 0
-    touched = mig._touched
-    heap = sorted(touched)
-    in_heap = set(heap)
-    while heap:
-        node = heapq.heappop(heap)
-        in_heap.discard(node)
-        touched.discard(node)
-        if mig.is_dead(node) or not mig.is_maj(node):
-            continue
-        replacement = _simplify_maj(*mig.fanins(node))
-        if replacement is not None and mig.substitute(node, replacement):
-            removed += 1
-            # The substitution may have retargeted nodes ahead of the
-            # cursor; merge them into this sweep like a full scan would.
-            for t in touched:
-                if t > node and t not in in_heap:
-                    heapq.heappush(heap, t)
-                    in_heap.add(t)
-    return removed
 
 
 # --------------------------------------------------------------------- #
@@ -597,9 +558,10 @@ RULES: Dict[str, Rule] = {
 }
 
 #: The axioms the kernel applies itself rather than through a sweep, as
-#: ``(lhs, rhs)`` pattern pairs: Ω.M in :meth:`Mig.maj` (and
-#: :func:`sweep_majority`), Ω.I in its polarity normalization and in
-#: :func:`effective_fanins`, Ω.C in its sorted fanin order.
+#: ``(lhs, rhs)`` pattern pairs: Ω.M in :meth:`Mig.maj` (and before every
+#: in-place fanin update, so no stored triple is Ω.M-reducible), Ω.I in
+#: its polarity normalization and in :func:`effective_fanins`, Ω.C in its
+#: sorted fanin order.
 KERNEL_AXIOMS: Dict[str, Tuple[Tuple[Expr, Expr], ...]] = {
     "Ω.M": ((maj(_x, _x, _z), _x), (maj(_x, inv(_x), _z), _z)),
     "Ω.I": ((inv(maj(_x, _y, _z)), maj(inv(_x), inv(_y), inv(_z))),),

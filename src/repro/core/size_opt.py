@@ -26,7 +26,7 @@ from typing import List, Sequence
 
 from .mig import Mig
 from .reshape import reshape
-from .rules import ELIMINATE_RULES, RESHAPE_RULES, RuleSweep, sweep_majority
+from .rules import ELIMINATE_RULES, RESHAPE_RULES, RuleSweep
 
 __all__ = ["SizeOptStats", "eliminate", "optimize_size"]
 
@@ -55,14 +55,15 @@ class SizeOptStats:
 def eliminate(mig: Mig) -> int:
     """The elimination step: Ω.M (L→R) and Ω.D (R→L) to a fixpoint.
 
-    Runs at most 8 rounds of an Ω.M sweep followed by a sweep of
-    :data:`~repro.core.rules.ELIMINATE_RULES`.  Returns the number of
-    nodes removed.
+    Runs at most 8 sweeps of :data:`~repro.core.rules.ELIMINATE_RULES`;
+    the kernel applies Ω.M to every node it builds or retargets, so no
+    stored triple needs a sweep of its own.  Returns the number of nodes
+    removed.
     """
     removed_total = 0
     sweep = RuleSweep("eliminate", ELIMINATE_RULES)
     for _ in range(8):
-        removed = sweep_majority(mig) - sum(sweep.run(mig, list(mig.gates())))
+        removed = -sum(sweep.run(mig, list(mig.gates())))
         mig.cleanup()
         if removed == 0:
             break

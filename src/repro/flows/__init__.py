@@ -21,6 +21,7 @@ from .engine import (
     Balance,
     Cleanup,
     DepthOpt,
+    DepthRewrite,
     Eliminate,
     FlowResult,
     FunctionPass,
@@ -83,6 +84,7 @@ __all__ = [
     "FlowResult",
     "Balance",
     "DepthOpt",
+    "DepthRewrite",
     "SizeOpt",
     "MigRewrite",
     "Eliminate",

@@ -48,6 +48,7 @@ __all__ = [
     "run_rebuild_chain",
     "Balance",
     "DepthOpt",
+    "DepthRewrite",
     "SizeOpt",
     "MigRewrite",
     "Eliminate",
@@ -460,6 +461,36 @@ class DepthOpt(Pass):
             "reshape_rewrites": stats.reshape_rewrites,
             "rules": rules,
         }
+
+
+class DepthRewrite(Pass):
+    """Boolean depth rewriting along the critical path.
+
+    Runs :func:`repro.core.rewrite.rewrite_mig` in depth mode
+    (``max_level_growth=-1``: each move must lower its root's level;
+    ``max_size_growth=0``: it may not spend extra nodes) for up to
+    :attr:`SWEEPS` sweeps, stopping after a sweep that applies no rewrite.
+    Each sweep visits only the nodes critical at its start.  Both
+    constants are fixed.  Growth 1 leaves perfbench's 40-MIG ``batch``
+    corpus larger (9,755 gates) than growth 0 (9,680) or Algorithm 2
+    (9,710).
+    """
+
+    name = "depth_rewrite"
+    SWEEPS = 4
+
+    def apply(self, network) -> Dict[str, object]:
+        from ..core.rewrite import rewrite_mig
+
+        sweeps = rewrites = gain = 0
+        for _ in range(self.SWEEPS):
+            stats = rewrite_mig(network, max_level_growth=-1, max_size_growth=0)
+            sweeps += 1
+            rewrites += stats["rewrites"]
+            gain += stats["gain"]
+            if not stats["rewrites"]:
+                break
+        return {"sweeps": sweeps, "rewrites": rewrites, "gain": gain}
 
 
 class SizeOpt(Pass):

@@ -6,13 +6,17 @@ pass pipeline over the flow engine (:mod:`repro.flows.engine`)::
 
     Pipeline([
         Balance(),
-        Repeat([DepthOpt(depth_effort), SizeOpt(effort=1), MigRewrite(),
+        Repeat([DepthRewrite(), SizeOpt(effort=1), MigRewrite(),
                 Eliminate(), Balance()],
                rounds=rounds),
     ])
 
-``boolean_rewrite=False`` leaves out ``MigRewrite`` (NPN cut rewriting,
-beyond the paper's algebraic passes).  The experiment harness, the
+By default both the depth phase (``DepthRewrite``: critical-path NPN cut
+rewriting in depth mode) and the size phase's ``MigRewrite`` are Boolean
+cut rewriting, beyond the paper's algebraic passes.
+``boolean_rewrite=False`` is the paper's algebraic flow: ``DepthOpt``
+(Algorithm 2 with ``depth_effort`` cycles) in place of ``DepthRewrite``,
+and no ``MigRewrite``.  The experiment harness, the
 examples and downstream users all run this same flow — and all get the
 engine's per-pass size/depth/runtime metrics for free (see
 :attr:`MightyResult.pass_metrics` and the serialisation helpers in
@@ -34,6 +38,7 @@ from ..core.rules import RESHAPE_RULES
 from .engine import (
     Balance,
     DepthOpt,
+    DepthRewrite,
     Eliminate,
     MigRewrite,
     Pass,
@@ -68,31 +73,32 @@ def mighty_pipeline(
 ) -> Pipeline:
     """Build the MIGhty flow as a declarative pass pipeline.
 
-    Each round performs depth optimization (Algorithm 2 with
-    ``depth_effort`` cycles), then a size recovery phase (Algorithm 1 with
-    effort 1), then Boolean rewriting, then an activity recovery phase (a
-    cheap elimination pass that keeps the size in check after the
-    depth-oriented duplication), then re-balances.  Rounds stop early when
-    neither depth nor size improves.  The leading balance (closed-form
-    Ω.A) gives the majority-specific depth moves a well-conditioned
-    starting point.  ``rounds`` and ``depth_effort`` must be at least 1
-    (``ValueError`` otherwise).
+    Each round performs depth optimization, then a size recovery phase
+    (Algorithm 1 with effort 1), then (with ``boolean_rewrite``) area cut
+    rewriting, then an activity recovery phase (a cheap elimination pass
+    that keeps the size in check after the depth-oriented duplication),
+    then re-balances.  Rounds stop early when neither depth nor size
+    improves.  The leading balance (closed-form Ω.A) gives the depth moves
+    a well-conditioned starting point.  ``rounds`` and ``depth_effort``
+    must be at least 1 (``ValueError`` otherwise).
 
-    ``reshape_rules`` is the rule list of the reshape step inside both
+    ``reshape_rules`` is the rule list of the reshape step inside the
     Algorithms (names from :data:`repro.core.rules.RULES`); a subset
     ablates rules.
 
-    ``boolean_rewrite`` (default **on** since the top-k structure
-    database landed) interleaves NPN-database cut rewriting
-    (:class:`~repro.flows.engine.MigRewrite`) with the algebraic size
-    recovery — an optimization scenario beyond the paper's purely
-    algebraic flow.  Each rewrite sweep is depth-safe and only commits
-    size-improving replacements; the combined flow dominating the
-    algebraic one on both metrics is an empirical result (verified per
-    benchmark by ``benchmarks/acceptance_cut_rewrite.py`` over the Table I
-    suite), not a structural guarantee — later heuristic rounds start
-    from a different network and could in principle land elsewhere.  Pass
-    ``boolean_rewrite=False`` for the paper's purely algebraic flow.
+    ``boolean_rewrite`` (default **on**) runs NPN-database cut rewriting,
+    an optimization scenario beyond the paper's purely algebraic flow, in
+    two places: :class:`~repro.flows.engine.DepthRewrite` is the depth
+    phase (critical-path depth-mode sweeps, each move lowering its root's
+    level at no extra nodes), and :class:`~repro.flows.engine.MigRewrite`
+    follows the size recovery (depth-safe, size-improving replacements
+    only).  The combined flow dominating the algebraic one on both
+    metrics is an empirical result (verified per benchmark by
+    ``benchmarks/acceptance_cut_rewrite.py`` over the Table I suite), not
+    a structural guarantee.  ``boolean_rewrite=False`` is the paper's
+    purely algebraic flow, whose depth phase is Algorithm 2
+    (:class:`~repro.flows.engine.DepthOpt`) with ``depth_effort`` cycles;
+    ``depth_effort`` reaches no pass of the Boolean flow.
 
     ``verify`` enables per-pass self-certification: ``True`` proves every
     top-level pass function-preserving through the equivalence-checking
@@ -105,7 +111,9 @@ def mighty_pipeline(
             f"rounds and depth_effort must be >= 1, got {rounds} and {depth_effort}"
         )
     round_passes: List[Pass] = [
-        DepthOpt(effort=depth_effort, reshape_rules=reshape_rules),
+        DepthRewrite()
+        if boolean_rewrite
+        else DepthOpt(effort=depth_effort, reshape_rules=reshape_rules),
         SizeOpt(effort=1, reshape_rules=reshape_rules),
     ]
     if boolean_rewrite:

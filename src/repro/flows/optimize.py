@@ -5,8 +5,9 @@ pipeline over the flow engine (:mod:`repro.flows.engine`):
 
 ``MIG``
     The benchmark built as a MIG and optimized by the MIGhty pipeline
-    (``Balance → Repeat[DepthOpt, SizeOpt, Eliminate, Balance]``, i.e.
-    depth optimization interlaced with size/activity recovery).
+    (``Balance → Repeat[DepthRewrite, SizeOpt, MigRewrite, Eliminate,
+    Balance]``, i.e. depth optimization interlaced with size/activity
+    recovery; see :mod:`repro.flows.mighty`).
 ``AIG``
     The same function built as an AIG and optimized by the ``resyn2``-style
     rebuild chain (balance / rewrite / refactor passes with a

@@ -153,10 +153,6 @@ class LogicNetwork:
         self._level_falls: set = set()
         self._order_cache: Optional[List[int]] = None
         self._levels_cache: Optional[List[int]] = None
-        # Nodes whose stored fanin tuple changed in place since creation.
-        # Gate creation pre-simplifies, so only these can have become
-        # trivially reducible — the Ω.M sweep visits just this set.
-        self._touched: set = set()
 
         # Monotone counter of structural changes (allocation, retarget,
         # death, PO edits, resets): lets derived-state caches prove "the
@@ -892,7 +888,6 @@ class LogicNetwork:
                 self._fanouts[fn].discard(parent)
             if self._ref[fn] == 0 and self.is_gate(fn) and not self._dead[fn]:
                 self._take_out(fn)
-        self._touched.add(parent)
         self._mutation_serial += 1
         if self._mutation_listeners:
             for listener in self._mutation_listeners:
@@ -1007,7 +1002,6 @@ class LogicNetwork:
         self._level_falls = clone._level_falls
         self._order_cache = clone._order_cache
         self._levels_cache = clone._levels_cache
-        self._touched = clone._touched
         self._po_refs = clone._po_refs
         self._mutation_serial += 1
         if self._mutation_listeners:

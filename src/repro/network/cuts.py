@@ -441,7 +441,7 @@ class CutManager:
 
 
 def release_cut_state(net) -> None:
-    """Detach every cut manager (and the rewrite probe memo) from ``net``.
+    """Detach every cut manager from ``net``.
 
     For callers that know the network will not be swept again — the
     rebuild-style AIG ``rewrite``/``refactor`` wrappers release the copy
@@ -452,7 +452,6 @@ def release_cut_state(net) -> None:
     if managers:
         for manager in list(managers.values()):
             manager.detach()
-    net.__dict__.pop("_dry_probe_cache", None)
 
 
 def cut_cone(net, root: int, leaves: Sequence[int]) -> List[int]:

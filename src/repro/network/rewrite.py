@@ -25,12 +25,15 @@ leaves are still alive.
 MIG passes additionally bound the *level* of the replacement
 (``max_level_growth=0`` guarantees the network depth never increases,
 since a node's level can only influence its fanouts monotonically).
-With ``max_level_growth < 0`` the sweep runs in **depth mode**: every
-entry of the class's top-k list (the (size, depth) Pareto front from
-:func:`~repro.network.npn.get_structures`) is costed and the shallowest
-admissible replacement wins, with ``max_size_growth`` bounding how many
-extra nodes a depth-improving move may spend; area sweeps keep using the
-size-best entry only.
+With ``max_level_growth < 0`` the sweep runs in **depth mode**: it visits
+only the roots on a critical path, from a :meth:`critical_nodes` snapshot
+taken at sweep start (a move off the critical path buys no depth, so it
+must spend no nodes); every entry of the class's top-k list (the (size,
+depth) Pareto front from :func:`~repro.network.npn.get_structures`) is
+costed and the shallowest admissible replacement wins, with
+``max_size_growth`` bounding how many extra nodes a depth-improving move
+may spend.  Area sweeps visit every node and use the size-best entry
+only.
 
 Cut enumeration goes through the network's shared
 :class:`~repro.network.cuts.CutManager` by default, so interleaved sweeps
@@ -90,10 +93,11 @@ def cut_rewrite(
     engine's reuse counters.  ``incremental=False`` forces a from-scratch
     enumeration (the benchmark baseline).
 
-    ``max_level_growth < 0`` switches the sweep into depth mode: the
-    candidate ordering prefers the largest level drop (size gain breaks
-    ties), every entry of the class's top-k list is considered, and
-    ``max_size_growth`` extra nodes may be spent per move.  In area mode
+    ``max_level_growth < 0`` switches the sweep into depth mode: only
+    the nodes critical at sweep start are visited, the candidate ordering
+    prefers the largest level drop (size gain breaks ties), every entry of
+    the class's top-k list is considered, and ``max_size_growth`` extra
+    nodes may be spent per move.  In area mode
     (``max_level_growth`` ``None`` or ``>= 0``) ``max_size_growth`` is
     ignored and only the size-best entry of each class is used.
     """
@@ -141,12 +145,17 @@ def cut_rewrite(
         cut_nodes_recomputed = len(net._topology())
         cut_nodes_reused = 0
     order = list(net._topology())
+    if depth_mode:
+        critical = set(net.critical_nodes())
+        order = [node for node in order if node in critical]
     dead = net._dead
     level = net._level
     applied = 0
     gain_total = 0
     zero_gain_applied = 0
     aliased = 0
+    # The dry runs' probe plans, keyed by fanin tuple: one sweep's memo.
+    probe_plans: Dict[Tuple[int, ...], tuple] = {}
 
     for root in order:
         if dead[root]:
@@ -179,7 +188,7 @@ def cut_rewrite(
             else:
                 limit = len(mffc) if allow_zero_gain else len(mffc) - 1
             for entry in entries:
-                dry = _dry_run(net, entry, inputs, mffc, level, limit)
+                dry = _dry_run(net, entry, inputs, mffc, level, limit, probe_plans)
                 if dry is None:
                     continue
                 added, est_level, output_node = dry
@@ -278,24 +287,7 @@ def _structure_inputs(leaves: Tuple[int, ...], transform) -> Tuple[int, int, int
     return tuple(inputs)
 
 
-def _probe_plan_cache(net) -> Dict[Tuple[int, ...], tuple]:
-    """Per-network memo of the builder-mirroring probe plan of a fanin tuple.
-
-    ``_gate_simplify``, ``_normalize_gate`` and ``_strash_candidates`` are
-    pure functions of the tuple (they read no network state), so the plan
-    — ``(simplified_signal, norm_output_compl, candidate_keys)`` — can be
-    computed once per distinct tuple instead of once per dry-run op.  The
-    tuples recur massively across cuts and across sweeps (including
-    placeholder-signal tuples, whose plan is equally structural), which is
-    what makes the rewrite evaluation loop cheap on repeated sweeps.
-    """
-    cache = net.__dict__.get("_dry_probe_cache")
-    if cache is None:
-        cache = net.__dict__["_dry_probe_cache"] = {}
-    return cache
-
-
-def _dry_run(net, entry, inputs, mffc, level, max_new):
+def _dry_run(net, entry, inputs, mffc, level, max_new, probe_plans):
     """Cost a structure against the live network without building it.
 
     Mirrors the builder: trivial simplification first, then the structural
@@ -306,6 +298,13 @@ def _dry_run(net, entry, inputs, mffc, level, max_new):
     closure is charged (once per node).  Returns ``(added,
     estimated_level, output_node)`` or ``None`` when more than ``max_new``
     additions would be needed.
+
+    ``probe_plans`` memoizes the builder-mirroring probe plan of a fanin
+    tuple — ``(simplified_signal, norm_output_compl, candidate_keys)``.
+    ``_gate_simplify``, ``_normalize_gate`` and ``_strash_candidates`` are
+    pure functions of the tuple (they read no network state), so a plan
+    is computed once per distinct tuple instead of once per dry-run op;
+    the tuples recur massively across the cuts of one sweep.
     """
     strash = net._strash
     dead = net._dead
@@ -317,7 +316,6 @@ def _dry_run(net, entry, inputs, mffc, level, max_new):
     counted = set()
     added = 0
     placeholder = -1
-    probe_cache = _probe_plan_cache(net)
 
     for op in entry.ops:
         if len(op) == 3:
@@ -332,7 +330,7 @@ def _dry_run(net, entry, inputs, mffc, level, max_new):
             fanins = (signals[a >> 1] ^ (a & 1), signals[b >> 1] ^ (b & 1))
         else:  # pragma: no cover - no current database has another arity
             fanins = tuple(signals[lit >> 1] ^ (lit & 1) for lit in op)
-        plan = probe_cache.get(fanins)
+        plan = probe_plans.get(fanins)
         if plan is None:
             simplified = net._gate_simplify(fanins)
             if simplified is not None:
@@ -343,12 +341,11 @@ def _dry_run(net, entry, inputs, mffc, level, max_new):
                 # same node identity.
                 norm_fanins, norm_compl = net._normalize_gate(fanins)
                 plan = (None, norm_compl, tuple(net._strash_candidates(norm_fanins)))
-            if len(probe_cache) >= (1 << 18):
-                # Node ids grow monotonically, so old-tuple entries go
-                # stale; a wholesale clear keeps the memo effective at a
-                # bounded footprint (it rebuilds within one sweep).
-                probe_cache.clear()
-            probe_cache[fanins] = plan
+            if len(probe_plans) >= (1 << 18):
+                # A wholesale clear bounds the memo's footprint on very
+                # large sweeps; the plans it drops are recomputed on demand.
+                probe_plans.clear()
+            probe_plans[fanins] = plan
         simplified, norm_compl, candidates = plan
         if simplified is not None:
             signals.append(simplified)

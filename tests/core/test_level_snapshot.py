@@ -115,16 +115,16 @@ def test_push_up_then_reshape_golden():
 
 def test_mighty_pass_trace_golden():
     """Per-pass (size, depth) of one MIGhty round; covers the cut rewriter's
-    per-root level reads (``mig_rewrite``)."""
+    per-root level reads (``depth_rewrite``, ``mig_rewrite``)."""
     mig = build_benchmark("my_adder")
     result = mighty_optimize(mig, rounds=1, depth_effort=1)
     trace = [(m.name, m.size_after, m.depth_after) for m in result.pass_metrics]
     assert trace == [
         ("balance", 112, 34),
-        ("depth_opt", 555, 18),
-        ("size_opt", 555, 18),
-        ("mig_rewrite", 447, 17),
-        ("eliminate", 446, 18),
-        ("balance", 445, 17),
-        ("mighty_round", 445, 17),
+        ("depth_rewrite", 112, 17),
+        ("size_opt", 112, 17),
+        ("mig_rewrite", 112, 17),
+        ("eliminate", 112, 17),
+        ("balance", 112, 17),
+        ("mighty_round", 112, 17),
     ]

@@ -246,19 +246,21 @@ CLA_DEPTH_GOLDEN = {
         1335, 33, "6e0e71eb3a863a047d05aa966ca77f48fbddcd372023fccc87ea1aa52ad8af58"
     ),
 }
+# The algebraic flow (boolean_rewrite=False), the one whose depth phase runs
+# the reshape rules (Algorithm 2).
 MY_ADDER_MIGHTY_GOLDEN = {
-    "full": (445, 17, "686ddcced22ec8e3f7d663f38bfe70b48047ca266207c6687ca13b976282a201"),
+    "full": (547, 18, "1449b9b9eccb870f75383de08934afbcd646abb4f5be8225e6af88d407d4b063"),
     "no_relevance": (
-        372, 16, "a482079c1a74453a6d9dbc1f7286315c9d3c5ec77ec68f636842a5b4f0313d02"
+        444, 18, "4d14a0a3cd467098aba7cf78ed51b15d9e74fdbd2d5bb8696b69a517aa72ba01"
     ),
     "no_substitution": (
-        425, 17, "abadeb5a88e609920f26a2fa75dcd4d7cec3753c82832982d17b7262f6ea5fe3"
+        526, 18, "2de5491244ca8974765afec4abe11c464999a1db1a4c732948655128f8e4e931"
     ),
     "no_complementary": (
-        600, 19, "51fa8a5df794f93d4f076468318c084a0301db04579e4424dcbe12649c466898"
+        752, 20, "ea5e97d514b97bca2705139efa33270e462e2cdea56d9fcbc50a3dc292a3d768"
     ),
     "associativity_only": (
-        317, 17, "5b1a3f6546aa6690b673bec0aabfdd741f8ef9ef7d6bb5b39879542f8beb95bc"
+        377, 18, "e26080fd89bf9746caca1e49d320e1f15d3f3392a562be8aa61a16e71e313a82"
     ),
 }
 
@@ -271,7 +273,13 @@ def test_reshape_rule_subsets_reproduce_flag_goldens(subset):
         CLA_DEPTH_GOLDEN[subset]
     )
     mig = build_benchmark("my_adder")
-    mighty_optimize(mig, rounds=1, depth_effort=1, reshape_rules=ABLATION_SUBSETS[subset])
+    mighty_optimize(
+        mig,
+        rounds=1,
+        depth_effort=1,
+        reshape_rules=ABLATION_SUBSETS[subset],
+        boolean_rewrite=False,
+    )
     assert (mig.num_gates, mig.depth(), structural_fingerprint(mig)) == (
         MY_ADDER_MIGHTY_GOLDEN[subset]
     )

@@ -1,8 +1,12 @@
 """Tests for graph-level Ω / Ψ rule application on MIG networks."""
 
-import pytest
+import random
 
-from repro.core import random_aoig_mig, random_mig
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import mutate_network, random_aoig_mig, random_mig
 from repro.core.algebra import Const, Expr, Not, Var, equivalent, to_string, variables
 from repro.core.mig import Mig
 from repro.core.rules import (
@@ -12,7 +16,6 @@ from repro.core.rules import (
     cone_size,
     effective_fanins,
     rebuild_cone,
-    sweep_majority,
     try_associativity,
     try_complementary_associativity,
     try_distributivity_lr,
@@ -267,9 +270,50 @@ class TestRelevanceAndSubstitution:
         mig.cleanup()
         assert_equivalent(mig, reference)
 
-    def test_sweep_majority_is_noop_on_canonical_network(self):
-        mig = random_mig(6, 30, seed=3)
-        assert sweep_majority(mig) == 0
+
+class TestKernelMajorityAxiom:
+    """The kernel applies Ω.M to every triple it builds or retargets, so no
+    live gate ever holds an Ω.M-reducible triple (two fanins on one node:
+    ``M(x, x, z)`` or ``M(x, x', z)``, constants included)."""
+
+    @staticmethod
+    def reducible_gates(mig):
+        return [
+            node
+            for node in mig.gates()
+            if not mig.is_dead(node) and len({f >> 1 for f in mig.fanins(node)}) < 3
+        ]
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_no_live_gate_is_reducible_after_edit_cascades(self, network_forge, seed):
+        mig = network_forge(
+            kind="mig", gate_mix="mixed", num_pis=6, num_gates=40, num_pos=4, seed=seed
+        )
+        rng = random.Random(seed)
+        assert self.reducible_gates(mig) == []
+        for step in range(12):
+            gates = [n for n in mig.gates() if not mig.is_dead(n)]
+            if not gates:
+                break
+            node = rng.choice(gates)
+            # Targets are drawn from the live nodes so that duplicate
+            # operands (the Ω.M matches) come up often.
+            signals = [0, 1] + [
+                (n << 1) | rng.randrange(2) for n in (*mig.pi_nodes(), *gates)
+            ]
+            op = step % 3
+            if op == 0:
+                mutate_network(mig, seed=seed * 31 + step, in_place=True)
+            elif op == 1:
+                mig.substitute(node, rng.choice(signals))
+            else:
+                try:
+                    mig.replace_fanins(node, tuple(rng.choice(signals) for _ in range(3)))
+                except ValueError:
+                    pass  # the drawn fanins would close a cycle
+            mig.check_integrity()
+            assert self.reducible_gates(mig) == [], (seed, step)
 
 
 class TestRulePreservationOnRandomNetworks:

@@ -1,8 +1,11 @@
 """Tests for the pass-manager flow engine."""
 
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aig import Aig
 from repro.analysis import total_switching_activity
@@ -16,6 +19,7 @@ from repro.flows import (
     Balance,
     Cleanup,
     DepthOpt,
+    DepthRewrite,
     Eliminate,
     FunctionPass,
     PassMetrics,
@@ -205,9 +209,50 @@ class TestMightyPipeline:
         result = mighty_optimize(mig, rounds=1, depth_effort=1)
         names = [m.name for m in result.pass_metrics]
         assert names[0] == "balance"
-        assert "depth_opt" in names and "size_opt" in names
+        assert "depth_rewrite" in names and "size_opt" in names
         assert result.final_size == mig.num_gates
         assert result.final_depth == mig.depth()
+
+    @pytest.mark.parametrize(
+        "boolean_rewrite, round_passes",
+        [
+            (True, ["depth_rewrite", "size_opt", "mig_rewrite", "eliminate", "balance"]),
+            (False, ["depth_opt", "size_opt", "eliminate", "balance"]),
+        ],
+    )
+    def test_round_recipe(self, boolean_rewrite, round_passes):
+        result = mighty_optimize(
+            small_mig(), rounds=1, depth_effort=1, boolean_rewrite=boolean_rewrite
+        )
+        names = [m.name for m in result.pass_metrics]
+        assert names == ["balance", *round_passes, "mighty_round"]
+
+    def test_optimized_network_pickles_without_rewrite_memo(self):
+        """Regression: the cut rewriter's probe-plan memo lived in the
+        network's ``__dict__``, so every optimized network kept it for
+        life and shipped it in every pickle."""
+        mig = small_mig("my_adder")
+        mighty_optimize(mig, rounds=1, depth_effort=1)
+        assert "_dry_probe_cache" not in pickle.loads(pickle.dumps(mig)).__dict__
+
+
+class TestDepthRewrite:
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=5000))
+    def test_never_deeper_and_certified(self, network_forge, seed):
+        mig = network_forge(
+            kind="mig", gate_mix="mixed", num_pis=7, num_gates=60, num_pos=4,
+            depth_bias=0.5, seed=seed,
+        )
+        reference = mig.copy()
+        result = Pipeline([DepthRewrite()]).run(mig)
+        metrics = result.passes[0]
+        assert metrics.depth_after <= metrics.depth_before
+        assert metrics.size_after <= metrics.size_before  # growth 0
+        assert 1 <= metrics.details["sweeps"] <= DepthRewrite.SWEEPS
+        mig.check_integrity()
+        check = check_equivalence(mig, reference)
+        assert check.equivalent and check.certified
 
 
 def accepted(counts, step):
@@ -261,7 +306,7 @@ class TestSerialisation:
     def test_format_pass_metrics(self):
         table = format_pass_metrics(self._trace(), title="alu4 / MIGhty")
         assert "alu4 / MIGhty" in table
-        assert "depth_opt" in table and "balance" in table
+        assert "depth_rewrite" in table and "balance" in table
         assert "rules=" not in table  # per-rule counts stay in the JSON form
 
     def test_pass_metrics_to_json_roundtrip(self):

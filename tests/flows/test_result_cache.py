@@ -142,8 +142,8 @@ class TestKeySoundness:
         keys = {
             result_cache_key(net, "mighty"),
             result_cache_key(net, "mighty", {"rounds": 1}),
-            result_cache_key(net, "mighty", {"rounds": 1, "depth_effort": 1}),
-            result_cache_key(net, "mighty", {"depth_effort": 1}),
+            result_cache_key(net, "mighty", {"rounds": 1, "boolean_rewrite": False}),
+            result_cache_key(net, "mighty", {"depth_effort": 1, "boolean_rewrite": False}),
             result_cache_key(net, "mighty", {"boolean_rewrite": False}),
             result_cache_key(net, "resyn2"),
         }
@@ -191,6 +191,17 @@ class TestFlowConfig:
             "mighty", {"rounds": 2}
         )
         assert canonical_flow_config("mighty") != canonical_flow_config("resyn2")
+
+    def test_depth_effort_keys_only_the_algebraic_flow(self):
+        """Regression: ``depth_effort`` reaches no pass of the Boolean flow,
+        so keying it there split one computation across several keys."""
+
+        def config(effort, boolean_rewrite):
+            options = {"depth_effort": effort, "boolean_rewrite": boolean_rewrite}
+            return canonical_flow_config("mighty", options)
+
+        assert config(1, True) == config(2, True)
+        assert config(1, False) != config(2, False)
 
     def test_non_json_options_rejected(self):
         with pytest.raises(ValueError):

@@ -177,3 +177,27 @@ def test_depth_mode_spends_topk_entries_area_mode_does_not(fresh_db):
     assert stats["rewrites"] >= 1
     assert net.depth() < depth_before
     assert net.num_gates <= front[0].size + 1
+
+
+def test_depth_mode_visits_only_critical_roots(fresh_db):
+    """A depth move off the critical path buys no depth, so it must spend
+    no nodes: the 0x180 cone of the test above is rewritten where a deep
+    chain makes it critical and left as built where it is shallow."""
+    front = get_structures("mig", 0x180)
+    net = Mig()
+    deep = replay_structure(net, front[0], [net.add_pi(f"x{i}") for i in range(4)])
+    for i in range(6):
+        deep = net.and_(deep, net.add_pi(f"c{i}"))
+    net.add_po(deep, "deep")
+    before = set(net.gates())
+    shallow = replay_structure(net, front[0], [net.add_pi(f"y{i}") for i in range(4)])
+    net.add_po(shallow, "shallow")
+    shallow_cone = {n: net.fanins(n) for n in set(net.gates()) - before}
+    assert len(shallow_cone) == front[0].size
+    depth_before = net.depth()
+
+    stats = cut_rewrite(net, "mig", max_level_growth=-1, max_size_growth=1)
+    assert stats["rewrites"] >= 1
+    assert net.depth() < depth_before
+    assert net.po_signals()[1] == shallow
+    assert {n: net.fanins(n) for n in shallow_cone} == shallow_cone
