@@ -74,7 +74,7 @@ def rewrite_acceptance_row(name):
     algebraic = build_benchmark(name, Mig)
     mighty_optimize(algebraic, rounds=1, depth_effort=1, boolean_rewrite=False)
     combined = build_benchmark(name, Mig)
-    mighty_optimize(combined, rounds=1, depth_effort=1, boolean_rewrite=True)
+    mighty_optimize(combined, rounds=1, boolean_rewrite=True)
     _check(combined, reference, f"{name}/mighty+rewrite")
     alg = (algebraic.num_gates, algebraic.depth())
     comb = (combined.num_gates, combined.depth())

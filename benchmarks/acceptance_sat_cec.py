@@ -53,7 +53,7 @@ def wide_benchmark_names():
     return [spec.name for spec in BENCHMARKS.values() if spec.num_inputs > 16]
 
 
-def cec_prove_row(name, rounds=1, depth_effort=1):
+def cec_prove_row(name, rounds=1):
     """Prove one pre/post ``mighty_optimize`` pair end-to-end (SAT sweep).
 
     The per-benchmark proof obligation: the pair must come back
@@ -62,7 +62,7 @@ def cec_prove_row(name, rounds=1, depth_effort=1):
     pre = build_benchmark(name, Mig)
     post = build_benchmark(name, Mig)
     t_opt = time.time()
-    mighty_optimize(post, rounds=rounds, depth_effort=depth_effort)
+    mighty_optimize(post, rounds=rounds)
     t_cec = time.time()
     result = check_equivalence(pre, post, num_random_vectors=256)
     elapsed = time.time() - t_cec
@@ -159,7 +159,6 @@ def main(argv=None):
         help="write the JSON report to this path",
     )
     parser.add_argument("--rounds", type=int, default=1)
-    parser.add_argument("--depth-effort", type=int, default=1)
     parser.add_argument(
         "--workers",
         type=int,
@@ -178,7 +177,6 @@ def main(argv=None):
     report = {
         "mode": "smoke" if args.smoke else "full",
         "rounds": args.rounds,
-        "depth_effort": args.depth_effort,
         "workers": args.workers,
         "benchmarks": [],
         "mutants": None,
@@ -193,9 +191,7 @@ def main(argv=None):
         flush=True,
     )
     sweep = parallel_map(
-        functools.partial(
-            cec_prove_row, rounds=args.rounds, depth_effort=args.depth_effort
-        ),
+        functools.partial(cec_prove_row, rounds=args.rounds),
         names,
         workers=args.workers,
         labels=names,

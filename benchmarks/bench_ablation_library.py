@@ -29,7 +29,7 @@ def test_library_ablation(benchmark, library_name, library_factory):
         area = delay = 0.0
         for name in _SUBSET:
             mig = build_benchmark(name, Mig)
-            mighty_optimize(mig, rounds=1, depth_effort=1)
+            mighty_optimize(mig, rounds=1)
             netlist = map_mig(mig, library)
             area += netlist.area()
             delay += netlist.delay()

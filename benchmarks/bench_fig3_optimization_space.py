@@ -10,7 +10,7 @@ import pytest
 
 from repro.flows import optimization_space_points, run_optimization_experiment
 
-from .conftest import flow_depth_effort, flow_rounds, selected_benchmarks
+from .conftest import flow_rounds, selected_benchmarks
 
 #: Fig. 3 uses a representative subset by default to keep the bench quick;
 #: set REPRO_BENCH_BENCHMARKS to override.
@@ -28,9 +28,7 @@ def test_fig3_optimization_space(benchmark):
     """Regenerate the Fig. 3 series (one (size, depth, activity) per flow)."""
 
     def run():
-        results = run_optimization_experiment(
-            _subset(), rounds=flow_rounds(), depth_effort=flow_depth_effort()
-        )
+        results = run_optimization_experiment(_subset(), rounds=flow_rounds())
         return results, optimization_space_points(results)
 
     results, points = benchmark.pedantic(run, iterations=1, rounds=1)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.flows import run_synthesis_experiment, synthesis_space_points
 
-from .conftest import flow_depth_effort, flow_rounds, selected_benchmarks
+from .conftest import flow_rounds, selected_benchmarks
 
 _DEFAULT_SUBSET = ["alu4", "my_adder", "b9", "count", "misex3", "C1908"]
 
@@ -25,7 +25,7 @@ def test_fig4_synthesis_space(benchmark):
 
     def run():
         results = run_synthesis_experiment(
-            _subset(), rounds=flow_rounds(), depth_effort=flow_depth_effort()
+            _subset(), rounds=flow_rounds()
         )
         return results, synthesis_space_points(results)
 

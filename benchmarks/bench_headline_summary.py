@@ -26,7 +26,7 @@ from repro.flows import (
     summarize_synthesis,
 )
 
-from .conftest import flow_depth_effort, flow_rounds
+from .conftest import flow_rounds
 
 _SUBSET = ["alu4", "my_adder", "b9", "count", "misex3", "C1908", "dalu"]
 
@@ -36,16 +36,12 @@ def test_headline_summary(benchmark):
 
     def run():
         t0 = time.perf_counter()
-        rows = run_optimization_experiment(
-            _SUBSET, rounds=flow_rounds(), depth_effort=flow_depth_effort()
-        )
+        rows = run_optimization_experiment(_SUBSET, rounds=flow_rounds())
         opt_wall = time.perf_counter() - t0
         opt = summarize_optimization(rows)
         t0 = time.perf_counter()
         syn = summarize_synthesis(
-            run_synthesis_experiment(
-                _SUBSET, rounds=flow_rounds(), depth_effort=flow_depth_effort()
-            )
+            run_synthesis_experiment(_SUBSET, rounds=flow_rounds())
         )
         syn_wall = time.perf_counter() - t0
         return opt, syn, rows, opt_wall, syn_wall

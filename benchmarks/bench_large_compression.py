@@ -35,7 +35,7 @@ def test_large_compression_circuit(benchmark):
         aig_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        mighty_optimize(mig, rounds=1, depth_effort=1)
+        mighty_optimize(mig, rounds=1)
         mig_time = time.perf_counter() - t0
         return mig, optimized_aig, mig_time, aig_time
 

@@ -59,11 +59,10 @@ FULL_TARGET = 2.5
 SMOKE_FLOOR = 1.2
 
 
-def bench_table1_sweep(names, workers, rounds, depth_effort, verify):
+def bench_table1_sweep(names, workers, rounds, verify):
     """Lane 1: serial vs sharded Table I optimization sweep."""
     kwargs = {
         "rounds": rounds,
-        "depth_effort": depth_effort,
         "include_bdd": True,
         "verify": verify,
     }
@@ -93,7 +92,6 @@ def bench_table1_sweep(names, workers, rounds, depth_effort, verify):
     return {
         "benchmarks": list(names),
         "rounds": rounds,
-        "depth_effort": depth_effort,
         "verified_rows": sum(1 for row in serial_rows if "cec" in row),
         "workers": sweep.workers,
         "parallel_pool": sweep.parallel,
@@ -105,15 +103,13 @@ def bench_table1_sweep(names, workers, rounds, depth_effort, verify):
     }
 
 
-def bench_optimize_many(names, workers, rounds, depth_effort):
+def bench_optimize_many(names, workers, rounds):
     """Lane 2: the batch corpus API, 1 vs N workers, fingerprint-checked."""
     def corpus():
         return [build_benchmark(name, Mig) for name in names]
 
-    one = optimize_many(corpus(), workers=1, rounds=rounds, depth_effort=depth_effort)
-    many = optimize_many(
-        corpus(), workers=workers, rounds=rounds, depth_effort=depth_effort
-    )
+    one = optimize_many(corpus(), workers=1, rounds=rounds)
+    many = optimize_many(corpus(), workers=workers, rounds=rounds)
     fp_one = [structural_fingerprint(n) for n in one.networks]
     fp_many = [structural_fingerprint(n) for n in many.networks]
     assert fp_one == fp_many, "optimize_many results diverged across worker counts"
@@ -174,7 +170,6 @@ def main(argv):
         help="assert the speedup floor even on hosts with fewer CPUs than workers",
     )
     parser.add_argument("--rounds", type=int, default=1)
-    parser.add_argument("--depth-effort", type=int, default=1)
     parser.add_argument(
         "--json",
         default=os.environ.get("REPRO_BENCH_PARALLEL_JSON", "BENCH_parallel.json"),
@@ -193,9 +188,7 @@ def main(argv):
     }
 
     # --- lane 1: sharded Table I optimization sweep (the budget lane) -- #
-    record = bench_table1_sweep(
-        names, workers, args.rounds, args.depth_effort, args.verify
-    )
+    record = bench_table1_sweep(names, workers, args.rounds, args.verify)
     report["table1_sweep"] = record
     print(
         f"table1 sweep ({len(names)} benchmarks, {record['verified_rows']} CEC-verified "
@@ -207,7 +200,7 @@ def main(argv):
 
     # --- lane 2: the batch optimize_many API --------------------------- #
     batch_names = names[: 6 if args.smoke else len(names)]
-    record = bench_optimize_many(batch_names, workers, args.rounds, args.depth_effort)
+    record = bench_optimize_many(batch_names, workers, args.rounds)
     report["optimize_many"] = record
     print(
         f"optimize_many ({record['networks']} networks): 1 worker "

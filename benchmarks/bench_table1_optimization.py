@@ -14,7 +14,7 @@ from repro.flows import (
     summarize_optimization,
 )
 
-from .conftest import flow_depth_effort, flow_rounds, report, selected_benchmarks
+from .conftest import flow_rounds, report, selected_benchmarks
 
 
 def test_table1_optimization(benchmark):
@@ -24,7 +24,6 @@ def test_table1_optimization(benchmark):
         return run_optimization_experiment(
             selected_benchmarks(),
             rounds=flow_rounds(),
-            depth_effort=flow_depth_effort(),
             include_bdd=True,
         )
 

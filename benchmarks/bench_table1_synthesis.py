@@ -12,7 +12,7 @@ from repro.flows import (
     summarize_synthesis,
 )
 
-from .conftest import flow_depth_effort, flow_rounds, report, selected_benchmarks
+from .conftest import flow_rounds, report, selected_benchmarks
 
 
 def test_table1_synthesis(benchmark):
@@ -22,7 +22,6 @@ def test_table1_synthesis(benchmark):
         return run_synthesis_experiment(
             selected_benchmarks(),
             rounds=flow_rounds(),
-            depth_effort=flow_depth_effort(),
         )
 
     results = benchmark.pedantic(run, iterations=1, rounds=1)

@@ -4,8 +4,8 @@ Environment knobs
 -----------------
 ``REPRO_BENCH_BENCHMARKS``
     Comma-separated benchmark names to run (default: the full Table I list).
-``REPRO_BENCH_ROUNDS`` / ``REPRO_BENCH_DEPTH_EFFORT``
-    Effort of the MIGhty flow (default 1 / 1 — enough to reproduce the
+``REPRO_BENCH_ROUNDS``
+    Rounds of the MIGhty flow (default 1 — enough to reproduce the
     comparative shape at Python speed; raise for closer-to-paper effort).
 """
 
@@ -16,7 +16,6 @@ from repro.bench_circuits import benchmark_names
 __all__ = [
     "selected_benchmarks",
     "flow_rounds",
-    "flow_depth_effort",
     "report",
 ]
 
@@ -44,7 +43,3 @@ def selected_benchmarks():
 
 def flow_rounds() -> int:
     return int(os.environ.get("REPRO_BENCH_ROUNDS", "1"))
-
-
-def flow_depth_effort() -> int:
-    return int(os.environ.get("REPRO_BENCH_DEPTH_EFFORT", "1"))

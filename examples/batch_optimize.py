@@ -38,12 +38,12 @@ def main() -> None:
     corpus = [build_benchmark(name, Mig) for name in CORPUS]
     corpus += [build_benchmark(name, Aig) for name in CORPUS[:2]]
 
-    report = optimize_many(corpus, workers=workers, rounds=1, depth_effort=1)
+    report = optimize_many(corpus, workers=workers, rounds=1)
     print(format_batch_report(report))
 
     # The same corpus at one worker lands on identical structures:
     # parallelism never changes a result, only the wall clock.
-    serial = optimize_many(corpus, workers=1, rounds=1, depth_effort=1)
+    serial = optimize_many(corpus, workers=1, rounds=1)
     identical = [structural_fingerprint(n) for n in report.networks] == [
         structural_fingerprint(n) for n in serial.networks
     ]
@@ -57,7 +57,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as cache_dir:
         for _ in range(2):
             cached = optimize_many(
-                corpus, workers=workers, cache_dir=cache_dir, rounds=1, depth_effort=1
+                corpus, workers=workers, cache_dir=cache_dir, rounds=1
             )
     print(f"\nresubmitted with cache_dir (wall {cached.wall_s:.2f}s):")
     for item in cached.items:

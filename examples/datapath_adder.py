@@ -28,7 +28,7 @@ def main() -> None:
     print(f"my_adder as MIG: {mig.num_gates} nodes, {mig.depth()} levels")
     print(f"my_adder as AIG: {aig.num_gates} nodes, {aig.depth()} levels")
 
-    mighty_optimize(mig, rounds=2, depth_effort=2)
+    mighty_optimize(mig, rounds=2)
     optimized_aig, _ = resyn2(aig)
     print(f"\nMIGhty flow   : {mig.num_gates} nodes, {mig.depth()} levels")
     print(f"resyn2 flow   : {optimized_aig.num_gates} nodes, {optimized_aig.depth()} levels")

@@ -25,7 +25,7 @@ def main() -> None:
     total_with = total_without = 0.0
     for name in benchmarks:
         mig = build_benchmark(name, Mig)
-        mighty_optimize(mig, rounds=1, depth_effort=1)
+        mighty_optimize(mig, rounds=1)
         with_maj = map_mig(mig, maj_library)
         without_maj = map_mig(mig, nand_library)
         total_with += with_maj.area()

@@ -42,15 +42,13 @@ def rewrite_aig_inplace(
     cut_limit: int = 8,
     allow_zero_gain: bool = True,
     max_level_growth: Optional[int] = None,
-    max_size_growth: int = 0,
     incremental: bool = True,
 ) -> Dict[str, int]:
     """Run one Boolean cut-rewriting sweep over ``aig`` in place.
 
     ``max_level_growth`` defaults to ``None`` (size-first, the ABC
     ``rewrite`` convention); a negative value selects depth mode over the
-    top-k structure lists, with ``max_size_growth`` bounding the nodes a
-    depth-improving move may spend.
+    top-k structure lists (see :func:`~repro.network.rewrite.cut_rewrite`).
     """
     return cut_rewrite(
         aig,
@@ -59,7 +57,6 @@ def rewrite_aig_inplace(
         cut_limit=cut_limit,
         allow_zero_gain=allow_zero_gain,
         max_level_growth=max_level_growth,
-        max_size_growth=max_size_growth,
         incremental=incremental,
     )
 

@@ -46,7 +46,6 @@ def rewrite_mig(
     cut_limit: int = 6,
     allow_zero_gain: bool = False,
     max_level_growth: Optional[int] = 0,
-    max_size_growth: int = 0,
     incremental: bool = True,
 ) -> Dict[str, int]:
     """Run one Boolean cut-rewriting sweep over ``mig`` in place.
@@ -57,9 +56,8 @@ def rewrite_mig(
     counters).  With the default ``max_level_growth=0`` the sweep never
     increases ``mig.depth()``; pass ``None`` to lift the bound
     (size-first mode) or a negative value for depth mode, which visits
-    only the nodes critical at sweep start, where the shallowest
-    admissible top-k entry wins and ``max_size_growth`` extra nodes may be
-    spent per depth-improving move (the MIGhty flow's
+    only the nodes critical at sweep start, where the shallowest top-k
+    entry that adds no more nodes than it frees wins (the MIGhty flow's
     :class:`~repro.flows.engine.DepthRewrite` pass).  Sweeps share the MIG's
     :class:`~repro.network.cuts.CutManager`, so repeated rounds
     re-enumerate only touched cones; ``incremental=False`` forces
@@ -72,6 +70,5 @@ def rewrite_mig(
         cut_limit=cut_limit,
         allow_zero_gain=allow_zero_gain,
         max_level_growth=max_level_growth,
-        max_size_growth=max_size_growth,
         incremental=incremental,
     )

@@ -79,8 +79,9 @@ def mighty_pipeline(
     that keeps the size in check after the depth-oriented duplication),
     then re-balances.  Rounds stop early when neither depth nor size
     improves.  The leading balance (closed-form Ω.A) gives the depth moves
-    a well-conditioned starting point.  ``rounds`` and ``depth_effort``
-    must be at least 1 (``ValueError`` otherwise).
+    a well-conditioned starting point.  ``rounds`` must be at least 1,
+    and so must ``depth_effort`` in the algebraic flow (``ValueError``
+    otherwise).
 
     ``reshape_rules`` is the rule list of the reshape step inside the
     Algorithms (names from :data:`repro.core.rules.RULES`); a subset
@@ -106,10 +107,10 @@ def mighty_pipeline(
     width) and raises :class:`~repro.flows.engine.PassVerificationError`
     on the first violation; a callable supplies a custom checker.
     """
-    if rounds < 1 or depth_effort < 1:
-        raise ValueError(
-            f"rounds and depth_effort must be >= 1, got {rounds} and {depth_effort}"
-        )
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if not boolean_rewrite and depth_effort < 1:
+        raise ValueError(f"depth_effort must be >= 1, got {depth_effort}")
     round_passes: List[Pass] = [
         DepthRewrite()
         if boolean_rewrite

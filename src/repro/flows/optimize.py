@@ -80,7 +80,7 @@ class OptimizationComparison:
 
 
 def run_mig_optimization(
-    mig: Mig, rounds: int = 2, depth_effort: int = 2
+    mig: Mig, rounds: int = 2
 ) -> Tuple[NetworkMetrics, List[PassMetrics]]:
     """Optimize a MIG with the MIGhty pipeline and measure it.
 
@@ -89,7 +89,7 @@ def run_mig_optimization(
     column reports optimization time only, as in the paper.
     """
     start = time.perf_counter()
-    result = mighty_optimize(mig, rounds=rounds, depth_effort=depth_effort)
+    result = mighty_optimize(mig, rounds=rounds)
     runtime = time.perf_counter() - start
     return measure_network(mig, runtime_s=runtime), result.pass_metrics
 
@@ -127,7 +127,6 @@ def run_bdd_optimization(network, keep_network: bool = False):
 def compare_optimization(
     benchmark: str,
     rounds: int = 2,
-    depth_effort: int = 2,
     include_bdd: bool = True,
     keep_networks: bool = False,
 ) -> OptimizationComparison:
@@ -140,9 +139,7 @@ def compare_optimization(
     mig = build_benchmark(benchmark, Mig)
     aig = build_benchmark(benchmark, Aig)
 
-    mig_metrics, mig_passes = run_mig_optimization(
-        mig, rounds=rounds, depth_effort=depth_effort
-    )
+    mig_metrics, mig_passes = run_mig_optimization(mig, rounds=rounds)
     aig_metrics, optimized_aig, aig_passes = run_aig_optimization(aig)
 
     bdd_metrics = bdd_network = None
@@ -168,14 +165,11 @@ def compare_optimization(
 def run_optimization_experiment(
     benchmarks: Optional[List[str]] = None,
     rounds: int = 2,
-    depth_effort: int = 2,
     include_bdd: bool = True,
 ) -> List[OptimizationComparison]:
     """Run the full Table I (top) experiment."""
     names = benchmarks if benchmarks is not None else benchmark_names()
     return [
-        compare_optimization(
-            name, rounds=rounds, depth_effort=depth_effort, include_bdd=include_bdd
-        )
+        compare_optimization(name, rounds=rounds, include_bdd=include_bdd)
         for name in names
     ]

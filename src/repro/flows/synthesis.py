@@ -95,13 +95,12 @@ def run_mig_synthesis(
     benchmark: str,
     library: Optional[CellLibrary] = None,
     rounds: int = 2,
-    depth_effort: int = 2,
 ) -> SynthesisMetrics:
     """MIGhty pipeline + technology mapping."""
     library = library or default_library()
     start = time.perf_counter()
     mig = build_benchmark(benchmark, Mig)
-    result = mighty_optimize(mig, rounds=rounds, depth_effort=depth_effort)
+    result = mighty_optimize(mig, rounds=rounds)
     netlist = map_mig(mig, library)
     return _measure(
         netlist, benchmark, "MIG", time.perf_counter() - start, result.pass_metrics
@@ -140,12 +139,11 @@ def compare_synthesis(
     benchmark: str,
     library: Optional[CellLibrary] = None,
     rounds: int = 2,
-    depth_effort: int = 2,
 ) -> SynthesisComparison:
     """Run the three synthesis flows of Table I (bottom) on one benchmark."""
     return SynthesisComparison(
         name=benchmark,
-        mig=run_mig_synthesis(benchmark, library, rounds=rounds, depth_effort=depth_effort),
+        mig=run_mig_synthesis(benchmark, library, rounds=rounds),
         aig=run_aig_synthesis(benchmark, library),
         cst=run_cst_synthesis(benchmark, library),
     )
@@ -155,11 +153,10 @@ def run_synthesis_experiment(
     benchmarks: Optional[List[str]] = None,
     library: Optional[CellLibrary] = None,
     rounds: int = 2,
-    depth_effort: int = 2,
 ) -> List[SynthesisComparison]:
     """Run the full Table I (bottom) experiment."""
     names = benchmarks if benchmarks is not None else benchmark_names()
     return [
-        compare_synthesis(name, library, rounds=rounds, depth_effort=depth_effort)
+        compare_synthesis(name, library, rounds=rounds)
         for name in names
     ]

@@ -30,10 +30,9 @@ only the roots on a critical path, from a :meth:`critical_nodes` snapshot
 taken at sweep start (a move off the critical path buys no depth, so it
 must spend no nodes); every entry of the class's top-k list (the (size,
 depth) Pareto front from :func:`~repro.network.npn.get_structures`) is
-costed and the shallowest admissible replacement wins, with
-``max_size_growth`` bounding how many extra nodes a depth-improving move
-may spend.  Area sweeps visit every node and use the size-best entry
-only.
+costed and the shallowest replacement that adds no more nodes than the
+cone frees wins.  Area sweeps visit every node and use the size-best
+entry only.
 
 Cut enumeration goes through the network's shared
 :class:`~repro.network.cuts.CutManager` by default, so interleaved sweeps
@@ -82,7 +81,6 @@ def cut_rewrite(
     cut_limit: int = 8,
     allow_zero_gain: bool = False,
     max_level_growth: Optional[int] = None,
-    max_size_growth: int = 0,
     incremental: bool = True,
 ) -> Dict[str, int]:
     """Run one cut-rewriting sweep over ``net`` in place.
@@ -96,10 +94,9 @@ def cut_rewrite(
     ``max_level_growth < 0`` switches the sweep into depth mode: only
     the nodes critical at sweep start are visited, the candidate ordering
     prefers the largest level drop (size gain breaks ties), every entry of
-    the class's top-k list is considered, and ``max_size_growth`` extra
-    nodes may be spent per move.  In area mode
-    (``max_level_growth`` ``None`` or ``>= 0``) ``max_size_growth`` is
-    ignored and only the size-best entry of each class is used.
+    the class's top-k list is considered, and a move may add at most as
+    many nodes as it frees.  In area mode (``max_level_growth`` ``None``
+    or ``>= 0``) only the size-best entry of each class is used.
     """
     manager = CutManager.for_network(net, k=k, cut_limit=cut_limit) if incremental else None
     depth_mode = max_level_growth is not None and max_level_growth < 0
@@ -110,7 +107,6 @@ def cut_rewrite(
         cut_limit,
         allow_zero_gain,
         max_level_growth,
-        max_size_growth if depth_mode else 0,
     )
     if manager is not None:
         # The convergence token pairs the network's mutation serial with
@@ -183,10 +179,7 @@ def cut_rewrite(
                 entries = entries[:1]
             inputs = _structure_inputs(leaves, transform)
             mffc = mffc_nodes(net, root, leaves)
-            if depth_mode:
-                limit = len(mffc) + max_size_growth
-            else:
-                limit = len(mffc) if allow_zero_gain else len(mffc) - 1
+            limit = len(mffc) if allow_zero_gain or depth_mode else len(mffc) - 1
             for entry in entries:
                 dry = _dry_run(net, entry, inputs, mffc, level, limit, probe_plans)
                 if dry is None:
@@ -204,9 +197,9 @@ def cut_rewrite(
             continue
         # Every surviving candidate already meets the gain threshold: the
         # dry-run's ``max_new`` bound rejects additions beyond the limit —
-        # len(mffc) (len(mffc) - 1 without zero-gain) in area mode, so
-        # gain >= 0 (>= 1) there; len(mffc) + max_size_growth in depth
-        # mode, where the level filter already guarantees a depth win.
+        # len(mffc) (len(mffc) - 1 in area mode without zero-gain), so
+        # gain >= 0 (>= 1); in depth mode the level filter already
+        # guarantees a depth win.
         _, gain, entry, inputs = best
         replacement = replay_structure(net, entry, inputs[:4]) ^ inputs[4]
         if (replacement >> 1) == root:

@@ -166,7 +166,6 @@ def structural_row(row: dict) -> dict:
 def optimization_row(
     name: str,
     rounds: int = 1,
-    depth_effort: int = 1,
     include_bdd: bool = True,
     verify: bool = False,
 ) -> dict:
@@ -182,7 +181,6 @@ def optimization_row(
     result = compare_optimization(
         name,
         rounds=rounds,
-        depth_effort=depth_effort,
         include_bdd=include_bdd,
         keep_networks=True,
     )

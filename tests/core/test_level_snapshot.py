@@ -117,7 +117,7 @@ def test_mighty_pass_trace_golden():
     """Per-pass (size, depth) of one MIGhty round; covers the cut rewriter's
     per-root level reads (``depth_rewrite``, ``mig_rewrite``)."""
     mig = build_benchmark("my_adder")
-    result = mighty_optimize(mig, rounds=1, depth_effort=1)
+    result = mighty_optimize(mig, rounds=1)
     trace = [(m.name, m.size_after, m.depth_after) for m in result.pass_metrics]
     assert trace == [
         ("balance", 112, 34),

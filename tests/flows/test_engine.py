@@ -168,7 +168,7 @@ class TestVerifyHook:
 
     def test_mighty_self_certifies(self):
         mig = small_mig("count")
-        result = mighty_optimize(mig, rounds=1, depth_effort=1, verify=True)
+        result = mighty_optimize(mig, rounds=1, verify=True)
         verified = [
             m.details["verify"]
             for m in result.pass_metrics
@@ -200,13 +200,13 @@ class TestBalanceAcceptance:
 
 class TestMightyPipeline:
     def test_mighty_is_declarative(self):
-        pipeline = mighty_pipeline(rounds=1, depth_effort=1)
+        pipeline = mighty_pipeline(rounds=1)
         assert pipeline.name == "mighty"
         assert [p.name for p in pipeline.passes] == ["balance", "mighty_round"]
 
     def test_mighty_reports_pass_metrics(self):
         mig = small_mig()
-        result = mighty_optimize(mig, rounds=1, depth_effort=1)
+        result = mighty_optimize(mig, rounds=1)
         names = [m.name for m in result.pass_metrics]
         assert names[0] == "balance"
         assert "depth_rewrite" in names and "size_opt" in names
@@ -232,7 +232,7 @@ class TestMightyPipeline:
         network's ``__dict__``, so every optimized network kept it for
         life and shipped it in every pickle."""
         mig = small_mig("my_adder")
-        mighty_optimize(mig, rounds=1, depth_effort=1)
+        mighty_optimize(mig, rounds=1)
         assert "_dry_probe_cache" not in pickle.loads(pickle.dumps(mig)).__dict__
 
 
@@ -301,7 +301,7 @@ class TestRuleCounts:
 class TestSerialisation:
     def _trace(self):
         mig = small_mig()
-        return mighty_optimize(mig, rounds=1, depth_effort=1).pass_metrics
+        return mighty_optimize(mig, rounds=1).pass_metrics
 
     def test_format_pass_metrics(self):
         table = format_pass_metrics(self._trace(), title="alu4 / MIGhty")

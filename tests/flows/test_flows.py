@@ -30,7 +30,7 @@ class TestMightyFlow:
     def test_flow_preserves_function(self, name):
         mig = build_benchmark(name, Mig)
         reference = build_benchmark(name, Mig)
-        result = mighty_optimize(mig, rounds=1, depth_effort=1)
+        result = mighty_optimize(mig, rounds=1)
         assert check_equivalence(mig, reference, num_random_vectors=1024).equivalent
         assert result.final_depth == mig.depth()
         assert result.final_size == mig.num_gates
@@ -39,7 +39,7 @@ class TestMightyFlow:
         for name in SMALL:
             mig = build_benchmark(name, Mig)
             before = mig.depth()
-            mighty_optimize(mig, rounds=1, depth_effort=1)
+            mighty_optimize(mig, rounds=1)
             assert mig.depth() <= before
 
     @pytest.mark.parametrize("name", SMALL)
@@ -49,9 +49,7 @@ class TestMightyFlow:
         mighty_optimize(algebraic, rounds=1, depth_effort=1, boolean_rewrite=False)
         combined = build_benchmark(name, Mig)
         reference = build_benchmark(name, Mig)
-        result = mighty_optimize(
-            combined, rounds=1, depth_effort=1, boolean_rewrite=True
-        )
+        result = mighty_optimize(combined, rounds=1, boolean_rewrite=True)
         assert check_equivalence(combined, reference, num_random_vectors=1024).equivalent
         assert combined.depth() <= algebraic.depth()
         assert combined.num_gates <= algebraic.num_gates
@@ -116,7 +114,7 @@ class TestFlowDispatch:
 
 class TestOptimizationExperiment:
     def test_compare_optimization_row(self):
-        row = compare_optimization("alu4", rounds=1, depth_effort=1)
+        row = compare_optimization("alu4", rounds=1)
         assert row.mig.size > 0 and row.aig.size > 0
         assert row.bdd is not None
         assert row.mig.depth <= row.bdd.depth
@@ -126,7 +124,7 @@ class TestOptimizationExperiment:
         assert run_bdd_optimization(mig) is None
 
     def test_summary_and_table_formatting(self):
-        rows = run_optimization_experiment(SMALL, rounds=1, depth_effort=1)
+        rows = run_optimization_experiment(SMALL, rounds=1)
         summary = summarize_optimization(rows)
         assert summary.avg_depth["MIG"] > 0
         table = format_optimization_table(rows)
@@ -137,14 +135,14 @@ class TestOptimizationExperiment:
 
 class TestSynthesisExperiment:
     def test_compare_synthesis_row(self):
-        row = compare_synthesis("alu4", rounds=1, depth_effort=1)
+        row = compare_synthesis("alu4", rounds=1)
         for metrics in (row.mig, row.aig, row.cst):
             assert metrics.area_um2 > 0
             assert metrics.delay_ns > 0
             assert metrics.power_uw > 0
 
     def test_summary_and_table_formatting(self):
-        rows = run_synthesis_experiment(SMALL, rounds=1, depth_effort=1)
+        rows = run_synthesis_experiment(SMALL, rounds=1)
         summary = summarize_synthesis(rows)
         assert summary.avg_delay["MIG"] > 0
         table = format_synthesis_table(rows)
@@ -153,7 +151,7 @@ class TestSynthesisExperiment:
         assert set(points) == {"MIG", "AIG", "CST"}
 
     def test_mig_flow_wins_delay_on_adder(self):
-        row = compare_synthesis("my_adder", rounds=1, depth_effort=1)
+        row = compare_synthesis("my_adder", rounds=1)
         # The paper's flagship datapath result: the MIG flow yields the
         # fastest mapped netlist on the adder benchmark.
         assert row.mig.delay_ns <= row.aig.delay_ns

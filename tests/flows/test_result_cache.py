@@ -235,14 +235,20 @@ class TestFlowConfig:
         )
 
     @pytest.mark.parametrize(
-        "options", [{"rounds": 0}, {"depth_effort": 0}, {"rounds": -3, "depth_effort": 1}]
+        "options",
+        [
+            {"rounds": 0},
+            {"depth_effort": 0, "boolean_rewrite": False},
+            {"rounds": -3, "depth_effort": 1},
+        ],
     )
     def test_no_run_below_one_round_or_cycle(
         self, network_forge, tmp_path, monkeypatch, options
     ):
         """Regression: ``rounds`` and ``depth_effort`` below 1 were clamped
         to 1 at run time but keyed raw, so one computation had several
-        cache keys.  They are rejected, before any work and any key."""
+        cache keys.  They are rejected, before any work and any key
+        (``depth_effort`` only in the algebraic flow, the one it reaches)."""
         import repro.flows.batch as batch
 
         def no_work(*args, **kwargs):

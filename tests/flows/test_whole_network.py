@@ -25,6 +25,7 @@ from repro.flows import (
     Balance,
     Cleanup,
     DepthOpt,
+    DepthRewrite,
     Eliminate,
     MigRewrite,
     Pipeline,
@@ -48,6 +49,7 @@ FAMILIES = {
 MIG_PASSES = {
     "balance": Balance,
     "depth_opt": lambda: DepthOpt(effort=1),
+    "depth_rewrite": DepthRewrite,
     "size_opt": lambda: SizeOpt(effort=1),
     "mig_rewrite": MigRewrite,
     "eliminate": Eliminate,
@@ -56,7 +58,7 @@ MIG_PASSES = {
 }
 
 #: Passes that promise never to increase depth.
-DEPTH_SAFE = ("balance", "depth_opt", "mig_rewrite")
+DEPTH_SAFE = ("balance", "depth_opt", "depth_rewrite", "mig_rewrite")
 
 
 def _build(family, network_cls=Mig):
@@ -116,7 +118,7 @@ class TestFlowsOnScalingFamilies:
     def test_mighty_certifies_and_never_worsens(self, family):
         original = _build(family)
         net = original.copy()
-        result = mighty_optimize(net, rounds=1, depth_effort=1, verify=True)
+        result = mighty_optimize(net, rounds=1, verify=True)
         net.check_integrity()
         assert (result.final_depth, result.final_size) <= (
             result.initial_depth, result.initial_size,
@@ -140,7 +142,7 @@ class TestFlowsOnScalingFamilies:
         corpus = [_build(family, network_cls) for family in FAMILIES]
         before = [structural_fingerprint(n) for n in corpus]
         runs = [
-            optimize_many(corpus, workers=workers, rounds=1, depth_effort=1)
+            optimize_many(corpus, workers=workers, rounds=1)
             for workers in (1, 2)
         ]
         serial, pooled = (

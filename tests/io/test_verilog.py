@@ -41,7 +41,7 @@ class TestRoundTrip:
     def test_optimized_network_roundtrip(self):
         """Polarity-normalized (complement-heavy) structures survive too."""
         mig = build_benchmark("count", Mig)
-        mighty_optimize(mig, rounds=1, depth_effort=1)
+        mighty_optimize(mig, rounds=1)
         parsed = read_verilog(write_mig_verilog(mig))
         assert check_equivalence(mig, parsed, num_random_vectors=512).equivalent
 

@@ -156,27 +156,43 @@ def test_converged_skip_rearms_on_db_update(fresh_db):
     assert net.truth_tables()[0] == parity
 
 
+def _tradeoff_cone(net, inputs, front, name):
+    """Replay the size-best 0x180 form (``front[0]``, 5 gates, depth 5)
+    over ``inputs`` as PO ``name``, and keep the first node of the
+    shallower ``front[1]`` (6 gates, depth 4) that the cone lacks alive
+    behind a PO of its own: with that node shared, ``front[1]`` costs no
+    more nodes than the cone frees.  Returns the cone's root signal."""
+    root = replay_structure(net, front[0], inputs)
+    net.add_po(root, name)
+    built = set(net.gates())
+    shallow = replay_structure(net, front[1], inputs)
+    shared = min(n for n in net.gates() if n not in built and n != shallow >> 1)
+    net.add_po(shared << 1, f"{name}_shared")
+    net.cleanup()
+    return root
+
+
 def test_depth_mode_spends_topk_entries_area_mode_does_not(fresh_db):
     """Class 0x180's fast-tier front is [(5, 5), (6, 4)]: an area sweep
-    (head entry only) leaves the 5-gate form alone, a depth sweep must
-    buy the shallower structure with its ``max_size_growth`` allowance."""
-    rep = 0x180
-    front = get_structures("mig", rep)
+    (head entry only) leaves the 5-gate form alone, a depth sweep takes
+    the shallower structure, which costs no extra node here because one
+    of its nodes already exists."""
+    front = get_structures("mig", 0x180)
     assert len(front) >= 2, "class no longer has a size/depth tradeoff"
 
     net = Mig()
-    x = [net.add_pi(f"x{i}") for i in range(4)]
-    net.add_po(replay_structure(net, front[0], x), "f")
-    depth_before = net.depth()
+    _tradeoff_cone(net, [net.add_pi(f"x{i}") for i in range(4)], front, "f")
+    size_before, depth_before = net.num_gates, net.depth()
     assert depth_before == front[0].depth
 
-    area = cut_rewrite(net, "mig")
-    assert area["rewrites"] == 0 and net.depth() == depth_before
+    area = net.copy()
+    assert cut_rewrite(area, "mig")["rewrites"] == 0
+    assert area.depth() == depth_before
 
-    stats = cut_rewrite(net, "mig", max_level_growth=-1, max_size_growth=1)
+    stats = cut_rewrite(net, "mig", max_level_growth=-1)
     assert stats["rewrites"] >= 1
-    assert net.depth() < depth_before
-    assert net.num_gates <= front[0].size + 1
+    assert net.depth() == front[1].depth
+    assert net.num_gates <= size_before
 
 
 def test_depth_mode_visits_only_critical_roots(fresh_db):
@@ -185,19 +201,18 @@ def test_depth_mode_visits_only_critical_roots(fresh_db):
     chain makes it critical and left as built where it is shallow."""
     front = get_structures("mig", 0x180)
     net = Mig()
-    deep = replay_structure(net, front[0], [net.add_pi(f"x{i}") for i in range(4)])
+    deep = _tradeoff_cone(net, [net.add_pi(f"x{i}") for i in range(4)], front, "f")
     for i in range(6):
         deep = net.and_(deep, net.add_pi(f"c{i}"))
     net.add_po(deep, "deep")
     before = set(net.gates())
-    shallow = replay_structure(net, front[0], [net.add_pi(f"y{i}") for i in range(4)])
-    net.add_po(shallow, "shallow")
+    shallow = _tradeoff_cone(net, [net.add_pi(f"y{i}") for i in range(4)], front, "g")
     shallow_cone = {n: net.fanins(n) for n in set(net.gates()) - before}
-    assert len(shallow_cone) == front[0].size
+    assert len(shallow_cone) == front[0].size + 1
     depth_before = net.depth()
 
-    stats = cut_rewrite(net, "mig", max_level_growth=-1, max_size_growth=1)
+    stats = cut_rewrite(net, "mig", max_level_growth=-1)
     assert stats["rewrites"] >= 1
     assert net.depth() < depth_before
-    assert net.po_signals()[1] == shallow
+    assert net.po_signals()[net.po_names().index("g")] == shallow
     assert {n: net.fanins(n) for n in shallow_cone} == shallow_cone

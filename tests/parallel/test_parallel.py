@@ -218,9 +218,7 @@ class TestOptimizeMany:
         corpus = _corpus(network_forge)
         before = [structural_fingerprint(n) for n in corpus]
         runs = {
-            workers: optimize_many(
-                corpus, workers=workers, rounds=1, depth_effort=1
-            )
+            workers: optimize_many(corpus, workers=workers, rounds=1)
             for workers in WORKER_COUNTS
         }
         baseline = [structural_fingerprint(n) for n in runs[1].networks]
@@ -233,10 +231,10 @@ class TestOptimizeMany:
 
     def test_matches_in_place_serial_runs(self, network_forge):
         corpus = _corpus(network_forge)[:3]  # the MIG items
-        report = optimize_many(corpus, workers=2, rounds=1, depth_effort=1)
+        report = optimize_many(corpus, workers=2, rounds=1)
         for net, item in zip(corpus, report.items):
             reference = pickle.loads(pickle.dumps(net))
-            result = mighty_optimize(reference, rounds=1, depth_effort=1)
+            result = mighty_optimize(reference, rounds=1)
             assert structural_fingerprint(reference) == structural_fingerprint(
                 item.network
             )
@@ -246,9 +244,9 @@ class TestOptimizeMany:
 
     def test_metric_aggregation_totals_match_per_network_runs(self, network_forge):
         corpus = _corpus(network_forge)[:3]
-        report = optimize_many(corpus, workers=2, rounds=1, depth_effort=1)
+        report = optimize_many(corpus, workers=2, rounds=1)
         expected_results = [
-            mighty_optimize(pickle.loads(pickle.dumps(net)), rounds=1, depth_effort=1)
+            mighty_optimize(pickle.loads(pickle.dumps(net)), rounds=1)
             for net in corpus
         ]
         totals = report.totals()
@@ -305,7 +303,7 @@ class TestCorpusRows:
     @pytest.mark.parametrize("workers", (1, 2))
     def test_optimization_rows_identical_serial_vs_sharded(self, workers):
         names = ["b9", "alu4"]
-        kwargs = {"rounds": 1, "depth_effort": 1, "include_bdd": False}
+        kwargs = {"rounds": 1, "include_bdd": False}
         serial = [optimization_row(name, **kwargs) for name in names]
         sharded = parallel_map(
             functools.partial(optimization_row, **kwargs),
@@ -331,7 +329,7 @@ class TestSweepInPoolWorkers:
         base = network_forge(kind="mig", gate_mix="mixed", num_pis=17,
                              num_gates=120, num_pos=8, seed=21)
         optimized = pickle.loads(pickle.dumps(base))
-        mighty_optimize(optimized, rounds=1, depth_effort=1)
+        mighty_optimize(optimized, rounds=1)
         mutant, _ = mutant_forge(base, seed=5)
         pairs = [(base, optimized), (base, mutant)]
 

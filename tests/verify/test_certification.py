@@ -40,7 +40,7 @@ def _wide_pair(forge):
     restructured enough that a starved SAT sweep cannot prove it."""
     net = forge(kind="mig", num_pis=20, num_gates=120, num_pos=4, seed=3)
     opt = net.copy()
-    mighty_optimize(opt, rounds=1, depth_effort=1)
+    mighty_optimize(opt, rounds=1)
     assert opt.num_gates < net.num_gates
     return net, opt
 
@@ -96,6 +96,4 @@ def test_optimization_row_rejects_uncertified_verdict(monkeypatch):
 
     monkeypatch.setattr(repro.verify, "check_equivalence", _uncertified)
     with pytest.raises(AssertionError, match="NOT certified"):
-        optimization_row(
-            "b9", rounds=1, depth_effort=1, include_bdd=False, verify=True
-        )
+        optimization_row("b9", rounds=1, include_bdd=False, verify=True)
