@@ -50,6 +50,7 @@ __all__ = [
     "RESHAPE_RULES",
     "ELIMINATE_RULES",
     "RuleSweep",
+    "check_rule_names",
     "rule_counts",
     "effective_fanins",
     "cone_nodes",
@@ -596,6 +597,13 @@ def rule_counts() -> Iterator[RuleCounts]:
         _open_counts.reset(token)
 
 
+def check_rule_names(names: Sequence[str]) -> None:
+    """Raise ``ValueError`` on a name missing from :data:`RULES`."""
+    unknown = [name for name in names if name not in RULES]
+    if unknown:
+        raise ValueError(f"unknown rules {unknown}; known: {list(RULES)}")
+
+
 class RuleSweep:
     """An ordered rule list applied node by node: the first rule that
     rewrites a node wins.
@@ -609,9 +617,7 @@ class RuleSweep:
     def __init__(
         self, step: str, names: Sequence[str], levels: Sequence[int] = (), growth: int = 0
     ) -> None:
-        unknown = [name for name in names if name not in RULES]
-        if unknown:
-            raise ValueError(f"unknown rules {unknown}; known: {list(RULES)}")
+        check_rule_names(names)
         counts = _open_counts.get()
         counts = {} if counts is None else counts.setdefault(step, {})
         self.plan = []

@@ -475,7 +475,10 @@ class DepthRewrite(Pass):
     than spending none (9,680) or Algorithm 2 (9,710).  :attr:`SWEEPS`
     is a termination guard: over Table I, ``batch`` and ``scale_rand``
     (``rounds=1``) one run of 55 reached it with rewrites still applying,
-    and running to convergence left every total unchanged.
+    and running to convergence left every total unchanged.  The sweeps
+    share the network's cut manager with :class:`MigRewrite`, which reuses
+    the cuts the last sweep left up to date; the details sum the sweeps'
+    rewrite and cut-reuse counters.
     """
 
     name = "depth_rewrite"
@@ -484,15 +487,18 @@ class DepthRewrite(Pass):
     def apply(self, network) -> Dict[str, object]:
         from ..core.rewrite import rewrite_mig
 
-        sweeps = rewrites = gain = 0
+        summed = ("rewrites", "gain", "zero_gain", "aliased",
+                  "cut_nodes_recomputed", "cut_nodes_reused")
+        totals = dict.fromkeys(summed, 0)
+        totals["sweeps"] = 0
         for _ in range(self.SWEEPS):
             stats = rewrite_mig(network, max_level_growth=-1)
-            sweeps += 1
-            rewrites += stats["rewrites"]
-            gain += stats["gain"]
+            totals["sweeps"] += 1
+            for key in summed:
+                totals[key] += stats[key]
             if not stats["rewrites"]:
                 break
-        return {"sweeps": sweeps, "rewrites": rewrites, "gain": gain}
+        return totals
 
 
 class SizeOpt(Pass):
@@ -531,7 +537,9 @@ class MigRewrite(Pass):
     can be interleaved anywhere in a MIGhty-style pipeline without
     breaking the flow's depth monotonicity.  It runs ``rewrite_mig`` with
     its defaults; a non-default sweep is
-    ``FunctionPass("mig_rewrite", lambda n: rewrite_mig(n, ...))``.
+    ``FunctionPass("mig_rewrite", lambda n: rewrite_mig(n, ...))``.  It
+    shares the network's cut manager with :class:`DepthRewrite`: run right
+    after it, as in the MIGhty round, it re-enumerates no cut.
     """
 
     name = "mig_rewrite"

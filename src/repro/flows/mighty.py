@@ -6,21 +6,21 @@ pass pipeline over the flow engine (:mod:`repro.flows.engine`)::
 
     Pipeline([
         Balance(),
-        Repeat([DepthRewrite(), SizeOpt(effort=1), MigRewrite(),
-                Eliminate(), Balance()],
+        Repeat([DepthRewrite(), MigRewrite(), Eliminate(), Balance()],
                rounds=rounds),
     ])
 
 By default both the depth phase (``DepthRewrite``: critical-path NPN cut
-rewriting in depth mode) and the size phase's ``MigRewrite`` are Boolean
-cut rewriting, beyond the paper's algebraic passes.
-``boolean_rewrite=False`` is the paper's algebraic flow: ``DepthOpt``
-(Algorithm 2 with ``depth_effort`` cycles) in place of ``DepthRewrite``,
-and no ``MigRewrite``.  The experiment harness, the
-examples and downstream users all run this same flow — and all get the
-engine's per-pass size/depth/runtime metrics for free (see
-:attr:`MightyResult.pass_metrics` and the serialisation helpers in
-:mod:`repro.flows.report`).
+rewriting in depth mode) and the size phase (``MigRewrite``: area cut
+rewriting) are Boolean cut rewriting, beyond the paper's algebraic
+passes; the two share one cut manager.  ``boolean_rewrite=False`` is the
+paper's algebraic flow: ``DepthOpt`` (Algorithm 2 with ``depth_effort``
+cycles) for the depth phase and ``SizeOpt`` (Algorithm 1 with effort 1)
+for the size phase, both reshaping with ``reshape_rules``.  The
+experiment harness, the examples and downstream users all run this same
+flow — and all get the engine's per-pass size/depth/runtime metrics for
+free (see :attr:`MightyResult.pass_metrics` and the serialisation helpers
+in :mod:`repro.flows.report`).
 
 Balancing commits its rebuilt candidate only when it *strictly* improves
 the ``(depth, size)`` order; a candidate that merely ties no longer
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from ..core.mig import Mig
-from ..core.rules import RESHAPE_RULES
+from ..core.rules import RESHAPE_RULES, check_rule_names
 from .engine import (
     Balance,
     DepthOpt,
@@ -73,33 +73,34 @@ def mighty_pipeline(
 ) -> Pipeline:
     """Build the MIGhty flow as a declarative pass pipeline.
 
-    Each round performs depth optimization, then a size recovery phase
-    (Algorithm 1 with effort 1), then (with ``boolean_rewrite``) area cut
-    rewriting, then an activity recovery phase (a cheap elimination pass
-    that keeps the size in check after the depth-oriented duplication),
-    then re-balances.  Rounds stop early when neither depth nor size
-    improves.  The leading balance (closed-form Ω.A) gives the depth moves
-    a well-conditioned starting point.  ``rounds`` must be at least 1,
-    and so must ``depth_effort`` in the algebraic flow (``ValueError``
-    otherwise).
-
-    ``reshape_rules`` is the rule list of the reshape step inside the
-    Algorithms (names from :data:`repro.core.rules.RULES`); a subset
-    ablates rules.
+    Each round performs depth optimization, then a size recovery phase,
+    then an activity recovery phase (a cheap elimination pass that keeps
+    the size in check after the depth-oriented duplication), then
+    re-balances.  Rounds stop early when neither depth nor size improves.
+    The leading balance (closed-form Ω.A) gives the depth moves a
+    well-conditioned starting point.  ``rounds`` must be at least 1, and
+    so must ``depth_effort`` in the algebraic flow; a ``reshape_rules``
+    name missing from :data:`repro.core.rules.RULES` is rejected in both
+    flows (``ValueError`` otherwise).
 
     ``boolean_rewrite`` (default **on**) runs NPN-database cut rewriting,
-    an optimization scenario beyond the paper's purely algebraic flow, in
-    two places: :class:`~repro.flows.engine.DepthRewrite` is the depth
+    an optimization scenario beyond the paper's purely algebraic flow, for
+    both phases: :class:`~repro.flows.engine.DepthRewrite` is the depth
     phase (critical-path depth-mode sweeps, each move lowering its root's
     level at no extra nodes), and :class:`~repro.flows.engine.MigRewrite`
-    follows the size recovery (depth-safe, size-improving replacements
-    only).  The combined flow dominating the algebraic one on both
-    metrics is an empirical result (verified per benchmark by
-    ``benchmarks/acceptance_cut_rewrite.py`` over the Table I suite), not
-    a structural guarantee.  ``boolean_rewrite=False`` is the paper's
-    purely algebraic flow, whose depth phase is Algorithm 2
-    (:class:`~repro.flows.engine.DepthOpt`) with ``depth_effort`` cycles;
-    ``depth_effort`` reaches no pass of the Boolean flow.
+    is the size phase (depth-safe, size-improving replacements only),
+    reusing the cuts the depth phase left up to date.  The combined flow
+    dominating the algebraic one on both metrics is an empirical result
+    (verified per benchmark by ``benchmarks/acceptance_cut_rewrite.py``
+    over the Table I suite), not a structural guarantee.
+
+    ``boolean_rewrite=False`` is the paper's purely algebraic flow: its
+    depth phase is Algorithm 2 (:class:`~repro.flows.engine.DepthOpt`)
+    with ``depth_effort`` cycles and its size phase Algorithm 1
+    (:class:`~repro.flows.engine.SizeOpt`) with effort 1.
+    ``reshape_rules`` is the rule list of the reshape step inside the two
+    Algorithms; a subset ablates rules.  ``depth_effort`` and
+    ``reshape_rules`` reach no pass of the Boolean flow.
 
     ``verify`` enables per-pass self-certification: ``True`` proves every
     top-level pass function-preserving through the equivalence-checking
@@ -111,14 +112,14 @@ def mighty_pipeline(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if not boolean_rewrite and depth_effort < 1:
         raise ValueError(f"depth_effort must be >= 1, got {depth_effort}")
-    round_passes: List[Pass] = [
-        DepthRewrite()
-        if boolean_rewrite
-        else DepthOpt(effort=depth_effort, reshape_rules=reshape_rules),
-        SizeOpt(effort=1, reshape_rules=reshape_rules),
-    ]
+    check_rule_names(reshape_rules)
     if boolean_rewrite:
-        round_passes.append(MigRewrite())
+        round_passes: List[Pass] = [DepthRewrite(), MigRewrite()]
+    else:
+        round_passes = [
+            DepthOpt(effort=depth_effort, reshape_rules=reshape_rules),
+            SizeOpt(effort=1, reshape_rules=reshape_rules),
+        ]
     round_passes += [Eliminate(), Balance()]
     return Pipeline(
         [

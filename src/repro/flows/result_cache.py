@@ -31,15 +31,16 @@ CACHE_FORMAT_VERSION = 2
 def canonical_flow_config(flow: str, options: Optional[Dict] = None) -> str:
     """Canonical JSON of a flow and its options, ``mighty`` defaults filled
     in (an omitted option and its explicit default are one computation).
-    ``depth_effort`` reaches no pass of the Boolean ``mighty`` flow, so it
-    is left out of the key when ``boolean_rewrite`` is on."""
+    ``depth_effort`` and ``reshape_rules`` reach no pass of the Boolean
+    ``mighty`` flow, so they are left out of the key when
+    ``boolean_rewrite`` is on."""
     options = dict(options or {})
     if flow == "mighty":
         bound = inspect.signature(mighty_optimize).bind_partial(**options)
         bound.apply_defaults()
         options = dict(bound.arguments)
         if options["boolean_rewrite"]:
-            del options["depth_effort"]
+            del options["depth_effort"], options["reshape_rules"]
     try:
         return json.dumps({"flow": flow, "options": options}, sort_keys=True)
     except (TypeError, ValueError) as exc:

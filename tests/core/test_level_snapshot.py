@@ -122,7 +122,6 @@ def test_mighty_pass_trace_golden():
     assert trace == [
         ("balance", 112, 34),
         ("depth_rewrite", 112, 17),
-        ("size_opt", 112, 17),
         ("mig_rewrite", 112, 17),
         ("eliminate", 112, 17),
         ("balance", 112, 17),

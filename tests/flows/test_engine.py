@@ -209,14 +209,14 @@ class TestMightyPipeline:
         result = mighty_optimize(mig, rounds=1)
         names = [m.name for m in result.pass_metrics]
         assert names[0] == "balance"
-        assert "depth_rewrite" in names and "size_opt" in names
+        assert "depth_rewrite" in names and "mig_rewrite" in names
         assert result.final_size == mig.num_gates
         assert result.final_depth == mig.depth()
 
     @pytest.mark.parametrize(
         "boolean_rewrite, round_passes",
         [
-            (True, ["depth_rewrite", "size_opt", "mig_rewrite", "eliminate", "balance"]),
+            (True, ["depth_rewrite", "mig_rewrite", "eliminate", "balance"]),
             (False, ["depth_opt", "size_opt", "eliminate", "balance"]),
         ],
     )
@@ -226,6 +226,18 @@ class TestMightyPipeline:
         )
         names = [m.name for m in result.pass_metrics]
         assert names == ["balance", *round_passes, "mighty_round"]
+
+    @pytest.mark.parametrize("name", ["my_adder", "dalu"])
+    def test_mig_rewrite_reuses_depth_rewrite_cuts(self, name):
+        """Regression: an always-rolled-back ``size_opt`` between the two
+        rewriting passes reset the cut manager, so ``mig_rewrite``
+        re-enumerated every cut ``depth_rewrite`` had left up to date."""
+        result = mighty_optimize(small_mig(name), rounds=1)
+        passes = {m.name: m for m in result.pass_metrics}
+        depth, area = passes["depth_rewrite"].details, passes["mig_rewrite"]
+        assert depth["cut_nodes_recomputed"] > 0
+        assert area.details["cut_nodes_recomputed"] == 0
+        assert area.details["cut_nodes_reused"] == area.size_before
 
     def test_optimized_network_pickles_without_rewrite_memo(self):
         """Regression: the cut rewriter's probe-plan memo lived in the

@@ -203,9 +203,23 @@ class TestFlowConfig:
         assert config(1, True) == config(2, True)
         assert config(1, False) != config(2, False)
 
+    def test_reshape_rules_keys_only_the_algebraic_flow(self):
+        """Regression: ``reshape_rules`` reaches no pass of the Boolean
+        flow, so keying it there split one computation across keys."""
+
+        def config(rules, boolean_rewrite):
+            options = {"reshape_rules": rules, "boolean_rewrite": boolean_rewrite}
+            return canonical_flow_config("mighty", options)
+
+        subset = ["Ω.A", "Ω.A-reshape"]
+        assert config(subset, True) == config(list(RESHAPE_RULES), True)
+        assert config(subset, False) != config(list(RESHAPE_RULES), False)
+
     def test_non_json_options_rejected(self):
         with pytest.raises(ValueError):
-            canonical_flow_config("mighty", {"reshape_rules": object()})
+            canonical_flow_config(
+                "mighty", {"reshape_rules": object(), "boolean_rewrite": False}
+            )
 
     def test_unknown_mighty_option_rejected(self):
         """Regression: ``pi_probabilities`` was accepted and ignored by
@@ -230,8 +244,9 @@ class TestFlowConfig:
         assert result_cache_key(net, "mighty", {}) != result_cache_key(
             net, "mighty", {"boolean_rewrite": False}
         )
-        assert result_cache_key(net, "mighty", {}) != result_cache_key(
-            net, "mighty", {"reshape_rules": ["Ω.A", "Ω.A-reshape"]}
+        algebraic = {"boolean_rewrite": False}
+        assert result_cache_key(net, "mighty", algebraic) != result_cache_key(
+            net, "mighty", {**algebraic, "reshape_rules": ["Ω.A", "Ω.A-reshape"]}
         )
 
     @pytest.mark.parametrize(
@@ -240,6 +255,8 @@ class TestFlowConfig:
             {"rounds": 0},
             {"depth_effort": 0, "boolean_rewrite": False},
             {"rounds": -3, "depth_effort": 1},
+            {"reshape_rules": ["Ω.Z"]},
+            {"reshape_rules": ["Ω.Z"], "boolean_rewrite": False},
         ],
     )
     def test_no_run_below_one_round_or_cycle(
@@ -248,7 +265,9 @@ class TestFlowConfig:
         """Regression: ``rounds`` and ``depth_effort`` below 1 were clamped
         to 1 at run time but keyed raw, so one computation had several
         cache keys.  They are rejected, before any work and any key
-        (``depth_effort`` only in the algebraic flow, the one it reaches)."""
+        (``depth_effort`` only in the algebraic flow, the one it reaches).
+        An unknown rule name is rejected the same way in both flows: the
+        Boolean round runs no reshape, so only this check catches it there."""
         import repro.flows.batch as batch
 
         def no_work(*args, **kwargs):

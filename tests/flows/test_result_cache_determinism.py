@@ -127,15 +127,15 @@ class TestCachedDeterminism:
         _assert_items_bit_identical(again.items, direct.items)
         assert all(_cached(optimize_many(corpus, workers=1, cache_dir=tmp_path)))
 
-    def test_failed_items_raise_and_are_not_cached(self, tmp_path, network_forge):
+    def test_failed_items_raise_and_are_not_cached(
+        self, tmp_path, network_forge, monkeypatch
+    ):
         """The batch API never silently drops a corpus item."""
         corpus = _corpus(network_forge)[:1]
-        # An unknown rule name fails inside the job, at its first reshape.
+        # The in-process job fails inside the flow, after every up-front check.
+        monkeypatch.setattr("repro.flows.mighty.mighty_optimize", _boom)
         with pytest.raises(RuntimeError, match="failed"):
-            optimize_many(
-                corpus, workers=1, flow="mighty", cache_dir=tmp_path,
-                reshape_rules=["boom"],
-            )
+            optimize_many(corpus, workers=1, flow="mighty", cache_dir=tmp_path)
         assert not list(tmp_path.glob("*.json"))
 
 
