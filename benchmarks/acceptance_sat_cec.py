@@ -47,6 +47,12 @@ SMOKE_BENCHMARKS = ["my_adder", "count"]
 #: Wide benchmark the mutation refutation runs against (33 PIs).
 MUTATION_BENCHMARK = "my_adder"
 
+#: ``sat_sweep`` counters recorded per proof in the JSON report.
+SWEEP_STATS = (
+    "sat_calls", "merges", "refinements", "unresolved",
+    "conflicts", "decisions", "propagations",
+)
+
 
 def wide_benchmark_names():
     """Table I benchmarks beyond the exhaustive limit, in table order."""
@@ -91,6 +97,7 @@ def cec_prove_row(name, rounds=1):
         "proved": True,
         "optimize_s": round(t_cec - t_opt, 3),
         "cec_s": round(elapsed, 3),
+        "sweep": {key: result.stats[key] for key in SWEEP_STATS},
     }
 
 

@@ -48,7 +48,7 @@ all three through the CNF encoder.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 __all__ = [
@@ -97,6 +97,11 @@ class EquivalenceResult:
     (:func:`assert_equivalent`, pipeline self-verification, the corpus
     runner's CEC rows) must reject uncertified verdicts rather than treat
     them as a pass.
+
+    ``stats`` carries the :class:`~repro.verify.sweep.SweepOutcome`
+    counters (SAT calls, merges, solver conflicts, decisions and
+    propagations) when a SAT sweep produced the verdict, else ``None``;
+    it takes no part in comparisons.
     """
 
     equivalent: bool
@@ -104,6 +109,7 @@ class EquivalenceResult:
     counterexample: Optional[List[bool]] = None
     failing_output: Optional[int] = None
     certified: bool = True
+    stats: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.equivalent
@@ -321,13 +327,16 @@ def _check_sat_sweep(
 
     outcome = sat_sweep(first, second, seed=seed, **(sat_options or {}))
     if outcome.status == "equivalent":
-        return EquivalenceResult(equivalent=True, method="sat-sweep")
+        return EquivalenceResult(
+            equivalent=True, method="sat-sweep", stats=outcome.stats
+        )
     if outcome.status == "inequivalent":
         return EquivalenceResult(
             equivalent=False,
             method="sat-sweep",
             counterexample=outcome.counterexample,
             failing_output=outcome.failing_output,
+            stats=outcome.stats,
         )
     return None
 

@@ -16,6 +16,20 @@ lineage, self-contained and pure python so the equivalence checker has a
   the first decisions of every :meth:`SatSolver.solve` call, so learned
   clauses are sound across calls and the sweeping engine can discharge
   thousands of candidate-equivalence queries against one clause database;
+* **scoped decisions**: a :meth:`SatSolver.solve` call may name the
+  query's variable set (``scope``).  Only scope variables are then
+  decision candidates, and the call answers SAT as soon as every scope
+  variable is assigned without conflict — other variables are assigned
+  only by propagation.  The contract: the clauses are the per-gate
+  Tseitin clauses of a gate graph (plus clauses they imply), and the
+  scope is closed under fanins in that graph.  Every clause outside the
+  scope can then be satisfied by evaluating the remaining gates from
+  any values of the remaining inputs, and learned clauses are implied
+  by the formula, so UNSAT is sound and a SAT model's values on the
+  scope's inputs are a real witness.  An equivalence query thus decides
+  only the fanin cone of its two literals, however many other networks
+  the clause database holds (the decision-flag mechanism of MiniSat,
+  Eén & Sörensson, SAT 2003);
 * a **conflict budget** per call — :data:`UNKNOWN` is a first-class
   answer, letting callers fall back to another proof engine instead of
   hanging on a hard instance;
@@ -38,7 +52,7 @@ Literal encoding follows the network-signal convention of
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, List, Optional, Sequence
 
 __all__ = ["SatSolver", "SAT", "UNSAT", "UNKNOWN"]
@@ -84,6 +98,10 @@ class SatSolver:
         self._trail_lim: List[int] = []
         self._qhead = 0
         self._heap: List[tuple] = []
+        # Decision scope of the last solve (``None``: every variable).  The
+        # heap holds every unassigned scope variable and nothing else, so
+        # a solve over an equal scope reuses it.
+        self._scope: Optional[set] = None
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
         self._ok = True
@@ -118,7 +136,8 @@ class SatSolver:
         self._activity.append(0.0)
         self._phase.append(1)  # default polarity: negative (lit 2v+1 true)
         self._seen.append(0)
-        heappush(self._heap, (0.0, v))
+        if self._scope is None:
+            heappush(self._heap, (0.0, v))
         return v
 
     def ensure_vars(self, count: int) -> None:
@@ -188,6 +207,7 @@ class SatSolver:
         self,
         assumptions: Sequence[int] = (),
         max_conflicts: Optional[int] = None,
+        scope: Optional[Sequence[int]] = None,
     ) -> str:
         """Decide satisfiability under ``assumptions``.
 
@@ -195,6 +215,16 @@ class SatSolver:
         :data:`UNSAT`, or :data:`UNKNOWN` when the conflict budget ran out.
         The solver is left at decision level 0 with all learned clauses
         retained, so follow-up calls get monotonically stronger.
+
+        ``scope`` restricts the search to a set of variables that holds
+        every assumption variable: only scope variables are decided, and
+        the answer is SAT once all of them are assigned without conflict.
+        The caller guarantees the contract in the module docstring — the
+        clauses are per-gate Tseitin clauses and the scope is closed under
+        fanins — under which UNSAT is sound and the model's values on the
+        scope's inputs are a real witness; variables outside the scope may
+        be left unassigned in the model.  With no scope every variable is
+        a decision candidate.
         """
         self.num_solve_calls += 1
         if not self._ok:
@@ -206,6 +236,17 @@ class SatSolver:
                 raise ValueError(f"assumption literal {lit} references unknown variable")
 
         budget = None if max_conflicts is None else self.num_conflicts + max_conflicts
+        if scope is not None:
+            scope = set(scope)
+            if scope and (min(scope) < 0 or max(scope) >= self._num_vars):
+                raise ValueError("scope names an unknown variable")
+            for lit in assumptions:
+                if lit >> 1 not in scope:
+                    raise ValueError(f"assumption literal {lit} lies outside the scope")
+        if scope != self._scope:
+            self._scope = scope
+            self._rebuild_heap(range(self._num_vars) if scope is None else scope)
+
         restart_round = 0
         value = self._value
         while True:
@@ -271,12 +312,16 @@ class SatSolver:
                 self._trail_lim.append(len(self._trail))
                 self._enqueue(lit, None)
 
-    def model_value(self, lit: int) -> bool:
-        """Truth value of ``lit`` in the most recent satisfying model."""
+    def model_value(self, lit: int) -> Optional[bool]:
+        """Truth value of ``lit`` in the most recent satisfying model.
+
+        ``None`` when a scoped solve left the variable unassigned; a solve
+        with no scope assigns every variable.
+        """
         if self._model is None:
             raise RuntimeError("no model available (last solve was not SAT)")
         v = self._model[lit]
-        return v == 1
+        return None if v == _UNASSIGNED else v == 1
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -448,6 +493,7 @@ class SatSolver:
         bound = self._trail_lim[target_level]
         heap = self._heap
         activity = self._activity
+        scope = self._scope
         for k in range(len(self._trail) - 1, bound - 1, -1):
             lit = self._trail[k]
             var = lit >> 1
@@ -455,7 +501,8 @@ class SatSolver:
             value[lit] = _UNASSIGNED
             value[lit ^ 1] = _UNASSIGNED
             self._reason[var] = None
-            heappush(heap, (-activity[var], var))
+            if scope is None or var in scope:
+                heappush(heap, (-activity[var], var))
         del self._trail[bound:]
         del self._trail_lim[target_level:]
         self._qhead = min(self._qhead, bound)
@@ -473,21 +520,28 @@ class SatSolver:
                 continue
             return (var << 1) | self._phase[var]
         # Heap exhausted: fall back to a linear scan (stale entries only).
-        for var in range(self._num_vars):
+        for var in range(self._num_vars) if self._scope is None else self._scope:
             if value[var << 1] == _UNASSIGNED:
                 return (var << 1) | self._phase[var]
         return None
 
     def _bump(self, var: int) -> None:
         self._activity[var] += self._var_inc
-        heappush(self._heap, (-self._activity[var], var))
+        if self._scope is None or var in self._scope:
+            heappush(self._heap, (-self._activity[var], var))
 
     def _rescale_activity(self) -> None:
         scale = 1e-100
         self._activity = [a * scale for a in self._activity]
         self._var_inc *= scale
-        self._heap = [(-self._activity[v], v) for v in range(self._num_vars)
-                      if self._value[v << 1] == _UNASSIGNED]
-        import heapq
+        self._rebuild_heap(
+            range(self._num_vars) if self._scope is None else self._scope
+        )
 
-        heapq.heapify(self._heap)
+    def _rebuild_heap(self, variables: Iterable[int]) -> None:
+        """Make the decision heap hold exactly the unassigned ``variables``."""
+        activity = self._activity
+        value = self._value
+        self._heap = [(-activity[v], v) for v in variables
+                      if value[v << 1] == _UNASSIGNED]
+        heapify(self._heap)

@@ -15,14 +15,22 @@ topological order, over shared primary-input variables — through one
    in one class).
 3. A signature collision is discharged by **incremental SAT under
    assumptions** — two queries per candidate pair, ``(a, ¬b)`` and
-   ``(¬a, b)``, against the clauses emitted so far.  A *proven* pair is
-   merged **by substitution**: the new gate's literal is replaced by its
-   representative, so the entire downstream cone re-converges onto the
-   representative's logic and the CNF stays the size of roughly one
-   network (this, not equality clauses, is what keeps propagation local).
-   A *refuted* pair yields a distinguishing input pattern that is
-   **queued for the simulator**; queued patterns are folded into the
-   signatures lazily, ``probe_flush_bits`` at a time, in one sub-word
+   ``(¬a, b)``, against the clauses emitted so far.  Each query is
+   **cone-scoped**: the solver decides only the variables of the pair's
+   transitive fanin cone and answers SAT once they are all assigned, so
+   a query costs the size of its cone, not of everything encoded so far
+   (see the scope contract in :mod:`repro.verify.sat`).  A *proven*
+   pair is merged **by substitution**: the new gate's literal is
+   replaced by its representative, so the entire downstream cone
+   re-converges onto the representative's logic and the CNF stays the
+   size of roughly one network (this, not equality clauses, is what
+   keeps propagation local).  A *refuted* pair yields a distinguishing
+   input pattern that is **queued for the simulator**; the primary
+   inputs outside the cone, which the scoped model leaves unassigned,
+   are filled with random bits (from an RNG seeded by the sweep
+   ``seed``), so the pattern also splits unrelated false candidates
+   instead of setting those inputs to zero.  Queued patterns are folded
+   into the signatures lazily, ``probe_flush_bits`` at a time, in one sub-word
    vectorized pass through the compiled graph kernel (see
    :meth:`_Sweeper.flush_refinements`).  Between flushes, lookups probe
    the *stale* candidate classes — sound, because signatures only ever
@@ -34,8 +42,9 @@ topological order, over shared primary-input variables — through one
    merge.
 4. After both networks are encoded, each primary-output pair is either
    already the *same literal* (proved structurally/by merge), or is
-   decided by a final budgeted SAT call per output on the same
-   incremental solver, whose learned clauses make later pairs cheaper:
+   decided by a final budgeted, cone-scoped SAT call per output on the
+   same incremental solver, whose learned clauses make later pairs
+   cheaper (a counterexample's inputs outside the cone are random):
    UNSAT proves the pair, SAT yields a counterexample, a blown budget
    reports *unknown*, and a caller may then run
    ``check_equivalence(method="bdd")``.
@@ -64,13 +73,16 @@ INEQUIVALENT = "inequivalent"
 #: into the signatures only once this many have accumulated, so each
 #: flush is one sub-word vectorized kernel pass amortized over the batch
 #: instead of a per-probe evaluation (``probe_flush_bits=1``).  Larger
-#: batches keep cutting flush time (measured ~8x at 64) but widen the
-#: staleness window — refuted representatives linger in their candidate
-#: buckets and draw duplicate budgeted SAT probes from later
-#: sig-identical candidates — and on refinement-heavy sweeps the extra
-#: solver time overtakes the flush savings past a small batch.  4 is the
-#: measured end-to-end optimum (``benchmarks/bench_codegen.py`` records
-#: the lane: baseline 1, default, and full-word 64).
+#: batches cut flushes further but widen the staleness window — refuted
+#: representatives linger in their candidate buckets and draw duplicate
+#: budgeted SAT probes from later sig-identical candidates.  On the
+#: refinement-heavy lane of ``benchmarks/bench_codegen.py`` (full size,
+#: 2-CPU host, mean of two runs) widths 1 / 2 / 4 / 8 / 16 / 32 / 64
+#: took 11.7 / 7.8 / 6.1 / 5.5 / 5.7 / 5.5 / 6.2 s.  Past 4 the curve is
+#: flat within run-to-run noise (five alternating runs of 4 and 8: medians
+#: 6.3 and 6.1 s, inside the 6.2-6.8 s range of 4's own runs), and 64
+#: already spends the whole 512-refinement budget (1,308 SAT calls
+#: against 1,155 at 4).  4 is the smallest width on the plateau.
 _DEFAULT_PROBE_FLUSH_BITS = 4
 
 
@@ -109,7 +121,8 @@ class _Sweeper:
         self.max_refinements = max_refinements
         self.probe_flush_bits = probe_flush_bits
 
-        rng = random.Random(seed)
+        #: Draws the initial patterns, then the free PIs of every model.
+        self.rng = rng = random.Random(seed)
         self.num_bits = max(64, initial_patterns)
         self.pi_patterns = [rng.getrandbits(self.num_bits) for _ in range(num_pis)]
         self.mask = (1 << self.num_bits) - 1
@@ -130,6 +143,9 @@ class _Sweeper:
         #: batch size) through the incrementally compiled kernel.
         self._pending: List[List[bool]] = []
         self._kernel = GraphSimKernel(self.graph)
+        #: Per-variable visit stamps of the cone walk (see :meth:`cone`).
+        self._stamp: List[int] = []
+        self._epoch = 0
 
         self.stats = {
             "sat_calls": 0,
@@ -149,10 +165,58 @@ class _Sweeper:
             self._clause_cursor += 1
 
     def model_assignment(self) -> List[bool]:
-        return [
-            self.solver.model_value((1 + i) << 1)
-            for i in range(self.graph.num_pis)
-        ]
+        """PI values of the last model; PIs it left unassigned are random."""
+        num_pis = self.graph.num_pis
+        fill = self.rng.getrandbits(num_pis)
+        assignment = []
+        for i in range(num_pis):
+            value = self.solver.model_value((1 + i) << 1)
+            assignment.append(bool(fill >> i & 1) if value is None else value)
+        return assignment
+
+    def cone(self, a: int, b: int) -> List[int]:
+        """Variables of the transitive fanin cone of literals ``a`` and ``b``.
+
+        The scope of a query on the pair: closed under fanins by
+        construction, as :meth:`SatSolver.solve` requires.  Visits are
+        marked with a per-walk epoch, so no walk clears the marks.
+        """
+        graph = self.graph
+        stamp = self._stamp
+        if len(stamp) < graph.num_vars:
+            stamp.extend([0] * (graph.num_vars - len(stamp)))
+        self._epoch += 1
+        epoch = self._epoch
+        gates = graph.gates
+        first_gate = 1 + graph.num_pis
+        cone = []
+        stack = [a, b]
+        while stack:
+            var = stack.pop() >> 1
+            if stamp[var] != epoch:
+                stamp[var] = epoch
+                cone.append(var)
+                if var >= first_gate:
+                    stack.extend(gates[var - first_gate][2])
+        return cone
+
+    def decide_pair(self, a: int, b: int, budget: int) -> str:
+        """Decide ``a == b`` by two budgeted queries on the pair's cone.
+
+        :data:`SAT` (a distinguishing model is loaded), :data:`UNSAT`
+        (proved equal) or :data:`UNKNOWN` (a query ran out of budget).
+        """
+        self._sync_solver()
+        scope = self.cone(a, b)
+        verdict = UNSAT
+        for assumptions in ([a, b ^ 1], [a ^ 1, b]):
+            self.stats["sat_calls"] += 1
+            res = self.solver.solve(assumptions, max_conflicts=budget, scope=scope)
+            if res == SAT:
+                return SAT
+            if res == UNKNOWN:
+                verdict = UNKNOWN
+        return verdict
 
     # -- candidate classes --------------------------------------------- #
     def _register(self, var: int) -> None:
@@ -255,22 +319,12 @@ class _Sweeper:
         return lit
 
     def _prove_pair(self, rep_lit: int, cand_lit: int, refine: bool) -> str:
-        self._sync_solver()
-        solver = self.solver
-        budget = self.merge_conflict_budget
-        self.stats["sat_calls"] += 1
-        res_a = solver.solve([rep_lit, cand_lit ^ 1], max_conflicts=budget)
-        if res_a == SAT:
+        verdict = self.decide_pair(rep_lit, cand_lit, self.merge_conflict_budget)
+        if verdict == SAT:
             if refine:
                 self._learn_pattern()
             return "refuted"
-        self.stats["sat_calls"] += 1
-        res_b = solver.solve([rep_lit ^ 1, cand_lit], max_conflicts=budget)
-        if res_b == SAT:
-            if refine:
-                self._learn_pattern()
-            return "refuted"
-        if res_a == UNSAT and res_b == UNSAT:
+        if verdict == UNSAT:
             return "equal"
         self.stats["unresolved"] += 1
         return "unknown"
@@ -331,7 +385,10 @@ def sat_sweep(
     stats["patterns"] = sweeper.num_bits
 
     def finish(outcome: SweepOutcome) -> SweepOutcome:
-        stats["conflicts"] = sweeper.solver.num_conflicts
+        solver = sweeper.solver
+        stats["conflicts"] = solver.num_conflicts
+        stats["decisions"] = solver.num_decisions
+        stats["propagations"] = solver.num_propagations
         stats["patterns"] = sweeper.num_bits
         outcome.stats = stats
         return outcome
@@ -354,21 +411,12 @@ def sat_sweep(
     for index, (a, b) in enumerate(zip(pos_first, pos_second)):
         if a == b:
             continue  # merged during encoding: already proved
-        sweeper._sync_solver()
-        solver = sweeper.solver
-        stats["sat_calls"] += 1
-        res_a = solver.solve([a, b ^ 1], max_conflicts=output_conflict_budget)
-        if res_a == SAT:
+        verdict = sweeper.decide_pair(a, b, output_conflict_budget)
+        if verdict == SAT:
             return finish(
                 SweepOutcome(INEQUIVALENT, sweeper.model_assignment(), index)
             )
-        stats["sat_calls"] += 1
-        res_b = solver.solve([a ^ 1, b], max_conflicts=output_conflict_budget)
-        if res_b == SAT:
-            return finish(
-                SweepOutcome(INEQUIVALENT, sweeper.model_assignment(), index)
-            )
-        if res_a != UNSAT or res_b != UNSAT:
+        if verdict == UNKNOWN:
             # Budget blown on this pair: keep scanning the remaining
             # outputs — a later pair may still yield a cheap refutation.
             unknown = True

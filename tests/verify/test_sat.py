@@ -4,7 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.verify.cnf import GateGraph, encode_network
 from repro.verify.sat import SAT, UNKNOWN, UNSAT, SatSolver
 
 
@@ -216,3 +219,164 @@ class TestClauseDatabaseReduction:
                 if id(clause) in watch_counts:
                     watch_counts[id(clause)] += 1
         assert all(count == 2 for count in watch_counts.values())
+
+
+def _fanin_cone(graph, lits):
+    """Variables of the transitive fanin cone of ``lits`` in ``graph``."""
+    first_gate = 1 + graph.num_pis
+    cone, stack = set(), [lit >> 1 for lit in lits]
+    while stack:
+        var = stack.pop()
+        if var in cone:
+            continue
+        cone.add(var)
+        if var >= first_gate:
+            stack.extend(lit >> 1 for lit in graph.gates[var - first_gate][2])
+    return sorted(cone)
+
+
+def _forged_queries(network_forge, seed):
+    """A gate graph holding a MIG and its AIG twin, plus queried pairs.
+
+    The twins are built by one recipe from one seed, so their output
+    pairs are equal functions in different structure (UNSAT queries that
+    need conflicts); seeded random gate pairs add mostly-SAT queries.
+    """
+    shape = dict(gate_mix="mixed", num_pis=7, num_gates=40, num_pos=4, seed=seed)
+    graph = GateGraph(7)
+    pos_mig = encode_network(graph, network_forge(kind="mig", **shape))
+    pos_aig = encode_network(graph, network_forge(kind="aig", **shape))
+    pairs = [(a, b) for a, b in zip(pos_mig, pos_aig) if a >> 1 and b >> 1]
+    rng = random.Random(seed)
+    gate_lits = [(var << 1) | rng.randint(0, 1) for var, _, _ in graph.gates]
+    pairs += [tuple(rng.sample(gate_lits, 2)) for _ in range(6)]
+    return graph, pairs
+
+
+def _solver_for(graph):
+    solver = SatSolver()
+    graph.load_into(solver)
+    return solver
+
+
+def _watch_decisions(solver, scope_of):
+    """Record every decision of ``solver``; check its heap holds no
+    variable outside the running scope (``scope_of()``) at each one."""
+    decisions = []
+    pick = solver._pick_branch
+
+    def picked():
+        scope = scope_of()
+        assert all(var in scope for _, var in solver._heap), "heap leaked"
+        lit = pick()
+        if lit is not None:
+            decisions.append(lit >> 1)
+        return lit
+
+    solver._pick_branch = picked
+    return decisions
+
+
+class TestScopedSolve:
+    """``solve(scope=...)`` on fanin-closed scopes of Tseitin gate graphs."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=5000))
+    def test_scoped_and_unscoped_agree(self, network_forge, seed):
+        graph, pairs = _forged_queries(network_forge, seed)
+        unscoped, scoped = _solver_for(graph), _solver_for(graph)
+        for a, b in pairs:
+            scope = _fanin_cone(graph, (a, b))
+            assert scoped.solve([a, b ^ 1], scope=scope) == unscoped.solve([a, b ^ 1])
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=5000))
+    def test_scoped_model_is_a_witness(self, network_forge, seed):
+        graph, pairs = _forged_queries(network_forge, seed)
+        solver = _solver_for(graph)
+        rng = random.Random(seed)
+        witnessed = 0
+        for a, b in pairs:
+            if solver.solve([a, b ^ 1], scope=_fanin_cone(graph, (a, b))) != SAT:
+                continue
+            # PIs the scoped search left unassigned may take any value.
+            bits = [solver.model_value(graph.pi_lit(i)) for i in range(graph.num_pis)]
+            bits = [rng.randint(0, 1) if v is None else int(v) for v in bits]
+            values = graph.simulate(bits, 1)
+            assert graph.lit_value(values, a, 1) == 1
+            assert graph.lit_value(values, b, 1) == 0
+            witnessed += 1
+        assert witnessed, "no SAT query drawn"
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=5000))
+    def test_no_decision_outside_the_scope(self, network_forge, seed):
+        graph, pairs = _forged_queries(network_forge, seed)
+        solver = _solver_for(graph)
+        current = set()
+        decisions = _watch_decisions(solver, lambda: current)
+        decided = 0
+        for a, b in pairs:
+            current = set(_fanin_cone(graph, (a, b)))
+            del decisions[:]
+            for assumptions in ([a, b ^ 1], [a ^ 1, b]):
+                solver.solve(assumptions, scope=sorted(current))
+            assert set(decisions) <= current
+            decided += len(decisions)
+        assert decided, "no query reached a decision"
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=5000))
+    def test_activity_rescale_keeps_scope_and_answer(self, network_forge, seed):
+        graph, pairs = _forged_queries(network_forge, seed)
+        unscoped, solver = _solver_for(graph), _solver_for(graph)
+        current = set()
+        decisions = _watch_decisions(solver, lambda: current)
+        rescales = 0
+        for a, b in pairs:
+            current = set(_fanin_cone(graph, (a, b)))
+            del decisions[:]
+            # The first conflict's decay pushes the increment past 1e100.
+            solver._var_inc = 0.99e100
+            conflicts = solver.num_conflicts
+            answer = solver.solve([a, b ^ 1], scope=sorted(current))
+            assert answer == unscoped.solve([a, b ^ 1])
+            assert set(decisions) <= current
+            if solver.num_conflicts > conflicts:
+                assert solver._var_inc < 1e100
+                rescales += 1
+        assert rescales, "no query reached a conflict"
+
+    def test_unscoped_solve_after_scoped_decides_everything(self):
+        # x0 -> x1 -> x2 chain plus a free x3: a scoped query on {x0, x1}
+        # leaves x2, x3 free; a later unscoped solve must assign them all.
+        s = SatSolver()
+        xs = [s.new_var() for _ in range(4)]
+        s.add_clause([(xs[0] << 1) | 1, xs[1] << 1])
+        assert s.solve([xs[0] << 1], scope=[xs[0], xs[1]]) == SAT
+        assert s.model_value(xs[1] << 1) is True
+        assert s.model_value(xs[3] << 1) is None
+        assert s.solve() == SAT
+        assert all(s.model_value(x << 1) is not None for x in xs)
+
+    def test_variable_added_between_solves_stays_out_of_an_equal_scope(self):
+        # The second solve reuses the first one's heap: a variable created
+        # in between must not join it.
+        s = SatSolver()
+        a, b = s.new_var(), s.new_var()
+        s.add_clause([a << 1, b << 1])
+        decisions = _watch_decisions(s, lambda: {a, b})
+        assert s.solve([a << 1], scope=[a, b]) == SAT
+        c = s.new_var()
+        assert s.solve([a << 1], scope=[a, b]) == SAT
+        assert set(decisions) <= {a, b}
+        assert s.model_value(c << 1) is None
+
+    def test_assumption_outside_scope_rejected(self):
+        s = SatSolver()
+        a, b = s.new_var(), s.new_var()
+        with pytest.raises(ValueError):
+            s.solve([b << 1], scope=[a])
+        with pytest.raises(ValueError):
+            s.solve([a << 1], scope=[a, 9])
+        assert s.solve([a << 1], scope=[a]) == SAT
