@@ -17,10 +17,12 @@ Two lanes over :mod:`repro.synth.exact` and the top-k structure database:
    the contract that makes enrichment safe to ship: **no class ever
    regresses above its old single-entry size** (the enriched head is
    never larger than the fast-tier head — UNSAT proves the fast tier
-   optimal, UNKNOWN keeps it).  Enriched fronts are registered through
-   :func:`repro.network.npn.register_structures` (full semantic
-   validation, in memory only); ``benchmarks/regen_structure_db.py
-   --exact`` is what ships an enriched database.
+   optimal, UNKNOWN keeps it).  Every enriched front is validated as the
+   loader would validate a shipped one: each entry replays to its class
+   function with consistent size/depth metadata
+   (:func:`repro.network.npn._validate_entry`), and the list is a strict
+   Pareto front.  ``benchmarks/regen_structure_db.py --exact`` is what
+   ships an enriched database.
 
 Results land in ``BENCH_exact.json`` (override with ``--json`` /
 ``REPRO_BENCH_EXACT_JSON``)::
@@ -35,7 +37,7 @@ import sys
 import time
 
 from repro.network import npn
-from repro.network.npn import npn_representatives, register_structures
+from repro.network.npn import npn_representatives
 from repro.synth import SAT, UNSAT, enumerate_minimum_sizes, synthesize_exact
 from repro.synth.exact import _compact_table, _support
 
@@ -124,8 +126,12 @@ def _enrichment_lane(kind, tables, budget, size_slack):
         assert enriched[-1].depth <= fast[-1].depth, (
             f"{kind} {rep:#06x}: enrichment lost the shallowest entry"
         )
-        if enriched != fast:
-            register_structures(kind, rep, list(enriched))
+        assert all(npn._validate_entry(kind, rep, entry) for entry in enriched), (
+            f"{kind} {rep:#06x}: an enriched entry does not implement the class"
+        )
+        assert enriched == npn._pareto_front(enriched), (
+            f"{kind} {rep:#06x}: enriched entries are not a strict Pareto front"
+        )
         size_gain = fast[0].size - enriched[0].size
         depth_gain = fast[-1].depth - enriched[-1].depth
         improved_size += 1 if size_gain else 0

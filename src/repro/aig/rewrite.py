@@ -1,6 +1,6 @@
 """Cut-based AIG rewriting (the ABC ``rewrite`` / ``refactor`` stand-in).
 
-For every AND node the pass enumerates the k-feasible cuts (k ≤ 4),
+For every AND node the pass enumerates the 4-feasible cuts,
 NPN-canonicalizes each cut function and looks it up in the precomputed
 structure database (:mod:`repro.network.npn`); the cone is replaced by the
 database structure whenever the *gain* — nodes freed by deleting the
@@ -38,7 +38,6 @@ __all__ = ["rewrite", "refactor", "rewrite_aig_inplace"]
 
 def rewrite_aig_inplace(
     aig: Aig,
-    k: int = 4,
     cut_limit: int = 8,
     allow_zero_gain: bool = True,
     max_level_growth: Optional[int] = None,
@@ -53,7 +52,6 @@ def rewrite_aig_inplace(
     return cut_rewrite(
         aig,
         "aig",
-        k=k,
         cut_limit=cut_limit,
         allow_zero_gain=allow_zero_gain,
         max_level_growth=max_level_growth,

@@ -3,7 +3,7 @@
 The paper optimizes MIGs with purely *algebraic* transformations (the Ω
 axioms and the derived Ψ rules of :mod:`repro.core.rules`), which move
 within the algebra of one cone at a time.  Cut rewriting is the standard
-*Boolean* complement: enumerate the k-feasible cuts of every node, compute
+*Boolean* complement: enumerate the 4-feasible cuts of every node, compute
 the cut's truth table, and replace the cone by the precomputed optimal MIG
 structure of its NPN class whenever that shrinks the network — catching
 simplifications the axioms cannot see (e.g. a cone whose function happens
@@ -42,7 +42,6 @@ __all__ = ["rewrite_mig"]
 
 def rewrite_mig(
     mig: Mig,
-    k: int = 4,
     cut_limit: int = 6,
     allow_zero_gain: bool = False,
     max_level_growth: Optional[int] = 0,
@@ -66,7 +65,6 @@ def rewrite_mig(
     return cut_rewrite(
         mig,
         "mig",
-        k=k,
         cut_limit=cut_limit,
         allow_zero_gain=allow_zero_gain,
         max_level_growth=max_level_growth,

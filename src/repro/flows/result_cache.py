@@ -1,26 +1,35 @@
 """Content-addressed result cache of :func:`repro.flows.batch.optimize_many`.
 
-One JSON file per entry under ``cache_dir`` (the :mod:`repro.cache`
-idiom).  The key covers the input's node-id-independent
-:func:`~repro.parallel.corpus.canonical_fingerprint`, the resolved flow
-and options (defaults filled in), the package sources, the NPN
-canonical map and the NPN structure database.  Networks are stored as
-JSON that preserves node ids, so a hit is bit-identical to re-running;
-decoding rebuilds the kernel bookkeeping, runs nothing from the file,
-and must pass ``check_integrity`` and the structural-fingerprint
-replay.
+One JSON file per entry under ``cache_dir``, kept by three rules:
+
+1. **Content-hash keys** — an entry's key is a SHA-256 over everything
+   that shaped it: the input's node-id-independent
+   :func:`~repro.parallel.corpus.canonical_fingerprint`, the resolved
+   flow and options (defaults filled in), the package sources, the NPN
+   canonical map and the NPN structure database.  A change in any of
+   them starts a fresh entry instead of serving a stale one.
+2. **Atomic writes** — an entry lands via temp file + ``os.replace``, so
+   readers and concurrent writers only ever see complete files; an OS
+   error (say, a read-only directory) skips the write, never the result.
+3. **A torn file is a miss** — a missing, unparsable, foreign or
+   inconsistent entry is a cache miss, never an error or a wrong result.
+   Networks are stored as JSON that preserves node ids, so a hit is
+   bit-identical to re-running; decoding rebuilds the kernel bookkeeping,
+   runs nothing from the file, and must pass ``check_integrity`` and the
+   structural-fingerprint replay.
 """
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
+import os
+import tempfile
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from ..cache import PACKAGE_ROOT, atomic_write_json, content_key, load_json
-from ..cache import source_digest
 from ..parallel.corpus import canonical_fingerprint, structural_fingerprint
 from .mighty import mighty_optimize
 
@@ -49,26 +58,38 @@ def canonical_flow_config(flow: str, options: Optional[Dict] = None) -> str:
 
 @lru_cache(maxsize=1)
 def code_fingerprint() -> str:
-    """Digest of every ``.py`` file of the ``repro`` package."""
-    paths = PACKAGE_ROOT.rglob("*.py")
-    return source_digest(sorted(p.relative_to(PACKAGE_ROOT).as_posix() for p in paths))
+    """Digest of every ``.py`` file of the ``repro`` package: each relative
+    path and the file's bytes, in sorted path order (a file that vanished
+    meanwhile hashes as a marker)."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")):
+        digest.update(rel.encode())
+        try:
+            digest.update((root / rel).read_bytes())
+        except OSError:
+            digest.update(b"<missing>")
+    return digest.hexdigest()
 
 
 def result_cache_key(network, flow: str, options: Optional[Dict] = None) -> str:
-    """The content address of one (circuit, flow, options) computation."""
+    """The content address of one (circuit, flow, options) computation:
+    a SHA-256 over the ``repr`` of each ingredient, in order."""
     from ..network.npn import canonical_map_digest, structure_db_digest
-    from ..parallel.executor import warm_worker
 
-    warm_worker()  # digest the whole database, as the flows will see it
     # The map's transforms decide which structure mig_rewrite replays.
-    return content_key(
+    digest = hashlib.sha256()
+    for part in (
         CACHE_FORMAT_VERSION,
         canonical_fingerprint(network),
         canonical_flow_config(flow, options),
         code_fingerprint(),
         canonical_map_digest(),
         structure_db_digest(),
-    )
+    ):
+        digest.update(repr(part).encode())
+        digest.update(b"\x00")
+    return digest.hexdigest()
 
 
 def encode_network(net) -> dict:
@@ -130,8 +151,11 @@ def decode_network(data: dict):
 
 def cache_get(cache_dir, key: str) -> Optional[Tuple[object, Tuple[int, int]]]:
     """``(network, (initial_size, initial_depth))`` stored under ``key``, or
-    ``None``: an incomplete, stale or inconsistent entry is a miss."""
-    entry = load_json(Path(cache_dir) / f"{key}.json")
+    ``None``: a missing, torn, stale or inconsistent entry is a miss."""
+    try:
+        entry = json.loads((Path(cache_dir) / f"{key}.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
     if not isinstance(entry, dict) or entry.get("key") != key:
         return None
     if entry.get("version") != CACHE_FORMAT_VERSION:
@@ -146,7 +170,11 @@ def cache_get(cache_dir, key: str) -> Optional[Tuple[object, Tuple[int, int]]]:
 
 
 def cache_put(cache_dir, key: str, item) -> bool:
-    """Atomically store one optimized :class:`~repro.flows.batch.BatchItem`."""
+    """Atomically store one optimized :class:`~repro.flows.batch.BatchItem`.
+
+    Writes a temp file in ``cache_dir`` and renames it into place with
+    ``os.replace``.  Returns ``False`` instead of raising on an OS error.
+    """
     entry = {
         "version": CACHE_FORMAT_VERSION,
         "key": key,
@@ -155,4 +183,20 @@ def cache_put(cache_dir, key: str, item) -> bool:
         "initial_depth": item.initial_depth,
         "result_fingerprint": structural_fingerprint(item.network),
     }
-    return atomic_write_json(Path(cache_dir) / f"{key}.json", entry)
+    path = Path(cache_dir) / f"{key}.json"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                json.dump(entry, handle)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError:
+        return False
+    return True

@@ -318,8 +318,9 @@ class CutManager:
     rewriting passes surface through the flow-engine metrics.
 
     ``notes`` is a scratch mapping for consumers (the rewrite engine
-    parks per-parameterisation convergence tokens there); it is cleared
-    whenever the network is wholesale-replaced.
+    records there, per sweep parameterisation, the mutation serial at
+    which a sweep applied nothing); it is cleared whenever the network is
+    wholesale-replaced.
     """
 
     def __init__(self, net, k: int = 4, cut_limit: int = 8) -> None:

@@ -39,8 +39,9 @@ Shannon/XOR decomposition with structural hashing, polished by the
 repository's size *and* depth optimizers; an optional exact tier
 (:mod:`repro.synth.exact`, via ``derive_structures_parallel(exact=True)``)
 adds SAT-proven size/depth-optimal programs where the conflict budget
-allows.  :func:`register_structures` merges further entries into the
-in-memory database only.
+allows.  Nothing changes the database after it is loaded: its content
+digest (:func:`structure_db_digest`, a SHA-256 over the file's bytes) is
+fixed for the life of the process.
 
 Truth-table convention: bit ``m`` of a table is the function value when
 input ``i`` carries bit ``i`` of the minterm index ``m``.
@@ -60,7 +61,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..cache import content_key
 from ..core.signal import CONST_FALSE, CONST_NODE, CONST_TRUE, negate_if
 
 __all__ = [
@@ -80,17 +80,13 @@ __all__ = [
     "canonical_map_digest",
     "DbEntry",
     "entry_truth_table",
-    "get_structure",
     "get_structures",
-    "register_structures",
-    "structure_db_generation",
     "structure_db_digest",
     "derive_structures_parallel",
     "replay_structure",
     "STRUCTURE_DB_PATH",
     "load_structure_db",
     "write_structure_db",
-    "reset_structure_db",
 ]
 
 #: Number of NPN equivalence classes of functions of at most 4 variables.
@@ -390,17 +386,9 @@ class DbEntry(NamedTuple):
     depth: int
 
 
-#: Per-class top-k entry lists: the Pareto front on (size, depth), sorted
-#: by ascending size; ``[0]`` is the size-best entry, ``[-1]`` the
-#: shallowest.  Sizes strictly increase and depths strictly decrease along
-#: a list, so every entry is the unique best answer for some trade-off.
-_DB: Dict[Tuple[str, int], Tuple[DbEntry, ...]] = {}
+#: ``{(kind, canonical table): front}``: one Pareto front per class and kind.
+_Fronts = Dict[Tuple[str, int], Tuple[DbEntry, ...]]
 
-#: Monotonic identity of the in-memory database: bumped on every visible
-#: change (load, registration, reset).  Consumers that memoize decisions
-#: made *against* the database — notably the cut-rewrite convergence skip
-#: — fold this into their tokens so a DB swap re-arms them.
-_DB_GENERATION = 0
 
 #: Bumped when the serialised layout changes (other versions are rejected).
 #: v2: entry lists per class (top-k Pareto fronts) instead of one entry.
@@ -419,7 +407,7 @@ def entry_truth_table(entry: DbEntry) -> int:
 
     The pure-table counterpart of :func:`replay_structure`: 2-fanin ops
     are ANDs, 3-fanin ops majorities.  Used to validate loaded and
-    registered entries semantically before trusting them.
+    synthesized entries semantically before trusting them.
     """
     tables: List[int] = [0, *PROJECTIONS]
     for op in entry.ops:
@@ -432,40 +420,6 @@ def entry_truth_table(entry: DbEntry) -> int:
         else:
             raise ValueError(f"unsupported op arity {len(operands)}")
     return (tables[entry.output >> 1] ^ (_FULL if entry.output & 1 else 0)) & _FULL
-
-
-def structure_db_generation() -> int:
-    """Monotonic identity of the in-memory structure database.
-
-    Changes whenever the database visibly changes (load,
-    :func:`register_structures`, :func:`reset_structure_db`), so
-    decisions memoized against the database can detect a swap.
-    """
-    return _DB_GENERATION
-
-
-#: ``(generation, digest)`` of the last :func:`structure_db_digest` call.
-_DB_DIGEST: Tuple[int, str] = (-1, "")
-
-
-def structure_db_digest() -> str:
-    """Content digest of the in-memory structure database.
-
-    Memoized per :func:`structure_db_generation`.  Unlike the counter,
-    which is process-local, equal database contents digest equal in
-    every process — the form a persistent cache key needs.
-    """
-    global _DB_DIGEST
-    if not _DB:
-        reset_structure_db()
-    if _DB_DIGEST[0] != _DB_GENERATION:
-        _DB_DIGEST = (_DB_GENERATION, content_key(*sorted(_DB.items())))
-    return _DB_DIGEST[1]
-
-
-def _bump_generation() -> None:
-    global _DB_GENERATION
-    _DB_GENERATION += 1
 
 
 def _entry_depth(entry: DbEntry) -> int:
@@ -515,7 +469,7 @@ def _pareto_front(entries) -> Tuple[DbEntry, ...]:
     return tuple(front)
 
 
-def write_structure_db(path, fronts: Dict[Tuple[str, int], Tuple[DbEntry, ...]]) -> None:
+def write_structure_db(path, fronts: _Fronts) -> None:
     """Write ``{(kind, table): front}`` in the layout :func:`load_structure_db` reads.
 
     One class per line, kinds and classes in sorted order: the file is a
@@ -533,19 +487,22 @@ def write_structure_db(path, fronts: Dict[Tuple[str, int], Tuple[DbEntry, ...]])
     Path(path).write_text(f"{{\n{body}\n}}\n", encoding="utf-8")
 
 
-def load_structure_db(path=STRUCTURE_DB_PATH) -> Dict[Tuple[str, int], Tuple[DbEntry, ...]]:
+def load_structure_db(path=STRUCTURE_DB_PATH) -> Tuple[_Fronts, str]:
     """Read and validate a file written by :func:`write_structure_db`.
 
-    Each kind must cover exactly the 222 canonical representatives, each
-    class list must be a strict Pareto front, and each entry must match
-    the kind's gate arity and replay to its class function with
-    consistent size/depth metadata.  Anything else raises ``ValueError``.
+    Returns ``{(kind, table): front}`` and the SHA-256 of the file's
+    bytes.  Each kind must cover exactly the 222 canonical
+    representatives, each class list must be a strict Pareto front, and
+    each entry must match the kind's gate arity and replay to its class
+    function with consistent size/depth metadata.  Anything else raises
+    ``ValueError``.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    payload = json.loads(data.decode("utf-8"))
     if not isinstance(payload, dict) or payload.get("version") != _DB_FORMAT_VERSION:
         raise ValueError(f"{path}: not a v{_DB_FORMAT_VERSION} structure database")
     expected = {str(rep) for rep in npn_representatives()}
-    fronts: Dict[Tuple[str, int], Tuple[DbEntry, ...]] = {}
+    fronts: _Fronts = {}
     for kind in _KIND_ARITY:
         classes = payload.get(kind)
         if not isinstance(classes, dict) or set(classes) != expected:
@@ -575,19 +532,28 @@ def load_structure_db(path=STRUCTURE_DB_PATH) -> Dict[Tuple[str, int], Tuple[DbE
                     f"{path}: {kind} class {key}: not a Pareto front of valid entries"
                 )
             fronts[(kind, table)] = front
-    return fronts
+    return fronts, hashlib.sha256(data).hexdigest()
 
 
-@lru_cache(maxsize=1)
-def _committed_db() -> Dict[Tuple[str, int], Tuple[DbEntry, ...]]:
-    return load_structure_db()
+#: ``(fronts, digest)`` of the committed file, loaded on first use and
+#: never changed afterwards.  Each front is the class's Pareto front on
+#: (size, depth), sorted by ascending size: ``[0]`` is the size-best
+#: entry, ``[-1]`` the shallowest.  Sizes strictly increase and depths
+#: strictly decrease along a front, so every entry is the unique best
+#: answer for some trade-off.
+_DB: Optional[Tuple[_Fronts, str]] = None
 
 
-def reset_structure_db() -> None:
-    """Drop :func:`register_structures` additions: reload the committed file."""
-    _DB.clear()
-    _DB.update(_committed_db())
-    _bump_generation()
+def _loaded_structure_db() -> Tuple[_Fronts, str]:
+    global _DB
+    if _DB is None:
+        _DB = load_structure_db(STRUCTURE_DB_PATH)
+    return _DB
+
+
+def structure_db_digest() -> str:
+    """Content digest of the loaded structure database (equal in every process)."""
+    return _loaded_structure_db()[1]
 
 
 def get_structures(kind: str, canonical_table: int) -> Tuple[DbEntry, ...]:
@@ -599,50 +565,10 @@ def get_structures(kind: str, canonical_table: int) -> Tuple[DbEntry, ...]:
     lookup of a process loads the committed database.  An unknown kind or
     a non-canonical table raises ``ValueError``.
     """
-    key = (kind, canonical_table)
-    front = _DB.get(key)
+    front = (_DB or _loaded_structure_db())[0].get((kind, canonical_table))
     if front is None:
-        if not _DB:
-            reset_structure_db()
-            front = _DB.get(key)
-        if front is None:
-            raise ValueError(f"no {kind!r} structures for table {canonical_table:#06x}")
+        raise ValueError(f"no {kind!r} structures for table {canonical_table:#06x}")
     return front
-
-
-def get_structure(kind: str, canonical_table: int) -> DbEntry:
-    """The size-best known structure of a class (head of the top-k list)."""
-    return get_structures(kind, canonical_table)[0]
-
-
-def register_structures(kind: str, canonical_table: int, entries) -> Tuple[DbEntry, ...]:
-    """Merge externally synthesized entries into a class's top-k list.
-
-    Every entry is fully validated (gate arity, size/depth metadata, and
-    a semantic replay against ``canonical_table``) before being merged
-    into the Pareto front — an entry that does not implement the class
-    function raises ``ValueError`` rather than poisoning the database.
-    The merge lives in memory only; :func:`reset_structure_db` drops it.
-    Returns the class's new front; bumps the database generation when the
-    front actually changed (so convergence-skip tokens re-arm).
-    """
-    if kind not in _KIND_ARITY:
-        raise ValueError(f"unknown database kind {kind!r}")
-    canonical_table &= _FULL
-    if _canonical_map()[canonical_table][0] != canonical_table:
-        raise ValueError(f"{canonical_table:#06x} is not a canonical representative")
-    for entry in entries:
-        if not _validate_entry(kind, canonical_table, entry):
-            raise ValueError(
-                f"entry does not implement class {canonical_table:#06x} "
-                f"(or has inconsistent metadata)"
-            )
-    current = get_structures(kind, canonical_table)
-    merged = _pareto_front(list(current) + list(entries))
-    if merged != current:
-        _DB[(kind, canonical_table)] = merged
-        _bump_generation()
-    return merged
 
 
 def _warm_canonical() -> None:
@@ -654,53 +580,49 @@ def _warm_canonical() -> None:
     _canonical_map()
 
 
+#: Canonical classes per derivation shard.
+_SHARD_CLASSES = 16
+
+#: Exact tier: conflict budget per search, and the extra gates a depth
+#: search may spend beyond the shallowest fast-tier entry.
+_EXACT_BUDGET = 2_000
+_EXACT_SIZE_SLACK = 2
+
+
 def _derive_shard(task) -> List[Tuple[str, int, Tuple[DbEntry, ...]]]:
-    """Worker task: derive the entry lists of one ``(kind, tables)`` shard.
+    """Worker task: derive the entry lists of one ``(kind, tables, exact)`` shard.
 
     Every worker derives from first principles, never reading the
     database.  Derivation is a pure function of the task, so shard
-    composition cannot change any entry.  A third task element
-    ``(budget, size_slack)`` enables the exact-synthesis enrichment tier
-    for the shard.
+    composition cannot change any entry.
     """
-    kind, tables = task[0], task[1]
-    exact_opts = task[2] if len(task) > 2 else None
+    kind, tables, exact = task
     results = []
     for table in tables:
         front = _derive_structures(kind, table)
-        if exact_opts is not None:
-            budget, size_slack = exact_opts
-            front = _exact_enrich(kind, table, front, budget, size_slack)
+        if exact:
+            front = _exact_enrich(kind, table, front, _EXACT_BUDGET, _EXACT_SIZE_SLACK)
         results.append((kind, table, front))
     return results
 
 
 def derive_structures_parallel(
-    kinds: Tuple[str, ...] = ("mig", "aig"),
-    workers: Optional[int] = None,
-    classes_per_shard: int = 16,
-    exact: bool = False,
-    exact_budget: int = 2_000,
-    exact_size_slack: int = 2,
-    tables: Optional[Tuple[int, ...]] = None,
-) -> Tuple[Dict[Tuple[str, int], Tuple[DbEntry, ...]], Dict[str, object]]:
+    workers: Optional[int] = None, exact: bool = False
+) -> Tuple[_Fronts, Dict[str, object]]:
     """Derive the structure database sharded across worker processes.
 
-    The 222 canonical classes x ``len(kinds)`` kinds are split into
-    shards of ``classes_per_shard`` classes (sharded deterministically by
-    canonical-class order); each worker derives its shard from first
-    principles.  Entries are **structurally identical to a serial
-    derivation** (asserted by ``tests/parallel/test_parallel.py``).
-    Neither the in-memory database nor any file is touched; pass the
+    The 222 canonical classes of both kinds are split into shards of 16
+    classes (sharded deterministically by canonical-class order); each
+    worker derives its shard from first principles.  Entries are
+    **structurally identical to a serial derivation** (asserted by
+    ``tests/parallel/test_parallel.py``).  No file is touched; pass the
     fronts to :func:`write_structure_db` to ship them.
 
     With ``exact=True`` each shard additionally runs the SAT-based
-    exact-synthesis enrichment tier (:mod:`repro.synth.exact`) with
-    ``exact_budget`` conflicts per search, adding size- and depth-optimal
+    exact-synthesis enrichment tier (:mod:`repro.synth.exact`) with a
+    budget of 2,000 conflicts per search, adding size- and depth-optimal
     entries where the budget suffices (UNKNOWN searches keep the
     decomposition entries, so enrichment never loses structures).
-    ``tables`` restricts the run to a subset of canonical classes (for
-    smoke shards / CI).
 
     Returns ``(fronts, stats)``: ``{(kind, table): front}`` and a stats
     dict (classes, kinds, entries, workers, shards, wall-clock).  With
@@ -709,18 +631,12 @@ def derive_structures_parallel(
     """
     from ..parallel.executor import parallel_map
 
-    if classes_per_shard < 1:
-        raise ValueError(f"classes_per_shard must be >= 1, got {classes_per_shard}")
-    reps = list(tables) if tables is not None else npn_representatives()
-    exact_opts = (exact_budget, exact_size_slack) if exact else None
-    tasks = []
-    for kind in kinds:
-        if kind not in _KIND_ARITY:
-            raise ValueError(f"unknown database kind {kind!r}")
-        for start in range(0, len(reps), classes_per_shard):
-            shard = tuple(reps[start:start + classes_per_shard])
-            tasks.append((kind, shard) if exact_opts is None else (kind, shard, exact_opts))
-
+    reps = npn_representatives()
+    tasks = [
+        (kind, tuple(reps[start:start + _SHARD_CLASSES]), exact)
+        for kind in _KIND_ARITY
+        for start in range(0, len(reps), _SHARD_CLASSES)
+    ]
     report = parallel_map(
         _derive_shard,
         tasks,
@@ -735,7 +651,7 @@ def derive_structures_parallel(
     }
     return fronts, {
         "classes": len(reps),
-        "kinds": list(kinds),
+        "kinds": list(_KIND_ARITY),
         "entries": sum(len(front) for front in fronts.values()),
         "workers": report.workers,
         "shards": report.num_shards,

@@ -1,6 +1,6 @@
 """DAG-aware Boolean cut rewriting over any :class:`LogicNetwork`.
 
-The engine behind ABC-style ``rewrite``: enumerate k-feasible cuts
+The engine behind ABC-style ``rewrite``: enumerate 4-feasible cuts
 (:mod:`repro.network.cuts`), NPN-canonicalize each cut function, fetch the
 precomputed optimal structure for its class (:mod:`repro.network.npn`) and
 replace the cone when doing so shrinks the network.  The gain accounting is
@@ -68,16 +68,18 @@ from .npn import (
     invert_transform,
     npn_canonical,
     replay_structure,
-    structure_db_generation,
 )
 
 __all__ = ["cut_rewrite"]
+
+#: Cut size of every sweep: the structure database covers exactly the
+#: NPN classes of 4-input functions.
+_CUT_SIZE = 4
 
 
 def cut_rewrite(
     net,
     kind: str,
-    k: int = 4,
     cut_limit: int = 8,
     allow_zero_gain: bool = False,
     max_level_growth: Optional[int] = None,
@@ -89,7 +91,9 @@ def cut_rewrite(
     the network's gate semantics.  Returns a stats dictionary with the
     number of rewrites applied, the total size gain realised and the cut
     engine's reuse counters.  ``incremental=False`` forces a from-scratch
-    enumeration (the benchmark baseline).
+    enumeration (the benchmark baseline).  A sweep that applied nothing
+    records the network's mutation serial; the next identical sweep on
+    the untouched network returns at once with ``converged_skip`` set.
 
     ``max_level_growth < 0`` switches the sweep into depth mode: only
     the nodes critical at sweep start are visited, the candidate ordering
@@ -98,29 +102,16 @@ def cut_rewrite(
     many nodes as it frees.  In area mode (``max_level_growth`` ``None``
     or ``>= 0``) only the size-best entry of each class is used.
     """
-    manager = CutManager.for_network(net, k=k, cut_limit=cut_limit) if incremental else None
-    depth_mode = max_level_growth is not None and max_level_growth < 0
-    convergence_key = (
-        "cut_rewrite",
-        kind,
-        k,
-        cut_limit,
-        allow_zero_gain,
-        max_level_growth,
+    manager = (
+        CutManager.for_network(net, k=_CUT_SIZE, cut_limit=cut_limit) if incremental else None
     )
+    depth_mode = max_level_growth is not None and max_level_growth < 0
+    convergence_key = ("cut_rewrite", kind, cut_limit, allow_zero_gain, max_level_growth)
     if manager is not None:
-        # The convergence token pairs the network's mutation serial with
-        # the structure database's generation: a no-op sweep only stays a
-        # no-op while *both* the network and the database it was decided
-        # against are unchanged.  (A DB swap — reset, re-derivation, top-k
-        # registration — may create rewrites where there were none.)
-        if manager.notes.get(convergence_key) == (
-            manager.generation,
-            structure_db_generation(),
-        ):
-            # The exact same sweep ran at this mutation serial against the
-            # same database and applied nothing; both are untouched since,
-            # so this sweep is the same no-op.
+        if manager.notes.get(convergence_key) == manager.generation:
+            # The exact same sweep ran at this mutation serial and applied
+            # nothing; the network is untouched since, so this sweep is
+            # the same no-op.
             return {
                 "rewrites": 0,
                 "zero_gain": 0,
@@ -137,7 +128,7 @@ def cut_rewrite(
         cut_nodes_reused = manager.stats["nodes_reused"] - reused_before
         sweep_start_generation = manager.generation
     else:
-        cuts = enumerate_cuts(net, k=k, cut_limit=cut_limit)
+        cuts = enumerate_cuts(net, k=_CUT_SIZE, cut_limit=cut_limit)
         cut_nodes_recomputed = len(net._topology())
         cut_nodes_reused = 0
     order = list(net._topology())
@@ -238,13 +229,8 @@ def cut_rewrite(
         # speculative replacement was allocated (an aborted substitute
         # would consume node ids and desynchronise the id stream from the
         # non-incremental path) — so an untouched network can skip the
-        # next identical sweep outright.  The database generation is
-        # sampled *after* the sweep: lazy derivations during the sweep are
-        # part of the database this no-op was decided against.
-        manager.notes[convergence_key] = (
-            manager.generation,
-            structure_db_generation(),
-        )
+        # next identical sweep outright.
+        manager.notes[convergence_key] = manager.generation
     return {
         "rewrites": applied,
         "zero_gain": zero_gain_applied,

@@ -71,7 +71,7 @@ def warm_worker() -> None:
     from ..network import npn
 
     npn.npn_canonical(0)  # load the 65,536-entry canonical map once
-    npn.get_structure("mig", 0)  # the first lookup loads the whole database
+    npn.get_structures("mig", 0)  # the first lookup loads the whole database
 
 
 @dataclass

@@ -13,7 +13,7 @@ from repro.network.npn import (
     apply_transform,
     compose_transforms,
     extend_table,
-    get_structure,
+    get_structures,
     invert_transform,
     npn_canonical,
     npn_representatives,
@@ -97,7 +97,7 @@ class TestStructureDatabase:
     def test_every_class_has_a_correct_structure(self, kind, cls):
         """Replaying the database entry reproduces the canonical function."""
         for representative in npn_representatives():
-            entry = get_structure(kind, representative)
+            entry = get_structures(kind, representative)[0]
             net = cls()
             variables = [net.add_pi(f"v{i}") for i in range(4)]
             net.add_po(replay_structure(net, entry, variables), "f")
@@ -108,10 +108,10 @@ class TestStructureDatabase:
 
     def test_degenerate_entries_have_no_gates(self):
         for kind in ("mig", "aig"):
-            assert get_structure(kind, 0).size == 0  # constant
+            assert get_structures(kind, 0)[0].size == 0  # constant
             proj = npn_canonical(0xAAAA)[0]
-            assert get_structure(kind, proj).size == 0  # single literal
+            assert get_structures(kind, proj)[0].size == 0  # single literal
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            get_structure("xmg", 0x1234)
+            get_structures("xmg", 0x1234)

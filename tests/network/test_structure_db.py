@@ -1,44 +1,30 @@
-"""Top-k structure database: Pareto-front invariants and staleness.
-
-Three contracts from the exact-synthesis PR:
+"""Top-k structure database: Pareto-front invariants, digest and depth mode.
 
 * every class's entry list is a strict Pareto front on (size, depth) —
   sizes strictly increase, depths strictly decrease, every entry replays
-  to the class function (``get_structure`` stays the size-best head);
-* :func:`register_structures` validates semantically before merging and
-  bumps the database generation exactly when the front changes;
-* ``cut_rewrite``'s convergence skip re-arms when the database changes
-  under it (the staleness bugfix: the pre-fix token recorded only the
-  network's mutation serial, so a sweep that had converged against the
-  old database skipped forever and never saw newly registered
-  structures).
+  to the class function;
+* the exact tier beats the fast tier where the fast tier is not minimal;
+* the database digest is the SHA-256 of the committed file's bytes, so
+  it is equal in every process and cannot drift from the file;
+* depth-mode ``cut_rewrite`` spends the top-k entries, on critical roots
+  only.
 """
+
+import hashlib
 
 import pytest
 
 from repro.core.mig import Mig
-from repro.core.signal import CONST_FALSE, CONST_TRUE
 from repro.network import npn
 from repro.network.npn import (
-    DbEntry,
+    STRUCTURE_DB_PATH,
     entry_truth_table,
-    get_structure,
     get_structures,
     npn_canonical,
     npn_representatives,
-    register_structures,
     replay_structure,
-    structure_db_generation,
 )
 from repro.network.rewrite import cut_rewrite
-from repro.synth import SAT, synthesize_exact
-
-
-@pytest.fixture()
-def fresh_db():
-    npn.reset_structure_db()
-    yield
-    npn.reset_structure_db()
 
 
 def _xor3_rep():
@@ -47,11 +33,10 @@ def _xor3_rep():
 
 
 @pytest.mark.parametrize("kind", ["mig", "aig"])
-def test_topk_fronts_are_strict_pareto_and_replay(fresh_db, kind):
+def test_topk_fronts_are_strict_pareto_and_replay(kind):
     for rep in npn_representatives():
         front = get_structures(kind, rep)
         assert front, f"{rep:#06x}: empty entry list"
-        assert front[0] == get_structure(kind, rep)
         for entry in front:
             assert entry_truth_table(entry) == rep
             assert entry.size == len(entry.ops)
@@ -64,96 +49,28 @@ def test_topk_fronts_are_strict_pareto_and_replay(fresh_db, kind):
         )
 
 
-def test_register_structures_rejects_wrong_function(fresh_db):
-    rep = _xor3_rep()
-    entry = get_structure("mig", rep)
-    wrong = entry._replace(output=entry.output ^ 1)
-    with pytest.raises(ValueError):
-        register_structures("mig", rep, [wrong])
-    with pytest.raises(ValueError):
-        register_structures("mig", rep, [entry._replace(size=entry.size + 1)])
-    with pytest.raises(ValueError):
-        register_structures("xmg", rep, [entry])
-    with pytest.raises(ValueError):  # non-canonical key
-        register_structures("mig", 0x6996 if rep != 0x6996 else 0x9669, [entry])
-
-
-def test_register_structures_merges_dominated_entries_away(fresh_db):
-    rep = _xor3_rep()
-    front = get_structures("mig", rep)
-    generation = structure_db_generation()
-    # Re-registering the existing front is a no-op: no generation bump.
-    assert register_structures("mig", rep, list(front)) == front
-    assert structure_db_generation() == generation
-
-
-def test_exact_entry_improves_the_fast_tier_front(fresh_db):
+def test_exact_entry_improves_the_fast_tier_front():
     """The fast (decomposition) tier synthesizes xor3 in 6 MAJ gates; the
-    exact tier proves 3 is the minimum and the merge must adopt it."""
+    exact tier finds the 3-gate minimum, which becomes the front's head."""
     rep = _xor3_rep()
     fast = get_structures("mig", rep)
-    result = synthesize_exact(rep, "mig")
-    assert result.status == SAT and result.optimal
-    assert result.gates < fast[0].size
-    merged = register_structures("mig", rep, [result.entry])
-    assert merged[0].size == result.gates
-    assert entry_truth_table(merged[0]) == rep
-
-
-def test_reset_drops_registered_entries(fresh_db):
-    """Regression: a reset used to flush registrations into the disk cache
-    and reload them, so an exact-enriched entry outlived the reset and
-    leaked into every later run reading that cache directory."""
-    rep = _xor3_rep()
-    committed = get_structures("mig", rep)
-    digest = npn.structure_db_digest()
-    result = synthesize_exact(rep, "mig")
-    assert result.status == SAT and result.gates < committed[0].size
-    register_structures("mig", rep, [result.entry])
-    npn.reset_structure_db()
-    assert get_structures("mig", rep) == committed
-    assert npn.structure_db_digest() == digest
-
-
-def _build_xor3_cascade():
-    """xor2(xor2(a, b), c) out of explicit AND/OR majorities: 6 gates,
-    structurally irredundant, functionally the xor3 class function."""
+    assert fast[0].size == 6
+    enriched = npn._exact_enrich("mig", rep, fast, budget=2_000, size_slack=2)
+    assert enriched[0].size == 3
+    assert enriched == npn._pareto_front(enriched)
+    assert all(npn._validate_entry("mig", rep, entry) for entry in enriched)
     net = Mig()
-    x = [net.add_pi(f"x{i}") for i in range(3)]
-    g0 = net.maj(x[0], x[1], CONST_TRUE)
-    g1 = net.maj(x[0], x[1], CONST_FALSE)
-    g2 = net.maj(g0, g1 ^ 1, CONST_FALSE)
-    g3 = net.maj(g2, x[2], CONST_TRUE)
-    g4 = net.maj(g2, x[2], CONST_FALSE)
-    net.add_po(net.maj(g3, g4 ^ 1, CONST_FALSE), "f")
-    return net
+    inputs = [net.add_pi(f"x{i}") for i in range(4)]
+    net.add_po(replay_structure(net, enriched[0], inputs), "f")
+    assert net.truth_tables()[0] == rep
 
 
-def test_converged_skip_rearms_on_db_update(fresh_db):
-    """Regression test for the staleness bug: a sweep that converged
-    against the old database must re-run — and rewrite — after a better
-    structure is registered.  On the pre-fix code (convergence token =
-    mutation serial only) the third sweep reports ``converged_skip`` and
-    the network stays at 6 gates."""
-    rep = _xor3_rep()
-    net = _build_xor3_cascade()
-    assert net.num_gates == 6
-
-    first = cut_rewrite(net, "mig")
-    assert first["rewrites"] == 0  # fast-tier entry is the network itself
-    second = cut_rewrite(net, "mig")
-    assert second["converged_skip"] == 1
-
-    result = synthesize_exact(rep, "mig")
-    assert result.status == SAT and result.gates == 3
-    register_structures("mig", rep, [result.entry])
-
-    third = cut_rewrite(net, "mig")
-    assert third["converged_skip"] == 0, "stale convergence token not re-armed"
-    assert third["rewrites"] >= 1
-    assert net.num_gates == 3
-    parity = sum(1 << t for t in range(8) if bin(t).count("1") & 1)
-    assert net.truth_tables()[0] == parity
+def test_digest_is_the_sha256_of_the_committed_file():
+    """Regression: the digest used to hash the in-memory contents, which
+    could drift from the file after a run-time edit of the database."""
+    expected = hashlib.sha256(STRUCTURE_DB_PATH.read_bytes()).hexdigest()
+    assert npn.structure_db_digest() == expected
+    assert npn.load_structure_db()[1] == expected
 
 
 def _tradeoff_cone(net, inputs, front, name):
@@ -172,7 +89,7 @@ def _tradeoff_cone(net, inputs, front, name):
     return root
 
 
-def test_depth_mode_spends_topk_entries_area_mode_does_not(fresh_db):
+def test_depth_mode_spends_topk_entries_area_mode_does_not():
     """Class 0x180's fast-tier front is [(5, 5), (6, 4)]: an area sweep
     (head entry only) leaves the 5-gate form alone, a depth sweep takes
     the shallower structure, which costs no extra node here because one
@@ -195,7 +112,7 @@ def test_depth_mode_spends_topk_entries_area_mode_does_not(fresh_db):
     assert net.num_gates <= size_before
 
 
-def test_depth_mode_visits_only_critical_roots(fresh_db):
+def test_depth_mode_visits_only_critical_roots():
     """A depth move off the critical path buys no depth, so it must spend
     no nodes: the 0x180 cone of the test above is rewritten where a deep
     chain makes it critical and left as built where it is shallow."""

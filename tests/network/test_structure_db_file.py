@@ -19,7 +19,6 @@ import pytest
 from repro.network import npn
 from repro.network.npn import (
     STRUCTURE_DB_PATH,
-    get_structure,
     get_structures,
     load_structure_db,
     npn_representatives,
@@ -49,7 +48,7 @@ def _multi_gate_class(payload, kind):
 
 
 def test_committed_file_covers_every_class_with_valid_entries():
-    fronts = load_structure_db()
+    fronts, _ = load_structure_db()
     reps = npn_representatives()
     for kind in ("mig", "aig"):
         assert sorted(table for k, table in fronts if k == kind) == reps
@@ -59,7 +58,7 @@ def test_committed_file_covers_every_class_with_valid_entries():
 
 def test_writer_reproduces_the_committed_bytes(tmp_path):
     path = tmp_path / "structure_db.json"
-    write_structure_db(path, load_structure_db())
+    write_structure_db(path, load_structure_db()[0])
     assert path.read_bytes() == STRUCTURE_DB_PATH.read_bytes()
 
 
@@ -123,7 +122,7 @@ def test_entry_truth_table_matches_replay():
     from repro.network.npn import replay_structure
 
     for table in _SAMPLE[:8]:
-        entry = get_structure("mig", table)
+        entry = get_structures("mig", table)[0]
         mig = Mig()
         inputs = [mig.add_pi(f"v{i}") for i in range(4)]
         mig.add_po(replay_structure(mig, entry, inputs), "f")
