@@ -126,6 +126,20 @@ class TestCachedDeterminism:
         _assert_items_bit_identical(again.items, direct.items)
         assert all(_cached(optimize_many(corpus, workers=1, cache_dir=tmp_path)))
 
+    def test_unwritable_cache_dir_skips_the_write(self, tmp_path, network_forge):
+        """An OS error on write costs the entry, never the result."""
+        corpus = _corpus(network_forge)[:2]
+        direct = optimize_many(corpus, workers=1)
+        blocked = tmp_path / "file"
+        blocked.write_text("")  # a file where the cache directory should be
+        item = direct.items[0]
+        assert result_cache.cache_put(blocked, "key", item) is False
+        assert result_cache.cache_get(blocked, "key") is None
+        report = optimize_many(corpus, workers=1, cache_dir=blocked)
+        assert not any(_cached(report))
+        _assert_items_bit_identical(report.items, direct.items)
+        assert blocked.read_text() == ""
+
     def test_failed_items_raise_and_are_not_cached(
         self, tmp_path, network_forge, monkeypatch
     ):

@@ -3,7 +3,10 @@
 * every class's entry list is a strict Pareto front on (size, depth) —
   sizes strictly increase, depths strictly decrease, every entry replays
   to the class function;
+* entry validation rejects a wrong function, size, depth or gate arity,
+  and the front merge drops dominated entries;
 * the exact tier beats the fast tier where the fast tier is not minimal;
+* the committed file is loaded once per process and never changes;
 * the database digest is the SHA-256 of the committed file's bytes, so
   it is equal in every process and cannot drift from the file;
 * depth-mode ``cut_rewrite`` spends the top-k entries, on critical roots
@@ -49,6 +52,35 @@ def test_topk_fronts_are_strict_pareto_and_replay(kind):
         )
 
 
+def test_validate_entry_rejects_wrong_function_size_depth_and_arity():
+    rep = _xor3_rep()
+    entry = get_structures("mig", rep)[0]
+    assert npn._validate_entry("mig", rep, entry)
+    assert not npn._validate_entry("mig", rep, entry._replace(output=entry.output ^ 1))
+    assert not npn._validate_entry("mig", rep, entry._replace(size=entry.size + 1))
+    assert not npn._validate_entry("mig", rep, entry._replace(depth=entry.depth + 1))
+    assert not npn._validate_entry("aig", rep, entry)  # 3-input gates in an AIG
+    assert not npn._validate_entry("mig", rep ^ 1, entry)
+
+
+def test_pareto_front_drops_dominated_entries():
+    """Duplicates, deeper copies of a size and larger entries that are no
+    shallower fall away; a smaller entry becomes the head even when it is
+    deeper."""
+    front = get_structures("mig", 0x180)
+    assert len(front) >= 2, "class no longer has a size/depth tradeoff"
+    head, tail = front[0], front[-1]
+    dominated = [
+        head._replace(depth=head.depth + 1),
+        tail._replace(size=tail.size + 1),
+        head._replace(size=tail.size, output=head.output ^ 1),
+    ]
+    assert npn._pareto_front([*dominated, *reversed(front), *front]) == front
+    assert npn._pareto_front(front) == front
+    smaller = head._replace(size=head.size - 1, depth=head.depth + 1)
+    assert npn._pareto_front([*front, smaller]) == (smaller, *front)
+
+
 def test_exact_entry_improves_the_fast_tier_front():
     """The fast (decomposition) tier synthesizes xor3 in 6 MAJ gates; the
     exact tier finds the 3-gate minimum, which becomes the front's head."""
@@ -71,6 +103,21 @@ def test_digest_is_the_sha256_of_the_committed_file():
     expected = hashlib.sha256(STRUCTURE_DB_PATH.read_bytes()).hexdigest()
     assert npn.structure_db_digest() == expected
     assert npn.load_structure_db()[1] == expected
+
+
+def test_database_is_loaded_once_per_process(monkeypatch):
+    front = get_structures("mig", 0x180)
+    digest = npn.structure_db_digest()
+
+    def _reload(*args, **kwargs):
+        raise AssertionError("structure database read twice")
+
+    monkeypatch.setattr(npn, "load_structure_db", _reload)
+    assert get_structures("mig", 0x180) is front
+    assert npn.structure_db_digest() == digest
+    assert isinstance(front, tuple)
+    with pytest.raises(ValueError):
+        get_structures("xmg", 0x180)
 
 
 def _tradeoff_cone(net, inputs, front, name):
