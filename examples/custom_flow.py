@@ -7,7 +7,8 @@ the engine lets you assemble your own from the same building blocks:
 1. declare a pipeline from named passes (``Balance``, ``DepthOpt``,
    ``SizeOpt``, ``Eliminate``, ``Repeat`` for effort rounds, or your own
    ``Pass`` subclass / ``FunctionPass``),
-2. run it on a network — every pass is measured (size / depth / runtime),
+2. run it on a network — it returns a ``FlowResult`` whose
+   ``pass_metrics`` measure every pass (size / depth / runtime),
 3. print or serialise the per-pass metrics trace.
 
 Run with ``python examples/custom_flow.py``.
@@ -66,12 +67,12 @@ def main() -> None:
 
     # 3a. Human-readable per-pass trace.
     print()
-    print(format_pass_metrics(result.passes, title=f"{flow.name} on my_adder"))
+    print(format_pass_metrics(result.pass_metrics, title=f"{flow.name} on my_adder"))
 
     # 3b. Machine-readable trace (what the benchmark harness persists).
     print()
     print("first two JSON records:")
-    print(pass_metrics_to_json(result.passes[:2], flow=flow.name, indent=2))
+    print(pass_metrics_to_json(result.pass_metrics[:2], flow=flow.name, indent=2))
 
     # The engine never changes what a flow computes — only how it is run.
     outcome = check_equivalence(mig, reference, num_random_vectors=1024)

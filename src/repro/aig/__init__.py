@@ -3,7 +3,7 @@
 from .aig import Aig
 from .balance import balance
 from .rewrite import refactor, rewrite, rewrite_aig_inplace
-from .resyn import RESYN2_SCRIPT, ResynStats, resyn2, run_script
+from .resyn import RESYN2_SCRIPT, resyn2, run_script
 
 __all__ = [
     "Aig",
@@ -13,6 +13,5 @@ __all__ = [
     "rewrite_aig_inplace",
     "resyn2",
     "run_script",
-    "ResynStats",
     "RESYN2_SCRIPT",
 ]

@@ -7,33 +7,21 @@ ABC's ``resyn2`` alternates balancing, rewriting and refactoring passes::
 This module declares the equivalent driver as a chain of
 :class:`~repro.flows.engine.RebuildPass` objects over the flow engine:
 every script element becomes a named pass whose candidate network is kept
-only when it does not regress, and the engine records the per-pass
-size / depth / runtime metrics that the flows and benchmarks report.
+only when it does not regress.  A run returns the optimized AIG with the
+engine's :class:`~repro.flows.engine.FlowResult`: the per-pass
+size / depth / runtime trace that the flows and benchmarks report, whose
+``pass_names()`` is the script that ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Sequence
 
 from .aig import Aig
 from .balance import balance
 from .rewrite import refactor, rewrite
 
-__all__ = ["ResynStats", "resyn2", "run_script", "RESYN2_SCRIPT"]
-
-
-@dataclass
-class ResynStats:
-    """Summary of one baseline optimization run."""
-
-    initial_size: int
-    final_size: int
-    initial_depth: int
-    final_depth: int
-    passes: List[str]
-    runtime_s: float
-    pass_metrics: List = field(default_factory=list)
+__all__ = ["resyn2", "run_script", "RESYN2_SCRIPT"]
 
 
 #: The default pass sequence (an abbreviation of ABC's resyn2 script).
@@ -68,7 +56,7 @@ def _keeps_or_improves(candidate: Aig, current: Aig) -> bool:
 
 
 def run_script(aig: Aig, script: Sequence[str]) -> tuple:
-    """Run a named pass sequence; returns ``(optimized_aig, stats)``.
+    """Run a named pass sequence; returns ``(optimized_aig, FlowResult)``.
 
     The input AIG is never modified: rebuild passes chain fresh networks,
     exactly like ABC's scripts.
@@ -83,19 +71,9 @@ def run_script(aig: Aig, script: Sequence[str]) -> tuple:
             raise ValueError(f"unknown AIG pass {name!r}") from exc
         passes.append(RebuildPass(name, pass_fn, accept=_keeps_or_improves))
 
-    optimized, result = run_rebuild_chain(aig, passes, name="aig_script")
-    stats = ResynStats(
-        initial_size=result.initial_size,
-        final_size=result.final_size,
-        initial_depth=result.initial_depth,
-        final_depth=result.final_depth,
-        passes=list(script),
-        runtime_s=result.runtime_s,
-        pass_metrics=result.passes,
-    )
-    return optimized, stats
+    return run_rebuild_chain(aig, passes, name="aig_script")
 
 
 def resyn2(aig: Aig) -> tuple:
-    """Run the default ``resyn2``-style script; returns ``(aig, stats)``."""
+    """Run the default ``resyn2``-style script; returns ``(aig, FlowResult)``."""
     return run_script(aig, RESYN2_SCRIPT)

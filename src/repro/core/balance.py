@@ -9,9 +9,15 @@ that collects every maximal AND/OR tree and re-builds it as a
 depth-balanced tree (earliest-arriving operands merged first).
 
 The pass is part of the MIGhty flow (Section V-A interlaces it with the
-majority-specific depth moves); it never changes the represented function
-and, thanks to structural hashing during the rebuild, it does not increase
-the node count.
+majority-specific depth moves); it never changes the represented function.
+It can increase the node count: tree collection expands through
+multi-fanout nodes, so a subtree shared by several trees is copied into
+each of them, and structural hashing during the rebuild merges only the
+copies that come out identical (applied to the Table I inputs it grows
+C1355 497 → 728, C1908 430 → 521 and C6288 1,872 → 2,138 gates).  The
+flow's :class:`~repro.flows.engine.Balance` pass keeps the rebuilt
+network only when it improves the lexicographic ``(depth, size)`` order,
+so a shallower but larger rebuild is kept.
 """
 
 from __future__ import annotations
@@ -74,7 +80,12 @@ def collect_tree_leaves(mig: Mig, root: int, constant: int, limit: int = 256) ->
 
 
 def balance_mig(mig: Mig) -> Mig:
-    """Return a balanced copy of ``mig`` (same function, same or fewer nodes)."""
+    """Return a balanced copy of ``mig`` with the same function.
+
+    Shared subtrees inside AND/OR trees are copied, so the copy may have
+    more nodes than ``mig`` (see the module docstring); the caller decides
+    whether to keep it.
+    """
     result = Mig()
     result.name = mig.name
     mapping: Dict[int, int] = {CONST_NODE: CONST_FALSE}

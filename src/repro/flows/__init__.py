@@ -1,7 +1,8 @@
 """Experiment flows, declared as pass pipelines over the flow engine.
 
 :mod:`repro.flows.engine` provides the pass-manager substrate (named,
-composable passes with per-pass size/depth/activity/runtime metrics);
+composable passes with per-pass size/depth/runtime metrics, reported
+in one ``FlowResult`` per flow run);
 :mod:`repro.flows.mighty` declares the paper's MIGhty flow on top of it;
 :mod:`repro.flows.optimize` and :mod:`repro.flows.synthesis` run the
 Table I experiments; :mod:`repro.flows.report` formats the tables and
@@ -19,7 +20,6 @@ on one core of a 2-CPU host.
 
 from .engine import (
     Balance,
-    Cleanup,
     DepthOpt,
     DepthRewrite,
     Eliminate,
@@ -32,7 +32,6 @@ from .engine import (
     Pipeline,
     RebuildPass,
     Repeat,
-    Reshape,
     SizeOpt,
     run_rebuild_chain,
 )
@@ -42,7 +41,7 @@ from .batch import (
     format_batch_report,
     optimize_many,
 )
-from .mighty import MightyResult, mighty_optimize, mighty_pipeline
+from .mighty import mighty_optimize, mighty_pipeline
 from .optimize import (
     OptimizationComparison,
     compare_optimization,
@@ -88,12 +87,9 @@ __all__ = [
     "SizeOpt",
     "MigRewrite",
     "Eliminate",
-    "Reshape",
-    "Cleanup",
     # mighty
     "mighty_optimize",
     "mighty_pipeline",
-    "MightyResult",
     # batch (process-parallel corpus API; optimize_many(cache_dir=) adds
     # the content-addressed result cache of flows.result_cache)
     "optimize_many",

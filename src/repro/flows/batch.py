@@ -175,10 +175,9 @@ def resolve_flow(network, flow: str) -> str:
 
 
 def run_flow(network, flow: str, options: Dict[str, object]):
-    """Run a resolved flow; returns ``(optimized, initial, pass_metrics)``.
+    """Run a resolved flow; returns ``(optimized, FlowResult)``.
 
-    ``initial`` is the ``(size, depth)`` before the run; ``options`` are
-    the flow's keyword arguments.  ``mighty``
+    ``options`` are the flow's keyword arguments.  ``mighty``
     (:func:`~repro.flows.mighty.mighty_optimize`) optimizes ``network``
     in place and returns it; ``resyn2`` takes no options and returns a
     new network, leaving ``network`` untouched.
@@ -186,15 +185,11 @@ def run_flow(network, flow: str, options: Dict[str, object]):
     if flow == "mighty":
         from .mighty import mighty_optimize
 
-        result = mighty_optimize(network, **options)
-        initial = (result.initial_size, result.initial_depth)
-        return network, initial, result.pass_metrics
+        return network, mighty_optimize(network, **options)
     if flow == "resyn2":
         from ..aig.resyn import resyn2
 
-        initial = (network.num_gates, network.depth())
-        optimized, stats = resyn2(network, **options)
-        return optimized, initial, stats.pass_metrics
+        return resyn2(network, **options)
     raise ValueError(f"unknown flow {flow!r} (expected 'mighty' or 'resyn2')")
 
 
@@ -207,19 +202,17 @@ def _optimize_task(item):
     caller).
     """
     flow, network, options = item
-    name = getattr(network, "name", "network")
-    start = time.perf_counter()
-    optimized, initial, passes = run_flow(network, flow, options)
+    optimized, result = run_flow(network, flow, options)
     return BatchItem(
         index=-1,
-        name=name,
+        name=getattr(network, "name", "network"),
         flow=flow,
-        initial_size=initial[0],
-        initial_depth=initial[1],
-        final_size=optimized.num_gates,
-        final_depth=optimized.depth(),
-        runtime_s=time.perf_counter() - start,
-        pass_metrics=passes,
+        initial_size=result.initial_size,
+        initial_depth=result.initial_depth,
+        final_size=result.final_size,
+        final_depth=result.final_depth,
+        runtime_s=result.runtime_s,
+        pass_metrics=result.pass_metrics,
         network=optimized,
     )
 

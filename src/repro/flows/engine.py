@@ -8,8 +8,9 @@ factors that structure out of the individual flow functions:
 * a :class:`Pass` is a named transformation of a logic network (MIG or
   AIG — anything built on :class:`repro.network.base.LogicNetwork`);
 * a :class:`Pipeline` runs passes in order, recording a
-  :class:`PassMetrics` snapshot (size / depth / optional switching
-  activity / runtime) around every pass;
+  :class:`PassMetrics` snapshot (size / depth / runtime) around every
+  pass, and returns them in one :class:`FlowResult`, the record of a
+  flow run that every flow of the package reports;
 * :class:`Repeat` composes a sub-pipeline into effort rounds with
   early exit when a round stops improving, the loop structure shared by
   Algorithms 1 and 2 and the MIGhty flow;
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.balance import balance_mig
-from ..core.reshape import reshape
 from ..core.rules import RESHAPE_RULES, rule_counts
 from ..core.size_opt import eliminate
 
@@ -52,8 +52,6 @@ __all__ = [
     "SizeOpt",
     "MigRewrite",
     "Eliminate",
-    "Reshape",
-    "Cleanup",
 ]
 
 
@@ -89,7 +87,7 @@ class PassVerificationError(AssertionError):
 # --------------------------------------------------------------------- #
 @dataclass
 class PassMetrics:
-    """Size / depth / activity / runtime snapshot around one pass run."""
+    """Size / depth / runtime snapshot around one pass run."""
 
     name: str
     size_before: int
@@ -97,8 +95,6 @@ class PassMetrics:
     depth_before: int
     depth_after: int
     runtime_s: float
-    activity_before: Optional[float] = None
-    activity_after: Optional[float] = None
     details: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -119,10 +115,6 @@ class PassMetrics:
             "depth_after": self.depth_after,
             "runtime_s": round(self.runtime_s, 6),
         }
-        if self.activity_before is not None:
-            record["activity_before"] = round(self.activity_before, 4)
-        if self.activity_after is not None:
-            record["activity_after"] = round(self.activity_after, 4)
         if self.details:
             record["details"] = self.details
         return record
@@ -130,7 +122,12 @@ class PassMetrics:
 
 @dataclass
 class FlowResult:
-    """Outcome of one :meth:`Pipeline.run` invocation."""
+    """Outcome of one flow run: a :meth:`Pipeline.run` or a rebuild chain.
+
+    ``pass_metrics`` is the flat, ordered trace of every pass the run
+    executed; a composite pass (:class:`Repeat`) follows its inner
+    passes' records.  ``runtime_s`` is the run's wall time.
+    """
 
     name: str
     initial_size: int
@@ -138,10 +135,10 @@ class FlowResult:
     final_size: int
     final_depth: int
     runtime_s: float
-    passes: List[PassMetrics] = field(default_factory=list)
+    pass_metrics: List[PassMetrics] = field(default_factory=list)
 
     def pass_names(self) -> List[str]:
-        return [m.name for m in self.passes]
+        return [m.name for m in self.pass_metrics]
 
 
 # --------------------------------------------------------------------- #
@@ -246,28 +243,16 @@ class Pipeline:
     """
 
     def __init__(
-        self,
-        passes: Sequence[Pass],
-        name: str = "pipeline",
-        measure_activity: bool = False,
-        verify=None,
+        self, passes: Sequence[Pass], name: str = "pipeline", verify=None
     ) -> None:
         self.passes = list(passes)
         self.name = name
-        self.measure_activity = measure_activity
         # ``verify`` is the opt-in per-pass self-certification hook:
         # ``True`` checks every pass with the default equivalence dispatch
         # (exhaustive / SAT-sweep depending on width); a callable
         # ``f(reference, network) -> EquivalenceResult`` substitutes its
         # own checker (e.g. a budgeted SAT sweep for very large networks).
         self.verify = verify
-
-    def _activity(self, network) -> Optional[float]:
-        if not self.measure_activity:
-            return None
-        from ..analysis.activity import total_switching_activity
-
-        return total_switching_activity(network)
 
     def _verifier(self):
         if not self.verify:
@@ -286,62 +271,21 @@ class Pipeline:
         flat, ordered metrics trace.
         """
         metrics: List[PassMetrics] = collect if collect is not None else []
-        initial_size = network.num_gates
-        initial_depth = network.depth()
-        start = time.perf_counter()
-        verifier = self._verifier()
-        # One pass's activity_after is the next pass's activity_before, so
-        # the (expensive) measurement runs once per boundary, not twice.
-        activity = self._activity(network)
-        for pass_ in self.passes:
-            size_before = network.num_gates
-            depth_before = network.depth()
-            activity_before = activity
-            reference = network.copy() if verifier is not None else None
-            pass_start = time.perf_counter()
+
+        def apply(pass_, network):
             if pass_.composite:
-                details = pass_.apply(network, collect=metrics)
-            else:
-                details = pass_.apply(network)
-            runtime_s = time.perf_counter() - pass_start
-            details = details or {}
-            if verifier is not None:
-                check = verifier(reference, network)
-                certified = getattr(check, "certified", True)
-                details["verify"] = {
-                    "equivalent": check.equivalent,
-                    "method": check.method,
-                    "certified": certified,
-                }
-                if not check.equivalent or not certified:
-                    raise PassVerificationError(pass_.name, check)
-            activity = self._activity(network)
-            metrics.append(
-                PassMetrics(
-                    name=pass_.name,
-                    size_before=size_before,
-                    size_after=network.num_gates,
-                    depth_before=depth_before,
-                    depth_after=network.depth(),
-                    runtime_s=runtime_s,
-                    activity_before=activity_before,
-                    activity_after=activity,
-                    details=details,
-                )
-            )
-        return FlowResult(
-            name=self.name,
-            initial_size=initial_size,
-            initial_depth=initial_depth,
-            final_size=network.num_gates,
-            final_depth=network.depth(),
-            runtime_s=time.perf_counter() - start,
-            passes=metrics,
+                return network, pass_.apply(network, collect=metrics)
+            return network, pass_.apply(network)
+
+        _, result = _run_passes(
+            self.name, network, self.passes, apply, metrics, self._verifier()
         )
+        return result
 
 
 class Repeat(Pass):
-    """Run a sub-pipeline for up to ``rounds`` effort rounds.
+    """Run a sub-pipeline for up to ``rounds`` effort rounds (at least 1,
+    ``ValueError`` otherwise).
 
     After each round the ``(depth, size)`` pair is compared against the
     round's starting point; when neither improved the loop exits early —
@@ -353,8 +297,10 @@ class Repeat(Pass):
     def __init__(
         self, passes: Sequence[Pass], rounds: int = 1, name: str = "repeat"
     ) -> None:
+        if rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {rounds}")
         self.name = name
-        self.rounds = max(1, rounds)
+        self.rounds = rounds
         self._pipeline = Pipeline(passes, name=name)
 
     def apply(
@@ -381,40 +327,66 @@ def run_rebuild_chain(
     never modified, matching the rebuild-based AIG scripts).  Returns
     ``(final_network, FlowResult)``.
     """
-    metrics: List[PassMetrics] = []
-    current = network
-    initial_size = current.num_gates
-    initial_depth = current.depth()
-    start = time.perf_counter()
-    for pass_ in passes:
-        size_before = current.num_gates
-        depth_before = current.depth()
-        pass_start = time.perf_counter()
+
+    def adopt(pass_, current):
         candidate = pass_.build(current)
         accepted = pass_.accepts(candidate, current)
-        if accepted:
-            current = candidate
+        return (candidate if accepted else current), {"accepted": accepted}
+
+    return _run_passes(name, network, passes, adopt, [])
+
+
+def _run_passes(name, network, passes, step, metrics, verifier=None):
+    """The measuring loop shared by :class:`Pipeline` and rebuild chains.
+
+    ``step(pass_, network)`` runs one pass and returns ``(network,
+    details)``: the network the flow continues with (the same object for
+    in-place passes) and the pass's detail dictionary or ``None``.  Every
+    pass gets a :class:`PassMetrics` record appended to ``metrics``; with
+    a ``verifier`` it is first proven function-preserving against a copy
+    of its input (outside its runtime).  Returns ``(network, FlowResult)``.
+    """
+    initial_size = network.num_gates
+    initial_depth = network.depth()
+    start = time.perf_counter()
+    for pass_ in passes:
+        size_before = network.num_gates
+        depth_before = network.depth()
+        reference = network.copy() if verifier is not None else None
+        pass_start = time.perf_counter()
+        network, details = step(pass_, network)
+        runtime_s = time.perf_counter() - pass_start
+        details = details or {}
+        if verifier is not None:
+            check = verifier(reference, network)
+            certified = getattr(check, "certified", True)
+            details["verify"] = {
+                "equivalent": check.equivalent,
+                "method": check.method,
+                "certified": certified,
+            }
+            if not check.equivalent or not certified:
+                raise PassVerificationError(pass_.name, check)
         metrics.append(
             PassMetrics(
                 name=pass_.name,
                 size_before=size_before,
-                size_after=current.num_gates,
+                size_after=network.num_gates,
                 depth_before=depth_before,
-                depth_after=current.depth(),
-                runtime_s=time.perf_counter() - pass_start,
-                details={"accepted": accepted},
+                depth_after=network.depth(),
+                runtime_s=runtime_s,
+                details=details,
             )
         )
-    result = FlowResult(
+    return network, FlowResult(
         name=name,
         initial_size=initial_size,
         initial_depth=initial_depth,
-        final_size=current.num_gates,
-        final_depth=current.depth(),
+        final_size=network.num_gates,
+        final_depth=network.depth(),
         runtime_s=time.perf_counter() - start,
-        passes=metrics,
+        pass_metrics=metrics,
     )
-    return current, result
 
 
 # --------------------------------------------------------------------- #
@@ -436,8 +408,8 @@ class DepthOpt(Pass):
     """Algorithm 2: majority-specific depth optimization.
 
     Its details carry the rule counts of :func:`repro.core.rules.rule_counts`
-    under ``"rules"``, as do those of :class:`SizeOpt`, :class:`Eliminate`
-    and :class:`Reshape`.
+    under ``"rules"``, as do those of :class:`SizeOpt` and
+    :class:`Eliminate`.
     """
 
     name = "depth_opt"
@@ -562,23 +534,3 @@ class Eliminate(Pass):
         with rule_counts() as rules:
             removed = eliminate(network)
         return {"removed": removed, "rules": rules}
-
-
-class Reshape(Pass):
-    """One reshape sweep (Ω.A / Ψ.C / Ψ.R / Ψ.S) over the whole network."""
-
-    name = "reshape"
-
-    def apply(self, network) -> Dict[str, object]:
-        with rule_counts() as rules:
-            rewrites = reshape(network)
-        return {"rewrites": rewrites, "rules": rules}
-
-
-class Cleanup(Pass):
-    """Reclaim dangling nodes left behind by rejected rewrites."""
-
-    name = "cleanup"
-
-    def apply(self, network) -> Dict[str, object]:
-        return {"removed": network.cleanup()}

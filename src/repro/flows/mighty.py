@@ -18,9 +18,10 @@ paper's algebraic flow: ``DepthOpt`` (Algorithm 2 with ``depth_effort``
 cycles) for the depth phase and ``SizeOpt`` (Algorithm 1 with effort 1)
 for the size phase, both reshaping with ``reshape_rules``.  The
 experiment harness, the examples and downstream users all run this same
-flow — and all get the engine's per-pass size/depth/runtime metrics for
-free (see :attr:`MightyResult.pass_metrics` and the serialisation helpers
-in :mod:`repro.flows.report`).
+flow — and all get the engine's :class:`~repro.flows.engine.FlowResult`
+back, with its per-pass size/depth/runtime trace in ``pass_metrics``
+(serialised by the helpers in :mod:`repro.flows.report`).  The number of
+rounds run is the ``mighty_round`` record's ``details["rounds"]``.
 
 Balancing commits its rebuilt candidate only when it *strictly* improves
 the ``(depth, size)`` order; a candidate that merely ties no longer
@@ -29,8 +30,6 @@ replaces the network (which used to cost a full copy for zero gain).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from ..core.mig import Mig
@@ -40,28 +39,15 @@ from .engine import (
     DepthOpt,
     DepthRewrite,
     Eliminate,
+    FlowResult,
     MigRewrite,
     Pass,
-    PassMetrics,
     Pipeline,
     Repeat,
     SizeOpt,
 )
 
-__all__ = ["MightyResult", "mighty_optimize", "mighty_pipeline"]
-
-
-@dataclass
-class MightyResult:
-    """Outcome of one MIGhty flow invocation."""
-
-    initial_size: int
-    initial_depth: int
-    final_size: int
-    final_depth: int
-    rounds: int
-    runtime_s: float
-    pass_metrics: List[PassMetrics] = field(default_factory=list)
+__all__ = ["mighty_optimize", "mighty_pipeline"]
 
 
 def mighty_pipeline(
@@ -108,8 +94,6 @@ def mighty_pipeline(
     width) and raises :class:`~repro.flows.engine.PassVerificationError`
     on the first violation; a callable supplies a custom checker.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
     if not boolean_rewrite and depth_effort < 1:
         raise ValueError(f"depth_effort must be >= 1, got {depth_effort}")
     check_rule_names(reshape_rules)
@@ -138,33 +122,16 @@ def mighty_optimize(
     reshape_rules: Sequence[str] = RESHAPE_RULES,
     boolean_rewrite: bool = True,
     verify=None,
-) -> MightyResult:
+) -> FlowResult:
     """Run the MIGhty delay-oriented flow in place.
 
     With ``verify`` (see :func:`mighty_pipeline`) the run self-certifies:
     every top-level pass is equivalence-checked against its input network.
     """
-    start = time.perf_counter()
-    pipeline = mighty_pipeline(
+    return mighty_pipeline(
         rounds=rounds,
         depth_effort=depth_effort,
         reshape_rules=reshape_rules,
         boolean_rewrite=boolean_rewrite,
         verify=verify,
-    )
-    result = pipeline.run(mig)
-
-    executed = 1
-    for metrics in result.passes:
-        if metrics.name == "mighty_round":
-            executed = int(metrics.details.get("rounds", 1))
-
-    return MightyResult(
-        initial_size=result.initial_size,
-        initial_depth=result.initial_depth,
-        final_size=result.final_size,
-        final_depth=result.final_depth,
-        rounds=executed,
-        runtime_s=time.perf_counter() - start,
-        pass_metrics=result.passes,
-    )
+    ).run(mig)

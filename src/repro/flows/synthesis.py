@@ -114,10 +114,10 @@ def run_aig_synthesis(
     library = library or default_library()
     start = time.perf_counter()
     aig = build_benchmark(benchmark, Aig)
-    optimized, stats = resyn2(aig)
+    optimized, result = resyn2(aig)
     netlist = map_aig(optimized, library)
     return _measure(
-        netlist, benchmark, "AIG", time.perf_counter() - start, stats.pass_metrics
+        netlist, benchmark, "AIG", time.perf_counter() - start, result.pass_metrics
     )
 
 
@@ -128,10 +128,10 @@ def run_cst_synthesis(
     library = library or default_library()
     start = time.perf_counter()
     aig = build_benchmark(benchmark, Aig)
-    optimized, stats = run_script(aig, ("balance", "rewrite", "balance"))
+    optimized, result = run_script(aig, ("balance", "rewrite", "balance"))
     netlist = map_aig(optimized, library)
     return _measure(
-        netlist, benchmark, "CST", time.perf_counter() - start, stats.pass_metrics
+        netlist, benchmark, "CST", time.perf_counter() - start, result.pass_metrics
     )
 
 

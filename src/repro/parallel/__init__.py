@@ -7,7 +7,9 @@ embarrassingly parallel: independent tasks over a fixed item list.  This
 package provides the one orchestration substrate they all share:
 
 * :func:`~repro.parallel.executor.plan_shards` — a deterministic shard
-  planner (contiguous chunks over a cost-ordered index list);
+  planner (contiguous chunks over a cost-ordered index list: one item
+  per chunk when costs are given, about four chunks per worker
+  otherwise; no chunk-size setting);
 * :func:`~repro.parallel.executor.parallel_map` — a chunked process-pool
   executor with worker warm-up and per-task metric records, returning
   results in input order once the pool drains (the engine of

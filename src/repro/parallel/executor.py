@@ -6,8 +6,8 @@ sharding/determinism contract.  The execution model:
 1. :func:`plan_shards` orders item indices (longest-expected-first when
    per-item ``costs`` are given, original order otherwise) and groups
    them into contiguous chunks.  The plan is a pure function of
-   ``(num_items, workers, chunk_size, costs)`` — no randomness, no
-   wall-clock input — so repeated runs shard identically.
+   ``(num_items, workers, costs)`` — no randomness, no wall-clock
+   input — so repeated runs shard identically.
 2. :func:`parallel_map` submits one future per chunk to a
    ``ProcessPoolExecutor``; the pool hands chunks to idle workers
    dynamically (which is what absorbs uneven task costs), and every
@@ -127,7 +127,6 @@ class ParallelReport:
 def plan_shards(
     num_items: int,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     costs: Optional[Sequence[float]] = None,
 ) -> List[List[int]]:
     """Deterministic shard plan: a list of chunks of item indices.
@@ -138,9 +137,9 @@ def plan_shards(
     ``max(longest_task, total/workers)`` instead of letting a heavy tail
     task start last.  Without costs the original order is kept.
 
-    ``chunk_size`` defaults to 1 when costs are given (maximum balancing
-    freedom) and to ``ceil(num_items / (4 * workers))`` otherwise, which
-    caps scheduling overhead at ~4 round-trips per worker.
+    Chunks hold one item when costs are given (maximum balancing
+    freedom) and ``ceil(num_items / (4 * workers))`` items otherwise,
+    which caps scheduling overhead at ~4 round-trips per worker.
     """
     if num_items <= 0:
         return []
@@ -153,12 +152,8 @@ def plan_shards(
         order = sorted(range(num_items), key=lambda i: (-float(costs[i]), i))
     else:
         order = list(range(num_items))
-    if chunk_size is None:
-        chunk_size = 1 if costs is not None else max(
-            1, math.ceil(num_items / (4 * workers))
-        )
-    chunk_size = max(1, chunk_size)
-    return [order[i:i + chunk_size] for i in range(0, num_items, chunk_size)]
+    size = 1 if costs is not None else math.ceil(num_items / (4 * workers))
+    return [order[i:i + size] for i in range(0, num_items, size)]
 
 
 def _run_chunk(fn, chunk: List[Tuple[int, object]], labels: List[str]):
@@ -204,7 +199,6 @@ def parallel_map(
     fn: Callable,
     items: Sequence[object],
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     costs: Optional[Sequence[float]] = None,
     labels: Optional[Sequence[str]] = None,
     warmup: Optional[Callable[[], None]] = warm_worker,
@@ -231,7 +225,7 @@ def parallel_map(
         if len(labels) != len(items):
             raise ValueError(f"expected {len(items)} labels, got {len(labels)}")
 
-    shards = plan_shards(len(items), workers, chunk_size=chunk_size, costs=costs)
+    shards = plan_shards(len(items), workers, costs=costs)
     start = time.perf_counter()
     use_pool = workers > 1 and len(items) > 1 and not _in_pool_worker()
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig import Aig, balance, resyn2, rewrite, run_script
+from repro.aig import RESYN2_SCRIPT, Aig, balance, resyn2, rewrite, run_script
 from repro.aig.balance import collect_conjuncts
 from repro.analysis.activity import signal_probabilities, total_switching_activity
 from repro.core import random_aoig_mig
@@ -137,11 +137,11 @@ class TestRewriteAndResyn:
     def test_resyn2_improves_or_preserves(self):
         for seed in (7, 8, 9):
             aig = random_aig(seed=seed)
-            optimized, stats = resyn2(aig)
+            optimized, result = resyn2(aig)
             assert_equivalent(aig, optimized)
             assert optimized.num_gates <= aig.num_gates
-            assert stats.final_size == optimized.num_gates
-            assert stats.passes
+            assert result.final_size == optimized.num_gates
+            assert result.pass_names() == list(RESYN2_SCRIPT)
 
     def test_run_script_unknown_pass(self):
         aig = random_aig(seed=10)

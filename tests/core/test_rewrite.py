@@ -116,7 +116,7 @@ class TestMigRewritePass:
         reference = build_benchmark("count", Mig)
         result = Pipeline([MigRewrite()], name="boolean").run(mig)
         assert result.pass_names() == ["mig_rewrite"]
-        metrics = result.passes[0]
+        metrics = result.pass_metrics[0]
         assert metrics.size_after <= metrics.size_before
         assert metrics.depth_after <= metrics.depth_before
         assert "rewrites" in metrics.details

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig import Aig
-from repro.analysis import total_switching_activity
+from repro.aig.resyn import resyn2
 from repro.bench_circuits import build_benchmark
 from repro.core.depth_opt import push_up
 from repro.core.mig import Mig
@@ -17,7 +16,6 @@ from repro.core.rules import PUSH_UP_RULES, RESHAPE_RULES, rule_counts
 from repro.core.signal import negate
 from repro.flows import (
     Balance,
-    Cleanup,
     DepthOpt,
     DepthRewrite,
     Eliminate,
@@ -26,7 +24,6 @@ from repro.flows import (
     PassVerificationError,
     Pipeline,
     Repeat,
-    Reshape,
     SizeOpt,
     format_pass_metrics,
     mighty_optimize,
@@ -40,22 +37,36 @@ def small_mig(name="alu4"):
     return build_benchmark(name, Mig)
 
 
+def _cleanup():
+    return FunctionPass("cleanup", lambda net: net.cleanup())
+
+
+def assert_metrics_chain(result, composite=()):
+    """The records of ``result`` (composites left out) lead step by step
+    from its initial to its final ``(size, depth)``."""
+    chain = [m for m in result.pass_metrics if m.name not in composite]
+    assert chain
+    before = (result.initial_size, result.initial_depth)
+    for m in chain:
+        assert (m.size_before, m.depth_before) == before, m.name
+        before = (m.size_after, m.depth_after)
+    assert before == (result.final_size, result.final_depth)
+
+
 class TestPipeline:
     def test_passes_run_in_order_with_metrics(self):
         mig = small_mig()
-        result = Pipeline([Balance(), Eliminate(), Cleanup()], name="demo").run(mig)
+        result = Pipeline([Balance(), Eliminate(), _cleanup()], name="demo").run(mig)
         assert result.name == "demo"
         assert result.pass_names() == ["balance", "eliminate", "cleanup"]
         # Balance accepts only (depth, size)-lexicographic improvements and
         # the other passes never deepen, so depth is monotone here.
         assert result.final_depth <= result.initial_depth
-        for metrics in result.passes:
+        for metrics in result.pass_metrics:
             assert metrics.runtime_s >= 0.0
             assert metrics.size_after >= 0
         # Metrics chain: each pass starts where the previous one ended.
-        for prev, cur in zip(result.passes, result.passes[1:]):
-            assert cur.size_before == prev.size_after
-            assert cur.depth_before == prev.depth_after
+        assert_metrics_chain(result)
 
     def test_pipeline_preserves_function(self):
         mig = small_mig()
@@ -72,22 +83,6 @@ class TestPipeline:
         assert seen == [mig.num_gates]
         assert result.pass_names() == ["probe"]
 
-    def test_measure_activity_opt_in(self):
-        mig = small_mig("count")
-        result = Pipeline([Eliminate()], measure_activity=True).run(mig)
-        assert result.passes[0].activity_before is not None
-        assert result.passes[0].activity_after is not None
-        # Without the flag the engine skips the (expensive) measurement.
-        result = Pipeline([Eliminate()]).run(small_mig("count"))
-        assert result.passes[0].activity_before is None
-
-    def test_measure_activity_on_an_aig(self):
-        """The engine measures an AIG with the same propagation as a MIG."""
-        aig = build_benchmark("count", Aig)
-        result = Pipeline([FunctionPass("probe", lambda net: None)], measure_activity=True).run(aig)
-        assert result.passes[0].activity_before == total_switching_activity(aig)
-        assert result.passes[0].activity_after == result.passes[0].activity_before
-
 
 class TestRepeat:
     def test_repeat_stops_when_no_improvement(self):
@@ -95,17 +90,25 @@ class TestRepeat:
         result = Pipeline(
             [Repeat([Eliminate()], rounds=10, name="rounds")]
         ).run(mig)
-        summary = result.passes[-1]
+        summary = result.pass_metrics[-1]
         assert summary.name == "rounds"
         # Elimination converges long before ten rounds.
         assert summary.details["rounds"] < 10
 
     def test_repeat_metrics_are_flattened(self):
         mig = small_mig()
-        result = Pipeline([Repeat([Eliminate(), Cleanup()], rounds=1)]).run(mig)
+        result = Pipeline([Repeat([Eliminate(), _cleanup()], rounds=1)]).run(mig)
         names = result.pass_names()
         assert names[:2] == ["eliminate", "cleanup"]
         assert names[-1] == "repeat"
+
+    def test_rounds_below_one_are_rejected(self):
+        """Regression: ``Repeat`` clamped ``rounds=0`` to one round; the
+        rule lives in ``Repeat`` alone, and the MIGhty flow inherits it."""
+        with pytest.raises(ValueError, match="rounds must be >= 1, got 0"):
+            Repeat([Eliminate()], rounds=0)
+        with pytest.raises(ValueError, match="rounds must be >= 1, got 0"):
+            mighty_optimize(small_mig("count"), rounds=0)
 
 
 class TestVerifyHook:
@@ -114,7 +117,7 @@ class TestVerifyHook:
         result = Pipeline(
             [Balance(), Eliminate()], name="certified", verify=True
         ).run(mig)
-        for metrics in result.passes:
+        for metrics in result.pass_metrics:
             verdict = metrics.details["verify"]
             assert verdict["equivalent"] is True
             assert verdict["method"] in ("exhaustive", "sat-sweep")
@@ -139,7 +142,7 @@ class TestVerifyHook:
         mig = small_mig()
         result = Pipeline([Eliminate()], verify=checker).run(mig)
         assert len(calls) == 1
-        assert result.passes[0].details["verify"]["method"] == "exhaustive"
+        assert result.pass_metrics[0].details["verify"]["method"] == "exhaustive"
 
     def test_uncertified_verifier_verdict_is_rejected(self):
         """A verifier that can only say "random simulation found nothing"
@@ -160,11 +163,11 @@ class TestVerifyHook:
         result = Pipeline(
             [Repeat([Eliminate()], rounds=2, name="rounds")], verify=True
         ).run(mig)
-        summary = result.passes[-1]
+        summary = result.pass_metrics[-1]
         assert summary.name == "rounds"
         assert summary.details["verify"]["equivalent"] is True
         # Inner passes of the composite carry no verdict of their own.
-        assert all("verify" not in m.details for m in result.passes[:-1])
+        assert all("verify" not in m.details for m in result.pass_metrics[:-1])
 
     def test_mighty_self_certifies(self):
         mig = small_mig("count")
@@ -178,6 +181,41 @@ class TestVerifyHook:
         assert all(v["equivalent"] for v in verified)
 
 
+class TestReportedMetricsAddUp:
+    """Every flow's per-pass records add up to its reported size and
+    depth change, so the gains attributed to each pass sum to the
+    measured one."""
+
+    @pytest.mark.parametrize("boolean_rewrite", [True, False])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=5000))
+    def test_mighty_records_chain(self, network_forge, boolean_rewrite, seed):
+        mig = network_forge(
+            kind="mig", gate_mix="mixed", num_pis=7, num_gates=60, num_pos=4,
+            depth_bias=0.5, seed=seed,
+        )
+        result = mighty_optimize(
+            mig, rounds=2, depth_effort=1, boolean_rewrite=boolean_rewrite
+        )
+        assert result.pass_names()[-1] == "mighty_round"
+        assert_metrics_chain(result, composite=("mighty_round",))
+        assert (result.final_size, result.final_depth) == (mig.num_gates, mig.depth())
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=5000))
+    def test_resyn2_records_chain(self, network_forge, seed):
+        aig = network_forge(
+            kind="aig", gate_mix="mixed", num_pis=7, num_gates=60, num_pos=4,
+            seed=seed,
+        )
+        optimized, result = resyn2(aig)
+        assert_metrics_chain(result)
+        assert (result.initial_size, result.initial_depth) == (aig.num_gates, aig.depth())
+        assert (result.final_size, result.final_depth) == (
+            optimized.num_gates, optimized.depth(),
+        )
+
+
 class TestBalanceAcceptance:
     def test_tie_is_rejected(self):
         """A balanced candidate that merely ties must not replace the network."""
@@ -185,12 +223,12 @@ class TestBalanceAcceptance:
         # Balance to a fixpoint first.
         Pipeline([Balance()]).run(mig)
         result = Pipeline([Balance()]).run(mig)
-        assert result.passes[0].details == {"accepted": False}
+        assert result.pass_metrics[0].details == {"accepted": False}
 
     def test_improvement_is_accepted(self):
         mig = build_benchmark("my_adder", Mig)
         result = Pipeline([Balance()]).run(mig)
-        metrics = result.passes[0]
+        metrics = result.pass_metrics[0]
         if metrics.details["accepted"]:
             assert (metrics.depth_after, metrics.size_after) < (
                 metrics.depth_before,
@@ -258,7 +296,7 @@ class TestDepthRewrite:
         )
         reference = mig.copy()
         result = Pipeline([DepthRewrite()]).run(mig)
-        metrics = result.passes[0]
+        metrics = result.pass_metrics[0]
         assert metrics.depth_after <= metrics.depth_before
         assert metrics.size_after <= metrics.size_before  # growth 0
         assert 1 <= metrics.details["sweeps"] <= DepthRewrite.SWEEPS
@@ -277,9 +315,9 @@ class TestRuleCounts:
     def test_pass_details_add_up(self):
         mig = small_mig("my_adder")
         result = Pipeline(
-            [DepthOpt(effort=1), SizeOpt(effort=1), Eliminate(), Reshape()]
+            [DepthOpt(effort=1), SizeOpt(effort=1), Eliminate()]
         ).run(mig)
-        depth, size, elim, resh = (m.details for m in result.passes)
+        depth, size, elim = (m.details for m in result.pass_metrics)
         assert set(depth["rules"]) == {"push_up", "reshape", "eliminate"}
         assert list(depth["rules"]["push_up"]) == list(PUSH_UP_RULES)
         assert list(depth["rules"]["reshape"]) == list(RESHAPE_RULES)
@@ -288,8 +326,7 @@ class TestRuleCounts:
         assert set(size["rules"]) == {"reshape", "eliminate"}
         assert accepted(size["rules"], "reshape") == size["reshape_rewrites"]
         assert set(elim["rules"]) == {"eliminate"}
-        assert accepted(resh["rules"], "reshape") == resh["rewrites"] > 0
-        for details in (depth, size, elim, resh):
+        for details in (depth, size, elim):
             for per_rule in details["rules"].values():
                 for count in per_rule.values():
                     assert 0 <= count["accepted"] <= count["tried"]

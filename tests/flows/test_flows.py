@@ -100,13 +100,17 @@ class TestFlowDispatch:
         leaves its input untouched."""
         mig = network_forge(kind="mig", gate_mix="mixed", seed=4, num_gates=30)
         initial = (mig.num_gates, mig.depth())
-        optimized, before, passes = run_flow(mig, "mighty", {"rounds": 1})
-        assert optimized is mig and before == initial and passes
+        optimized, result = run_flow(mig, "mighty", {"rounds": 1})
+        assert optimized is mig and result.pass_metrics
+        assert (result.initial_size, result.initial_depth) == initial
         aig = network_forge(kind="aig", gate_mix="mixed", seed=4, num_gates=30)
         fingerprint = structural_fingerprint(aig)
-        optimized, before, _ = run_flow(aig, "resyn2", {})
+        optimized, result = run_flow(aig, "resyn2", {})
         assert structural_fingerprint(aig) == fingerprint
-        assert before == (aig.num_gates, aig.depth())
+        assert (result.initial_size, result.initial_depth) == (aig.num_gates, aig.depth())
+        assert (result.final_size, result.final_depth) == (
+            optimized.num_gates, optimized.depth(),
+        )
         assert check_equivalence(aig, optimized).equivalent
         with pytest.raises(ValueError):
             run_flow(mig, "auto", {})

@@ -21,15 +21,15 @@ from repro.bench_circuits.generator import (
     gen_random_logic,
 )
 from repro.core import Mig
+from repro.core.reshape import reshape
 from repro.flows import (
     Balance,
-    Cleanup,
     DepthOpt,
     DepthRewrite,
     Eliminate,
+    FunctionPass,
     MigRewrite,
     Pipeline,
-    Reshape,
     SizeOpt,
     mighty_optimize,
     optimize_many,
@@ -53,8 +53,8 @@ MIG_PASSES = {
     "size_opt": lambda: SizeOpt(effort=1),
     "mig_rewrite": MigRewrite,
     "eliminate": Eliminate,
-    "reshape": Reshape,
-    "cleanup": Cleanup,
+    "reshape": lambda: FunctionPass("reshape", reshape),
+    "cleanup": lambda: FunctionPass("cleanup", lambda net: net.cleanup()),
 }
 
 #: Passes that promise never to increase depth.
@@ -92,7 +92,7 @@ class TestPassesOnScalingFamilies:
         # verify=True raises PassVerificationError unless the pass is
         # proven equivalent with a certified verdict.
         result = Pipeline([MIG_PASSES[pass_name]()], verify=True).run(net)
-        assert result.passes[0].details["verify"]["certified"]
+        assert result.pass_metrics[0].details["verify"]["certified"]
         net.check_integrity()
         assert _interface(net) == interface
 

@@ -90,7 +90,7 @@ class TestPlanner:
         assert [i for shard in plan for i in shard] == [2, 0, 3, 1]
 
     def test_cost_ties_break_by_index(self):
-        plan = plan_shards(3, workers=2, costs=[1.0, 1.0, 1.0], chunk_size=1)
+        plan = plan_shards(3, workers=2, costs=[1.0, 1.0, 1.0])
         assert [i for shard in plan for i in shard] == [0, 1, 2]
 
     def test_empty_and_mismatched_costs(self):
@@ -155,8 +155,7 @@ class TestParallelMap:
         _CALLS.clear()
         with pytest.raises(RuntimeError):
             parallel_map(
-                _record_call, [1, 3, 5, 7], workers=1, chunk_size=1,
-                warmup=_noop_warmup,
+                _record_call, [1, 3, 5, 7], workers=1, warmup=_noop_warmup
             )
         assert _CALLS == [1, 3]
 
