@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Perf-regression lane for the incremental cut engine (ISSUE 4 criteria).
+"""Perf-regression lane for the incremental cut engine.
 
 Three measured lanes, each comparing the incremental
 :class:`~repro.network.cuts.CutManager` path against from-scratch
@@ -22,14 +22,20 @@ enumeration on the *same* workload with *bit-identical results asserted*:
 The NPN cold start — canonical map and structure database, each derived
 from scratch vs loaded from its committed file — is timed alongside, and
 the canonical-map load must be >=10x faster than its derivation.  Results land in ``BENCH_cuts.json`` (override with
-``--json`` / ``REPRO_BENCH_CUTS_JSON``) for the CI artifact upload::
+``--json`` / ``REPRO_BENCH_CUTS_JSON``) for the CI artifact upload, with
+the host (CPU count, Python version) and a fingerprint of every lane's
+result — the rewritten networks' structural fingerprints and a hash of
+the compared cut lists — so a timing change can be told apart from a
+result change::
 
     PYTHONPATH=src python benchmarks/bench_cuts.py [--smoke]
 """
 
 import argparse
+import hashlib
 import json
 import os
+import platform
 import random
 import sys
 import time
@@ -40,6 +46,7 @@ from repro.bench_circuits import build_benchmark
 from repro.core import Mig, rewrite_mig
 from repro.core.generation import mutate_network, random_network
 from repro.network.cuts import CutManager, enumerate_cuts
+from repro.parallel.corpus import structural_fingerprint
 
 #: Fixed sweep count of the repeated-sweep lane: the length of the
 #: resyn2-style script, whose rewrite slots run regardless of convergence.
@@ -102,6 +109,7 @@ def bench_repeated_sweep(cls, sweep, num_gates, seed, rounds=ROUNDS):
         "time_incremental_s": round(t_incremental, 3),
         "time_scratch_s": round(t_scratch, 3),
         "speedup": round(t_scratch / t_incremental, 2),
+        "fingerprint": structural_fingerprint(incremental),
     }
 
 
@@ -116,6 +124,7 @@ def bench_incremental_enumeration(num_gates, seed, bursts=6, edits_per_burst=40)
     t_incremental = 0.0
     t_scratch = 0.0
     recomputed = 0
+    digest = hashlib.sha256()
     for burst in range(bursts):
         for edit in range(edits_per_burst):
             mutate_network(net, seed=rng.randrange(1 << 30), in_place=True)
@@ -130,9 +139,11 @@ def bench_incremental_enumeration(num_gates, seed, bursts=6, edits_per_burst=40)
         t_scratch += time.perf_counter() - t0
 
         nodes = set(net._topology()) | set(net.pi_nodes())
-        assert _cuts_as_pairs(incremental_cuts, nodes) == _cuts_as_pairs(
-            scratch_cuts, nodes
-        ), f"cut mismatch after burst {burst}"
+        pairs = _cuts_as_pairs(incremental_cuts, nodes)
+        assert pairs == _cuts_as_pairs(scratch_cuts, nodes), (
+            f"cut mismatch after burst {burst}"
+        )
+        digest.update(repr(sorted(pairs.items())).encode())
     return {
         "gates": net.num_gates,
         "bursts": bursts,
@@ -141,6 +152,7 @@ def bench_incremental_enumeration(num_gates, seed, bursts=6, edits_per_burst=40)
         "time_incremental_s": round(t_incremental, 3),
         "time_scratch_s": round(t_scratch, 3),
         "speedup": round(t_scratch / t_incremental, 2),
+        "fingerprint": digest.hexdigest(),
     }
 
 
@@ -169,6 +181,7 @@ def bench_table1(name):
         "rewrite_rounds_incremental_s": round(t_incremental, 3),
         "rewrite_rounds_scratch_s": round(t_scratch, 3),
         "speedup": round(t_scratch / t_incremental, 2),
+        "fingerprint": structural_fingerprint(incremental),
     }
 
 
@@ -223,7 +236,11 @@ def main(argv):
     )
     args = parser.parse_args(argv)
 
-    report = {"mode": "smoke" if args.smoke else "full", "rounds": ROUNDS}
+    report = {
+        "mode": "smoke" if args.smoke else "full",
+        "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
+        "rounds": ROUNDS,
+    }
 
     # --- NPN cold start ------------------------------------------------ #
     # Runs first, in a young process, as a cold start does.  Once the
@@ -289,6 +306,15 @@ def main(argv):
             f"{record['rewrite_rounds_incremental_s']}s ({record['speedup']}x)",
             flush=True,
         )
+
+    # One fingerprint over every lane's result fingerprint, in lane order.
+    digest = hashlib.sha256()
+    for record in (
+        *report["repeated_sweep"], report["incremental_enumeration"], *report["table1"]
+    ):
+        digest.update(record["fingerprint"].encode())
+    report["fingerprint"] = digest.hexdigest()
+    print(f"result fingerprint {report['fingerprint']}")
 
     if args.json:
         with open(args.json, "w") as handle:

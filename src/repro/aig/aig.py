@@ -19,7 +19,7 @@ The baseline optimization passes (balance / rewrite / refactor, the
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..core.signal import (
     CONST_FALSE,
@@ -118,9 +118,9 @@ class Aig(LogicNetwork):
 
     def _strash_candidates(
         self, fanins: Tuple[int, ...]
-    ) -> Iterable[Tuple[Tuple[int, ...], bool]]:
+    ) -> Tuple[Tuple[Tuple[int, ...], bool], ...]:
         a, b = fanins
-        yield ((a, b) if a < b else (b, a)), False
+        return ((((a, b) if a < b else (b, a)), False),)
 
     def _gate_key(self, fanins: Tuple[int, ...]) -> Tuple[int, ...]:
         a, b = fanins
@@ -129,9 +129,10 @@ class Aig(LogicNetwork):
     def _normalize_gate(self, fanins: Tuple[int, ...]) -> Tuple[Tuple[int, ...], bool]:
         return self._gate_key(fanins), False
 
-    def _eval_gate(self, values: List[int], fanins: Tuple[int, ...], mask: int) -> int:
-        a, b = fanins
-        return self._edge_value(values, a, mask) & self._edge_value(values, b, mask)
+    @staticmethod
+    def _gate_value(values: Sequence[int]) -> int:
+        a, b = values
+        return a & b
 
     def _compile_gate_eval(self, fanins: Tuple[int, ...]):
         # Pre-split fanin nodes and complement flags (see Mig's variant):

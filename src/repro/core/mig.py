@@ -33,7 +33,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..network.base import LogicNetwork
 from .signal import (
@@ -86,8 +86,17 @@ class Mig(LogicNetwork):
         and the node is looked up in the structural hash table before a new
         node is allocated.
         """
-        for s in (a, b, c):
-            self._validate_signal(s)
+        dead = self._dead
+        size = len(dead)
+        na, nb, nc = a >> 1, b >> 1, c >> 1
+        if (
+            not (0 <= na < size and 0 <= nb < size and 0 <= nc < size)
+            or dead[na]
+            or dead[nb]
+            or dead[nc]
+        ):
+            for s in (a, b, c):
+                self._validate_signal(s)  # raises the precise error
 
         simplified = _simplify_maj(a, b, c)
         if simplified is not None:
@@ -151,22 +160,24 @@ class Mig(LogicNetwork):
 
     def _strash_candidates(
         self, fanins: Tuple[int, ...]
-    ) -> Iterable[Tuple[Tuple[int, ...], bool]]:
-        yield tuple(sorted(fanins)), False
-        yield tuple(sorted(f ^ 1 for f in fanins)), True
+    ) -> Tuple[Tuple[Tuple[int, ...], bool], ...]:
+        a, b, c = _sort3(*fanins)
+        if a >> 1 != b >> 1 and b >> 1 != c >> 1:
+            # Three distinct nodes: flipping every complement bit keeps
+            # the order, so the complemented key needs no second sort.
+            return ((a, b, c), False), ((a ^ 1, b ^ 1, c ^ 1), True)
+        return ((a, b, c), False), (_sort3(a ^ 1, b ^ 1, c ^ 1), True)
 
     def _gate_key(self, fanins: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(sorted(fanins))
+        return _sort3(*fanins)
 
     def _normalize_gate(self, fanins: Tuple[int, ...]) -> Tuple[Tuple[int, ...], bool]:
         return _normalize_maj(*fanins)
 
-    def _eval_gate(self, values: List[int], fanins: Tuple[int, ...], mask: int) -> int:
-        a, b, c = fanins
-        va = self._edge_value(values, a, mask)
-        vb = self._edge_value(values, b, mask)
-        vc = self._edge_value(values, c, mask)
-        return (va & vb) | (va & vc) | (vb & vc)
+    @staticmethod
+    def _gate_value(values: Sequence[int]) -> int:
+        a, b, c = values
+        return (a & b) | (a & c) | (b & c)
 
     def _compile_gate_eval(self, fanins: Tuple[int, ...]):
         # Fanin nodes and complement flags are constants of the compiled
@@ -228,13 +239,24 @@ def _simplify_maj(a: int, b: int, c: int) -> Optional[int]:
         return a
     if b == c:
         return b
-    if a == negate(b):
+    if a == b ^ 1:
         return c
-    if a == negate(c):
+    if a == c ^ 1:
         return b
-    if b == negate(c):
+    if b == c ^ 1:
         return a
     return None
+
+
+def _sort3(a: int, b: int, c: int) -> Tuple[int, int, int]:
+    """``tuple(sorted((a, b, c)))`` by three compare-exchanges."""
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    return a, b, c
 
 
 def _normalize_maj(a: int, b: int, c: int) -> Tuple[Tuple[int, int, int], bool]:
@@ -243,11 +265,6 @@ def _normalize_maj(a: int, b: int, c: int) -> Tuple[Tuple[int, int, int], bool]:
     Returns the canonical triple and whether the output must be complemented
     (inverter propagation, axiom Ω.I).
     """
-    num_complemented = (
-        int(is_complemented(a)) + int(is_complemented(b)) + int(is_complemented(c))
-    )
-    out_compl = False
-    if num_complemented >= 2:
-        a, b, c = negate(a), negate(b), negate(c)
-        out_compl = True
-    return tuple(sorted((a, b, c))), out_compl
+    if (a & 1) + (b & 1) + (c & 1) >= 2:
+        return _sort3(a ^ 1, b ^ 1, c ^ 1), True
+    return _sort3(a, b, c), False

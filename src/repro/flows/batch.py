@@ -111,12 +111,16 @@ class BatchReport:
 
         Pass names keep first-appearance order, so a merged report reads
         like one flow trace: runs, total runtime, summed size/depth
-        deltas per pass.
+        deltas per pass.  Composite records (a MIGhty round) are left
+        out: they repeat their inner passes, so the rows' size deltas sum
+        to the corpus's size change.
         """
         order: List[str] = []
         merged: Dict[str, Dict[str, object]] = {}
         for item in self.items:
             for m in item.pass_metrics:
+                if m.composite:
+                    continue
                 record = merged.get(m.name)
                 if record is None:
                     order.append(m.name)

@@ -87,7 +87,12 @@ class PassVerificationError(AssertionError):
 # --------------------------------------------------------------------- #
 @dataclass
 class PassMetrics:
-    """Size / depth / runtime snapshot around one pass run."""
+    """Size / depth / runtime snapshot around one pass run.
+
+    ``composite`` marks the record of a composite pass (:class:`Repeat`):
+    its deltas and runtime repeat those of the inner records listed
+    before it, so sums over a trace leave it out.
+    """
 
     name: str
     size_before: int
@@ -96,6 +101,7 @@ class PassMetrics:
     depth_after: int
     runtime_s: float
     details: Dict[str, object] = field(default_factory=dict)
+    composite: bool = False
 
     @property
     def size_delta(self) -> int:
@@ -117,6 +123,8 @@ class PassMetrics:
         }
         if self.details:
             record["details"] = self.details
+        if self.composite:
+            record["composite"] = True
         return record
 
 
@@ -126,7 +134,8 @@ class FlowResult:
 
     ``pass_metrics`` is the flat, ordered trace of every pass the run
     executed; a composite pass (:class:`Repeat`) follows its inner
-    passes' records.  ``runtime_s`` is the run's wall time.
+    passes' records, marked ``composite``.  ``runtime_s`` is the run's
+    wall time.
     """
 
     name: str
@@ -376,6 +385,7 @@ def _run_passes(name, network, passes, step, metrics, verifier=None):
                 depth_after=network.depth(),
                 runtime_s=runtime_s,
                 details=details,
+                composite=pass_.composite,
             )
         )
     return network, FlowResult(

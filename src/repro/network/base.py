@@ -26,7 +26,7 @@ nodes) have in common:
   retargets, node deaths and wholesale resets alongside the existing
   level repair.
 
-Subclasses provide the gate semantics through four small hooks:
+Subclasses provide the gate semantics through these hooks:
 
 ``_gate_simplify(fanins)``
     The constant/idempotence/complement folding of the node function
@@ -34,10 +34,19 @@ Subclasses provide the gate semantics through four small hooks:
     signal or ``None``.
 ``_strash_candidates(fanins)``
     The structural-hash keys under which a rewritten fanin tuple may
-    already exist, as ``(key, output_complemented)`` pairs.  The first
-    candidate's key is the canonical stored form.
-``_eval_gate(values, fanins, mask)``
-    Bit-parallel evaluation of one gate.
+    already exist, as a tuple of ``(key, output_complemented)`` pairs.
+    The first candidate's key is the canonical stored form.
+``_gate_key(fanins)`` / ``_normalize_gate(fanins)``
+    The canonical key of a stored fanin tuple, and the builder's
+    normalization of a raw one (stored form plus output polarity).
+``_gate_value(edge_values)``
+    The gate function applied bitwise to its fanin *edge* values
+    (complements already applied), in fanin order: majority for MIGs,
+    AND for AIGs.  Bit-parallel evaluation (:meth:`_eval_gate`), local
+    truth tables and the cut enumerator's table merge all go through it.
+``_compile_gate_eval(fanins)``
+    One gate's simulation step pre-bound to its fanin tuple (a generic
+    default built on :meth:`_eval_gate` is provided).
 ``_build_gate(fanins)``
     Re-create a gate through the subclass's public builder (used by
     :meth:`copy` so simplification and hashing are re-applied).
@@ -76,7 +85,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.signal import (
     CONST_FALSE,
@@ -180,7 +189,7 @@ class LogicNetwork:
 
     def _strash_candidates(
         self, fanins: Tuple[int, ...]
-    ) -> Iterable[Tuple[Tuple[int, ...], bool]]:
+    ) -> Tuple[Tuple[Tuple[int, ...], bool], ...]:
         raise NotImplementedError
 
     def _gate_key(self, fanins: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -196,7 +205,8 @@ class LogicNetwork:
         """
         raise NotImplementedError
 
-    def _eval_gate(self, values: List[int], fanins: Tuple[int, ...], mask: int) -> int:
+    def _gate_value(self, values: Sequence[int]) -> int:
+        """The gate function over its fanin edge values, in fanin order."""
         raise NotImplementedError
 
     def _build_gate(self, fanins: Tuple[int, ...]) -> int:
@@ -271,24 +281,27 @@ class LogicNetwork:
         primary outputs until something references it, and its level is
         fixed by its fanins.
         """
+        strash = self._strash
         for key, key_compl in self._strash_candidates(fanins):
-            existing = self._strash.get(key)
+            existing = strash.get(key)
             if existing is not None and not self._dead[existing]:
-                return make_signal(existing, out_compl ^ key_compl)
+                return (existing << 1) | (out_compl ^ key_compl)
 
         node = self._allocate_node(fanins)
-        self._strash[fanins] = node
+        strash[fanins] = node
         self._num_gates += 1
         level = self._level
+        ref = self._ref
+        fanouts = self._fanouts
         top = 0
         for f in fanins:
             fn = f >> 1
-            self._ref[fn] += 1
-            self._fanouts[fn].add(node)
+            ref[fn] += 1
+            fanouts[fn].add(node)
             if level[fn] > top:
                 top = level[fn]
         level[node] = top + 1
-        return make_signal(node, out_compl)
+        return (node << 1) | out_compl
 
     # ------------------------------------------------------------------ #
     # Inspection
@@ -735,27 +748,25 @@ class LogicNetwork:
 
         Bit ``m`` of the result is the gate output when fanin edge ``i``
         (complementation already applied) carries bit ``(m >> i) & 1``.
-        Works for any subclass by driving :meth:`_eval_gate` with
+        Works for any subclass by driving :meth:`_gate_value` with
         projection patterns — the CNF encoder of :mod:`repro.verify.cnf`
         uses this to Tseitin-encode MIGs and AIGs uniformly.
         """
-        fanins = self.fanins(node)
-        k = len(fanins)
+        k = len(self.fanins(node))
         num_bits = 1 << k
-        mask = (1 << num_bits) - 1
-        # A dict suffices for ``_eval_gate``'s ``values[node]`` lookups and
-        # keeps this O(k) per call instead of allocating a num_nodes list.
-        values: Dict[int, int] = {}
-        for i, f in enumerate(fanins):
+        projections = []
+        for i in range(k):
             projection = 0
             period = 1 << (i + 1)
             block = (1 << (1 << i)) - 1
             for start in range(1 << i, num_bits, period):
                 projection |= block << start
-            # Pre-complement so the *edge* value seen by ``_eval_gate`` is
-            # the plain projection of input ``i``.
-            values[f >> 1] = projection ^ (mask if f & 1 else 0)
-        return self._eval_gate(values, fanins, mask)
+            projections.append(projection)
+        return self._gate_value(projections)
+
+    def _eval_gate(self, values: Sequence[int], fanins: Tuple[int, ...], mask: int) -> int:
+        """Bit-parallel evaluation of one gate from its fanins' node values."""
+        return self._gate_value([self._edge_value(values, f, mask) for f in fanins])
 
     @staticmethod
     def _edge_value(values: List[int], signal: int, mask: int) -> int:

@@ -16,7 +16,7 @@ the trivial cut ``{n}`` so fanouts can build on ``n`` itself.  Dominated
 cuts (supersets of another kept cut) are filtered.  Each cut carries the
 truth table of the node over its leaves, computed incrementally during the
 merge with the same bit-parallel idiom the kernel's simulator uses — the
-gate semantics are supplied by the subclass through ``_eval_gate``, so the
+gate semantics are supplied by the subclass through ``_gate_value``, so the
 same enumerator serves MIGs, AIGs and any future network type.
 
 Truth tables are little-endian over the sorted leaf tuple: bit ``m`` of
@@ -27,7 +27,7 @@ complementations inside the cone are folded into the table.
 Hot-loop structure
 ------------------
 The fanin merge is the single hot loop of Boolean rewriting on large
-networks, so it is organised around two constant-factor filters:
+networks, so it is organised around constant-factor savings:
 
 * every :class:`Cut` carries a 64-bit *leaf signature* — the OR of
   ``1 << (leaf % 64)`` over its leaves.  Because the signature of a union
@@ -38,11 +38,19 @@ networks, so it is organised around two constant-factor filters:
   surviving merges still verify the real union.)  The same subset
   property prefilters the dominance check: a kept cut can only dominate a
   candidate when its signature bits are a subset of the candidate's.
-* the re-expression of a child table into the merged leaf space
-  (:func:`_expand_table`) is memoized by an LRU keyed on
-  ``(table, leaf-position mapping)`` rather than on concrete node ids, so
-  structurally recurring cones across the network — and across networks —
-  hit the same entries.
+* a merge candidate carries the signature and leaf set the cross product
+  already built, as a ``(size, leaves, sign, leaf_set, combo)`` tuple;
+  leaf tuples are unique, so a plain sort orders candidates by size and
+  leaves, and neither the signature nor the set is rebuilt for the
+  dominance check.
+* a kept cut's table (:func:`_merge_table`) is evaluated directly on the
+  children's tables: each is re-expressed in the merged leaf space,
+  complemented by XOR with the table mask when its fanin edge is, and
+  combined by the kernel's ``_gate_value`` (majority or AND).  The
+  re-expression (:func:`_expand_positions`) is memoized by an LRU keyed
+  on ``(table, leaf-position mapping)`` rather than on concrete node ids,
+  so structurally recurring cones across the network — and across
+  networks — hit the same entries.
 
 Incremental re-enumeration (:class:`CutManager`)
 ------------------------------------------------
@@ -147,23 +155,32 @@ def _expand_positions(table: int, positions: Tuple[int, ...], num_leaves: int) -
     return out
 
 
-def _expand_table(table: int, child_leaves: Tuple[int, ...], leaves: Tuple[int, ...]) -> int:
-    """Re-express ``table`` (over ``child_leaves``) in the ``leaves`` space."""
-    if child_leaves == leaves:
-        return table
-    positions = tuple(leaves.index(leaf) for leaf in child_leaves)
-    return _expand_positions(table, positions, len(leaves))
+#: ``_TABLE_MASKS[n]``: all ``2**n`` minterm bits of an ``n``-leaf table.
+_TABLE_MASKS = tuple((1 << (1 << n)) - 1 for n in range(5))
 
 
-def _merge_table(net, fanins: Tuple[int, ...], combo: Sequence[Cut], leaves: Tuple[int, ...]) -> int:
-    """Truth table of one gate over ``leaves`` given its fanins' cut tables."""
-    mask = (1 << (1 << len(leaves))) - 1
-    values: Dict[int, int] = {CONST_NODE: 0}
+def _merge_table(
+    gate_value, fanins: Tuple[int, ...], combo: Sequence[Cut], leaves: Tuple[int, ...]
+) -> int:
+    """Truth table of one gate over ``leaves`` given its fanins' cut tables.
+
+    Each child table is re-expressed in the ``leaves`` space, complemented
+    by XOR with the mask when its fanin edge is, and the kernel's
+    ``_gate_value`` combines them.
+    """
+    num_leaves = len(leaves)
+    mask = _TABLE_MASKS[num_leaves]
+    edges = []
     for f, cut in zip(fanins, combo):
-        fn = f >> 1
-        if fn != CONST_NODE:
-            values[fn] = _expand_table(cut.table, cut.leaves, leaves)
-    return net._eval_gate(values, fanins, mask)
+        table = cut.table
+        child = cut.leaves
+        if table and child != leaves:
+            # A zero table (the constant cut) is zero in every space.
+            table = _expand_positions(
+                table, tuple([leaves.index(leaf) for leaf in child]), num_leaves
+            )
+        edges.append(table ^ mask if f & 1 else table)
+    return gate_value(edges)
 
 
 def _node_cuts(
@@ -181,8 +198,11 @@ def _node_cuts(
         fn = f >> 1
         child_lists.append(_CONST_CUTS if fn == CONST_NODE else cuts[fn])
 
+    # Each candidate is ``(size, leaves, sign, leaf_set, combo)``: the
+    # union's signature is the OR of the children's, and leaf tuples are
+    # unique, so sorting the tuples orders by (size, leaves) alone.
     seen: Set[Tuple[int, ...]] = set()
-    merged: List[Tuple[Tuple[int, ...], Sequence[Cut]]] = []
+    merged: List[tuple] = []
     if len(child_lists) == 2:
         first, second = child_lists
         for a in first:
@@ -191,11 +211,13 @@ def _node_cuts(
                 continue
             sa = a.sign
             for b in second:
-                if (sa | b.sign).bit_count() > k:
+                sign = sa | b.sign
+                if sign.bit_count() > k:
                     continue
                 lb = b.leaves
                 if la == lb:
                     leaves = la
+                    union = set(la)
                 else:
                     union = {*la, *lb}
                     if len(union) > k:
@@ -204,7 +226,7 @@ def _node_cuts(
                 if leaves in seen:
                     continue
                 seen.add(leaves)
-                merged.append((leaves, (a, b)))
+                merged.append((len(leaves), leaves, sign, union, (a, b)))
     elif len(child_lists) == 3:
         first, second, third = child_lists
         for a in first:
@@ -220,7 +242,8 @@ def _node_cuts(
                 if len(ab) > k:
                     continue
                 for c in third:
-                    if (sab | c.sign).bit_count() > k:
+                    sign = sab | c.sign
+                    if sign.bit_count() > k:
                         continue
                     union = ab.union(c.leaves)
                     if len(union) > k:
@@ -229,30 +252,29 @@ def _node_cuts(
                     if leaves in seen:
                         continue
                     seen.add(leaves)
-                    merged.append((leaves, (a, b, c)))
+                    merged.append((len(leaves), leaves, sign, union, (a, b, c)))
     else:  # pragma: no cover - no current network has another arity
         from itertools import product
 
         for combo in product(*child_lists):
             union = set()
+            sign = 0
             for cut in combo:
                 union.update(cut.leaves)
+                sign |= cut.sign
             if len(union) > k:
                 continue
             leaves = tuple(sorted(union))
             if leaves in seen:
                 continue
             seen.add(leaves)
-            merged.append((leaves, combo))
+            merged.append((len(leaves), leaves, sign, union, combo))
 
-    merged.sort(key=lambda item: (len(item[0]), item[0]))
+    merged.sort()
+    gate_value = net._gate_value
     kept: List[Cut] = []
     kept_filters: List[Tuple[int, Set[int]]] = []
-    for leaves, combo in merged:
-        sign = 0
-        for leaf in leaves:
-            sign |= 1 << (leaf & 63)
-        leaf_set = set(leaves)
+    for _, leaves, sign, leaf_set, combo in merged:
         # A cut dominated by a smaller kept cut adds nothing; the signature
         # subset test rejects most non-dominating pairs without set work.
         dominated = False
@@ -262,7 +284,7 @@ def _node_cuts(
                 break
         if dominated:
             continue
-        kept.append(Cut(leaves, _merge_table(net, fanins, combo, leaves), sign))
+        kept.append(Cut(leaves, _merge_table(gate_value, fanins, combo, leaves), sign))
         kept_filters.append((sign, leaf_set))
         if len(kept) >= cut_limit:
             break

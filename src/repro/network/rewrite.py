@@ -22,6 +22,23 @@ in-place update the kernel performs substitutes functionally equal signals
 the cone it was enumerated from; the engine only re-checks that the cut's
 leaves are still alive.
 
+The *fanin cut* of a root is never costed: the cut whose leaves are the
+root's fanin nodes at visit time (constant excluded) and whose table is
+the root's own gate function over them.  Its NPN class is that of a
+single gate, and every structure the database holds for such a class is
+that one gate, so the dry run rebuilds the root itself: the kernel's
+structural hash holds the root under one of the probed keys (no live
+gate is a structural duplicate of another, in either polarity form —
+``tests/network/test_fanin_cut.py`` checks this after arbitrary in-place
+edits).  In area mode the root lies in its own MFFC, so reusing it
+exceeds the addition budget (``len(mffc) - 1 = 0``); in zero-gain and
+depth mode it resolves to the root, which is never a candidate.  Either
+way the cut yields nothing, so skipping it — and its NPN lookup, MFFC
+walk and dry run — changes no decision.  The table is compared as well
+as the leaves because a stale cut enumerated before an in-sweep
+substitution can share the leaves yet differ from the gate function on
+leaf combinations the network cannot produce.
+
 MIG passes additionally bound the *level* of the replacement
 (``max_level_growth=0`` guarantees the network depth never increases,
 since a node's level can only influence its fanouts monotonically).
@@ -60,8 +77,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from ..core.signal import CONST_FALSE, make_signal
-from .cuts import CutManager, enumerate_cuts, mffc_nodes
+from ..core.signal import CONST_FALSE, CONST_NODE
+from .cuts import _TABLE_MASKS, CutManager, enumerate_cuts, mffc_nodes
 from .npn import (
     extend_table,
     get_structures,
@@ -137,12 +154,11 @@ def cut_rewrite(
         order = [node for node in order if node in critical]
     dead = net._dead
     level = net._level
+    fanins_store = net._fanins
     applied = 0
     gain_total = 0
     zero_gain_applied = 0
     aliased = 0
-    # The dry runs' probe plans, keyed by fanin tuple: one sweep's memo.
-    probe_plans: Dict[Tuple[int, ...], tuple] = {}
 
     for root in order:
         if dead[root]:
@@ -152,10 +168,13 @@ def cut_rewrite(
             # the falls the previous root's replacement left pending.
             net._settle_levels()
         best = None  # (candidate_key, gain, entry, inputs)
+        fanin_leaves, fanin_table = _fanin_cut(net, fanins_store[root])
         for cut in cuts.get(root, ()):
             leaves = cut.leaves
             if len(leaves) == 1 and leaves[0] == root:
                 continue  # the trivial cut rewrites nothing
+            if leaves == fanin_leaves and cut.table == fanin_table:
+                continue  # the fanin cut can only rebuild the root itself
             dead_leaf = False
             for leaf in leaves:
                 if dead[leaf]:
@@ -172,7 +191,7 @@ def cut_rewrite(
             mffc = mffc_nodes(net, root, leaves)
             limit = len(mffc) if allow_zero_gain or depth_mode else len(mffc) - 1
             for entry in entries:
-                dry = _dry_run(net, entry, inputs, mffc, level, limit, probe_plans)
+                dry = _dry_run(net, entry, inputs, mffc, level, limit)
                 if dry is None:
                     continue
                 added, est_level, output_node = dry
@@ -242,6 +261,32 @@ def cut_rewrite(
     }
 
 
+#: ``_PROJECTIONS[n][i]``: the table of leaf ``i`` over ``n`` leaves.
+_PROJECTIONS = ((), (0b10,), (0b1010, 0b1100), (0xAA, 0xCC, 0xF0))
+
+
+def _fanin_cut(net, fanins: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+    """Leaves and truth table of a gate's *fanin cut*.
+
+    The leaves are the gate's fanin nodes (constant excluded) in fanin
+    order, which is ascending for every stored fanin tuple; the table is
+    the gate's own function over them.
+    """
+    leaves = tuple([f >> 1 for f in fanins if f >> 1 != CONST_NODE])
+    projections = _PROJECTIONS[len(leaves)]
+    mask = _TABLE_MASKS[len(leaves)]
+    edges = []
+    position = 0
+    for f in fanins:
+        if f >> 1 == CONST_NODE:
+            value = 0
+        else:
+            value = projections[position]
+            position += 1
+        edges.append(value ^ mask if f & 1 else value)
+    return leaves, net._gate_value(edges)
+
+
 @lru_cache(maxsize=1 << 15)
 def _structure_inputs(leaves: Tuple[int, ...], transform) -> Tuple[int, int, int, int, int]:
     """Wire the cut leaves onto the database structure's four inputs.
@@ -256,17 +301,17 @@ def _structure_inputs(leaves: Tuple[int, ...], transform) -> Tuple[int, int, int
     last element of the returned tuple.  Pure in both arguments, and cuts
     recur identically across sweeps, hence the LRU.
     """
-    inverse = invert_transform(transform)
+    perm, input_neg, output_neg = invert_transform(transform)
     inputs = [CONST_FALSE] * 4
     for j in range(4):
-        source = make_signal(leaves[j]) if j < len(leaves) else CONST_FALSE
-        inputs[inverse.perm[j]] = source ^ ((inverse.input_neg >> j) & 1)
+        source = leaves[j] << 1 if j < len(leaves) else CONST_FALSE
+        inputs[perm[j]] = source ^ ((input_neg >> j) & 1)
     # Output polarity of the canonical-to-cut mapping.
-    inputs.append(1 if inverse.output_neg else 0)
+    inputs.append(1 if output_neg else 0)
     return tuple(inputs)
 
 
-def _dry_run(net, entry, inputs, mffc, level, max_new, probe_plans):
+def _dry_run(net, entry, inputs, mffc, level, max_new):
     """Cost a structure against the live network without building it.
 
     Mirrors the builder: trivial simplification first, then the structural
@@ -278,12 +323,10 @@ def _dry_run(net, entry, inputs, mffc, level, max_new, probe_plans):
     estimated_level, output_node)`` or ``None`` when more than ``max_new``
     additions would be needed.
 
-    ``probe_plans`` memoizes the builder-mirroring probe plan of a fanin
-    tuple — ``(simplified_signal, norm_output_compl, candidate_keys)``.
-    ``_gate_simplify``, ``_normalize_gate`` and ``_strash_candidates`` are
-    pure functions of the tuple (they read no network state), so a plan
-    is computed once per distinct tuple instead of once per dry-run op;
-    the tuples recur massively across the cuts of one sweep.
+    Each op's probe plan (simplification, normalized polarity, candidate
+    keys) is recomputed rather than memoized per sweep: the fanin tuples
+    contain leaf signals, so most recur too rarely to repay a memo whose
+    long-lived entries trigger full garbage-collection passes.
     """
     strash = net._strash
     dead = net._dead
@@ -309,38 +352,23 @@ def _dry_run(net, entry, inputs, mffc, level, max_new, probe_plans):
             fanins = (signals[a >> 1] ^ (a & 1), signals[b >> 1] ^ (b & 1))
         else:  # pragma: no cover - no current database has another arity
             fanins = tuple(signals[lit >> 1] ^ (lit & 1) for lit in op)
-        plan = probe_plans.get(fanins)
-        if plan is None:
-            simplified = net._gate_simplify(fanins)
-            if simplified is not None:
-                plan = (simplified, False, ())
-            else:
-                # Normalize exactly like the builder, so the probe below
-                # visits the same keys in the same order and predicts the
-                # same node identity.
-                norm_fanins, norm_compl = net._normalize_gate(fanins)
-                plan = (None, norm_compl, tuple(net._strash_candidates(norm_fanins)))
-            if len(probe_plans) >= (1 << 18):
-                # A wholesale clear bounds the memo's footprint on very
-                # large sweeps; the plans it drops are recomputed on demand.
-                probe_plans.clear()
-            probe_plans[fanins] = plan
-        simplified, norm_compl, candidates = plan
+        simplified = net._gate_simplify(fanins)
         if simplified is not None:
             signals.append(simplified)
             continue
-        found = None
-        for key, out_compl in candidates:
-            existing = strash.get(key)
-            if existing is not None and not dead[existing]:
-                found = (existing, out_compl ^ norm_compl)
+        # Normalize exactly like the builder, so the probe below visits the
+        # same keys in the same order and predicts the same node identity.
+        norm_fanins, norm_compl = net._normalize_gate(fanins)
+        candidates = net._strash_candidates(norm_fanins)
+        node = None
+        for key, key_compl in candidates:
+            node = strash.get(key)
+            if node is None or dead[node]:
+                node = dry.get(key)
+            if node is not None:
+                out_compl = key_compl ^ norm_compl
                 break
-            existing = dry.get(key)
-            if existing is not None:
-                found = (existing, out_compl ^ norm_compl)
-                break
-        if found is not None:
-            node, out_compl = found
+        if node is not None:
             if node in mffc and node not in counted:
                 # The reused node and every MFFC-internal node in its
                 # fanin cone survive the replacement: charge each once.

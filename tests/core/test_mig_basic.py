@@ -248,6 +248,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             mig.maj(x, 998, 1000)
 
+    def test_maj_keeps_the_precise_signal_errors(self):
+        mig = Mig()
+        x, y = mig.add_pi("x"), mig.add_pi("y")
+        dead = mig.maj(x, y, CONST_TRUE)  # never referenced
+        mig.cleanup()
+        cases = [
+            ((x, y, 1000), "references unknown node"),
+            ((-2, x, y), "references unknown node"),
+            ((x, dead, y), "references a dead node"),
+        ]
+        for fanins, message in cases:
+            with pytest.raises(ValueError, match=message):
+                mig.maj(*fanins)
+
     def test_fanins_of_pi_rejected(self):
         mig = Mig()
         x = mig.add_pi("x")
@@ -263,3 +277,42 @@ class TestValidation:
         mig.add_po(acc, "f")
         with pytest.raises(ValueError):
             mig.truth_tables()
+
+
+class TestCanonicalForms:
+    """The compare-exchange fast paths of the majority kernel hooks
+    return exactly the keys, in the same order, as the sorting forms."""
+
+    # Every triple over the constant and four nodes, both polarities:
+    # distinct nodes, same-node pairs (x, x and x, x'), constant fanins.
+    TRIPLES = [(a, b, c) for a in range(10) for b in range(10) for c in range(10)]
+
+    def test_strash_candidates_match_sorted_keys(self):
+        mig = Mig()
+        for triple in self.TRIPLES:
+            expected = (
+                (tuple(sorted(triple)), False),
+                (tuple(sorted(f ^ 1 for f in triple)), True),
+            )
+            assert tuple(mig._strash_candidates(triple)) == expected, triple
+            assert mig._gate_key(triple) == tuple(sorted(triple)), triple
+
+    def test_normalize_and_simplify_match_reference_forms(self):
+        mig = Mig()
+        for a, b, c in self.TRIPLES:
+            flip = sum(map(is_complemented, (a, b, c))) >= 2
+            stored = (negate(a), negate(b), negate(c)) if flip else (a, b, c)
+            assert mig._normalize_gate((a, b, c)) == (tuple(sorted(stored)), flip)
+            if a == b or a == c:
+                expected = a
+            elif b == c:
+                expected = b
+            elif a == negate(b):
+                expected = c
+            elif a == negate(c):
+                expected = b
+            elif b == negate(c):
+                expected = a
+            else:
+                expected = None
+            assert mig._gate_simplify((a, b, c)) == expected, (a, b, c)

@@ -1,16 +1,22 @@
 """Tests for k-feasible cut enumeration over the shared network kernel."""
 
+import random
+
 import pytest
 
 from repro.aig.aig import Aig
-from repro.core import Mig, random_aoig_mig, random_mig
-from repro.core.signal import CONST_NODE, node_of
+from repro.aig.rewrite import rewrite_aig_inplace
+from repro.core import Mig, mutate_network, random_aoig_mig, random_mig, rewrite_mig
+from repro.core.signal import CONST_NODE, make_signal, node_of
 from repro.network import mig_to_aig
-from repro.network.cuts import cut_cone, enumerate_cuts, mffc_nodes
+from repro.network.cuts import CutManager, cut_cone, enumerate_cuts, mffc_nodes
 
 
 def _brute_force_table(net, root, leaves):
-    """Truth table of ``root`` over ``leaves`` by direct cone evaluation."""
+    """Truth table of ``root`` over ``leaves`` by direct cone evaluation.
+
+    Gates are evaluated by the simulator's compiled per-gate closures,
+    not by the ``_gate_value`` hook the cut enumerator merges with."""
     num_leaves = len(leaves)
     mask = (1 << (1 << num_leaves)) - 1
     values = {CONST_NODE: 0}
@@ -24,7 +30,7 @@ def _brute_force_table(net, root, leaves):
 
     def evaluate(node):
         if node not in values:
-            values[node] = net._eval_gate(values_proxy, net._fanins[node], mask)
+            values[node] = net._compile_gate_eval(net._fanins[node])(values_proxy, mask)
         return values[node]
 
     class _Proxy:
@@ -61,6 +67,39 @@ def test_aig_cut_tables_match_cone_simulation(seed):
             if cut.leaves == (node,):
                 continue
             assert cut.table == _brute_force_table(aig, node, cut.leaves)
+
+
+def _assert_tables_match_cone_simulation(net, cuts):
+    for node in net.topological_order():
+        for cut in cuts[node]:
+            if cut.leaves == (node,):
+                assert cut.table == 0b10
+                continue
+            assert cut.table == _brute_force_table(net, node, cut.leaves), (node, cut)
+
+
+@pytest.mark.parametrize("kind", ["mig", "aig"])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_manager_cut_tables_match_cone_simulation_after_edits(network_forge, kind, seed):
+    """The cone-simulation oracle on networks edited in place (mutations,
+    substitutions, rewrite sweeps), read through the incremental manager."""
+    net = network_forge(
+        kind=kind, gate_mix="mixed", num_pis=7, num_gates=60, num_pos=5, seed=seed
+    )
+    manager = CutManager.for_network(net, k=4, cut_limit=8)
+    manager.cuts()
+    rng = random.Random(seed)
+    sweep = rewrite_mig if kind == "mig" else rewrite_aig_inplace
+    for step in range(9):
+        if step % 3 == 0:
+            sweep(net)
+        elif step % 3 == 1:
+            mutate_network(net, seed=rng.randrange(1 << 30), in_place=True)
+        else:
+            gates = net.topological_order()
+            node = gates[rng.randrange(len(gates))]
+            net.substitute(node, make_signal(rng.choice(net.pi_nodes()), rng.randrange(2)))
+        _assert_tables_match_cone_simulation(net, manager.cuts())
 
 
 def test_every_gate_keeps_its_trivial_cut():

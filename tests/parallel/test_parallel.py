@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from repro.core import Mig
-from repro.flows import mighty_optimize, optimize_many
+from repro.flows import format_batch_report, mighty_optimize, optimize_many
 from repro.parallel import default_workers, parallel_map, plan_shards
 from repro.parallel.corpus import (
     optimization_row,
@@ -254,12 +254,15 @@ class TestOptimizeMany:
         assert totals["final_size"] == sum(r.final_size for r in expected_results)
         assert totals["initial_depth"] == sum(r.initial_depth for r in expected_results)
         assert totals["final_depth"] == sum(r.final_depth for r in expected_results)
-        # The merged per-pass trace aggregates exactly the per-network traces.
+        # The merged per-pass trace aggregates exactly the per-network
+        # traces, composite records left out.
         merged = {m["pass"]: m for m in report.merged_pass_metrics()}
         expected_runs: dict = {}
         expected_size_delta: dict = {}
         for result in expected_results:
             for m in result.pass_metrics:
+                if m.composite:
+                    continue
                 expected_runs[m.name] = expected_runs.get(m.name, 0) + 1
                 expected_size_delta[m.name] = (
                     expected_size_delta.get(m.name, 0) + m.size_delta
@@ -268,6 +271,21 @@ class TestOptimizeMany:
         assert {
             name: m["size_delta"] for name, m in merged.items()
         } == expected_size_delta
+
+    def test_merged_rows_add_up_to_corpus_change(self, network_forge):
+        """Regression: the composite ``mighty_round`` record was merged on
+        top of its inner passes, so the rows counted every round twice."""
+        report = optimize_many(_corpus(network_forge), workers=1, rounds=1)
+        totals = report.totals()
+        rows = report.merged_pass_metrics()
+        assert "mighty_round" not in [row["pass"] for row in rows]
+        assert sum(row["size_delta"] for row in rows) == (
+            totals["final_size"] - totals["initial_size"]
+        )
+        assert sum(row["depth_delta"] for row in rows) == (
+            totals["final_depth"] - totals["initial_depth"]
+        )
+        assert "mighty_round" not in format_batch_report(report)
 
     def test_rejects_unknown_flow(self, network_forge):
         with pytest.raises(ValueError):
