@@ -49,7 +49,7 @@ MUTATION_BENCHMARK = "my_adder"
 
 #: ``sat_sweep`` counters recorded per proof in the JSON report.
 SWEEP_STATS = (
-    "sat_calls", "merges", "refinements", "unresolved",
+    "sat_calls", "merges", "local_merges", "refinements", "unresolved",
     "conflicts", "decisions", "propagations",
 )
 

@@ -7,9 +7,10 @@ Three measured lanes, each comparing the generated kernels of
 
 1. **Sweep-signature simulation** (the headline lane): repeated
    word-parallel ``simulate_patterns`` rounds — the inner loop of
-   signature sweeping — through the PR 5 memoized closure program
-   (``simulate_patterns_interpreted``, the baseline this repo shipped
-   before code generation) versus the generated straight-line kernel.
+   signature sweeping — through the memoized interpreted program
+   (``simulate_patterns_interpreted``: cached ``(node, *fanins)``
+   integer tuples run by one static loop per network kind) versus the
+   generated straight-line kernel.
    Kernel generation/compilation time is *included* in the measured
    codegen wall time.
 2. **Exhaustive CEC**: the full 2^n-minterm block sweep of
@@ -86,8 +87,8 @@ def bench_sweep_signatures(num_gates, rounds, num_bits=256, seed=1):
         for _ in range(rounds)
     ]
 
-    # Baseline: the PR 5 memoized closure program (compiled once up front,
-    # exactly how the pre-codegen simulate_patterns amortized it).
+    # Baseline: the memoized interpreted program (built once up front by
+    # the first round, then reused by every later one).
     t0 = time.perf_counter()
     expected = [
         net.simulate_patterns_interpreted(patterns, num_bits)
@@ -102,7 +103,7 @@ def bench_sweep_signatures(num_gates, rounds, num_bits=256, seed=1):
     got = [kernel.simulate(patterns, num_bits) for patterns in rounds_patterns]
     t_codegen = time.perf_counter() - t0
 
-    assert got == expected, "generated kernel diverged from closure program"
+    assert got == expected, "generated kernel diverged from interpreted program"
     return {
         "gates": net.num_gates,
         "rounds": rounds,
@@ -307,7 +308,7 @@ def main(argv):
         print(f"report written to {args.json}")
 
     # --- budget assertions --------------------------------------------- #
-    # Every asserted lane must clear the 2x hard floor against the PR 5
+    # Every asserted lane must clear the 2x hard floor against the
     # interpreted baseline (a regression to ~1x trips it immediately), and
     # the headline lane must demonstrate the >=3x target in full mode; the
     # floors sit well below the typical measurements so CI timing noise

@@ -134,19 +134,13 @@ class Aig(LogicNetwork):
         a, b = values
         return a & b
 
-    def _compile_gate_eval(self, fanins: Tuple[int, ...]):
-        # Pre-split fanin nodes and complement flags (see Mig's variant):
-        # two list loads, up to two XORs and one AND per pattern.
-        a, b = fanins
-        na, nb = a >> 1, b >> 1
-        ca, cb = a & 1, b & 1
-
-        def evaluate(values: List[int], mask: int) -> int:
-            va = values[na] ^ mask if ca else values[na]
-            vb = values[nb] ^ mask if cb else values[nb]
-            return va & vb
-
-        return evaluate
+    @staticmethod
+    def _simulate_program(program, values: List[int], mask: int) -> None:
+        # Two list loads, up to two XORs and one AND per gate (see Mig's).
+        for node, a, b in program:
+            va = values[a >> 1] ^ mask if a & 1 else values[a >> 1]
+            vb = values[b >> 1] ^ mask if b & 1 else values[b >> 1]
+            values[node] = va & vb
 
     def _build_gate(self, fanins: Tuple[int, ...]) -> int:
         return self.and_(*fanins)

@@ -1,6 +1,6 @@
 """Per-network code generation: specialized simulation kernels.
 
-The interpreted kernels optimize *per gate* — a closure call or a
+The interpreted kernels optimize *per gate* — a fanin decode or a
 truth-table dispatch for every gate of every simulation word.  This
 package optimizes *per network*, in the meta-function style: flatten the
 network once into a small IR (:mod:`.ir`), make all specialization
@@ -10,9 +10,10 @@ run without any per-gate dispatch:
 * :mod:`.simgen` — a flat Python function per network for word-parallel
   simulation: one straight-line bitwise statement per gate over local
   variables, constants folded, complement masks pre-applied.
-* :mod:`.graphsim` — incrementally compiled evaluation of an append-only
-  :class:`~repro.verify.cnf.GateGraph`, for loops (the SAT sweeper) that
-  simulate a graph while still growing it.
+* :mod:`.graphsim` — evaluation of an append-only
+  :class:`~repro.verify.cnf.GateGraph` through one generated function
+  per gate truth table (:func:`.simgen.gate_function`), for loops (the
+  SAT sweeper) that simulate a graph while still growing it.
 
 Generation / invalidation contract
 ----------------------------------
@@ -25,14 +26,15 @@ the append-only construction shape (for :class:`MappedNetlist` and
   run after a mutation regenerates; unchanged networks hit a dict
   lookup.  There is no partial patching of generated code — staleness is
   detected by serial comparison only, the same protocol as
-  ``network/cuts.py``'s managers and the PR 5 closure program;
+  ``network/cuts.py``'s managers and the interpreted simulation
+  program;
 * compiled artifacts hold code objects and are process-local: the
   kernel's ``__getstate__`` strips them (``_codegen_ir``,
   ``_codegen_kernel`` and their serial keys), and an unpickled network
   regenerates on first use;
 * compilation costs one ``exec`` per ~:data:`~repro.codegen.simgen.CHUNK_GATES`
   gates.  ``LogicNetwork.simulate_patterns`` therefore tiers adaptively:
-  the first call at a new serial runs the cheap closure program and only
+  the first call at a new serial runs the cheap interpreted program and only
   a repeat call at the same serial compiles the generated kernel, so
   mutate-once/simulate-once loops (NPN derivation, mutation fuzzing)
   never pay the compile.

@@ -4,10 +4,10 @@ One :class:`~repro.codegen.ir.SimProgram` is lowered to straight-line
 Python — one bitwise statement per gate over local variables, constants
 folded and complement masks pre-applied at generation time — compiled
 once and reused for every simulation call until the network mutates.
-Compared with the per-gate closure program of
+Compared with the per-gate loop of
 :meth:`LogicNetwork.simulate_patterns_interpreted` this removes the whole
-per-gate dispatch (closure call, fanin decode) from the inner loop; the
-emitted statement for a majority gate is literally::
+per-gate dispatch (fanin decode, complement branches) from the inner
+loop; the emitted statement for a majority gate is literally::
 
     V[97] = v97 = (v41 & (v83 ^ mask)) | (v41 & v90) | ((v83 ^ mask) & v90)
 
@@ -27,13 +27,19 @@ Generation details:
   kernel and reused across calls (every slot is written before it is
   read, so no per-call clearing is needed).
 
+Gate graphs that grow while they are simulated (the SAT sweeper's) are
+not compiled per network: :func:`gate_function` generates one function
+per gate truth table and arity from the same :func:`gate_expression`,
+shared by every gate computing that function, so evaluating a gate is
+one call with no per-gate compile.
+
 The generated code runs over Python big-int words
 (:meth:`SimKernel.simulate`), so any pattern width is one call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..verify.cnf import _cached_cover, _tt_restrict
 from .ir import SimProgram, netlist_ir, network_ir
@@ -43,6 +49,7 @@ __all__ = [
     "compile_network_kernel",
     "compile_netlist_kernel",
     "gate_expression",
+    "gate_function",
     "CHUNK_GATES",
 ]
 
@@ -110,6 +117,37 @@ def gate_expression(tt: int, edges: Sequence[int], name_of) -> str:
     return " | ".join(f"({t})" if len(terms) > 1 and " & " in t else t for t in terms)
 
 
+#: ``(tt, k) -> fn(values, lits, mask)``: see :func:`gate_function`.
+_GATE_FUNCTIONS: Dict[Tuple[int, int], Callable] = {}
+
+
+def gate_function(tt: int, k: int) -> Callable:
+    """The generated evaluator of the ``k``-input function ``tt``.
+
+    ``fn(values, lits, mask)`` returns the gate's word over the operand
+    words ``values[lits[i] >> 1]``; the complement bits of ``lits`` are
+    *ignored* (a :class:`~repro.verify.cnf.GateGraph` stores its gates
+    with uncomplemented inputs — fold any complement into ``tt`` first),
+    and operands must be pre-masked words.  Generated once per
+    ``(tt, k)`` from :func:`gate_expression` and cached for the life of
+    the process; the key space is bounded by the functions of at most
+    four inputs that library gates compute.
+    """
+    key = (tt, k)
+    fn = _GATE_FUNCTIONS.get(key)
+    if fn is None:
+        label = f"_gate_{tt:x}_{k}"
+        expr = gate_expression(tt, [(i + 1) << 1 for i in range(k)], lambda s: f"v{s}")
+        lines = [f"def {label}(values, lits, mask):"]
+        lines += [f"    v{i + 1} = values[lits[{i}] >> 1]" for i in range(k)]
+        lines.append(f"    return {expr}")
+        source = "\n".join(lines)
+        namespace: dict = {}
+        exec(compile(source, f"<codegen:{label}>", "exec"), namespace)
+        fn = _GATE_FUNCTIONS[key] = namespace[label]
+    return fn
+
+
 # --------------------------------------------------------------------- #
 # Chunk compilation
 # --------------------------------------------------------------------- #
@@ -117,15 +155,13 @@ def compile_gate_slab(
     gates: Sequence[Tuple[int, int, Tuple[int, ...]]],
     label: str,
     spill: frozenset = frozenset(),
-    store_all: bool = False,
 ) -> Callable:
     """Compile one run of gates into ``fn(V, mask)``.
 
     Every referenced slot not produced inside the slab is loaded from
-    ``V`` once at the top.  Outputs in ``spill`` (or all outputs with
-    ``store_all``, the append-only :class:`GraphSimKernel` policy) are
-    written back to ``V`` at their definition via a chained assignment, so
-    in-slab consumers still read the local.
+    ``V`` once at the top.  Outputs in ``spill`` are written back to ``V``
+    at their definition via a chained assignment, so in-slab consumers
+    still read the local.
     """
     lines = [f"def {label}(V, mask):"]
     local = set()
@@ -138,7 +174,7 @@ def compile_gate_slab(
                 local.add(slot)
                 loads.append(f"    v{slot} = V[{slot}]")
         expr = gate_expression(tt, edges, lambda s: f"v{s}")
-        if store_all or out in spill:
+        if out in spill:
             body.append(f"    V[{out}] = v{out} = {expr}")
         else:
             body.append(f"    v{out} = {expr}")

@@ -179,22 +179,16 @@ class Mig(LogicNetwork):
         a, b, c = values
         return (a & b) | (a & c) | (b & c)
 
-    def _compile_gate_eval(self, fanins: Tuple[int, ...]):
-        # Fanin nodes and complement flags are constants of the compiled
-        # program, so the per-pattern work is three list loads, up to
-        # three XORs and the majority itself (values are pre-masked,
-        # making ``v ^ mask`` the masked complement).
-        a, b, c = fanins
-        na, nb, nc = a >> 1, b >> 1, c >> 1
-        ca, cb, cc = a & 1, b & 1, c & 1
-
-        def evaluate(values: List[int], mask: int) -> int:
-            va = values[na] ^ mask if ca else values[na]
-            vb = values[nb] ^ mask if cb else values[nb]
-            vc = values[nc] ^ mask if cc else values[nc]
-            return (va & vb) | (va & vc) | (vb & vc)
-
-        return evaluate
+    @staticmethod
+    def _simulate_program(program, values: List[int], mask: int) -> None:
+        # Per gate: three list loads, up to three XORs and the majority
+        # itself (values are pre-masked, making ``v ^ mask`` the masked
+        # complement).
+        for node, a, b, c in program:
+            va = values[a >> 1] ^ mask if a & 1 else values[a >> 1]
+            vb = values[b >> 1] ^ mask if b & 1 else values[b >> 1]
+            vc = values[c >> 1] ^ mask if c & 1 else values[c >> 1]
+            values[node] = (va & vb) | (va & vc) | (vb & vc)
 
     def _build_gate(self, fanins: Tuple[int, ...]) -> int:
         return self.maj(*fanins)

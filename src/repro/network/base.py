@@ -44,9 +44,10 @@ Subclasses provide the gate semantics through these hooks:
     (complements already applied), in fanin order: majority for MIGs,
     AND for AIGs.  Bit-parallel evaluation (:meth:`_eval_gate`), local
     truth tables and the cut enumerator's table merge all go through it.
-``_compile_gate_eval(fanins)``
-    One gate's simulation step pre-bound to its fanin tuple (a generic
-    default built on :meth:`_eval_gate` is provided).
+``_simulate_program(program, values, mask)``
+    Evaluate a simulation program — ``(node, *fanins)`` integer tuples
+    in topological order — into ``values`` (a generic default built on
+    :meth:`_eval_gate` is provided; MIGs and AIGs run one static loop).
 ``_build_gate(fanins)``
     Re-create a gate through the subclass's public builder (used by
     :meth:`copy` so simplification and hashing are re-applied).
@@ -85,7 +86,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.signal import (
     CONST_FALSE,
@@ -167,13 +168,14 @@ class LogicNetwork:
         # death, PO edits, resets): lets derived-state caches prove "the
         # network has not changed since" with one integer compare.
         self._mutation_serial = 0
-        # Compiled simulation program: one pre-bound gate-eval closure per
-        # PO-reachable gate, keyed by the mutation serial it was compiled
-        # at.  ``simulate_patterns`` is the inner loop of signature
-        # sweeping and exhaustive CEC; the program removes the per-gate
-        # dispatch (fanin-tuple fetch, per-edge complement branches) from
-        # every call on an unchanged network.
-        self._sim_program: Optional[List[Tuple[int, Callable]]] = None
+        # Simulation program: one ``(node, *fanins)`` integer tuple per
+        # PO-reachable gate in topological order, keyed by the mutation
+        # serial it was built at.  ``simulate_patterns`` is the inner loop
+        # of signature sweeping and exhaustive CEC; the program saves
+        # every call on an unchanged network the topology walk and the
+        # fanin-list fetches, and holds no object the garbage collector
+        # has to track.
+        self._sim_program: Optional[List[Tuple[int, ...]]] = None
         self._sim_program_serial = -1
         # Subscribers to structural-change events; each listener exposes
         # ``network_retargeted(node)``, ``network_node_died(node)`` and
@@ -644,12 +646,12 @@ class LogicNetwork:
         primary output.
 
         Two tiers run behind this entry point.  The first call at a new
-        mutation serial uses the memoized closure program
+        mutation serial runs the memoized simulation program
         (:meth:`simulate_patterns_interpreted`) — cheap to build, so
         mutate-once/simulate-once loops never pay more.  A repeat call at
         the same serial promotes to the generated straight-line kernel of
-        :mod:`repro.codegen`, which removes the remaining per-gate closure
-        dispatch from every subsequent call.  Both tiers are bit-identical
+        :mod:`repro.codegen`, which removes the remaining per-gate fanin
+        decoding from every subsequent call.  Both tiers are bit-identical
         by the differential tests of ``tests/codegen``.
         """
         serial = self._mutation_serial
@@ -680,7 +682,7 @@ class LogicNetwork:
     def simulate_patterns_interpreted(
         self, pi_patterns: Sequence[int], num_bits: int
     ) -> List[int]:
-        """The closure-program simulation tier (and differential oracle)."""
+        """The interpreted simulation tier (and differential oracle)."""
         if len(pi_patterns) != len(self._pis):
             raise ValueError(
                 f"expected {len(self._pis)} PI patterns, got {len(pi_patterns)}"
@@ -692,34 +694,26 @@ class LogicNetwork:
 
         program = self._sim_program
         if program is None or self._sim_program_serial != self._mutation_serial:
-            program = [
-                (node, self._compile_gate_eval(self._fanins[node]))
-                for node in self._topology()
-            ]
+            fanins = self._fanins
+            program = [(node, *fanins[node]) for node in self._topology()]
             self._sim_program = program
             self._sim_program_serial = self._mutation_serial
-        for node, evaluate in program:
-            values[node] = evaluate(values, mask)
+        self._simulate_program(program, values, mask)
 
         return [self._edge_value(values, po, mask) for po in self._pos]
 
-    def _compile_gate_eval(
-        self, fanins: Tuple[int, ...]
-    ) -> Callable[[List[int], int], int]:
-        """One gate's evaluation, pre-bound to its (current) fanin tuple.
+    def _simulate_program(
+        self, program: List[Tuple[int, ...]], values: List[int], mask: int
+    ) -> None:
+        """Evaluate ``(node, *fanins)`` tuples, in order, into ``values``.
 
-        Subclasses override with closures that pre-split the fanin nodes
-        and complement flags, eliminating the per-pattern edge-decoding
-        branches of :meth:`_eval_gate`.  Compiled programs are tied to
-        one mutation serial, so a closure never outlives the fanin tuple
-        it was bound to.
+        Subclasses override with one static loop that unpacks their fixed
+        fanin count, which saves the per-gate edge-value list of
+        :meth:`_eval_gate`.
         """
         eval_gate = self._eval_gate
-
-        def evaluate(values: List[int], mask: int) -> int:
-            return eval_gate(values, fanins, mask)
-
-        return evaluate
+        for node, *fanins in program:
+            values[node] = eval_gate(values, fanins, mask)
 
     def simulate(self, assignment: Sequence[bool]) -> List[bool]:
         """Simulate a single input assignment; returns PO boolean values."""
@@ -1026,10 +1020,10 @@ class LogicNetwork:
         """Pickle the structural state only, never process-local caches.
 
         Mutation listeners (incremental cut managers), the per-network
-        cut-manager registry and the compiled simulation program are
-        derived, process-local state: the first two hold subscriptions
-        meaningless in another process, the last holds unpicklable
-        closures.  All are rebuilt on demand after unpickling.  The
+        cut-manager registry and the simulation program are derived,
+        process-local state: the first two hold subscriptions meaningless
+        in another process, the last is cheap to rebuild.  All are
+        rebuilt on demand after unpickling.  The
         structural state itself — node storage, strash, levels, ids —
         crosses the boundary verbatim, which is what makes a worker's
         result bit-identical to an in-process run.  Pending level falls

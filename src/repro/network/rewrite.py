@@ -74,7 +74,6 @@ into the flow engine's per-pass metrics.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from ..core.signal import CONST_FALSE, CONST_NODE
@@ -287,7 +286,6 @@ def _fanin_cut(net, fanins: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
     return leaves, net._gate_value(edges)
 
 
-@lru_cache(maxsize=1 << 15)
 def _structure_inputs(leaves: Tuple[int, ...], transform) -> Tuple[int, int, int, int, int]:
     """Wire the cut leaves onto the database structure's four inputs.
 
@@ -298,8 +296,10 @@ def _structure_inputs(leaves: Tuple[int, ...], transform) -> Tuple[int, int, int
     when ``neg`` has bit ``j``), and the structure's output is complemented
     when ``out`` is set — which :func:`_dry_run` and the replay both apply
     through the output literal of the entry, so it is folded here into the
-    last element of the returned tuple.  Pure in both arguments, and cuts
-    recur identically across sweeps, hence the LRU.
+    last element of the returned tuple.  Not memoized: the key holds the
+    cut's leaf node ids, so it recurs only when the same cut is costed
+    again in a later sweep, and the entries would stay tracked by the
+    garbage collector for the life of the process.
     """
     perm, input_neg, output_neg = invert_transform(transform)
     inputs = [CONST_FALSE] * 4

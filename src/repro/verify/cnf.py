@@ -47,10 +47,8 @@ __all__ = ["GateGraph", "MiterCnf", "encode_network", "build_miter", "eval_gate"
 FALSE_LIT = 0
 TRUE_LIT = 1
 
-_TT_AND2 = 0x8
 _TT_XOR2 = 0x6
 _TT_OR2 = 0xE
-_TT_MAJ3 = 0xE8
 
 
 def _tt_restrict(tt: int, k: int, i: int, value: int) -> int:
@@ -293,12 +291,15 @@ class GateGraph:
             raise ValueError(
                 f"expected {self.num_pis} PI patterns, got {len(pi_patterns)}"
             )
+        from ..codegen.simgen import gate_function  # lazy: repro.codegen imports us
+
         mask = (1 << num_bits) - 1
         values = [0] * self.num_vars
         for i, pattern in enumerate(pi_patterns):
             values[1 + i] = pattern & mask
+        # Stored gates have uncomplemented inputs (see :meth:`add_gate`).
         for var, tt, lits in self.gates:
-            values[var] = eval_gate(values, tt, lits, mask)
+            values[var] = gate_function(tt, len(lits))(values, lits, mask)
         return values
 
     def lit_value(self, values: Sequence[int], lit: int, mask: int) -> int:
@@ -307,37 +308,19 @@ class GateGraph:
 
 
 def eval_gate(values: Sequence[int], tt: int, lits: Sequence[int], mask: int) -> int:
-    """Bit-parallel evaluation of one gate over per-variable patterns."""
+    """Bit-parallel evaluation of one gate over per-variable patterns.
+
+    Input complements are folded into the truth table, then the gate
+    runs through the generated evaluator of its function
+    (:func:`repro.codegen.simgen.gate_function`).
+    """
+    from ..codegen.simgen import gate_function  # lazy: repro.codegen imports us
+
     k = len(lits)
-    # Fast paths must check the arity too: a 3-input function can share the
-    # numeric truth-table value of a 2-input one (e.g. tt 0x6 at k == 3).
-    if k == 2:
-        if tt == _TT_AND2:
-            a = values[lits[0] >> 1] ^ (mask if lits[0] & 1 else 0)
-            b = values[lits[1] >> 1] ^ (mask if lits[1] & 1 else 0)
-            return a & b
-        if tt == _TT_XOR2:
-            return (
-                values[lits[0] >> 1] ^ values[lits[1] >> 1]
-                ^ (mask if (lits[0] ^ lits[1]) & 1 else 0)
-            ) & mask
-    elif k == 3 and tt == _TT_MAJ3:
-        a = values[lits[0] >> 1] ^ (mask if lits[0] & 1 else 0)
-        b = values[lits[1] >> 1] ^ (mask if lits[1] & 1 else 0)
-        c = values[lits[2] >> 1] ^ (mask if lits[2] & 1 else 0)
-        return (a & b) | (a & c) | (b & c)
-    out = 0
-    for m in range(1 << k):
-        if not (tt >> m) & 1:
-            continue
-        term = mask
-        for i in range(k):
-            v = values[lits[i] >> 1] ^ (mask if lits[i] & 1 else 0)
-            term &= v if (m >> i) & 1 else ~v & mask
-            if not term:
-                break
-        out |= term
-    return out
+    for i, lit in enumerate(lits):
+        if lit & 1:
+            tt = _tt_flip_input(tt, k, i)
+    return gate_function(tt, k)(values, lits, mask)
 
 
 def _tt_merge_equal(tt: int, k: int, j: int, i: int, flip: int) -> int:

@@ -13,9 +13,18 @@ topological order, over shared primary-input variables — through one
    random patterns and looked up in the **candidate equivalence classes**
    (signatures normalized up to complementation, so antivalent nodes land
    in one class).
-3. A signature collision is discharged by **incremental SAT under
-   assumptions** — two queries per candidate pair, ``(a, ¬b)`` and
-   ``(¬a, b)``, against the clauses emitted so far.  Each query is
+3. A signature collision is first tried as a **local proof**, in the
+   spirit of BDD sweeping (Kuehlmann et al., TCAD 2002): every variable
+   keeps one cut of at most four leaves with its truth table — the
+   union of its fanins' cuts when that has at most four leaves, else
+   its own fanin variables with its gate function — and a candidate
+   whose leaf tuple and phase-adjusted table both equal its
+   representative's is merged without SAT (equal functions of the same
+   variables are equal on every input).  Unequal tables refute nothing,
+   because the leaves may be correlated, so every other pair is discharged
+   by **incremental SAT under assumptions** — two queries per candidate
+   pair, ``(a, ¬b)`` and ``(¬a, b)``, against the clauses emitted so
+   far.  Each query is
    **cone-scoped**: the solver decides only the variables of the pair's
    transitive fanin cone and answers SAT once they are all assigned, so
    a query costs the size of its cone, not of everything encoded so far
@@ -31,7 +40,7 @@ topological order, over shared primary-input variables — through one
    ``seed``), so the pattern also splits unrelated false candidates
    instead of setting those inputs to zero.  Queued patterns are folded
    into the signatures lazily, ``probe_flush_bits`` at a time, in one sub-word
-   vectorized pass through the compiled graph kernel (see
+   vectorized pass through the graph kernel (see
    :meth:`_Sweeper.flush_refinements`).  Between flushes, lookups probe
    the *stale* candidate classes — sound, because signatures only ever
    extend (a refinement splits classes, never re-joins them), so a stale
@@ -57,10 +66,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..codegen.graphsim import GraphSimKernel
-from .cnf import GateGraph, encode_network, eval_gate
+from ..codegen.simgen import gate_function
+from ..network.cuts import _TABLE_MASKS, _expand_positions
+from .cnf import GateGraph, encode_network
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
 
 __all__ = ["SweepOutcome", "sat_sweep"]
@@ -84,6 +95,10 @@ INEQUIVALENT = "inequivalent"
 #: already spends the whole 512-refinement budget (1,308 SAT calls
 #: against 1,155 at 4).  4 is the smallest width on the plateau.
 _DEFAULT_PROBE_FLUSH_BITS = 4
+
+#: Literals ``0, 2, 4, 6`` select operands ``0..3`` of a ``gate_function``
+#: applied to a list of fanin cut tables.
+_OPERAND_LITS = tuple(i << 1 for i in range(4))
 
 
 @dataclass
@@ -130,6 +145,13 @@ class _Sweeper:
             p & self.mask for p in self.pi_patterns
         ]
 
+        #: Per variable: one cut of at most four leaves (sorted variable
+        #: ids) and its truth table over them (see :meth:`_add_cut`).
+        self.cut_leaves: List[Tuple[int, ...]] = [()] + [
+            (var,) for var in range(1, 1 + num_pis)
+        ]
+        self.cut_tables: List[int] = [0] + [0b10] * num_pis
+
         #: signature -> list of phase-normalized representative literals.
         self.table: Dict[int, List[int]] = {}
         self.reps: List[int] = []
@@ -140,7 +162,7 @@ class _Sweeper:
         #: Folding one counterexample at a time would cost a full-graph
         #: pass plus a table rebuild per refutation; queued columns are
         #: simulated together in one word-parallel pass (word width =
-        #: batch size) through the incrementally compiled kernel.
+        #: batch size) through the graph kernel.
         self._pending: List[List[bool]] = []
         self._kernel = GraphSimKernel(self.graph)
         #: Per-variable visit stamps of the cone walk (see :meth:`cone`).
@@ -150,6 +172,7 @@ class _Sweeper:
         self.stats = {
             "sat_calls": 0,
             "merges": 0,
+            "local_merges": 0,
             "refinements": 0,
             "batched_flushes": 0,
             "unresolved": 0,
@@ -243,8 +266,8 @@ class _Sweeper:
         """Fold all queued refuting patterns into the signatures at once.
 
         One batch costs a single pass over the gate list — word-parallel
-        across the queued columns, through the incrementally compiled
-        graph kernel — and a single candidate-table rebuild, where the
+        across the queued columns, through the graph kernel — and a
+        single candidate-table rebuild, where the
         one-at-a-time protocol paid both per refutation.  Bit order
         matches sequential folding: the oldest queued pattern lands on the
         highest of the new low bits, the newest on bit 0.
@@ -273,11 +296,15 @@ class _Sweeper:
         values = self.values
         for var in range(num_vars):
             values[var] = (values[var] << width) | columns[var]
-        old_reps = self.reps
-        self.table = {}
-        self.reps = []
-        for var in old_reps:
-            self._register(var)
+        mask = self.mask
+        table: Dict[int, List[int]] = {}
+        for var in self.reps:
+            sig = values[var]
+            if sig & 1:
+                table.setdefault(sig ^ mask, []).append((var << 1) | 1)
+            else:
+                table.setdefault(sig, []).append(var << 1)
+        self.table = table
 
     # -- the proving gate constructor ---------------------------------- #
     def add_gate(self, tt: int, in_lits) -> int:
@@ -287,9 +314,9 @@ class _Sweeper:
             return lit  # constant-folded or structural hit: already canonical
         var, gate_tt, gate_lits = self.graph.gates[-1]
         out_flip = lit & 1
-        self.values.append(
-            eval_gate(self.values, gate_tt, gate_lits, self.mask)
-        )
+        evaluate = gate_function(gate_tt, len(gate_lits))
+        self.values.append(evaluate(self.values, gate_lits, self.mask))
+        self._add_cut(gate_tt, gate_lits, evaluate)
 
         # Threshold flush: queued refutations reach the signatures only
         # once a full sub-word batch has accumulated, so each flush is a
@@ -318,7 +345,49 @@ class _Sweeper:
         self._register(var)
         return lit
 
+    def _add_cut(self, tt: int, lits, evaluate) -> None:
+        """Record the cut of the gate variable just added.
+
+        The union of the fanins' cuts when it has at most four leaves,
+        with the gate function applied to their tables re-expressed over
+        it; otherwise the gate's own fanin variables with its table
+        (stored gates have uncomplemented, sorted inputs, so ``tt`` is
+        already the function of those variables in leaf order).  Gates
+        have at most three inputs: MIG, AIG and library cells.
+        """
+        cut_leaves = self.cut_leaves
+        cut_tables = self.cut_tables
+        fanins = [lit >> 1 for lit in lits]
+        union = set()
+        for fanin in fanins:
+            union.update(cut_leaves[fanin])
+        if len(union) <= 4:
+            leaves = tuple(sorted(union))
+            size = len(leaves)
+            tables = []
+            for fanin in fanins:
+                child = cut_leaves[fanin]
+                table = cut_tables[fanin]
+                if child != leaves:
+                    table = _expand_positions(
+                        table, tuple([leaves.index(leaf) for leaf in child]), size
+                    )
+                tables.append(table)
+            table = evaluate(tables, _OPERAND_LITS, _TABLE_MASKS[size])
+        else:
+            leaves, table = tuple(fanins), tt
+        cut_leaves.append(leaves)
+        cut_tables.append(table)
+
     def _prove_pair(self, rep_lit: int, cand_lit: int, refine: bool) -> str:
+        rep, cand = rep_lit >> 1, cand_lit >> 1
+        leaves = self.cut_leaves[cand]
+        if leaves == self.cut_leaves[rep]:
+            # Same leaves: equal phase-adjusted tables prove the pair.
+            flip = _TABLE_MASKS[len(leaves)] if (rep_lit ^ cand_lit) & 1 else 0
+            if self.cut_tables[cand] ^ self.cut_tables[rep] == flip:
+                self.stats["local_merges"] += 1
+                return "equal"
         verdict = self.decide_pair(rep_lit, cand_lit, self.merge_conflict_budget)
         if verdict == SAT:
             if refine:

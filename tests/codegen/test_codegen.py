@@ -274,7 +274,7 @@ class TestGraphSimKernel:
     def test_matches_eval_gate_while_graph_grows(self, network_forge):
         rng = random.Random(23)
         graph = GateGraph(6)
-        kernel = GraphSimKernel(graph, chunk_gates=8)
+        kernel = GraphSimKernel(graph)
         mask = (1 << 64) - 1
         pi_patterns = [rng.getrandbits(64) for _ in range(6)]
         for round_index in range(4):

@@ -15,8 +15,8 @@ from repro.network.cuts import CutManager, cut_cone, enumerate_cuts, mffc_nodes
 def _brute_force_table(net, root, leaves):
     """Truth table of ``root`` over ``leaves`` by direct cone evaluation.
 
-    Gates are evaluated by the simulator's compiled per-gate closures,
-    not by the ``_gate_value`` hook the cut enumerator merges with."""
+    Gates are evaluated by the simulator's per-kind program loop, not by
+    the ``_gate_value`` hook the cut enumerator merges with."""
     num_leaves = len(leaves)
     mask = (1 << (1 << num_leaves)) - 1
     values = {CONST_NODE: 0}
@@ -28,17 +28,19 @@ def _brute_force_table(net, root, leaves):
             pattern |= block << start
         values[leaf] = pattern
 
-    def evaluate(node):
-        if node not in values:
-            values[node] = net._compile_gate_eval(net._fanins[node])(values_proxy, mask)
-        return values[node]
+    order = []
+    seen = set(values)
 
-    class _Proxy:
-        def __getitem__(self, node):
-            return evaluate(node)
+    def visit(node):
+        if node not in seen:
+            seen.add(node)
+            for fanin in net._fanins[node]:
+                visit(node_of(fanin))
+            order.append(node)
 
-    values_proxy = _Proxy()
-    return evaluate(root)
+    visit(root)
+    net._simulate_program([(node, *net._fanins[node]) for node in order], values, mask)
+    return values[root]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -138,16 +138,20 @@ class TestSweepOnWideNetworks:
         rewrite_mig(optimized)
         result = check_equivalence(net, optimized, method="sat-sweep")
         assert result.certified and result.stats["sat_calls"] > 0
+        # One merge here is proved by SAT, not from its cut.
+        assert result.stats["merges"] > result.stats["local_merges"], result.stats
         for key in ("conflicts", "decisions", "propagations"):
-            assert result.stats[key] >= 0
+            assert result.stats[key] > 0, result.stats
 
 
 class TestConeScopedQueries:
     """Every sweep query decides only the fanin cone of its two literals."""
 
-    def test_s38417_mig_vs_aig_proof_stays_in_its_cones(self):
-        # Deciding every encoded variable per query took 199,496
-        # decisions here; the pairs' cones need about 2,000.
-        outcome = sat_sweep(build_benchmark("s38417", Mig), build_benchmark("s38417", Aig))
+    def test_mm30a_mig_vs_aig_proof_stays_in_its_cones(self):
+        # Most of mm30a's merges still need SAT after local cut proofs
+        # (530 calls).  Deciding every encoded variable per query took
+        # 13,834 decisions here; the pairs' cones need about 2,100.
+        outcome = sat_sweep(build_benchmark("mm30a", Mig), build_benchmark("mm30a", Aig))
         assert outcome.proved, outcome.stats
-        assert outcome.stats["decisions"] < 20_000, outcome.stats
+        assert outcome.stats["sat_calls"] > 400, outcome.stats
+        assert outcome.stats["decisions"] < 5_000, outcome.stats
