@@ -15,7 +15,12 @@ Two obligations, measured end-to-end through the public
 
 Results are written as a JSON report (per-benchmark sizes, sweep
 statistics, runtimes; mutant outcome histogram) for the CI artifact
-upload.
+upload, with the host (CPU count, Python version) and a fingerprint of
+every verdict: each proof's benchmark, method and optimized size and
+depth, and each mutant's seed, method and failing output.  Timings and
+solver counters stay out of it, so the fingerprint changes only when a
+verdict does.  ``BENCH_sat_cec.json`` at the repository root is a
+committed full-mode report.
 
 Smoke mode — what CI runs on every push — restricts the proof sweep to a
 fast subset and keeps the full 100-mutant refutation::
@@ -30,8 +35,10 @@ run manually or from a scheduled job)::
 
 import argparse
 import functools
+import hashlib
 import json
 import os
+import platform
 import sys
 import time
 
@@ -107,12 +114,16 @@ def refute_mutants(name, count, seed_base=0):
     refuted = 0
     masked = 0
     methods = {}
+    verdicts = hashlib.sha256()
     seed = seed_base
     start = time.time()
     while refuted < count:
         mutant, description = mutate_network(base, seed=seed)
         seed += 1
         result = check_equivalence(base, mutant, num_random_vectors=256)
+        verdicts.update(
+            repr((seed - 1, result.equivalent, result.method, result.failing_output)).encode()
+        )
         if result.equivalent:
             # The mutation was masked by don't-cares (proved so by the
             # sweep) — draw another seed; it does not count.
@@ -139,6 +150,7 @@ def refute_mutants(name, count, seed_base=0):
                 raise AssertionError(
                     f"{name}: sat-sweep failed to refute mutant seed {seed - 1}"
                 )
+            verdicts.update(repr(("forced", forced.failing_output)).encode())
             methods["sat-sweep (forced)"] = methods.get("sat-sweep (forced)", 0) + 1
     return {
         "benchmark": name,
@@ -147,7 +159,19 @@ def refute_mutants(name, count, seed_base=0):
         "seeds_drawn": seed - seed_base,
         "methods": methods,
         "runtime_s": round(time.time() - start, 3),
+        "fingerprint": verdicts.hexdigest(),
     }
+
+
+def verdict_fingerprint(report):
+    """One digest over every proof verdict and the mutants' verdicts."""
+    digest = hashlib.sha256()
+    for record in report["benchmarks"]:
+        digest.update(repr(tuple(record[key] for key in (
+            "benchmark", "method", "proved", "size_post", "depth_post",
+        ))).encode())
+    digest.update(report["mutants"]["fingerprint"].encode())
+    return digest.hexdigest()
 
 
 def main(argv=None):
@@ -183,6 +207,7 @@ def main(argv=None):
 
     report = {
         "mode": "smoke" if args.smoke else "full",
+        "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
         "rounds": args.rounds,
         "workers": args.workers,
         "benchmarks": [],
@@ -221,6 +246,8 @@ def main(argv=None):
         f"{m['runtime_s']}s)",
         flush=True,
     )
+    report["fingerprint"] = verdict_fingerprint(report)
+    print(f"verdict fingerprint {report['fingerprint']}")
 
     if args.json:
         with open(args.json, "w") as handle:

@@ -40,6 +40,12 @@ Three measured lanes, each comparing the generated kernels of
    flush-count collapse and the staleness cost (duplicate budgeted SAT
    probes), which must stay within 2x the width-1 SAT calls.
 
+Each side of lanes 1 and 2 is timed as the best of ``REPEATS``
+alternating repeats (interpreted, generated, interpreted, ...; each
+generated repeat compiles the kernels afresh): a single timing of each
+side let host noise swing the headline ratio between ~2x and ~5x from
+run to run.
+
 Results land in ``BENCH_codegen.json`` (override with ``--json`` /
 ``REPRO_BENCH_CODEGEN_JSON``) for the CI artifact upload::
 
@@ -58,6 +64,9 @@ from repro.codegen import compile_network_kernel
 from repro.core import Mig, rewrite_mig
 from repro.core.generation import random_network
 from repro.verify.equivalence import _input_patterns_block
+
+#: Alternating repeats per timed side of lanes 1 and 2 (best one counts).
+REPEATS = 5
 
 
 def _drop_generated(net) -> None:
@@ -87,23 +96,24 @@ def bench_sweep_signatures(num_gates, rounds, num_bits=256, seed=1):
         for _ in range(rounds)
     ]
 
-    # Baseline: the memoized interpreted program (built once up front by
-    # the first round, then reused by every later one).
-    t0 = time.perf_counter()
-    expected = [
-        net.simulate_patterns_interpreted(patterns, num_bits)
-        for patterns in rounds_patterns
-    ]
-    t_interpreted = time.perf_counter() - t0
+    t_interpreted = t_codegen = float("inf")
+    for _ in range(REPEATS):
+        # Baseline: the memoized interpreted program (built by the first
+        # round of the first repeat, then reused).
+        t0 = time.perf_counter()
+        expected = [
+            net.simulate_patterns_interpreted(patterns, num_bits)
+            for patterns in rounds_patterns
+        ]
+        t_interpreted = min(t_interpreted, time.perf_counter() - t0)
 
-    # Codegen: generation + compilation included in the measured time.
-    _drop_generated(net)
-    t0 = time.perf_counter()
-    kernel = compile_network_kernel(net)
-    got = [kernel.simulate(patterns, num_bits) for patterns in rounds_patterns]
-    t_codegen = time.perf_counter() - t0
-
-    assert got == expected, "generated kernel diverged from interpreted program"
+        # Codegen: generation + compilation included in the measured time.
+        _drop_generated(net)
+        t0 = time.perf_counter()
+        kernel = compile_network_kernel(net)
+        got = [kernel.simulate(patterns, num_bits) for patterns in rounds_patterns]
+        t_codegen = min(t_codegen, time.perf_counter() - t0)
+        assert got == expected, "generated kernel diverged from interpreted program"
     return {
         "gates": net.num_gates,
         "rounds": rounds,
@@ -124,36 +134,41 @@ def bench_exhaustive_cec(num_pis, num_gates, seed=2):
     total = 1 << num_pis
     block_bits = min(total, 1 << 11)  # narrow blocks; see module docstring
 
-    _drop_generated(first)
-    _drop_generated(second)
-    t0 = time.perf_counter()
-    kernel_first = first.compiled_kernel()
-    kernel_second = second.compiled_kernel()
-    t_codegen = time.perf_counter() - t0  # generation + compile, as charged
+    best_interpreted = best_codegen = float("inf")
+    for _ in range(REPEATS):
+        _drop_generated(first)
+        _drop_generated(second)
+        t0 = time.perf_counter()
+        kernel_first = first.compiled_kernel()
+        kernel_second = second.compiled_kernel()
+        t_codegen = time.perf_counter() - t0  # generation + compile, as charged
 
-    # The two paths are timed block-by-block, interleaved, with every block
-    # result compared and released before the next block: multi-megabyte
-    # big-int workloads are allocation-sensitive, and batching one whole
-    # phase while the other phase's results stay pinned on the heap skews
-    # the comparison by 2-4x.  Interleaving gives both paths an identical
-    # allocator state.
-    t_interpreted = 0.0
-    verdict = True
-    for start in range(0, total, block_bits):
-        patterns = _input_patterns_block(num_pis, start, block_bits)
-        t0 = time.perf_counter()
-        expected_first = first.simulate_patterns_interpreted(patterns, block_bits)
-        expected_second = second.simulate_patterns_interpreted(patterns, block_bits)
-        t_interpreted += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        got_first = kernel_first.simulate(patterns, block_bits)
-        got_second = kernel_second.simulate(patterns, block_bits)
-        t_codegen += time.perf_counter() - t0
-        assert got_first == expected_first and got_second == expected_second, (
-            "compiled CEC blocks diverged from interpreted"
-        )
-        verdict = verdict and expected_first == expected_second
-    assert verdict, "rewrite broke equivalence (workload bug)"
+        # The two paths are timed block-by-block, interleaved, with every
+        # block result compared and released before the next block:
+        # multi-megabyte big-int workloads are allocation-sensitive, and
+        # batching one whole phase while the other phase's results stay
+        # pinned on the heap skews the comparison by 2-4x.  Interleaving
+        # gives both paths an identical allocator state.
+        t_interpreted = 0.0
+        verdict = True
+        for start in range(0, total, block_bits):
+            patterns = _input_patterns_block(num_pis, start, block_bits)
+            t0 = time.perf_counter()
+            expected_first = first.simulate_patterns_interpreted(patterns, block_bits)
+            expected_second = second.simulate_patterns_interpreted(patterns, block_bits)
+            t_interpreted += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            got_first = kernel_first.simulate(patterns, block_bits)
+            got_second = kernel_second.simulate(patterns, block_bits)
+            t_codegen += time.perf_counter() - t0
+            assert got_first == expected_first and got_second == expected_second, (
+                "compiled CEC blocks diverged from interpreted"
+            )
+            verdict = verdict and expected_first == expected_second
+        assert verdict, "rewrite broke equivalence (workload bug)"
+        best_interpreted = min(best_interpreted, t_interpreted)
+        best_codegen = min(best_codegen, t_codegen)
+    t_interpreted, t_codegen = best_interpreted, best_codegen
     return {
         "pis": num_pis,
         "gates_first": first.num_gates,
@@ -253,6 +268,7 @@ def main(argv):
     report = {
         "mode": "smoke" if args.smoke else "full",
         "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
+        "repeats": REPEATS,
     }
 
     # --- lane 1: sweep-signature simulation (the headline lane) ------- #

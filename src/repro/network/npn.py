@@ -57,6 +57,7 @@ import itertools
 import json
 import struct
 import zlib
+from collections.abc import Sequence
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -205,7 +206,33 @@ def _transform_group() -> List[NpnTransform]:
     ]
 
 
-def write_canonical_map(path, canon: List[Tuple[int, NpnTransform]]) -> None:
+class CanonicalMap(Sequence):
+    """The 65,536-entry canonical map, stored as flat index sequences.
+
+    ``canon[table]`` is ``(canonical table, transform table→canonical)``.
+    The map keeps the 222 sorted representatives, one class index per
+    table (``bytes``), one transform-group index per table (a tuple of
+    ints) and the 768-element transform group: a handful of objects for
+    the garbage collector to track, where 65,536 pairs would make every
+    full collection walk them all.
+    """
+
+    __slots__ = ("reps", "classes", "transforms", "group")
+
+    def __init__(self, reps, classes, transforms, group) -> None:
+        self.reps = reps
+        self.classes = classes
+        self.transforms = transforms
+        self.group = group
+
+    def __len__(self) -> int:
+        return _NUM_TABLES
+
+    def __getitem__(self, table: int) -> Tuple[int, NpnTransform]:
+        return self.reps[self.classes[table]], self.group[self.transforms[table]]
+
+
+def write_canonical_map(path, canon: Sequence) -> None:
     """Write a 65,536-entry canonical map in the layout the loader reads.
 
     A zlib stream of: the header, the sorted representatives (uint16),
@@ -227,7 +254,7 @@ def write_canonical_map(path, canon: List[Tuple[int, NpnTransform]]) -> None:
     Path(path).write_bytes(zlib.compress(payload, 9))
 
 
-def load_canonical_map(path=CANONICAL_MAP_PATH) -> Tuple[List[Tuple[int, NpnTransform]], str]:
+def load_canonical_map(path=CANONICAL_MAP_PATH) -> Tuple[CanonicalMap, str]:
     """Read and check a file written by :func:`write_canonical_map`.
 
     Returns the map and a digest of its contents.  A failed checksum, a
@@ -255,7 +282,7 @@ def load_canonical_map(path=CANONICAL_MAP_PATH) -> Tuple[List[Tuple[int, NpnTran
     group = _transform_group()
     if max(classes) >= NUM_NPN_CLASSES or max(transforms) >= len(group):
         raise ValueError(f"{path}: class or transform index out of range")
-    canon = [(reps[c], group[t]) for c, t in zip(classes, transforms)]
+    canon = CanonicalMap(reps, classes, transforms, group)
     for rep in reps:
         if canon[rep] != (rep, IDENTITY_TRANSFORM):
             raise ValueError(f"{path}: representative {rep:#06x} does not map to itself")
@@ -263,17 +290,17 @@ def load_canonical_map(path=CANONICAL_MAP_PATH) -> Tuple[List[Tuple[int, NpnTran
 
 
 #: ``(map, digest)`` of the committed file, loaded on first use.
-_CANON: Optional[Tuple[List[Tuple[int, NpnTransform]], str]] = None
+_CANON: Optional[Tuple[CanonicalMap, str]] = None
 
 
-def _loaded_canonical_map() -> Tuple[List[Tuple[int, NpnTransform]], str]:
+def _loaded_canonical_map() -> Tuple[CanonicalMap, str]:
     global _CANON
     if _CANON is None:
         _CANON = load_canonical_map(CANONICAL_MAP_PATH)
     return _CANON
 
 
-def _canonical_map() -> List[Tuple[int, NpnTransform]]:
+def _canonical_map() -> CanonicalMap:
     """``table -> (canonical table, transform table→canonical)`` for all 2^16."""
     return _loaded_canonical_map()[0]
 
@@ -364,7 +391,7 @@ def npn_canonical(table: int) -> Tuple[int, NpnTransform]:
 
 def npn_representatives() -> List[int]:
     """The sorted canonical representatives (exactly 222 of them)."""
-    return sorted({rep for rep, _ in _canonical_map()})
+    return list(_canonical_map().reps)
 
 
 # --------------------------------------------------------------------- #

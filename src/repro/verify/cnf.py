@@ -15,13 +15,18 @@ On top of the raw Tseitin translation the graph applies, per gate:
 * constant folding and removal of duplicate / complementary / don't-care
   inputs;
 * input-phase and output-phase normalization plus input sorting, yielding
-  a small canonical form;
+  a small canonical form, memoized per truth table and input pattern;
 * structural hashing across *all* encoded networks — structure shared
   between the two sides of a miter becomes literally the same variable,
-  which is what makes optimization-before/after miters cheap to prove;
-* clause generation from two-level prime-implicant covers of the on- and
-  off-set (AND gates cost 3 clauses, XOR 4, MAJ 6 — not the naive
-  ``2^k`` minterm clauses).
+  which is what makes optimization-before/after miters cheap to prove.
+
+The graph stores gates, not clauses.  :func:`gate_clauses` derives one
+gate's clauses from two-level prime-implicant covers of its on- and
+off-set (AND gates cost 3 clauses, XOR 4, MAJ 6 — not the naive ``2^k``
+minterm clauses).  :meth:`GateGraph.load_into` loads the whole graph
+into a solver; the SAT sweeper (:mod:`repro.verify.sweep`) instead loads
+a gate's clauses only when the cone of one of its queries first reaches
+the gate.
 
 Literals use the ``(var << 1) | complement`` convention shared with
 :mod:`repro.core.signal` and :mod:`repro.verify.sat`.  Variable 0 is the
@@ -41,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .sat import SatSolver
 
-__all__ = ["GateGraph", "MiterCnf", "encode_network", "build_miter", "eval_gate"]
+__all__ = ["GateGraph", "MiterCnf", "encode_network", "build_miter", "eval_gate", "gate_clauses"]
 
 #: Literals of the pinned constant variable 0.
 FALSE_LIT = 0
@@ -135,14 +140,114 @@ def _cached_cover(tt: int, k: int, target: int) -> List[Tuple[int, int]]:
     return cover
 
 
+def gate_clauses(var: int, tt: int, lits: Sequence[int]) -> List[List[int]]:
+    """Tseitin clauses of the stored gate ``(var, tt, lits)``.
+
+    Off-set cubes of the prime cover imply the output false, on-set
+    cubes imply it true.
+    """
+    k = len(lits)
+    out_lit = var << 1
+    clauses = []
+    for target, out in ((0, out_lit ^ 1), (1, out_lit)):
+        for mask, value in _cached_cover(tt, k, target):
+            clause = [lits[i] ^ ((value >> i) & 1) for i in range(k) if (mask >> i) & 1]
+            clause.append(out)
+            clauses.append(clause)
+    return clauses
+
+
+def _normalize_gate(tt: int, in_lits: Sequence[int]) -> Tuple[int, Tuple[int, ...], int]:
+    """Canonical form ``(tt, lits, out_flip)`` of a gate; the oracle of
+    :meth:`GateGraph.add_gate`'s memo.
+
+    Constants are folded; duplicate, complementary and don't-care inputs
+    removed; input phases folded into the table (every returned literal
+    is uncomplemented); inputs sorted; and the output phase normalized
+    so that ``tt(0, ..., 0) = 0``.  The gate computes ``tt`` over
+    ``lits``, complemented iff ``out_flip``: with no input left that is
+    the constant literal ``out_flip``, with one it is
+    ``lits[0] | out_flip``.
+    """
+    lits = list(in_lits)
+    k = len(lits)
+
+    # Fold constant and duplicate inputs.
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            var = lits[i] >> 1
+            if var == 0:
+                tt = _tt_restrict(tt, k, i, lits[i] & 1)
+                del lits[i]
+                k -= 1
+                changed = True
+                break
+            for j in range(i):
+                if (lits[j] >> 1) != var:
+                    continue
+                if lits[j] == lits[i]:
+                    # x_i == x_j: keep only the minterms where they agree.
+                    tt = _tt_restrict(
+                        _tt_merge_equal(tt, k, j, i, flip=0), k, i, 0
+                    )
+                else:
+                    tt = _tt_restrict(
+                        _tt_merge_equal(tt, k, j, i, flip=1), k, i, 0
+                    )
+                del lits[i]
+                k -= 1
+                changed = True
+                break
+            if changed:
+                break
+
+    # Drop don't-care inputs.
+    i = 0
+    while i < k:
+        if _tt_restrict(tt, k, i, 0) == _tt_restrict(tt, k, i, 1):
+            tt = _tt_restrict(tt, k, i, 0)
+            del lits[i]
+            k -= 1
+        else:
+            i += 1
+
+    # Normalize input phases into the truth table and sort inputs.
+    for i in range(k):
+        if lits[i] & 1:
+            tt = _tt_flip_input(tt, k, i)
+            lits[i] ^= 1
+    perm = sorted(range(k), key=lambda i: lits[i])
+    if perm != list(range(k)):
+        tt = _tt_permute(tt, k, perm)
+        lits = [lits[i] for i in perm]
+
+    # Normalize the output phase.
+    out_flip = tt & 1
+    if out_flip:
+        tt ^= (1 << (1 << k)) - 1
+    return tt, tuple(lits), out_flip
+
+
+#: ``(tt, input pattern) -> _normalize_gate(tt, input pattern)``: the
+#: memo of :meth:`GateGraph.add_gate`.  A pattern names each variable by
+#: its rank among the gate's distinct variables, so the few dozen gate
+#: shapes of a whole CEC run share their normal forms.
+_NORMAL_FORMS: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, Tuple[int, ...], int]] = {}
+
+
 class GateGraph:
-    """A flattened multi-network Tseitin context over shared primary inputs."""
+    """A flattened multi-network Tseitin context over shared primary inputs.
+
+    The graph stores gates only; their clauses are derived on demand
+    (:func:`gate_clauses`), all at once by :meth:`load_into` or per
+    query cone by the sweeper.
+    """
 
     def __init__(self, num_pis: int) -> None:
         self.num_pis = num_pis
         self.num_vars = 1 + num_pis
-        # Unit clause pinning variable 0 to false.
-        self.clauses: List[List[int]] = [[TRUE_LIT]]
         #: Gate list in topological order: ``(out_var, tt, in_lits)``.
         self.gates: List[Tuple[int, int, Tuple[int, ...]]] = []
         self._strash: Dict[Tuple[int, Tuple[int, ...]], int] = {}
@@ -163,77 +268,27 @@ class GateGraph:
         """Add (or reuse) a gate computing ``tt`` over ``in_lits``.
 
         Returns the literal of the gate function.  The gate is normalized
-        (constants folded, duplicate and don't-care inputs removed, input
-        and output phases canonicalized, inputs sorted) and structurally
-        hashed, so logically identical gates — across all networks encoded
-        into this graph — share one variable.
+        (see :func:`_normalize_gate`) and structurally hashed, so
+        logically identical gates — across all networks encoded into this
+        graph — share one variable.  The normal form depends only on
+        ``tt`` and the input *pattern*: each input literal with its
+        variable renamed to its rank among the gate's distinct variables
+        (the constant variable 0 ranks first).  It is computed once per
+        pattern and memoized.
         """
-        lits = list(in_lits)
-        k = len(lits)
-
-        # Fold constant and duplicate inputs.
-        changed = True
-        while changed:
-            changed = False
-            for i in range(k):
-                var = lits[i] >> 1
-                if var == 0:
-                    tt = _tt_restrict(tt, k, i, lits[i] & 1)
-                    del lits[i]
-                    k -= 1
-                    changed = True
-                    break
-                for j in range(i):
-                    if (lits[j] >> 1) != var:
-                        continue
-                    if lits[j] == lits[i]:
-                        # x_i == x_j: keep only the minterms where they agree.
-                        tt = _tt_restrict(
-                            _tt_merge_equal(tt, k, j, i, flip=0), k, i, 0
-                        )
-                    else:
-                        tt = _tt_restrict(
-                            _tt_merge_equal(tt, k, j, i, flip=1), k, i, 0
-                        )
-                    del lits[i]
-                    k -= 1
-                    changed = True
-                    break
-                if changed:
-                    break
-
-        # Drop don't-care inputs.
-        i = 0
-        while i < k:
-            if _tt_restrict(tt, k, i, 0) == _tt_restrict(tt, k, i, 1):
-                tt = _tt_restrict(tt, k, i, 0)
-                del lits[i]
-                k -= 1
-            else:
-                i += 1
-
-        # Normalize input phases into the truth table and sort inputs.
-        for i in range(k):
-            if lits[i] & 1:
-                tt = _tt_flip_input(tt, k, i)
-                lits[i] ^= 1
-        perm = sorted(range(k), key=lambda i: lits[i])
-        if perm != list(range(k)):
-            tt = _tt_permute(tt, k, perm)
-            lits = [lits[i] for i in perm]
-
-        # Trivial functions after folding.
-        if k == 0:
-            return TRUE_LIT if tt & 1 else FALSE_LIT
-        if k == 1:
-            return lits[0] if tt == 0b10 else lits[0] ^ 1
-
-        # Normalize output phase: stored gates satisfy f(0, ..., 0) = 0.
-        out_flip = tt & 1
-        if out_flip:
-            tt ^= (1 << (1 << k)) - 1
-
-        key = (tt, tuple(lits))
+        order = sorted({0, *[lit >> 1 for lit in in_lits]})
+        rank = order.index
+        key = (tt, tuple([(rank(lit >> 1) << 1) | (lit & 1) for lit in in_lits]))
+        form = _NORMAL_FORMS.get(key)
+        if form is None:
+            form = _NORMAL_FORMS[key] = _normalize_gate(*key)
+        tt, ranked, out_flip = form
+        if not ranked:
+            return out_flip  # the constant literal
+        lits = tuple([order[lit >> 1] << 1 for lit in ranked])
+        if len(lits) == 1:
+            return lits[0] | out_flip
+        key = (tt, lits)
         existing = self._strash.get(key)
         if existing is not None:
             return (existing << 1) | out_flip
@@ -241,23 +296,8 @@ class GateGraph:
         var = self.num_vars
         self.num_vars += 1
         self._strash[key] = var
-        self.gates.append((var, tt, tuple(lits)))
-        self._emit_clauses(var, tt, lits, k)
+        self.gates.append((var, tt, lits))
         return (var << 1) | out_flip
-
-    def _emit_clauses(self, var: int, tt: int, lits: List[int], k: int) -> None:
-        out_lit = var << 1
-        append = self.clauses.append
-        # Off-set cubes imply the output false, on-set cubes imply it true.
-        for target, out in ((0, out_lit ^ 1), (1, out_lit)):
-            for mask, value in _cached_cover(tt, k, target):
-                clause = [
-                    lits[i] ^ ((value >> i) & 1)
-                    for i in range(k)
-                    if (mask >> i) & 1
-                ]
-                clause.append(out)
-                append(clause)
 
     def xor_lit(self, a: int, b: int) -> int:
         return self.add_gate(_TT_XOR2, (a, b))
@@ -280,10 +320,14 @@ class GateGraph:
     # Consumption
     # ------------------------------------------------------------------ #
     def load_into(self, solver: SatSolver) -> None:
-        """Allocate this graph's variables and clauses into ``solver``."""
+        """Allocate this graph's variables into ``solver`` and load the
+        unit clause pinning variable 0 to false plus every gate's
+        clauses."""
         solver.ensure_vars(self.num_vars)
-        for clause in self.clauses:
-            solver.add_clause(clause)
+        solver.add_clause([TRUE_LIT])
+        for gate in self.gates:
+            for clause in gate_clauses(*gate):
+                solver.add_clause(clause)
 
     def simulate(self, pi_patterns: Sequence[int], num_bits: int) -> List[int]:
         """Bit-parallel evaluation; returns one pattern per variable."""

@@ -20,16 +20,19 @@ lineage, self-contained and pure python so the equivalence checker has a
   query's variable set (``scope``).  Only scope variables are then
   decision candidates, and the call answers SAT as soon as every scope
   variable is assigned without conflict — other variables are assigned
-  only by propagation.  The contract: the clauses are the per-gate
-  Tseitin clauses of a gate graph (plus clauses they imply), and the
-  scope is closed under fanins in that graph.  Every clause outside the
-  scope can then be satisfied by evaluating the remaining gates from
-  any values of the remaining inputs, and learned clauses are implied
-  by the formula, so UNSAT is sound and a SAT model's values on the
-  scope's inputs are a real witness.  An equivalence query thus decides
-  only the fanin cone of its two literals, however many other networks
-  the clause database holds (the decision-flag mechanism of MiniSat,
-  Eén & Sörensson, SAT 2003);
+  only by propagation.  The contract: the clauses are per-gate Tseitin
+  clauses of a gate graph (plus clauses they imply); the scope is closed
+  under fanins in that graph; and before the query, the clauses of
+  every gate in the scope have been loaded.  Gates outside the scope may
+  be loaded or not.  Every loaded clause outside the scope can then be
+  satisfied by evaluating the remaining gates from any values of the
+  remaining inputs, and learned clauses are implied by the formula, so
+  UNSAT is sound (it is derived from a subset of the graph's true
+  constraints) and a SAT model's values on the scope's inputs are a
+  real witness.  An equivalence query thus decides only the fanin cone
+  of its two literals, however many other networks the clause database
+  holds (the decision-flag mechanism of MiniSat, Eén & Sörensson, SAT
+  2003);
 * a **conflict budget** per call — :data:`UNKNOWN` is a first-class
   answer, letting callers fall back to another proof engine instead of
   hanging on a hard instance;
@@ -220,8 +223,9 @@ class SatSolver:
         every assumption variable: only scope variables are decided, and
         the answer is SAT once all of them are assigned without conflict.
         The caller guarantees the contract in the module docstring — the
-        clauses are per-gate Tseitin clauses and the scope is closed under
-        fanins — under which UNSAT is sound and the model's values on the
+        clauses are per-gate Tseitin clauses, the scope is closed under
+        fanins, and every scope gate's clauses are loaded — under which
+        UNSAT is sound and the model's values on the
         scope's inputs are a real witness; variables outside the scope may
         be left unassigned in the model.  With no scope every variable is
         a decision candidate.

@@ -23,12 +23,15 @@ topological order, over shared primary-input variables — through one
    variables are equal on every input).  Unequal tables refute nothing,
    because the leaves may be correlated, so every other pair is discharged
    by **incremental SAT under assumptions** — two queries per candidate
-   pair, ``(a, ¬b)`` and ``(¬a, b)``, against the clauses emitted so
-   far.  Each query is
+   pair, ``(a, ¬b)`` and ``(¬a, b)``, on one solver.  Each query is
    **cone-scoped**: the solver decides only the variables of the pair's
    transitive fanin cone and answers SAT once they are all assigned, so
    a query costs the size of its cone, not of everything encoded so far
-   (see the scope contract in :mod:`repro.verify.sat`).  A *proven*
+   (see the scope contract in :mod:`repro.verify.sat`).  The CNF is
+   **lazy**: a gate's Tseitin clauses reach the solver only when the
+   cone of a query first reaches the gate (as in ABC's FRAIG sweeping),
+   so gates no query looks at — most of them, when cut tables prove the
+   merges — are never encoded as clauses at all.  A *proven*
    pair is merged **by substitution**: the new gate's literal is
    replaced by its representative, so the entire downstream cone
    re-converges onto the representative's logic and the CNF stays the
@@ -71,7 +74,7 @@ from typing import Dict, List, Optional, Tuple
 from ..codegen.graphsim import GraphSimKernel
 from ..codegen.simgen import gate_function
 from ..network.cuts import _TABLE_MASKS, _expand_positions
-from .cnf import GateGraph, encode_network
+from .cnf import TRUE_LIT, GateGraph, encode_network, gate_clauses
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
 
 __all__ = ["SweepOutcome", "sat_sweep"]
@@ -131,7 +134,8 @@ class _Sweeper:
             raise ValueError(f"probe_flush_bits must be >= 1, got {probe_flush_bits}")
         self.graph = GateGraph(num_pis)
         self.solver = SatSolver()
-        self._clause_cursor = 0
+        self.solver.ensure_vars(self.graph.num_vars)
+        self.solver.add_clause([TRUE_LIT])
         self.merge_conflict_budget = merge_conflict_budget
         self.max_refinements = max_refinements
         self.probe_flush_bits = probe_flush_bits
@@ -165,9 +169,11 @@ class _Sweeper:
         #: batch size) through the graph kernel.
         self._pending: List[List[bool]] = []
         self._kernel = GraphSimKernel(self.graph)
-        #: Per-variable visit stamps of the cone walk (see :meth:`cone`).
+        #: Per-variable visit stamps of the cone walk (see :meth:`load_cone`).
         self._stamp: List[int] = []
         self._epoch = 0
+        #: Per variable: 1 once its gate's clauses are in the solver.
+        self._loaded = bytearray()
 
         self.stats = {
             "sat_calls": 0,
@@ -179,14 +185,6 @@ class _Sweeper:
         }
 
     # -- solver bookkeeping -------------------------------------------- #
-    def _sync_solver(self) -> None:
-        """Feed gates/clauses created since the last SAT query."""
-        self.solver.ensure_vars(self.graph.num_vars)
-        clauses = self.graph.clauses
-        while self._clause_cursor < len(clauses):
-            self.solver.add_clause(clauses[self._clause_cursor])
-            self._clause_cursor += 1
-
     def model_assignment(self) -> List[bool]:
         """PI values of the last model; PIs it left unassigned are random."""
         num_pis = self.graph.num_pis
@@ -197,21 +195,30 @@ class _Sweeper:
             assignment.append(bool(fill >> i & 1) if value is None else value)
         return assignment
 
-    def cone(self, a: int, b: int) -> List[int]:
+    def load_cone(self, a: int, b: int) -> List[int]:
         """Variables of the transitive fanin cone of literals ``a`` and ``b``.
 
         The scope of a query on the pair: closed under fanins by
-        construction, as :meth:`SatSolver.solve` requires.  Visits are
-        marked with a per-walk epoch, so no walk clears the marks.
+        construction, as :meth:`SatSolver.solve` requires.  The walk
+        also loads the clauses of every cone gate the solver does not
+        hold yet, so a gate's clauses reach the solver only once some
+        query needs them.  Visits are marked with a per-walk epoch, so
+        no walk clears the marks.
         """
         graph = self.graph
+        num_vars = graph.num_vars
+        solver = self.solver
+        solver.ensure_vars(num_vars)
         stamp = self._stamp
-        if len(stamp) < graph.num_vars:
-            stamp.extend([0] * (graph.num_vars - len(stamp)))
+        loaded = self._loaded
+        if len(stamp) < num_vars:
+            stamp.extend([0] * (num_vars - len(stamp)))
+            loaded.extend(bytes(num_vars - len(loaded)))
         self._epoch += 1
         epoch = self._epoch
         gates = graph.gates
         first_gate = 1 + graph.num_pis
+        add_clause = solver.add_clause
         cone = []
         stack = [a, b]
         while stack:
@@ -220,17 +227,25 @@ class _Sweeper:
                 stamp[var] = epoch
                 cone.append(var)
                 if var >= first_gate:
-                    stack.extend(gates[var - first_gate][2])
+                    gate = gates[var - first_gate]
+                    stack.extend(gate[2])
+                    if not loaded[var]:
+                        loaded[var] = 1
+                        for clause in gate_clauses(*gate):
+                            add_clause(clause)
         return cone
 
     def decide_pair(self, a: int, b: int, budget: int) -> str:
         """Decide ``a == b`` by two budgeted queries on the pair's cone.
 
+        The solver holds the clauses of every gate some query's cone has
+        reached, this one's included (:meth:`load_cone`): all the scope
+        contract of :meth:`SatSolver.solve` asks for.
+
         :data:`SAT` (a distinguishing model is loaded), :data:`UNSAT`
         (proved equal) or :data:`UNKNOWN` (a query ran out of budget).
         """
-        self._sync_solver()
-        scope = self.cone(a, b)
+        scope = self.load_cone(a, b)
         verdict = UNSAT
         for assumptions in ([a, b ^ 1], [a ^ 1, b]):
             self.stats["sat_calls"] += 1
@@ -459,6 +474,7 @@ def sat_sweep(
         stats["decisions"] = solver.num_decisions
         stats["propagations"] = solver.num_propagations
         stats["patterns"] = sweeper.num_bits
+        stats["loaded_gates"] = sweeper._loaded.count(1)
         outcome.stats = stats
         return outcome
 

@@ -4,7 +4,7 @@ The contract under test (see the :mod:`repro.codegen` package docstring):
 for *any* network state — including after arbitrary in-place mutation
 sequences, ``assign_from`` resets and pickle round-trips — the generated
 simulation kernel is bit-identical to the interpreted per-gate oracle,
-and the IR-driven CNF encoder (``encode_network``) is clause-for-clause
+and the IR-driven CNF encoder (``encode_network``) is gate-for-gate
 identical to a direct per-gate ``gate_truth_table`` encode of the same
 network.  The mutation sequences mirror
 ``tests/network/test_cuts_incremental.py``; the staleness tests
@@ -64,7 +64,7 @@ def _assert_generated_matches(net, rng, num_bits=192):
     oracle_pos = _oracle_encode(oracle_graph, net)
     graph = GateGraph(net.num_pis)
     pos = encode_network(graph, net)
-    assert graph.clauses == oracle_graph.clauses
+    assert graph.gates == oracle_graph.gates
     assert pos == oracle_pos
     assert graph.num_vars == oracle_graph.num_vars
 
@@ -267,7 +267,7 @@ class TestNetworkIrCache:
         oracle_pos = _oracle_encode(oracle, net)
         graph = GateGraph(net.num_pis)
         assert encode_network(graph, net) == oracle_pos
-        assert graph.clauses == oracle.clauses
+        assert graph.gates == oracle.gates
 
 
 class TestGraphSimKernel:

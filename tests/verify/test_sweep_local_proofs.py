@@ -1,11 +1,19 @@
-"""Local merge proofs of the SAT sweeper (verify/sweep.py).
+"""Local merge proofs and lazy CNF loading of the SAT sweeper (verify/sweep.py).
 
 A candidate pair whose 4-leaf cuts have the same leaves and equal
 phase-adjusted tables is merged without SAT; every other pair still goes
 to the solver.  These tests pin both halves: local proofs never change a
 verdict, the decomposition pairs they target need no SAT call, and a
 table mismatch on correlated leaves is not taken as a refutation.
+
+The sweeper's solver starts with the constant's unit clause only; a
+gate's Tseitin clauses reach it when the cone of a query first reaches
+the gate.  A sweep that needs no SAT call therefore leaves the solver
+with the unit clause alone, and on sweeps that do call SAT every gate
+clause in the solver lies in the scope of some query.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +22,8 @@ from repro.aig.aig import Aig
 from repro.core import Mig, mutate_network
 from repro.network import mig_to_aig
 from repro.verify import check_equivalence
+from repro.verify.cnf import TRUE_LIT, encode_network
+from repro.verify.sat import SatSolver
 from repro.verify.sweep import _Sweeper, sat_sweep
 
 _TT_AND2 = 0x8
@@ -27,6 +37,32 @@ def _replays(first, second, outcome):
         first.simulate_patterns(patterns, 1)[index]
         ^ second.simulate_patterns(patterns, 1)[index]
     ) & 1
+
+
+def _problem_clause_vars(solver):
+    """Variables of the attached clauses that were loaded, not learned."""
+    learnt = {id(clause) for clause in solver._learnts}
+    return {
+        lit >> 1
+        for watches in solver._watches
+        for clause in watches
+        if id(clause) not in learnt
+        for lit in clause
+    }
+
+
+def _sweep_recording_scopes(first, second):
+    """``sat_sweep`` plus the solver it queried and each query's scope."""
+    calls = []
+    solve = SatSolver.solve
+
+    def recording(self, *args, **kwargs):
+        calls.append((self, frozenset(kwargs["scope"])))
+        return solve(self, *args, **kwargs)
+
+    with mock.patch.object(SatSolver, "solve", recording):
+        outcome = sat_sweep(first, second)
+    return outcome, calls
 
 
 @settings(max_examples=40, deadline=None)
@@ -45,13 +81,21 @@ def test_verdicts_match_exhaustive_on_twins_and_mutants(
     aig = mig_to_aig(mig)
     mutant, _ = mutate_network(aig if mutate_aig else mig, seed=seed)
     for first, second in ((mig, aig), (mig if mutate_aig else aig, mutant)):
-        outcome = sat_sweep(first, second)
+        outcome, calls = _sweep_recording_scopes(first, second)
         truth = check_equivalence(first, second, method="exhaustive")
         assert outcome.status != "unknown", outcome.stats
         assert outcome.proved == truth.equivalent, outcome.stats
         assert outcome.stats["local_merges"] <= outcome.stats["merges"]
         if not outcome.proved:
             assert _replays(first, second, outcome), outcome
+        # Lazy CNF: only gates inside some query's scope have clauses.
+        if calls:
+            solver = calls[0][0]
+            assert all(call_solver is solver for call_solver, _ in calls)
+            scoped = frozenset().union(*(scope for _, scope in calls))
+            assert _problem_clause_vars(solver) <= scoped
+        else:
+            assert outcome.stats["loaded_gates"] == 0, outcome.stats
 
 
 def _majority_tree(kind):
@@ -73,6 +117,7 @@ def test_majority_against_its_decomposition_needs_no_sat_call():
     assert outcome.stats["sat_calls"] == 0, outcome.stats
     # Both inner majorities and the root, each proved from its cut.
     assert outcome.stats["local_merges"] == outcome.stats["merges"] == 3, outcome.stats
+    assert outcome.stats["loaded_gates"] == 0, outcome.stats
 
 
 def test_unequal_tables_on_correlated_leaves_still_merge_through_sat():
@@ -116,3 +161,24 @@ def test_network_pair_with_correlated_leaves_is_proved():
     outcome = sat_sweep(first, second)
     assert outcome.proved, outcome.stats
     assert check_equivalence(first, second, method="exhaustive").equivalent
+
+
+def test_sweep_without_sat_holds_only_the_constant_unit_clause():
+    sweeper = _Sweeper(num_pis=7, seed=7, initial_patterns=128,
+                       merge_conflict_budget=2_000, max_refinements=512)
+    first = encode_network(sweeper.graph, _majority_tree(Mig), add_gate=sweeper.add_gate)
+    second = encode_network(sweeper.graph, _majority_tree(Aig), add_gate=sweeper.add_gate)
+    assert first == second
+    assert sweeper.stats["sat_calls"] == 0
+    solver = sweeper.solver
+    assert solver._trail == [TRUE_LIT]
+    assert not any(solver._watches)
+
+
+def test_mutant_sweep_loads_a_fraction_of_the_gates(network_forge):
+    base = network_forge(kind="mig", gate_mix="mixed", num_pis=12,
+                         num_gates=300, num_pos=8, seed=3)
+    mutant, _ = mutate_network(base, seed=5)
+    outcome = sat_sweep(base, mutant)
+    assert outcome.stats["sat_calls"] > 0, outcome.stats
+    assert 0 < outcome.stats["loaded_gates"] < outcome.stats["gates"], outcome.stats
