@@ -1,43 +1,39 @@
-"""Per-network code generation: specialized simulation kernels.
+"""Word-parallel simulation of flattened gate lists.
 
-The interpreted kernels optimize *per gate* — a fanin decode or a
-truth-table dispatch for every gate of every simulation word.  This
-package optimizes *per network*, in the meta-function style: flatten the
-network once into a small IR (:mod:`.ir`), make all specialization
-decisions at generation time, and emit artifacts that the hot loops then
-run without any per-gate dispatch:
+Every simulated gate list — a logic network, a mapped netlist, the SAT
+sweeper's growing gate graph — runs through one mechanism: each gate is
+bound once to the shared generated evaluator of its function
+(:func:`.simgen.gate_function`, one small function per truth table and
+arity, edge complements folded into the table by
+:func:`.simgen.bind_gate`), and one loop calls the evaluators in
+topological order.  Nothing is generated per network.
 
-* :mod:`.simgen` — a flat Python function per network for word-parallel
-  simulation: one straight-line bitwise statement per gate over local
-  variables, constants folded, complement masks pre-applied.
-* :mod:`.graphsim` — evaluation of an append-only
-  :class:`~repro.verify.cnf.GateGraph` through one generated function
-  per gate truth table (:func:`.simgen.gate_function`), for loops (the
-  SAT sweeper) that simulate a graph while still growing it.
+* :mod:`.ir` — the flattened view of a network or netlist
+  (:class:`~.ir.SimProgram`) behind both simulation and the CNF encoder
+  of :mod:`repro.verify.cnf`;
+* :mod:`.simgen` — the evaluators and :class:`~.simgen.SimKernel`, the
+  simulator of one frozen program;
+* :mod:`.graphsim` — :class:`~.graphsim.GraphSimKernel`, the same
+  binding over an append-only :class:`~repro.verify.cnf.GateGraph` that
+  grows while the sweeper simulates it.
 
-Generation / invalidation contract
-----------------------------------
-Generated artifacts are memoized on the owning object and keyed on the
+Caching / invalidation contract
+-------------------------------
+Programs and kernels are memoized on the owning object and keyed on the
 kernel's monotone ``_mutation_serial`` (for :class:`LogicNetwork`) or
-the append-only construction shape (for :class:`MappedNetlist` and
-:class:`GateGraph`):
+the append-only construction shape (for :class:`MappedNetlist`):
 
 * every structural mutation bumps the serial, so the first consumer to
-  run after a mutation regenerates; unchanged networks hit a dict
-  lookup.  There is no partial patching of generated code — staleness is
-  detected by serial comparison only, the same protocol as
-  ``network/cuts.py``'s managers and the interpreted simulation
-  program;
-* compiled artifacts hold code objects and are process-local: the
-  kernel's ``__getstate__`` strips them (``_codegen_ir``,
-  ``_codegen_kernel`` and their serial keys), and an unpickled network
-  regenerates on first use;
-* compilation costs one ``exec`` per ~:data:`~repro.codegen.simgen.CHUNK_GATES`
-  gates.  ``LogicNetwork.simulate_patterns`` therefore tiers adaptively:
-  the first call at a new serial runs the cheap interpreted program and only
-  a repeat call at the same serial compiles the generated kernel, so
-  mutate-once/simulate-once loops (NPN derivation, mutation fuzzing)
-  never pay the compile.
+  run after a mutation rebuilds; unchanged networks hit a dict lookup.
+  There is no partial patching — staleness is detected by serial
+  comparison only, the same protocol as ``network/cuts.py``'s managers;
+* kernels hold generated functions and are process-local: the owner's
+  ``__getstate__`` strips them (``_codegen_ir``, ``_codegen_kernel`` and
+  their keys), and an unpickled network rebuilds on first use.
+
+The uncached per-gate loops (``simulate_patterns_interpreted`` on
+networks and netlists) stay as the reference the kernels are tested
+against.
 """
 
 from .graphsim import GraphSimKernel

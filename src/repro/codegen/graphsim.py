@@ -3,18 +3,14 @@
 The SAT sweeper (:mod:`repro.verify.sweep`) re-simulates its entire
 :class:`~repro.verify.cnf.GateGraph` gate list every time refuted-pair
 counterexample patterns are folded into the candidate signatures.  A
-:class:`GraphSimKernel` evaluates that list through the per-function
-evaluators of :func:`repro.codegen.simgen.gate_function` — one generated
-function per gate truth table and arity, shared by every gate computing
-it — while tracking a graph that *grows while it is being swept*:
-
-* a ``GateGraph`` is append-only — gates are only ever added, never
-  retargeted — so the kernel binds each new gate to its evaluator once
-  and never revisits the binding;
-* nothing is compiled per gate: a sweep flushes tens of times, far too
-  few to repay compiling straight-line code for each new stretch of the
-  gate list, while one call per gate costs no more than an interpreted
-  truth-table dispatch.
+:class:`GraphSimKernel` evaluates that list the way
+:class:`~repro.codegen.simgen.SimKernel` evaluates a network: each gate
+is bound once, through :func:`repro.codegen.simgen.bind_gate`, to the
+shared evaluator of its function, and one loop runs them.  The
+difference is that the graph *grows while it is being swept*: a
+``GateGraph`` is append-only — gates are only ever added, never
+retargeted — so the kernel binds each new gate when it first sees it
+and never revisits the binding.
 
 Variable 0 (the pinned constant-false) and the primary-input variables
 are read from the caller's buffer, so the kernel composes with whatever
@@ -27,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, List
 
 from ..verify.cnf import GateGraph
-from .simgen import gate_function
+from .simgen import bind_gate
 
 __all__ = ["GraphSimKernel"]
 
@@ -37,7 +33,7 @@ class GraphSimKernel:
 
     def __init__(self, graph: GateGraph) -> None:
         self.graph = graph
-        #: ``gate_function`` of each gate bound so far, in gate order.
+        #: Bound evaluator of each gate seen so far, in gate order.
         self._functions: List[Callable] = []
 
     def eval_into(self, values: List[int], mask: int) -> None:
@@ -51,7 +47,7 @@ class GraphSimKernel:
         functions = self._functions
         if len(functions) < len(gates):
             functions.extend(
-                gate_function(tt, len(lits)) for _, tt, lits in gates[len(functions):]
+                bind_gate(tt, lits) for _, tt, lits in gates[len(functions):]
             )
         for (var, _, lits), evaluate in zip(gates, functions):
             values[var] = evaluate(values, lits, mask)

@@ -1,4 +1,4 @@
-"""The shared intermediate representation behind all generated kernels.
+"""The one flattening behind network simulation and CNF encoding.
 
 The word-parallel simulation kernels of :mod:`.simgen` and the CNF
 encoder of :mod:`repro.verify.cnf` consume the *same* flattened

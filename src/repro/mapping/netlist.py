@@ -153,17 +153,21 @@ class MappedNetlist:
     # Simulation (used to verify the mapping)
     # ------------------------------------------------------------------ #
     def simulate_patterns(self, pi_patterns: Sequence[int], num_bits: int) -> List[int]:
-        """Bit-parallel simulation through the generated kernel.
+        """Bit-parallel simulation through the cached :meth:`sim_kernel`.
+
+        The kernel binds every cell to the shared evaluator of its
+        function once, so mapper verification pays the per-cell library
+        lookup at binding time, not per call.
+        """
+        return self.sim_kernel().simulate(pi_patterns, num_bits)
+
+    def sim_kernel(self):
+        """The :class:`repro.codegen.SimKernel` of this netlist, shape-cached.
 
         Netlists are append-only (nothing is retargeted in place), so the
-        kernel is cached by the construction shape — see
-        :func:`repro.codegen.ir.netlist_ir`; mapper verification therefore
-        pays per-cell dispatch once, at generation time, not per call.
+        construction shape of :func:`repro.codegen.ir.netlist_shape_key`
+        identifies the state the kernel was built for.
         """
-        return self.compiled_kernel().simulate(pi_patterns, num_bits)
-
-    def compiled_kernel(self):
-        """The generated :class:`repro.codegen.SimKernel`, shape-cached."""
         from ..codegen.ir import netlist_shape_key
         from ..codegen.simgen import compile_netlist_kernel
 
@@ -178,7 +182,7 @@ class MappedNetlist:
     def simulate_patterns_interpreted(
         self, pi_patterns: Sequence[int], num_bits: int
     ) -> List[int]:
-        """Per-cell interpreted simulation (the differential oracle)."""
+        """Per-cell reference simulation (the differential oracle)."""
         if len(pi_patterns) != len(self.pi_names):
             raise ValueError(
                 f"expected {len(self.pi_names)} PI patterns, got {len(pi_patterns)}"
@@ -197,7 +201,7 @@ class MappedNetlist:
 
     def __getstate__(self) -> Dict[str, object]:
         state = self.__dict__.copy()
-        # Generated artifacts hold code objects; regenerate after unpickling.
+        # Kernels hold generated functions; rebuilt after unpickling.
         for key in ("_codegen_kernel", "_codegen_kernel_key",
                     "_codegen_ir", "_codegen_ir_key"):
             state.pop(key, None)

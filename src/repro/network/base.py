@@ -103,14 +103,13 @@ from ..core.signal import (
 
 __all__ = ["LogicNetwork"]
 
-#: ``__dict__`` keys of generated artifacts (see :mod:`repro.codegen`),
-#: stripped on pickle and regenerated on demand in the new process.
+#: ``__dict__`` keys of the cached simulation program and kernel (see
+#: :mod:`repro.codegen`), stripped on pickle and rebuilt on demand.
 _CODEGEN_STATE_KEYS = (
     "_codegen_ir",
     "_codegen_ir_serial",
     "_codegen_kernel",
     "_codegen_kernel_serial",
-    "_sim_seen_serial",
 )
 
 
@@ -168,15 +167,6 @@ class LogicNetwork:
         # death, PO edits, resets): lets derived-state caches prove "the
         # network has not changed since" with one integer compare.
         self._mutation_serial = 0
-        # Simulation program: one ``(node, *fanins)`` integer tuple per
-        # PO-reachable gate in topological order, keyed by the mutation
-        # serial it was built at.  ``simulate_patterns`` is the inner loop
-        # of signature sweeping and exhaustive CEC; the program saves
-        # every call on an unchanged network the topology walk and the
-        # fanin-list fetches, and holds no object the garbage collector
-        # has to track.
-        self._sim_program: Optional[List[Tuple[int, ...]]] = None
-        self._sim_program_serial = -1
         # Subscribers to structural-change events; each listener exposes
         # ``network_retargeted(node)``, ``network_node_died(node)`` and
         # ``network_reset()``.  The list is empty in the common case, so
@@ -645,29 +635,19 @@ class LogicNetwork:
         stimulus of the ``i``-th primary input.  Returns one pattern per
         primary output.
 
-        Two tiers run behind this entry point.  The first call at a new
-        mutation serial runs the memoized simulation program
-        (:meth:`simulate_patterns_interpreted`) — cheap to build, so
-        mutate-once/simulate-once loops never pay more.  A repeat call at
-        the same serial promotes to the generated straight-line kernel of
-        :mod:`repro.codegen`, which removes the remaining per-gate fanin
-        decoding from every subsequent call.  Both tiers are bit-identical
-        by the differential tests of ``tests/codegen``.
+        Runs the serial-cached :class:`repro.codegen.SimKernel` of the
+        current state (:meth:`sim_kernel`), which evaluates each gate
+        through the shared evaluator of its function.  The differential
+        tests of ``tests/codegen`` pin it bit-identical to
+        :meth:`simulate_patterns_interpreted`.
         """
-        serial = self._mutation_serial
-        kernel = self.__dict__.get("_codegen_kernel")
-        if kernel is not None and self.__dict__.get("_codegen_kernel_serial") == serial:
-            return kernel.simulate(pi_patterns, num_bits)
-        if self.__dict__.get("_sim_seen_serial") == serial:
-            return self.compiled_kernel().simulate(pi_patterns, num_bits)
-        self.__dict__["_sim_seen_serial"] = serial
-        return self.simulate_patterns_interpreted(pi_patterns, num_bits)
+        return self.sim_kernel().simulate(pi_patterns, num_bits)
 
-    def compiled_kernel(self):
-        """The generated :class:`repro.codegen.SimKernel` for this network.
+    def sim_kernel(self):
+        """The :class:`repro.codegen.SimKernel` of this network's state.
 
-        Serial-cached; compiling is deferred to here so the cost is only
-        paid by call sites that simulate the same network state repeatedly.
+        Built from :func:`repro.codegen.network_ir` and cached until the
+        next mutation bumps ``_mutation_serial``.
         """
         serial = self._mutation_serial
         kernel = self.__dict__.get("_codegen_kernel")
@@ -682,7 +662,12 @@ class LogicNetwork:
     def simulate_patterns_interpreted(
         self, pi_patterns: Sequence[int], num_bits: int
     ) -> List[int]:
-        """The interpreted simulation tier (and differential oracle)."""
+        """Uncached reference simulation (the differential oracle).
+
+        Walks the topology afresh on every call and runs the subclass's
+        static gate loop (:meth:`_simulate_program`); shares no state with
+        :meth:`simulate_patterns`.
+        """
         if len(pi_patterns) != len(self._pis):
             raise ValueError(
                 f"expected {len(self._pis)} PI patterns, got {len(pi_patterns)}"
@@ -691,15 +676,10 @@ class LogicNetwork:
         values = [0] * len(self._fanins)
         for node, pattern in zip(self._pis, pi_patterns):
             values[node] = pattern & mask
-
-        program = self._sim_program
-        if program is None or self._sim_program_serial != self._mutation_serial:
-            fanins = self._fanins
-            program = [(node, *fanins[node]) for node in self._topology()]
-            self._sim_program = program
-            self._sim_program_serial = self._mutation_serial
-        self._simulate_program(program, values, mask)
-
+        fanins = self._fanins
+        self._simulate_program(
+            [(node, *fanins[node]) for node in self._topology()], values, mask
+        )
         return [self._edge_value(values, po, mask) for po in self._pos]
 
     def _simulate_program(
@@ -1020,9 +1000,9 @@ class LogicNetwork:
         """Pickle the structural state only, never process-local caches.
 
         Mutation listeners (incremental cut managers), the per-network
-        cut-manager registry and the simulation program are derived,
+        cut-manager registry and the simulation kernel are derived,
         process-local state: the first two hold subscriptions meaningless
-        in another process, the last is cheap to rebuild.  All are
+        in another process, the last holds generated functions.  All are
         rebuilt on demand after unpickling.  The
         structural state itself — node storage, strash, levels, ids —
         crosses the boundary verbatim, which is what makes a worker's
@@ -1033,10 +1013,9 @@ class LogicNetwork:
             self._settle_levels()
         state = self.__dict__.copy()
         state["_mutation_listeners"] = []
-        state["_sim_program"] = None
         state.pop("_cut_managers", None)
-        # Generated artifacts (repro.codegen): compiled kernels hold code
-        # objects, and everything here is regenerable from the structure.
+        # Simulation artifacts (repro.codegen): kernels hold generated
+        # functions, and everything here is rebuilt from the structure.
         for key in _CODEGEN_STATE_KEYS:
             state.pop(key, None)
         return state
@@ -1044,8 +1023,6 @@ class LogicNetwork:
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
         self._mutation_listeners = []
-        self._sim_program = None
-        self._sim_program_serial = -1
         for key in _CODEGEN_STATE_KEYS:
             self.__dict__.pop(key, None)
 

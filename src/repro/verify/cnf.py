@@ -335,15 +335,13 @@ class GateGraph:
             raise ValueError(
                 f"expected {self.num_pis} PI patterns, got {len(pi_patterns)}"
             )
-        from ..codegen.simgen import gate_function  # lazy: repro.codegen imports us
+        from ..codegen.graphsim import GraphSimKernel  # lazy: repro.codegen imports us
 
         mask = (1 << num_bits) - 1
         values = [0] * self.num_vars
         for i, pattern in enumerate(pi_patterns):
             values[1 + i] = pattern & mask
-        # Stored gates have uncomplemented inputs (see :meth:`add_gate`).
-        for var, tt, lits in self.gates:
-            values[var] = gate_function(tt, len(lits))(values, lits, mask)
+        GraphSimKernel(self).eval_into(values, mask)
         return values
 
     def lit_value(self, values: Sequence[int], lit: int, mask: int) -> int:
@@ -355,16 +353,12 @@ def eval_gate(values: Sequence[int], tt: int, lits: Sequence[int], mask: int) ->
     """Bit-parallel evaluation of one gate over per-variable patterns.
 
     Input complements are folded into the truth table, then the gate
-    runs through the generated evaluator of its function
-    (:func:`repro.codegen.simgen.gate_function`).
+    runs through the generated evaluator of the result
+    (:func:`repro.codegen.simgen.bind_gate`).
     """
-    from ..codegen.simgen import gate_function  # lazy: repro.codegen imports us
+    from ..codegen.simgen import bind_gate  # lazy: repro.codegen imports us
 
-    k = len(lits)
-    for i, lit in enumerate(lits):
-        if lit & 1:
-            tt = _tt_flip_input(tt, k, i)
-    return gate_function(tt, k)(values, lits, mask)
+    return bind_gate(tt, lits)(values, lits, mask)
 
 
 def _tt_merge_equal(tt: int, k: int, j: int, i: int, flip: int) -> int:
@@ -421,8 +415,8 @@ def _encode_netlist(graph: GateGraph, netlist, add_gate) -> List[int]:
 def _encode_program(graph: GateGraph, program, add_gate) -> List[int]:
     """Encode a flattened :class:`~repro.codegen.ir.SimProgram`.
 
-    The same cached traversal that drives the generated simulation
-    kernels drives the CNF encode: slot 0 is the constant (so a
+    The same cached traversal that drives the simulation kernels drives
+    the CNF encode: slot 0 is the constant (so a
     complemented edge to it is ``TRUE_LIT``), per-gate truth tables are
     resolved once at flattening time, and undriven netlist slots stay at
     ``FALSE_LIT`` — all matching the previous per-network walks.

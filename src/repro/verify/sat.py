@@ -144,9 +144,29 @@ class SatSolver:
         return v
 
     def ensure_vars(self, count: int) -> None:
-        """Grow the variable pool so indices ``0 .. count-1`` are valid."""
-        while self._num_vars < count:
-            self.new_var()
+        """Grow the variable pool so indices ``0 .. count-1`` are valid.
+
+        Leaves the same state as ``count - num_vars`` :meth:`new_var`
+        calls, built in bulk.
+        """
+        start = self._num_vars
+        if count <= start:
+            return
+        n = count - start
+        self._num_vars = count
+        self._value.extend([_UNASSIGNED] * (2 * n))
+        self._watches.extend([] for _ in range(2 * n))
+        self._level.extend([0] * n)
+        self._reason.extend([None] * n)
+        self._activity.extend([0.0] * n)
+        self._phase.extend([1] * n)
+        self._seen.extend([0] * n)
+        if self._scope is None:
+            # Activities are never negative and ``v`` exceeds every queued
+            # variable, so each ``(0.0, v)`` is >= every entry already in
+            # the heap: ``heappush`` would never sift it, and appending
+            # yields the same heap.
+            self._heap.extend((0.0, v) for v in range(start, count))
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; returns ``False`` when the formula became UNSAT.

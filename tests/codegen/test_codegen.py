@@ -1,12 +1,12 @@
-"""Differential property suite for the per-network code generators.
+"""Differential property suite for the simulation kernels and the IR.
 
 The contract under test (see the :mod:`repro.codegen` package docstring):
 for *any* network state — including after arbitrary in-place mutation
-sequences, ``assign_from`` resets and pickle round-trips — the generated
-simulation kernel is bit-identical to the interpreted per-gate oracle,
-and the IR-driven CNF encoder (``encode_network``) is gate-for-gate
-identical to a direct per-gate ``gate_truth_table`` encode of the same
-network.  The mutation sequences mirror
+sequences, ``assign_from`` resets and pickle round-trips — the cached
+simulation kernel and ``simulate_patterns_interpreted`` are both
+bit-identical to a per-gate ``_eval_gate`` walk, and the IR-driven CNF
+encoder (``encode_network``) is gate-for-gate identical to a direct
+per-gate ``gate_truth_table`` encode of the same network.  The mutation sequences mirror
 ``tests/network/test_cuts_incremental.py``; the staleness tests
 additionally pin regeneration against every mutation notification class
 the kernel emits (retarget, node death, reset).
@@ -29,7 +29,7 @@ def _random_patterns(rng, num_pis, num_bits):
 
 
 def _oracle_simulation(net, pi_patterns, num_bits):
-    """Uncompiled reference: drive ``_eval_gate`` over the topology."""
+    """Independent reference: drive ``_eval_gate`` over the topology."""
     mask = (1 << num_bits) - 1
     values = [0] * len(net._fanins)
     for node, pattern in zip(net._pis, pi_patterns):
@@ -54,9 +54,8 @@ def _assert_generated_matches(net, rng, num_bits=192):
     """Kernel == oracle simulation; ``encode_network`` == oracle encode."""
     patterns = _random_patterns(rng, net.num_pis, num_bits)
     expected = _oracle_simulation(net, patterns, num_bits)
-    kernel = net.compiled_kernel()
+    kernel = net.sim_kernel()
     assert kernel.simulate(patterns, num_bits) == expected
-    # The public entry point (whatever tier it picked) must agree too.
     assert net.simulate_patterns(patterns, num_bits) == expected
     assert net.simulate_patterns_interpreted(patterns, num_bits) == expected
 
@@ -101,10 +100,9 @@ class TestDifferentialAgainstOracle:
         )
         patterns = _random_patterns(rng, net.num_pis, 128)
         expected = net.simulate_patterns(patterns, 128)
-        net.compiled_kernel()
         clone = pickle.loads(pickle.dumps(net))
-        # Generated artifacts never cross the pickle boundary.
-        for key in ("_codegen_kernel", "_codegen_ir", "_sim_seen_serial"):
+        # Cached programs and kernels never cross the pickle boundary.
+        for key in ("_codegen_kernel", "_codegen_ir"):
             assert key not in clone.__dict__, key
         assert clone.simulate_patterns(patterns, 128) == expected
         _assert_generated_matches(clone, rng)
@@ -121,36 +119,6 @@ class TestDifferentialAgainstOracle:
                     assert net.gate_truth_table(node) == net.UNIFORM_GATE_TT
 
 
-class TestAdaptiveTiering:
-    def test_second_call_promotes_to_generated_kernel(self, network_forge):
-        net = network_forge(kind="mig", num_pis=6, num_gates=40, seed=4)
-        patterns = _random_patterns(random.Random(1), net.num_pis, 64)
-        first = net.simulate_patterns(patterns, 64)
-        assert "_codegen_kernel" not in net.__dict__  # tier 1: closure program
-        second = net.simulate_patterns(patterns, 64)
-        assert first == second
-        kernel = net.__dict__.get("_codegen_kernel")
-        assert kernel is not None  # tier 2: generated kernel
-        net.simulate_patterns(patterns, 64)
-        assert net.__dict__["_codegen_kernel"] is kernel  # reused, not rebuilt
-
-    def test_mutation_demotes_then_repromotes(self, network_forge):
-        net = network_forge(kind="aig", gate_mix="mixed", num_pis=6,
-                            num_gates=40, seed=8)
-        patterns = _random_patterns(random.Random(2), net.num_pis, 64)
-        net.simulate_patterns(patterns, 64)
-        net.simulate_patterns(patterns, 64)
-        stale = net.__dict__["_codegen_kernel"]
-        mutate_network(net, seed=13, in_place=True)
-        expected = _oracle_simulation(net, patterns, 64)
-        assert net.simulate_patterns(patterns, 64) == expected
-        # First post-mutation call must not have run the stale kernel.
-        assert net.__dict__.get("_codegen_kernel_serial") != net._mutation_serial \
-            or net.__dict__["_codegen_kernel"] is not stale
-        assert net.simulate_patterns(patterns, 64) == expected
-        assert net.__dict__["_codegen_kernel"] is not stale
-
-
 class TestStalenessPerEventClass:
     """Regeneration across every mutation-notification event class.
 
@@ -161,7 +129,7 @@ class TestStalenessPerEventClass:
     """
 
     def _charge(self, net, rng):
-        return (net.compiled_kernel(), network_ir(net))
+        return (net.sim_kernel(), network_ir(net))
 
     def _assert_regenerated(self, net, rng, old):
         _assert_generated_matches(net, rng)
@@ -293,7 +261,7 @@ class TestGraphSimKernel:
 
 
 def _interpreted_exhaustive(first, second):
-    """Reference exhaustive sweep: a block loop over the closure program.
+    """Reference exhaustive sweep: a block loop over the interpreted path.
 
     Returns ``(equivalent, counterexample, failing_output)``.
     """
@@ -314,9 +282,9 @@ def _interpreted_exhaustive(first, second):
 
 
 class TestEquivalenceIntegration:
-    """``_check_exhaustive`` rides ``simulate_patterns``' promotion."""
+    """``_check_exhaustive`` runs each network's cached kernel."""
 
-    def test_wide_sweep_compiles_and_matches_interpreted(self, network_forge):
+    def test_wide_sweep_runs_kernel_and_matches_interpreted(self, network_forge):
         from repro.verify.equivalence import check_equivalence
 
         net = network_forge(kind="mig", gate_mix="mixed", num_pis=18,
@@ -324,7 +292,7 @@ class TestEquivalenceIntegration:
         mutant = net.copy()
         # Differs from ``net`` only where the two top PIs are both 1, i.e.
         # in the last of the four 2^16-minterm blocks, which the sweep
-        # reaches on the promoted kernels.
+        # reaches on the kernels built for its first block.
         pis = [make_signal(node) for node in mutant.pi_nodes()]
         rare = mutant.and_(pis[16], pis[17])
         mutant.set_po(0, mutant.or_(mutant.po_signals()[0], rare))
@@ -332,23 +300,12 @@ class TestEquivalenceIntegration:
             first = net.copy()
             expected = _interpreted_exhaustive(first, second)
             assert expected[0] == equivalent
+            assert "_codegen_kernel" not in first.__dict__
             result = check_equivalence(first, second, method="exhaustive")
             for target in (first, second):
-                assert "_codegen_kernel" in target.__dict__, (
-                    "a multi-block sweep did not promote to the compiled kernel"
-                )
+                assert target.__dict__.get("_codegen_kernel_serial") == (
+                    target._mutation_serial
+                ), "the sweep did not run the network's cached kernel"
             assert (
                 result.equivalent, result.counterexample, result.failing_output
             ) == expected
-
-    def test_narrow_one_shot_does_not_compile(self, network_forge):
-        from repro.verify.equivalence import check_equivalence
-
-        net = network_forge(kind="mig", gate_mix="mixed", num_pis=8,
-                            num_gates=40, seed=79)
-        twin = net.copy()
-        result = check_equivalence(net, twin, method="exhaustive")
-        assert result.equivalent
-        # A one-shot narrow sweep must not pay the per-network compile.
-        assert "_codegen_kernel" not in net.__dict__
-        assert "_codegen_kernel" not in twin.__dict__

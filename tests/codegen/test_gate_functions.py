@@ -1,11 +1,13 @@
-"""The per-function gate evaluators and the interpreted simulation program.
+"""The per-function gate evaluators and the network simulation kernel.
 
-``gate_function(tt, k)`` is generated once per truth table and arity and
-evaluates every gate of a :class:`~repro.verify.cnf.GateGraph` (the
-sweeper's signatures, ``GateGraph.simulate``, ``GraphSimKernel`` and
-``eval_gate``).  ``simulate_patterns_interpreted`` runs a cached list of
-``(node, *fanins)`` integer tuples through one static loop per network
-kind.  Both are checked here against plain reference loops.
+``gate_function(tt, k)`` is generated once per truth table and arity;
+``bind_gate(tt, edges)`` folds the edge complements into the table and
+returns the evaluator of the result.  They evaluate every simulated gate:
+the sweeper's signatures, ``GateGraph.simulate``, ``GraphSimKernel``,
+``eval_gate`` and the ``SimKernel`` behind ``simulate_patterns``.  The
+evaluators are checked here against a minterm-by-minterm reference, and
+the kernel against ``simulate_patterns_interpreted`` (one static loop per
+network kind).
 """
 
 import gc
@@ -13,7 +15,7 @@ import random
 
 import pytest
 
-from repro.codegen.simgen import gate_function
+from repro.codegen.simgen import bind_gate, gate_function
 from repro.verify.cnf import GateGraph, encode_network, eval_gate
 
 
@@ -45,11 +47,14 @@ def _check_table(rng, tt, k, num_bits=96):
     assert gate_function(tt, k)(values, lits, mask) == _reference_eval(
         values, tt, lits, mask
     ), (hex(tt), k)
-    # eval_gate folds complemented inputs into the table first.
+    # bind_gate (and eval_gate through it) folds complemented inputs into
+    # the table first.
     flipped = tuple(lit | rng.randrange(2) for lit in lits)
-    assert eval_gate(values, tt, flipped, mask) == _reference_eval(
-        values, tt, flipped, mask
-    ), (hex(tt), k, flipped)
+    expected = _reference_eval(values, tt, flipped, mask)
+    assert bind_gate(tt, flipped)(values, flipped, mask) == expected, (
+        hex(tt), k, flipped
+    )
+    assert eval_gate(values, tt, flipped, mask) == expected, (hex(tt), k, flipped)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -68,6 +73,11 @@ def test_sampled_four_input_tables():
 def test_evaluators_are_shared_per_function():
     assert gate_function(0xE8, 3) is gate_function(0xE8, 3)
     assert gate_function(0x6, 2) is not gate_function(0x6, 3)
+    # Bound per complement mask, not per edge: the variables do not matter.
+    assert bind_gate(0xE8, (2, 5, 6)) is bind_gate(0xE8, (8, 11, 12))
+    assert bind_gate(0xE8, (2, 4, 6)) is gate_function(0xE8, 3)
+    # MAJ(!a, b, c) is not MAJ(a, b, c).
+    assert bind_gate(0xE8, (3, 4, 6)) is not gate_function(0xE8, 3)
 
 
 def test_gate_graph_simulate_matches_reference(network_forge):
@@ -86,22 +96,28 @@ def test_gate_graph_simulate_matches_reference(network_forge):
 
 @pytest.mark.parametrize("kind", ["mig", "aig"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_interpreted_program_matches_compiled_kernel(network_forge, kind, seed):
+def test_interpreted_program_matches_kernel(network_forge, kind, seed):
     net = network_forge(kind=kind, gate_mix="mixed", num_pis=10, num_gates=120,
                         num_pos=6, seed=seed)
     rng = random.Random(seed)
     for num_bits in (1, 64, 200):
         patterns = [rng.getrandbits(num_bits) for _ in range(net.num_pis)]
         assert net.simulate_patterns_interpreted(patterns, num_bits) == (
-            net.compiled_kernel().simulate(patterns, num_bits)
+            net.sim_kernel().simulate(patterns, num_bits)
         )
 
 
 @pytest.mark.parametrize("kind", ["mig", "aig"])
 def test_cached_program_holds_no_tracked_objects(network_forge, kind):
+    """The cached kernel adds no per-gate object for the collector to track:
+    its program is integer tuples, its evaluators are shared functions."""
     net = network_forge(kind=kind, num_pis=8, num_gates=80, seed=5)
-    net.simulate_patterns_interpreted([1] * net.num_pis, 1)
+    net.simulate_patterns([1] * net.num_pis, 1)
     gc.collect()
-    program = net._sim_program
-    assert program and all(isinstance(entry, tuple) for entry in program)
-    assert not any(gc.is_tracked(entry) for entry in program)
+    kernel = net.__dict__["_codegen_kernel"]
+    gates = kernel.program.gates
+    assert gates and all(isinstance(entry, tuple) for entry in gates)
+    assert not any(gc.is_tracked(entry) for entry in gates)
+    arity = 3 if kind == "mig" else 2
+    assert len(kernel._functions) == len(gates)
+    assert len({id(fn) for fn in kernel._functions}) <= 1 << arity

@@ -380,3 +380,53 @@ class TestScopedSolve:
         with pytest.raises(ValueError):
             s.solve([a << 1], scope=[a, 9])
         assert s.solve([a << 1], scope=[a]) == SAT
+
+
+class TestEnsureVars:
+    """``ensure_vars(n)`` builds in bulk exactly what ``new_var`` calls build."""
+
+    FIELDS = ("_num_vars", "_value", "_watches", "_level", "_reason",
+              "_activity", "_phase", "_seen", "_heap")
+
+    @staticmethod
+    def _searched_solver(scoped):
+        # Random 3-SAT near the threshold: the search bumps activities, so
+        # the heap holds entries with non-zero scores in varied order.
+        rng = random.Random(8)
+        solver = SatSolver()
+        for _ in range(20):
+            solver.new_var()
+        for _ in range(80):
+            vs = rng.sample(range(20), 3)
+            solver.add_clause([(v << 1) | rng.randint(0, 1) for v in vs])
+        solver.solve(scope=range(20) if scoped else None)
+        assert solver.num_conflicts and any(solver._activity)
+        return solver
+
+    def _assert_same_state(self, bulk, single):
+        for field in self.FIELDS:
+            assert getattr(bulk, field) == getattr(single, field), field
+
+    @pytest.mark.parametrize("scoped", [False, True])
+    def test_matches_new_var_calls(self, scoped):
+        bulk, single = self._searched_solver(scoped), self._searched_solver(scoped)
+        self._assert_same_state(bulk, single)
+        bulk.ensure_vars(57)
+        for _ in range(37):
+            single.new_var()
+        self._assert_same_state(bulk, single)
+        # Both keep searching identically over the new variables.
+        for solver in (bulk, single):
+            solver.add_clause([40 << 1, 41 << 1, 3 << 1])
+        assumptions = [(40 << 1) | 1, 56 << 1]
+        assert bulk.solve(assumptions) == single.solve(assumptions)
+        self._assert_same_state(bulk, single)
+
+    def test_fresh_solver_and_no_op(self):
+        bulk, single = SatSolver(), SatSolver()
+        bulk.ensure_vars(9)
+        for _ in range(9):
+            single.new_var()
+        self._assert_same_state(bulk, single)
+        bulk.ensure_vars(4)  # already large enough: nothing changes
+        self._assert_same_state(bulk, single)
