@@ -11,15 +11,19 @@ Two obligations, measured end-to-end through the public
 2. **Refutations** — seeded single-gate mutants of a wide benchmark must
    be refuted with counterexamples that replay to a real PO mismatch
    through ``simulate_patterns`` (independently re-validated here, on top
-   of the checker's own internal validation).
+   of the checker's own internal validation).  One more mutant differs
+   from its base on a single minterm in 2^16 (``rare_difference_mutant``):
+   random simulation cannot separate it, so it must be refuted by the
+   SAT sweep's solver queries.
 
 Results are written as a JSON report (per-benchmark sizes, sweep
 statistics, runtimes; mutant outcome histogram) for the CI artifact
 upload, with the host (CPU count, Python version) and a fingerprint of
 every verdict: each proof's benchmark, method and optimized size and
-depth, and each mutant's seed, method and failing output.  Timings and
-solver counters stay out of it, so the fingerprint changes only when a
-verdict does.  ``BENCH_sat_cec.json`` at the repository root is a
+depth, each mutant's seed, method and failing output, and the
+rare-difference mutant's method and failing output.  Timings and solver
+counters stay out of it, so the fingerprint changes only when a verdict
+does.  ``BENCH_sat_cec.json`` at the repository root is a
 committed full-mode report.
 
 Smoke mode — what CI runs on every push — restricts the proof sweep to a
@@ -43,7 +47,7 @@ import sys
 import time
 
 from repro.bench_circuits import BENCHMARKS, build_benchmark
-from repro.core import Mig, mutate_network
+from repro.core import Mig, mutate_network, rare_difference_mutant
 from repro.flows.mighty import mighty_optimize
 from repro.parallel import parallel_map
 from repro.verify import check_equivalence
@@ -143,7 +147,9 @@ def refute_mutants(name, count, seed_base=0):
         methods[result.method] = methods.get(result.method, 0) + 1
         # The dispatch usually refutes mutants in the cheap random stage;
         # every 10th mutant is additionally pushed through the forced SAT
-        # backend so the solver's refutation path is exercised end-to-end.
+        # backend, which must refute it too.  The sweep refutes such
+        # mutants on its initial simulation patterns, before it encodes;
+        # refute_rare_difference covers the solver's refutation path.
         if refuted % 10 == 0:
             forced = check_equivalence(base, mutant, method="sat-sweep")
             if forced.equivalent or forced.counterexample is None:
@@ -163,6 +169,39 @@ def refute_mutants(name, count, seed_base=0):
     }
 
 
+def refute_rare_difference(name):
+    """Refute a mutant that differs from ``name`` on one minterm in 2^16.
+
+    The random stage of the dispatch and the sweep's initial patterns
+    miss that minterm, so the verdict must come from SAT queries.
+    """
+    base = build_benchmark(name, Mig)
+    mutant = rare_difference_mutant(base)
+    start = time.time()
+    result = check_equivalence(base, mutant, num_random_vectors=256)
+    elapsed = time.time() - start
+    if result.equivalent or result.method != "sat-sweep":
+        raise AssertionError(
+            f"{name}: rare-difference mutant not refuted by the SAT sweep "
+            f"(equivalent={result.equivalent}, method={result.method!r})"
+        )
+    if result.stats["sat_calls"] == 0:
+        raise AssertionError(f"{name}: rare-difference refutation made no SAT call")
+    patterns = [1 if bit else 0 for bit in result.counterexample]
+    index = result.failing_output
+    out_base = base.simulate_patterns(patterns, 1)
+    out_mut = mutant.simulate_patterns(patterns, 1)
+    if not (out_base[index] ^ out_mut[index]) & 1:
+        raise AssertionError(f"{name}: rare-difference counterexample does not replay")
+    return {
+        "benchmark": name,
+        "method": result.method,
+        "failing_output": index,
+        "sat_calls": result.stats["sat_calls"],
+        "cec_s": round(elapsed, 3),
+    }
+
+
 def verdict_fingerprint(report):
     """One digest over every proof verdict and the mutants' verdicts."""
     digest = hashlib.sha256()
@@ -171,6 +210,8 @@ def verdict_fingerprint(report):
             "benchmark", "method", "proved", "size_post", "depth_post",
         ))).encode())
     digest.update(report["mutants"]["fingerprint"].encode())
+    rare = report["rare_difference"]
+    digest.update(repr((rare["benchmark"], rare["method"], rare["failing_output"])).encode())
     return digest.hexdigest()
 
 
@@ -212,6 +253,7 @@ def main(argv=None):
         "workers": args.workers,
         "benchmarks": [],
         "mutants": None,
+        "rare_difference": None,
     }
     # The proof obligations shard per benchmark through parallel_map;
     # each worker proves its pairs end-to-end and the records come back
@@ -244,6 +286,13 @@ def main(argv=None):
         f"{MUTATION_BENCHMARK:10s} REFUTED {m['refuted']} mutants "
         f"({m['masked_mutations']} masked, methods {m['methods']}, "
         f"{m['runtime_s']}s)",
+        flush=True,
+    )
+    report["rare_difference"] = rare = refute_rare_difference(MUTATION_BENCHMARK)
+    print(
+        f"{MUTATION_BENCHMARK:10s} REFUTED rare-difference mutant by {rare['method']} "
+        f"(output {rare['failing_output']}, {rare['sat_calls']} SAT calls, "
+        f"{rare['cec_s']}s)",
         flush=True,
     )
     report["fingerprint"] = verdict_fingerprint(report)

@@ -18,6 +18,7 @@ from .rules import RESHAPE_RULES
 from .generation import (
     mutate_network,
     random_aoig_mig,
+    rare_difference_mutant,
     random_mig,
     random_network,
 )
@@ -43,4 +44,5 @@ __all__ = [
     "random_aoig_mig",
     "random_network",
     "mutate_network",
+    "rare_difference_mutant",
 ]

@@ -18,6 +18,7 @@ __all__ = [
     "random_aoig_mig",
     "random_network",
     "mutate_network",
+    "rare_difference_mutant",
     "rebuild_shuffled",
 ]
 
@@ -302,3 +303,24 @@ def mutate_network(network, seed: int = 1, in_place: bool = False):
     # All rewire attempts hit cycles: fall back to a PO polarity fault.
     mutant.set_po(0, negate(mutant.po_signals()[0]))
     return mutant, {"kind": "negate_po", "po": 0}
+
+
+def rare_difference_mutant(network, po: int = 0, width: int = 16):
+    """Copy of ``network`` whose PO ``po`` is XORed with the AND of its
+    first ``width`` primary inputs.
+
+    The mutant differs from ``network`` on exactly one input minterm in
+    ``2**width``, so random simulation almost never separates the pair:
+    a refutation has to come from a complete engine.  The differential
+    tests and the SAT-CEC acceptance harness use it to keep the SAT
+    sweep's refutation path exercised.
+    """
+    if network.num_pis < width:
+        raise ValueError(f"need at least {width} PIs, got {network.num_pis}")
+    mutant = network.copy()
+    pis = mutant.pi_signals()
+    conjunction = pis[0]
+    for signal in pis[1:width]:
+        conjunction = mutant.and_(conjunction, signal)
+    mutant.set_po(po, mutant.xor_(mutant.po_signals()[po], conjunction))
+    return mutant

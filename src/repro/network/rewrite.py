@@ -48,8 +48,12 @@ taken at sweep start (a move off the critical path buys no depth, so it
 must spend no nodes); every entry of the class's top-k list (the (size,
 depth) Pareto front from :func:`~repro.network.npn.get_structures`) is
 costed and the shallowest replacement that adds no more nodes than the
-cone frees wins.  Area sweeps visit every node and use the size-best
-entry only.
+cone frees wins.  A cut whose table depends on two or more leaves, one
+of them at the level bound or deeper, is skipped before its NPN lookup,
+MFFC walk and dry runs: every structure over it lies above that leaf, so
+none could pass the level filter (``tests/network/test_depth_bound.py``
+costs the skipped cuts anyway and checks this).  Area sweeps visit every
+node and use the size-best entry only.
 
 Cut enumeration goes through the network's shared
 :class:`~repro.network.cuts.CutManager` by default, so interleaved sweeps
@@ -181,6 +185,8 @@ def cut_rewrite(
                     break
             if dead_leaf:
                 continue
+            if depth_mode and _support_too_deep(level, root, leaves, cut.table, max_level_growth):
+                continue  # every structure over the cut misses the level bound
             canonical, transform = npn_canonical(extend_table(cut.table, len(leaves)))
             entries = get_structures(kind, canonical)
             if not depth_mode:
@@ -262,6 +268,35 @@ def cut_rewrite(
 
 #: ``_PROJECTIONS[n][i]``: the table of leaf ``i`` over ``n`` leaves.
 _PROJECTIONS = ((), (0b10,), (0b1010, 0b1100), (0xAA, 0xCC, 0xF0))
+
+#: ``_LEAF_OFF[n][i]``: the minterms of an ``n``-leaf table where leaf ``i`` is 0.
+_LEAF_OFF = tuple(
+    tuple(
+        sum(1 << m for m in range(1 << n) if not m >> i & 1) for i in range(n)
+    )
+    for n in range(_CUT_SIZE + 1)
+)
+
+
+def _support_too_deep(level, root, leaves, table, max_level_growth) -> bool:
+    """True when no structure over the cut can meet the depth-mode bound.
+
+    A move must reach ``level[root] + max_level_growth`` or lower.  When
+    ``table`` depends on two or more leaves, any structure computing it
+    is a gate with a path from each of them, so it sits at least one
+    level above each; one such leaf at the bound or deeper rules every
+    structure out.  A table of one leaf may be that leaf itself, so it
+    is never ruled out.
+    """
+    bound = level[root] + max_level_growth
+    support = 0
+    deep = False
+    for i, off in enumerate(_LEAF_OFF[len(leaves)]):
+        if (table ^ table >> (1 << i)) & off:
+            support += 1
+            if level[leaves[i]] >= bound:
+                deep = True
+    return deep and support >= 2
 
 
 def _fanin_cut(net, fanins: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:

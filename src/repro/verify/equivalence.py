@@ -35,6 +35,10 @@ The automatic dispatch (``method="auto"``) runs, in order:
    proof.  If the SAT budget was exhausted the random verdict comes back
    uncertified; a caller may then run ``method="bdd"``.
 
+``sat-sweep``, auto-dispatched or explicit, itself refutes on its initial
+random patterns before it encodes anything: a pair whose outputs differ
+there costs two simulations, no CNF and no SAT call.
+
 Every backend that reports inequivalence returns a *replayable*
 counterexample, and every counterexample is validated by a one-vector
 simulation of both networks before it is returned — a bug in a proof

@@ -2,9 +2,15 @@
 
 The classical FRAIG recipe (Mishchenko et al.) as a pure-python engine
 over the :mod:`repro.verify.cnf` gate graph and the
-:mod:`repro.verify.sat` CDCL solver.  Both networks are encoded — in
-topological order, over shared primary-input variables — through one
-*proving* gate constructor:
+:mod:`repro.verify.sat` CDCL solver.  As in ABC's ``cec``, simulation
+refutes what it can before any SAT work starts: both networks are first
+simulated on the sweep's initial random patterns (through their cached
+``simulate_patterns`` kernels), and the first primary-output pair that
+differs there is refuted at once, with the primary-input values at its
+lowest differing bit as the counterexample — nothing is encoded and the
+solver is never called.  Pairs that agree on every initial pattern are
+encoded — in topological order, over shared primary-input variables —
+through one *proving* gate constructor:
 
 1. Every gate is first **strashed** against everything encoded so far;
    structure shared between (or within) the two sides never even reaches
@@ -426,7 +432,12 @@ def sat_sweep(
 ) -> SweepOutcome:
     """Decide equivalence of ``first`` and ``second`` by SAT sweeping.
 
-    Complete up to ``output_conflict_budget``: every primary-output pair
+    The first step simulates both networks on the initial random
+    patterns and returns ``inequivalent`` at the first primary-output
+    pair that differs on them, before any gate is encoded (its ``stats``
+    carry every key of a full sweep, with no gate encoded or loaded and
+    no SAT call made).  Otherwise the sweep is complete up to
+    ``output_conflict_budget``: every primary-output pair
     is either merged during encoding, proved by a final SAT call, refuted
     with a counterexample, or — only if that final call blows its budget —
     reported as ``status="unknown"``.  Internal merge queries are budgeted
@@ -457,19 +468,12 @@ def sat_sweep(
         probe_flush_bits,
     )
     graph = sweeper.graph
-    pos_first = encode_network(graph, first, add_gate=sweeper.add_gate)
-    pos_second = encode_network(graph, second, add_gate=sweeper.add_gate)
-    # Patterns queued by the last candidate lookups must reach the
-    # signatures before the simulated-mismatch scan below can trust them.
-    sweeper.flush_refinements()
-
     stats = sweeper.stats
-    stats["gates"] = len(graph.gates)
-    stats["vars"] = graph.num_vars
-    stats["patterns"] = sweeper.num_bits
 
     def finish(outcome: SweepOutcome) -> SweepOutcome:
         solver = sweeper.solver
+        stats["gates"] = len(graph.gates)
+        stats["vars"] = graph.num_vars
         stats["conflicts"] = solver.num_conflicts
         stats["decisions"] = solver.num_decisions
         stats["propagations"] = solver.num_propagations
@@ -478,18 +482,43 @@ def sat_sweep(
         outcome.stats = stats
         return outcome
 
+    def mismatch(outputs_first, outputs_second) -> Optional[SweepOutcome]:
+        """Refutation from the first PO pair that differs on the patterns."""
+        for index, (a, b) in enumerate(zip(outputs_first, outputs_second)):
+            diff = a ^ b
+            if diff:
+                bit = (diff & -diff).bit_length() - 1
+                counterexample = [
+                    bool((pattern >> bit) & 1) for pattern in sweeper.pi_patterns
+                ]
+                return finish(SweepOutcome(INEQUIVALENT, counterexample, index))
+        return None
+
+    # Most inequivalent pairs already differ on the initial patterns:
+    # refute them before encoding anything.
+    num_bits = sweeper.num_bits
+    refuted = mismatch(
+        first.simulate_patterns(sweeper.pi_patterns, num_bits),
+        second.simulate_patterns(sweeper.pi_patterns, num_bits),
+    )
+    if refuted is not None:
+        return refuted
+
+    pos_first = encode_network(graph, first, add_gate=sweeper.add_gate)
+    pos_second = encode_network(graph, second, add_gate=sweeper.add_gate)
+    # Patterns queued by the last candidate lookups must reach the
+    # signatures before the simulated-mismatch scan below can trust them.
+    sweeper.flush_refinements()
+
     # Simulated mismatches on the accumulated patterns are counterexamples.
     mask = sweeper.mask
     values = sweeper.values
-    for index, (a, b) in enumerate(zip(pos_first, pos_second)):
-        diff = graph.lit_value(values, a, mask) ^ graph.lit_value(values, b, mask)
-        if diff:
-            bit = (diff & -diff).bit_length() - 1
-            counterexample = [
-                bool((sweeper.pi_patterns[i] >> bit) & 1)
-                for i in range(graph.num_pis)
-            ]
-            return finish(SweepOutcome(INEQUIVALENT, counterexample, index))
+    refuted = mismatch(
+        (graph.lit_value(values, a, mask) for a in pos_first),
+        (graph.lit_value(values, b, mask) for b in pos_second),
+    )
+    if refuted is not None:
+        return refuted
 
     # Final, complete decision per unmerged primary-output pair.
     unknown = False

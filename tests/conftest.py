@@ -15,12 +15,18 @@ combine with ``hypothesis.given``.
     ``mutate(network, seed)`` — a copy of ``network`` with one seeded
     single-gate fault injected (complemented PO, complemented fanin edge,
     or rewired fanin); returns ``(mutant, description)``.
+
+``rare_mutant_forge``
+    ``rare(network, po=0, width=16)`` — a copy of ``network`` whose PO
+    ``po`` is XORed with the AND of its first ``width`` primary inputs:
+    the pair differs on one minterm in ``2**width``, so random patterns
+    almost never separate it and a refutation has to come from SAT.
 """
 
 import pytest
 
 from repro.aig.aig import Aig
-from repro.core import Mig, mutate_network, random_network
+from repro.core import Mig, mutate_network, random_network, rare_difference_mutant
 
 _NETWORK_CLASSES = {"mig": Mig, "aig": Aig}
 
@@ -62,3 +68,10 @@ def network_forge():
 def mutant_forge():
     """Factory fixture: seeded single-gate mutants for refutation tests."""
     return mutate_network
+
+
+@pytest.fixture(scope="session")
+def rare_mutant_forge():
+    """Factory fixture: mutants that differ from their base on one minterm
+    in ``2**width`` (for refutations random patterns cannot find)."""
+    return rare_difference_mutant

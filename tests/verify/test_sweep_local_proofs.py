@@ -175,10 +175,12 @@ def test_sweep_without_sat_holds_only_the_constant_unit_clause():
     assert not any(solver._watches)
 
 
-def test_mutant_sweep_loads_a_fraction_of_the_gates(network_forge):
-    base = network_forge(kind="mig", gate_mix="mixed", num_pis=12,
+def test_mutant_sweep_loads_a_fraction_of_the_gates(network_forge, rare_mutant_forge):
+    # The mutant differs on one minterm in 2**16, so the sweep's initial
+    # patterns do not refute it and the verdict comes from SAT queries.
+    base = network_forge(kind="mig", gate_mix="mixed", num_pis=20,
                          num_gates=300, num_pos=8, seed=3)
-    mutant, _ = mutate_network(base, seed=5)
+    mutant = rare_mutant_forge(base)
     outcome = sat_sweep(base, mutant)
     assert outcome.stats["sat_calls"] > 0, outcome.stats
     assert 0 < outcome.stats["loaded_gates"] < outcome.stats["gates"], outcome.stats
