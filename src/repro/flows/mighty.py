@@ -26,6 +26,13 @@ rounds run is the ``mighty_round`` record's ``details["rounds"]``.
 Balancing commits its rebuilt candidate only when it *strictly* improves
 the ``(depth, size)`` order; a candidate that merely ties no longer
 replaces the network (which used to cost a full copy for zero gain).
+
+:func:`mighty_optimize` detaches the cut managers its rewrite passes
+attached (:func:`~repro.network.cuts.release_cut_state`) before it
+returns.  A manager and its network reference each other, so an attached
+manager would keep the optimized network's per-node cut cache alive for
+the network's whole lifetime and leave both to the cyclic garbage
+collector; detached, they are freed by reference counting.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from typing import List, Sequence
 
 from ..core.mig import Mig
 from ..core.rules import RESHAPE_RULES, check_rule_names
+from ..network.cuts import release_cut_state
 from .engine import (
     Balance,
     DepthOpt,
@@ -127,11 +135,15 @@ def mighty_optimize(
 
     With ``verify`` (see :func:`mighty_pipeline`) the run self-certifies:
     every top-level pass is equivalence-checked against its input network.
+    The optimized ``mig`` comes back with no cut manager attached (module
+    docstring).
     """
-    return mighty_pipeline(
+    result = mighty_pipeline(
         rounds=rounds,
         depth_effort=depth_effort,
         reshape_rules=reshape_rules,
         boolean_rewrite=boolean_rewrite,
         verify=verify,
     ).run(mig)
+    release_cut_state(mig)
+    return result

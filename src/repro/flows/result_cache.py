@@ -133,7 +133,11 @@ def decode_network(data: dict):
         net._pi_names.append(str(name))
     for node, fanins in data["gates"]:
         fanins = tuple(int(f) for f in fanins)
-        if len(fanins) != arity or any(f < 0 or dead[f >> 1] for f in fanins):
+        if (
+            len(fanins) != arity
+            or len({f >> 1 for f in fanins}) != arity
+            or any(f < 0 or dead[f >> 1] for f in fanins)
+        ):
             raise ValueError(f"gate {node}: bad fanins {fanins}")
         node = claim(node)
         net._fanins[node] = fanins
@@ -141,7 +145,7 @@ def decode_network(data: dict):
         net._num_gates += 1
         for f in fanins:
             net._ref[f >> 1] += 1
-            net._fanouts[f >> 1].add(node)
+            net._fanout_add(f >> 1, node)
         net._level[node] = 1 + max(net._level[f >> 1] for f in fanins)
     for signal, name in data["pos"]:
         net.add_po(int(signal), str(name))

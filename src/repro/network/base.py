@@ -5,7 +5,12 @@
 nodes) have in common:
 
 * dense node storage with reference counting, fanout tracking and
-  dead-node reclamation;
+  dead-node reclamation.  ``_fanouts[n]`` is ``None`` when no live gate
+  references ``n`` (so dead and fresh slots allocate nothing) and
+  otherwise a duplicate-free list of the referencing gates in insertion
+  order, which is also the order every fanout walk visits them.  The
+  constant node's fanouts are never stored: its level never moves and it
+  is never substituted, so nothing would read them;
 * structural hashing of gate fanin tuples;
 * in-place substitution with automatic cascade propagation (strashing
   hits and gate-level simplifications in the fanout re-applied until a
@@ -134,11 +139,14 @@ class LogicNetwork:
 
     def __init__(self) -> None:
         # Per-node storage.  ``_fanins[n]`` is a tuple of fanin signals for
-        # gates and ``None`` for the constant node and PIs.
+        # gates and ``None`` for the constant node and PIs.  ``_fanouts[n]``
+        # lists the live gates referencing ``n`` (insertion order, no
+        # duplicates) or is ``None`` when there are none; the constant's
+        # entry stays ``None`` (module docstring).
         self._fanins: List[Optional[Tuple[int, ...]]] = [None]
         self._dead: List[bool] = [False]
         self._ref: List[int] = [0]
-        self._fanouts: List[set] = [set()]
+        self._fanouts: List[Optional[List[int]]] = [None]
 
         self._pis: List[int] = []
         self._pi_names: List[str] = []
@@ -289,7 +297,15 @@ class LogicNetwork:
         for f in fanins:
             fn = f >> 1
             ref[fn] += 1
-            fanouts[fn].add(node)
+            # :meth:`_fanout_add`, inlined on the builders' hot path.  Fanin
+            # nodes of a gate are distinct (the builders fold repeats), so
+            # each lists the new node once.
+            if fn:
+                listed = fanouts[fn]
+                if listed is None:
+                    fanouts[fn] = [node]
+                else:
+                    listed.append(node)
             if level[fn] > top:
                 top = level[fn]
         level[node] = top + 1
@@ -381,10 +397,6 @@ class LogicNetwork:
         if fanins is None:
             raise ValueError(f"node {node} is not a {self.GATE_KIND} node")
         return fanins
-
-    def fanout_nodes(self, node: int) -> List[int]:
-        """Return the live gate nodes that reference ``node`` as a fanin."""
-        return [n for n in self._fanouts[node] if not self._dead[n]]
 
     def fanout_size(self, node: int) -> int:
         """Number of references (fanin edges plus primary outputs)."""
@@ -577,13 +589,12 @@ class LogicNetwork:
             return
         level[seed] = top
         fanouts = self._fanouts
-        dead = self._dead
         stack = [seed]
         while stack:
             node = stack.pop()
             lifted = level[node] + 1
-            for parent in fanouts[node]:
-                if level[parent] < lifted and not dead[parent]:
+            for parent in fanouts[node] or ():
+                if level[parent] < lifted:
                     level[parent] = lifted
                     stack.append(parent)
 
@@ -619,8 +630,8 @@ class LogicNetwork:
             if top < was:
                 level[node] = top
                 was += 1
-                for parent in fanouts[node]:
-                    if level[parent] == was and parent not in queued and not dead[parent]:
+                for parent in fanouts[node] or ():
+                    if level[parent] == was and parent not in queued:
                         queued.add(parent)
                         heappush(heap, (was, parent))
         falls.clear()
@@ -757,9 +768,14 @@ class LogicNetwork:
         the fanout nodes) are propagated automatically.  Returns ``False``
         (and does nothing) if the substitution would create a cycle, i.e.
         if ``old_node`` lies in the transitive fanin of ``new_signal``.
+        Raises ``ValueError`` when ``old_node`` is the constant node and
+        ``new_signal`` is not a constant.
         """
-        if old_node == CONST_NODE and new_signal in (CONST_FALSE, CONST_TRUE):
-            return True
+        if old_node == CONST_NODE:
+            if new_signal in (CONST_FALSE, CONST_TRUE):
+                return True
+            # The constant's fanouts are not stored (module docstring).
+            raise ValueError("the constant node cannot be substituted")
         if node_of(new_signal) == old_node:
             return True
         if self._in_tfi(old_node, node_of(new_signal)):
@@ -793,17 +809,11 @@ class LogicNetwork:
                         del self._po_refs[old]
                         self._po_refs[new_node] = self._po_refs.get(new_node, 0) + moved
                         self._mutation_serial += 1
-                # Redirect fanouts.
-                for parent in list(self._fanouts[old]):
-                    if self._dead[parent]:
-                        self._fanouts[old].discard(parent)
-                        continue
-                    for f in self._fanins[parent]:
-                        if f >> 1 == old:
-                            break
-                    else:
-                        self._fanouts[old].discard(parent)
-                        continue
+                # Redirect fanouts.  Each in-place retarget drops its parent
+                # from the live list, hence the snapshot.  No parent dies
+                # during the walk: a retarget releases only ``old``, whose
+                # cascade runs down its fanin cone, never up to a parent.
+                for parent in list(self._fanouts[old] or ()):
                     collapse = self._replace_in_node(parent, old, new)
                     if collapse is not None and node_of(collapse) != old:
                         enqueue(parent, collapse)
@@ -858,20 +868,23 @@ class LogicNetwork:
 
         New references are added *before* old ones are released so that a
         node shared between the two tuples (directly or through a dying
-        fanin's cone) can never be reclaimed transiently.
+        fanin's cone) can never be reclaimed transiently.  ``parent`` is
+        already listed among the fanouts of every kept fanin, so only the
+        fanins it gains list it and only the fanins it loses drop it.
         """
-        new_nodes = [node_of(f) for f in new_fanins]
+        ref = self._ref
+        old_nodes = [f >> 1 for f in old_fanins]
+        new_nodes = [f >> 1 for f in new_fanins]
         for fn in new_nodes:
-            self._ref[fn] += 1
-            self._fanouts[fn].add(parent)
+            ref[fn] += 1
+            if fn not in old_nodes:
+                self._fanout_add(fn, parent)
         self._fanins[parent] = new_fanins
-        new_set = set(new_nodes)
-        for f in old_fanins:
-            fn = node_of(f)
-            self._ref[fn] -= 1
-            if fn not in new_set:
-                self._fanouts[fn].discard(parent)
-            if self._ref[fn] == 0 and self.is_gate(fn) and not self._dead[fn]:
+        for fn in old_nodes:
+            ref[fn] -= 1
+            if fn not in new_nodes:
+                self._fanout_discard(fn, parent)
+            if ref[fn] == 0 and self.is_gate(fn) and not self._dead[fn]:
                 self._take_out(fn)
         self._mutation_serial += 1
         if self._mutation_listeners:
@@ -930,15 +943,28 @@ class LogicNetwork:
         a root cascades through its cone via :meth:`_take_out`, so a node's
         reference count can only drop to zero while one of its (transitive)
         fanouts is being taken out — never behind the scan.
+
+        The fanout lists are repaired once, after the scan: the take-outs
+        only record the fanins they release, and each recorded list is then
+        filtered of its dead parents in one pass (same survivors, same
+        order).  Removing the parents one by one would cost a list scan per
+        removal, quadratic on the high-fanout primary inputs of a wide
+        network.
         """
         removed = 0
         fanins = self._fanins
         dead = self._dead
         ref = self._ref
+        released: set = set()
         for node in range(1, len(fanins)):
             if fanins[node] is not None and not dead[node] and ref[node] == 0:
-                self._take_out(node)
+                self._take_out(node, released)
                 removed += 1
+        fanouts = self._fanouts
+        for fn in released:
+            listed = fanouts[fn]
+            if listed is not None:  # None: the constant, or taken out itself
+                fanouts[fn] = [parent for parent in listed if not dead[parent]] or None
         return removed
 
     # ------------------------------------------------------------------ #
@@ -1030,11 +1056,14 @@ class LogicNetwork:
         """Validate internal invariants; raises ``AssertionError`` on corruption.
 
         Intended for tests and debugging: checks that live nodes only point
-        at live nodes, that reference counts match the actual number of
-        fanin/PO references, that fanout sets are consistent, that the
-        level labels satisfy the kernel invariant (strictly topological,
-        every live gate tight or pending) and that, once settled, the level
-        of every live gate equals one plus the maximum level of its fanins.
+        at live nodes, each gate at distinct fanin nodes, that reference
+        counts match the actual number of fanin/PO references, that the
+        fanout lists are exact (every entry ``None`` or a non-empty,
+        duplicate-free list of exactly the live gates referencing the node;
+        ``None`` for dead slots and the constant), that the level labels
+        satisfy the kernel invariant (strictly topological, every live gate
+        tight or pending) and that, once settled, the level of every live
+        gate equals one plus the maximum level of its fanins.
         """
         level = self._level
         for node in range(len(self._fanins)):
@@ -1046,22 +1075,40 @@ class LogicNetwork:
             ), f"node {node}: level label {level[node]} breaks the invariant ({top})"
         self._settle_levels()
         expected_refs = [0] * len(self._fanins)
+        expected_fanouts: List[List[int]] = [[] for _ in self._fanins]
         for node in range(len(self._fanins)):
             if self._dead[node] or self._fanins[node] is None:
                 continue
-            for f in self._fanins[node]:
-                fn = node_of(f)
+            fanin_nodes = [node_of(f) for f in self._fanins[node]]
+            assert len(set(fanin_nodes)) == len(fanin_nodes), (
+                f"gate {node} repeats a fanin node: {fanin_nodes}"
+            )
+            for fn in fanin_nodes:
                 assert not self._dead[fn], (
                     f"live node {node} has dead fanin node {fn}"
                 )
                 expected_refs[fn] += 1
-                assert node in self._fanouts[fn], (
-                    f"fanout set of {fn} misses parent {node}"
-                )
-            expected_level = 1 + max(level[node_of(f)] for f in self._fanins[node])
+                if fn != CONST_NODE:
+                    expected_fanouts[fn].append(node)
+            expected_level = 1 + max(level[fn] for fn in fanin_nodes)
             assert level[node] == expected_level, (
                 f"node {node}: cached level {level[node]} != expected "
                 f"{expected_level}"
+            )
+        assert len(self._fanouts) == len(self._fanins), "fanout storage length"
+        for node, listed in enumerate(self._fanouts):
+            expected = expected_fanouts[node]
+            if listed is None:
+                assert not expected, f"fanouts of {node} miss parents {expected}"
+                continue
+            assert type(listed) is list and listed, (
+                f"fanouts of {node} stored as {listed!r}, not None or a non-empty list"
+            )
+            assert len(set(listed)) == len(listed), (
+                f"fanouts of {node} repeat a parent: {listed}"
+            )
+            assert sorted(listed) == expected, (
+                f"fanouts of {node} are {sorted(listed)}, live parents {expected}"
             )
         expected_po_refs: Dict[int, int] = {}
         for po in self._pos:
@@ -1089,7 +1136,7 @@ class LogicNetwork:
         self._fanins.append(fanins)
         self._dead.append(False)
         self._ref.append(0)
-        self._fanouts.append(set())
+        self._fanouts.append(None)
         self._level.append(0)
         return node
 
@@ -1105,27 +1152,33 @@ class LogicNetwork:
         if self._ref[node] == 0 and self.is_gate(node) and not self._dead[node]:
             self._take_out(node)
 
-    def _take_out(self, node: int) -> None:
+    def _take_out(self, node: int, released: Optional[set] = None) -> None:
         """Remove a dead gate node and release its fanins, cascading.
 
         Depth-first with an explicit stack holding the path from ``node``
         to the fanin being released, so deep chains cannot overflow the
         interpreter stack: each fanin whose reference count drops to zero
-        is taken out in full before the next fanin is released.
+        is taken out in full before the next fanin is released.  With a
+        ``released`` set, the released fanins are added to it instead of
+        dropping their dead parent, and the caller repairs their fanout
+        lists (:meth:`cleanup`).
         """
         fanins = self._fanins
         dead = self._dead
         if dead[node] or fanins[node] is None:
             return
         ref = self._ref
-        fanouts = self._fanouts
+        fanout_discard = self._fanout_discard
         self._kill(node)
         stack = [(node, iter(fanins[node]))]
         while stack:
             current, pending = stack[-1]
             for f in pending:
                 fn = f >> 1
-                fanouts[fn].discard(current)
+                if released is None:
+                    fanout_discard(fn, current)
+                else:
+                    released.add(fn)
                 ref[fn] -= 1
                 if ref[fn] == 0 and fanins[fn] is not None and not dead[fn]:
                     self._kill(fn)
@@ -1133,7 +1186,29 @@ class LogicNetwork:
                     break
             else:
                 stack.pop()
-                fanouts[current] = set()
+                self._fanouts[current] = None
+
+    def _fanout_add(self, node: int, parent: int) -> None:
+        """List ``parent`` among the fanouts of ``node`` (which does not yet
+        list it); the constant's fanouts are not stored."""
+        if node:
+            listed = self._fanouts[node]
+            if listed is None:
+                self._fanouts[node] = [parent]
+            else:
+                listed.append(parent)
+
+    def _fanout_discard(self, node: int, parent: int) -> None:
+        """Drop ``parent`` from the fanouts of ``node`` (which lists it).
+
+        An emptied list goes back to ``None``; the constant has no list.
+        """
+        if node:
+            listed = self._fanouts[node]
+            if len(listed) == 1:
+                self._fanouts[node] = None
+            else:
+                listed.remove(parent)
 
     def _kill(self, node: int) -> None:
         """Mark ``node`` dead and drop it from the structural hash table."""

@@ -343,6 +343,15 @@ class CutManager:
     records there, per sweep parameterisation, the mutation serial at
     which a sweep applied nothing); it is cleared whenever the network is
     wholesale-replaced.
+
+    A manager and its network reference each other (``self.net`` one way;
+    the ``_cut_managers`` registry and the listener list the other), so an
+    attached manager keeps its whole per-node cut cache alive for as long
+    as the network lives, and the pair can only be freed by the cyclic
+    garbage collector.  Whoever ends a network's sweeping detaches its
+    managers (:meth:`detach`, :func:`release_cut_state`):
+    :func:`repro.flows.mighty.mighty_optimize` and the rebuild-style AIG
+    ``rewrite``/``refactor`` wrappers do so before they return.
     """
 
     def __init__(self, net, k: int = 4, cut_limit: int = 8) -> None:
@@ -440,7 +449,6 @@ class CutManager:
         dirty = self._dirty
         fanins_store = net._fanins
         fanouts = net._fanouts
-        dead = net._dead
         k, cut_limit = self.k, self.cut_limit
         recomputed = reused = 0
         for node in net._topology():
@@ -453,9 +461,7 @@ class CutManager:
                 if old is None or not _cut_lists_equal(old, new):
                     # Propagate: fanouts later in the order pick the mark
                     # up this sweep; unreachable fanouts keep it pending.
-                    for parent in fanouts[node]:
-                        if not dead[parent]:
-                            dirty.add(parent)
+                    dirty.update(fanouts[node] or ())
             else:
                 reused += 1
         stats["nodes_recomputed"] += recomputed
@@ -466,10 +472,14 @@ class CutManager:
 def release_cut_state(net) -> None:
     """Detach every cut manager from ``net``.
 
-    For callers that know the network will not be swept again — the
-    rebuild-style AIG ``rewrite``/``refactor`` wrappers release the copy
-    they hand back, so one-shot results do not pin a full per-node cut
-    cache and a mutation listener for their remaining lifetime.
+    For callers that know the network will not be swept again:
+    :func:`repro.flows.mighty.mighty_optimize` releases the network it
+    optimized and the rebuild-style AIG ``rewrite``/``refactor`` wrappers
+    the copy they hand back.  Detaching breaks the manager↔network
+    reference cycle (see :class:`CutManager`), so a finished result pins
+    no per-node cut cache or mutation listener, and it is freed by
+    reference counting as soon as its last user drops it.  A later sweep
+    simply attaches a fresh manager.
     """
     managers = net.__dict__.get("_cut_managers")
     if managers:

@@ -252,6 +252,16 @@ class TestLoadRunsNoCode:
         assert decoded.num_gates == optimized.num_gates
         assert decoded.depth() == optimized.depth()
 
+    def test_decoder_rejects_a_gate_repeating_a_fanin_node(self, network_forge):
+        """The kernel lists each parent once per fanin node, which holds
+        only for gates over distinct nodes (the builders fold repeats)."""
+        net = network_forge(kind="mig", gate_mix="mixed", seed=7, num_gates=40)
+        data = result_cache.encode_network(net)
+        node, (a, b, c) = data["gates"][-1]
+        data["gates"][-1] = [node, [a, a ^ 1, c]]
+        with pytest.raises(ValueError):
+            result_cache.decode_network(data)
+
 
 class TestStaleEntries:
     def test_code_change_retires_entries(self, tmp_path, network_forge, monkeypatch):

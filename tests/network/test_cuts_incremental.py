@@ -10,6 +10,9 @@ both MIG and AIG forges, and additionally prove the incremental rewrite
 path bit-identical to the from-scratch one.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.aig.rewrite import rewrite_aig_inplace
@@ -178,6 +181,34 @@ def test_rebuild_wrappers_release_cut_state(network_forge):
         assert not result.__dict__.get("_cut_managers")
         assert "_dry_probe_cache" not in result.__dict__
         assert not result._mutation_listeners
+
+
+@pytest.mark.parametrize("boolean_rewrite", [True, False])
+def test_mighty_optimize_releases_cut_state(network_forge, boolean_rewrite):
+    """A finished MIGhty run leaves no cut manager or listener behind."""
+    from repro.flows import mighty_optimize
+
+    mig = network_forge(kind="mig", gate_mix="mixed", num_pis=8, num_gates=120, seed=73)
+    mighty_optimize(mig, rounds=2, depth_effort=1, boolean_rewrite=boolean_rewrite)
+    assert not mig.__dict__.get("_cut_managers")
+    assert not mig._mutation_listeners
+
+
+def test_optimized_network_is_freed_by_reference_counting(network_forge):
+    """With the cyclic collector off, dropping the last reference to an
+    optimized network frees it at once: nothing forms a cycle with it."""
+    from repro.flows import mighty_optimize
+
+    mig = network_forge(kind="mig", gate_mix="mixed", num_pis=8, num_gates=120, seed=74)
+    gc.collect()
+    gc.disable()
+    try:
+        mighty_optimize(mig, rounds=1, depth_effort=1)
+        ref = weakref.ref(mig)
+        del mig
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_for_network_shares_and_detach_releases(network_forge):
