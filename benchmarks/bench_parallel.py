@@ -6,8 +6,8 @@ workload with **bit-identical results asserted** (the determinism
 contract of :mod:`repro.parallel` — same sizes, depths, node-level
 structural fingerprints and CEC verdicts):
 
-1. **Table I optimization sweep** (the budget lane): the full
-   three-flow-per-benchmark experiment — one
+1. **Table I sweep** (the budget lane): the full Table I experiment,
+   both halves — one
    :func:`repro.parallel.corpus.optimization_row` task per benchmark,
    each row carrying structural fingerprints of the optimized networks
    and (with ``--verify``, the default) the CEC verdict of the MIG flow.
@@ -61,11 +61,7 @@ SMOKE_FLOOR = 1.2
 
 def bench_table1_sweep(names, workers, rounds, verify):
     """Lane 1: serial vs sharded Table I optimization sweep."""
-    kwargs = {
-        "rounds": rounds,
-        "include_bdd": True,
-        "verify": verify,
-    }
+    kwargs = {"rounds": rounds, "verify": verify}
     t0 = time.perf_counter()
     serial_rows = []
     serial_times = []

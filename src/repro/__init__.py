@@ -14,7 +14,10 @@ Public API highlights
 * :mod:`repro.aig`, :mod:`repro.bdd` — the AIG (ABC-style) and decomposed-BDD
   (BDS-style) baselines.
 * :mod:`repro.mapping` — the 22-nm-class standard-cell library and mapper.
-* :mod:`repro.flows` — the Table I / Fig. 3 / Fig. 4 experiment flows.
+* :mod:`repro.flows` — the flow engine, the MIGhty flow and the Table I
+  experiment (:func:`repro.flows.run_table1`, one row per benchmark that
+  feeds Table I and Figs. 3-4); ``benchmarks/reproduce_paper.py`` runs it
+  and commits the results as ``BENCH_table1.json``.
 * :mod:`repro.bench_circuits` — the synthetic MCNC-like benchmark suite.
 """
 

@@ -1,4 +1,4 @@
-"""Synthetic MCNC-like benchmark circuit generators (see DESIGN.md).
+"""Synthetic MCNC-like benchmark circuit generators.
 
 :mod:`~repro.bench_circuits.suite` holds the Table I suite;
 :mod:`~repro.bench_circuits.generator` holds the scalable 10^4–10^6 node

@@ -1,9 +1,9 @@
 """The synthetic MCNC-like benchmark suite used by the experiment harness.
 
 The paper evaluates on the largest circuits of the MCNC suite.  That suite
-is not redistributable here, so (as documented in DESIGN.md) each benchmark
-is replaced by a deterministic generator with the *same name*, the *same
-primary input / output counts* and a functionally representative structure
+is not redistributable here, so each benchmark is replaced by a
+deterministic generator with the *same name*, the *same primary input /
+output counts* and a functionally representative structure
 (error-correcting logic, array multiplier, adders, ALUs, counters, key
 mixing, PLA-style random logic, wide control logic).  This preserves the
 comparative shape of Table I: the flows all optimize exactly the same

@@ -4,9 +4,10 @@
 composable passes with per-pass size/depth/runtime metrics, reported
 in one ``FlowResult`` per flow run);
 :mod:`repro.flows.mighty` declares the paper's MIGhty flow on top of it;
-:mod:`repro.flows.optimize` and :mod:`repro.flows.synthesis` run the
-Table I experiments; :mod:`repro.flows.report` formats the tables and
-serialises the per-pass metrics for the benchmark harness.
+:mod:`repro.flows.table1` runs the Table I experiment, one row per
+benchmark that optimizes each flow's network once, measures it (top half,
+Fig. 3) and maps it (bottom half, Fig. 4); :mod:`repro.flows.report`
+renders and serialises the per-pass metrics.
 :mod:`repro.flows.batch` shards whole-network flows over a corpus
 (``optimize_many``, with the result cache of
 :mod:`repro.flows.result_cache` behind ``cache_dir=``).
@@ -42,32 +43,13 @@ from .batch import (
     optimize_many,
 )
 from .mighty import mighty_optimize, mighty_pipeline
-from .optimize import (
-    OptimizationComparison,
-    compare_optimization,
-    run_aig_optimization,
-    run_bdd_optimization,
-    run_mig_optimization,
-    run_optimization_experiment,
-)
-from .report import (
-    format_optimization_table,
-    format_pass_metrics,
-    format_synthesis_table,
-    optimization_space_points,
-    pass_metrics_to_json,
-    summarize_optimization,
-    summarize_synthesis,
-    synthesis_space_points,
-)
-from .synthesis import (
-    SynthesisComparison,
-    SynthesisMetrics,
-    compare_synthesis,
-    run_aig_synthesis,
-    run_cst_synthesis,
-    run_mig_synthesis,
-    run_synthesis_experiment,
+from .report import format_pass_metrics, pass_metrics_to_json
+from .table1 import (
+    Table1Row,
+    format_table1,
+    run_table1,
+    summarize_table1,
+    table1_row,
 )
 
 __all__ = [
@@ -96,28 +78,13 @@ __all__ = [
     "BatchItem",
     "BatchReport",
     "format_batch_report",
-    # optimization experiment
-    "compare_optimization",
-    "run_optimization_experiment",
-    "run_mig_optimization",
-    "run_aig_optimization",
-    "run_bdd_optimization",
-    "OptimizationComparison",
-    # synthesis experiment
-    "compare_synthesis",
-    "run_synthesis_experiment",
-    "run_mig_synthesis",
-    "run_aig_synthesis",
-    "run_cst_synthesis",
-    "SynthesisComparison",
-    "SynthesisMetrics",
-    # reporting
-    "format_optimization_table",
-    "format_synthesis_table",
+    # the Table I experiment
+    "table1_row",
+    "run_table1",
+    "Table1Row",
+    "summarize_table1",
+    "format_table1",
+    # per-pass reporting
     "format_pass_metrics",
     "pass_metrics_to_json",
-    "summarize_optimization",
-    "summarize_synthesis",
-    "optimization_space_points",
-    "synthesis_space_points",
 ]

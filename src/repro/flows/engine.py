@@ -21,9 +21,9 @@ factors that structure out of the individual flow functions:
 
 Flows declare *what* runs (``Pipeline([Balance(), DepthOpt(effort=2),
 SizeOpt(), Eliminate()])``); the engine owns *how*: measurement,
-acceptance, rollback and reporting.  Per-pass metrics are serialised for
-the benchmark harness by :func:`repro.flows.report.format_pass_metrics`
-and :func:`repro.flows.report.pass_metrics_to_json`.
+acceptance, rollback and reporting.  Per-pass metrics are rendered by
+:func:`repro.flows.report.format_pass_metrics` and serialised by
+:func:`repro.flows.report.pass_metrics_to_json`.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from ..core.signal import (
     negate,
     node_of,
 )
-from ..network.cuts import CutManager, cut_cone
+from ..network.cuts import cut_cone, enumerate_cuts
 from ..network.npn import (
     PROJECTIONS,
     NpnTransform,
@@ -214,9 +214,9 @@ def _match_library_cells(net, library: CellLibrary):
     if not templates:
         return matches, absorbed
 
-    # The shared incremental manager: mapping the same network again after
-    # an optimization pass re-enumerates only the cones the pass touched.
-    cuts = CutManager.for_network(net, k=3, cut_limit=6).cuts()
+    # From-scratch enumeration: a mapped network is not swept again, so an
+    # incremental manager would only stay attached to the caller's network.
+    cuts = enumerate_cuts(net, k=3, cut_limit=6)
     for root in reversed(net.topological_order()):
         if root in absorbed:
             continue

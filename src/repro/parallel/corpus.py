@@ -1,10 +1,11 @@
 """The Table I row task and network fingerprints of the benchmark harness.
 
-:func:`optimization_row` is one Table I (top) row as plain data, a pure
-function of one benchmark name: it rebuilds the benchmark, touches no
-shared mutable state and carries structural fingerprints of the
-optimized networks.  Being module-level, it ships to
-:func:`repro.parallel.parallel_map` workers; the sharded sweep is
+:func:`optimization_row` is one Table I row as plain data
+(:meth:`repro.flows.table1.Table1Row.as_dict`), a pure function of one
+benchmark name: it rebuilds the benchmark, touches no shared mutable
+state and carries structural fingerprints of the optimized networks.
+Being module-level, it ships to :func:`repro.parallel.parallel_map`
+workers; the sharded sweep is
 ``parallel_map(functools.partial(optimization_row, **kw), names,
 labels=names)``, bit-identical to a serial run at any worker count (the
 contract of :mod:`repro.parallel`, asserted end-to-end by
@@ -20,7 +21,6 @@ structural fingerprints and CEC verdicts).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict
 from typing import Dict, List
 
 __all__ = [
@@ -163,40 +163,18 @@ def structural_row(row: dict) -> dict:
     return stripped
 
 
-def optimization_row(
-    name: str,
-    rounds: int = 1,
-    include_bdd: bool = True,
-    verify: bool = False,
-) -> dict:
-    """One Table I (top) row plus structural fingerprints.
+def optimization_row(name: str, rounds: int = 1, verify: bool = False) -> dict:
+    """One Table I row as plain data, with structural fingerprints.
 
-    ``verify=True`` additionally proves the optimized MIG equivalent to
-    a fresh build of the benchmark through the full CEC dispatch and
-    records the verdict (an exception on inequivalence — an optimizer
-    that breaks logic must fail the sweep, not log a row).
+    ``verify=True`` additionally proves the row's optimized MIG
+    equivalent to a fresh build of the benchmark through the full CEC
+    dispatch and records the verdict (an exception on inequivalence — an
+    optimizer that breaks logic must fail the sweep, not log a row).
     """
-    from ..flows.optimize import compare_optimization
+    from ..flows.table1 import table1_row
 
-    result = compare_optimization(
-        name,
-        rounds=rounds,
-        include_bdd=include_bdd,
-        keep_networks=True,
-    )
-    row = {
-        "name": result.name,
-        "mig": asdict(result.mig),
-        "aig": asdict(result.aig),
-        "bdd": None if result.bdd is None else asdict(result.bdd),
-        "mig_fingerprint": structural_fingerprint(result.mig_network),
-        "aig_fingerprint": structural_fingerprint(result.aig_network),
-        "bdd_fingerprint": (
-            structural_fingerprint(result.bdd_network)
-            if result.bdd_network is not None
-            else None
-        ),
-    }
+    result = table1_row(name, rounds=rounds)
+    row = result.as_dict()
     if verify:
         from ..bench_circuits import build_benchmark
         from ..core.mig import Mig
@@ -216,4 +194,3 @@ def optimization_row(
             )
         row["cec"] = {"equivalent": True, "method": check.method}
     return row
-

@@ -7,7 +7,7 @@ from .equivalence import (
     assert_equivalent,
     check_equivalence,
 )
-from .cnf import GateGraph, MiterCnf, build_miter, encode_network
+from .cnf import GateGraph, encode_network
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
 from .sweep import SweepOutcome, sat_sweep
 
@@ -18,8 +18,6 @@ __all__ = [
     "assert_equivalent",
     "EXHAUSTIVE_LIMIT",
     "GateGraph",
-    "MiterCnf",
-    "build_miter",
     "encode_network",
     "SatSolver",
     "SAT",

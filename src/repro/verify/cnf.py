@@ -1,4 +1,4 @@
-"""Tseitin CNF encoding of logic networks, and miter construction.
+"""Tseitin CNF encoding of logic networks.
 
 The SAT-based equivalence path (:mod:`repro.verify.sweep`) needs one
 uniform view of *any* of the library's network types — MIGs, AIGs, and
@@ -32,28 +32,19 @@ Literals use the ``(var << 1) | complement`` convention shared with
 :mod:`repro.core.signal` and :mod:`repro.verify.sat`.  Variable 0 is the
 constant-false variable (pinned by a unit clause), variables ``1 ..
 num_pis`` are the shared primary inputs.
-
-:func:`build_miter` composes two same-interface networks into a single
-graph plus per-output XOR literals; asserting any XOR literal (or the
-aggregated :attr:`MiterCnf.output`) asks the SAT solver for a
-distinguishing input pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .sat import SatSolver
 
-__all__ = ["GateGraph", "MiterCnf", "encode_network", "build_miter", "eval_gate", "gate_clauses"]
+__all__ = ["GateGraph", "encode_network", "eval_gate", "gate_clauses"]
 
 #: Literals of the pinned constant variable 0.
 FALSE_LIT = 0
 TRUE_LIT = 1
-
-_TT_XOR2 = 0x6
-_TT_OR2 = 0xE
 
 
 def _tt_restrict(tt: int, k: int, i: int, value: int) -> int:
@@ -299,23 +290,6 @@ class GateGraph:
         self.gates.append((var, tt, lits))
         return (var << 1) | out_flip
 
-    def xor_lit(self, a: int, b: int) -> int:
-        return self.add_gate(_TT_XOR2, (a, b))
-
-    def or_tree(self, lits: Sequence[int]) -> int:
-        """Balanced OR over ``lits`` (FALSE for an empty sequence)."""
-        layer = list(lits)
-        if not layer:
-            return FALSE_LIT
-        while len(layer) > 1:
-            nxt = []
-            for i in range(0, len(layer) - 1, 2):
-                nxt.append(self.add_gate(_TT_OR2, (layer[i], layer[i + 1])))
-            if len(layer) & 1:
-                nxt.append(layer[-1])
-            layer = nxt
-        return layer[0]
-
     # ------------------------------------------------------------------ #
     # Consumption
     # ------------------------------------------------------------------ #
@@ -428,42 +402,3 @@ def _encode_program(graph: GateGraph, program, add_gate) -> List[int]:
         in_lits = tuple(slot_lit[e >> 1] ^ (e & 1) for e in edges)
         slot_lit[out] = add_gate(tt, in_lits)
     return [slot_lit[e >> 1] ^ (e & 1) for e in program.po_edges]
-
-
-# --------------------------------------------------------------------- #
-# Miters
-# --------------------------------------------------------------------- #
-@dataclass
-class MiterCnf:
-    """Two same-interface networks encoded side by side over shared PIs."""
-
-    graph: GateGraph
-    pos_first: List[int]
-    pos_second: List[int]
-    #: Per-output XOR literals: ``xors[i]`` is true iff output ``i`` differs.
-    xors: List[int] = field(default_factory=list)
-    #: Literal of the aggregated miter output (OR of all XORs).
-    output: int = FALSE_LIT
-
-
-def build_miter(first, second) -> MiterCnf:
-    """Encode ``first`` and ``second`` into one graph with a miter on top.
-
-    The networks must agree on PI and PO counts (matched by position, like
-    :func:`repro.verify.equivalence.check_equivalence`).
-    """
-    if first.num_pis != second.num_pis:
-        raise ValueError(
-            f"PI count mismatch: {first.num_pis} vs {second.num_pis}"
-        )
-    if first.num_pos != second.num_pos:
-        raise ValueError(
-            f"PO count mismatch: {first.num_pos} vs {second.num_pos}"
-        )
-    graph = GateGraph(first.num_pis)
-    pos_first = encode_network(graph, first)
-    pos_second = encode_network(graph, second)
-    miter = MiterCnf(graph, pos_first, pos_second)
-    miter.xors = [graph.xor_lit(a, b) for a, b in zip(pos_first, pos_second)]
-    miter.output = graph.or_tree(miter.xors)
-    return miter

@@ -1,26 +1,26 @@
 """Integration tests for the experiment flows (MIGhty, baselines, synthesis)."""
 
+import json
+from dataclasses import asdict, replace
+from pathlib import Path
+
 import pytest
 
 from repro.bench_circuits import build_benchmark
 from repro.core import Mig
 from repro.flows import (
-    compare_optimization,
-    compare_synthesis,
-    format_optimization_table,
-    format_synthesis_table,
+    format_table1,
     mighty_optimize,
-    optimization_space_points,
-    run_bdd_optimization,
-    run_optimization_experiment,
-    run_synthesis_experiment,
-    summarize_optimization,
-    summarize_synthesis,
-    synthesis_space_points,
+    run_table1,
+    summarize_table1,
+    table1_row,
 )
 from repro.flows.batch import resolve_flow, run_flow
-from repro.parallel.corpus import structural_fingerprint
+from repro.mapping import map_aig, map_mig
+from repro.parallel.corpus import structural_fingerprint, structural_row
 from repro.verify import check_equivalence
+
+REPORT = Path(__file__).resolve().parents[2] / "BENCH_table1.json"
 
 SMALL = ["alu4", "my_adder", "count"]
 
@@ -116,47 +116,110 @@ class TestFlowDispatch:
             run_flow(mig, "auto", {})
 
 
-class TestOptimizationExperiment:
-    def test_compare_optimization_row(self):
-        row = compare_optimization("alu4", rounds=1)
+class TestTable1:
+    def test_row_measures_and_maps_every_flow(self):
+        row = table1_row("alu4", rounds=1)
         assert row.mig.size > 0 and row.aig.size > 0
-        assert row.bdd is not None
+        assert row.bdd is not None and row.bdd_network is not None
         assert row.mig.depth <= row.bdd.depth
-
-    def test_bdd_flow_skips_very_wide_networks(self):
-        mig = build_benchmark("s38417", Mig)
-        assert run_bdd_optimization(mig) is None
-
-    def test_summary_and_table_formatting(self):
-        rows = run_optimization_experiment(SMALL, rounds=1)
-        summary = summarize_optimization(rows)
-        assert summary.avg_depth["MIG"] > 0
-        table = format_optimization_table(rows)
-        assert "Average" in table and "MIG depth vs AIG" in table
-        points = optimization_space_points(rows)
-        assert set(points) == {"MIG", "AIG", "BDD"}
-
-
-class TestSynthesisExperiment:
-    def test_compare_synthesis_row(self):
-        row = compare_synthesis("alu4", rounds=1)
-        for metrics in (row.mig, row.aig, row.cst):
+        assert (row.mig.size, row.mig.depth) == (
+            row.mig_network.num_gates, row.mig_network.depth(),
+        )
+        for metrics in (row.mig_mapped, row.aig_mapped, row.cst_mapped):
             assert metrics.area_um2 > 0
             assert metrics.delay_ns > 0
             assert metrics.power_uw > 0
 
+    def test_bdd_skipped_on_very_wide_networks(self):
+        row = table1_row("s38417", rounds=1)
+        assert row.bdd is None and row.bdd_network is None
+        assert row.as_dict()["bdd_fingerprint"] is None
+
     def test_summary_and_table_formatting(self):
-        rows = run_synthesis_experiment(SMALL, rounds=1)
-        summary = summarize_synthesis(rows)
+        rows = run_table1(SMALL, rounds=1)
+        summary = summarize_table1(rows)
+        assert summary.avg_depth["MIG"] > 0
         assert summary.avg_delay["MIG"] > 0
-        table = format_synthesis_table(rows)
-        assert "Average" in table and "MIG vs best counterpart" in table
-        points = synthesis_space_points(rows)
-        assert set(points) == {"MIG", "AIG", "CST"}
+        assert set(summary.avg_depth) == {"MIG", "AIG", "BDD"}
+        assert set(summary.avg_delay) == {"MIG", "AIG", "CST"}
+        table = format_table1(rows)
+        assert table.count("Average") == 2
+        assert "MIG depth vs AIG" in table and "MIG vs best counterpart" in table
 
     def test_mig_flow_wins_delay_on_adder(self):
-        row = compare_synthesis("my_adder", rounds=1)
+        row = table1_row("my_adder", rounds=1)
         # The paper's flagship datapath result: the MIG flow yields the
         # fastest mapped netlist on the adder benchmark.
-        assert row.mig.delay_ns <= row.aig.delay_ns
-        assert row.mig.delay_ns <= row.cst.delay_ns
+        assert row.mig_mapped.delay_ns <= row.aig_mapped.delay_ns
+        assert row.mig_mapped.delay_ns <= row.cst_mapped.delay_ns
+
+    @pytest.mark.parametrize("name", ["my_adder", "b9"])
+    def test_row_matches_committed_report(self, name):
+        """A rebuilt row equals its committed ``BENCH_table1.json`` row,
+        and its synthesis half is the mapping of its own networks."""
+        committed = {
+            row["name"]: row for row in json.loads(REPORT.read_text())["rows"]
+        }
+        row = table1_row(name, rounds=1)
+        assert structural_row(row.as_dict()) == committed[name]
+        for mapped, network, map_fn in (
+            (row.mig_mapped, row.mig_network, map_mig),
+            (row.aig_mapped, row.aig_network, map_aig),
+        ):
+            netlist = map_fn(network)
+            assert asdict(mapped) == {
+                "area_um2": netlist.area(),
+                "delay_ns": netlist.delay(),
+                "power_uw": netlist.power(),
+                "num_cells": netlist.num_cells,
+            }
+
+    def test_summary_averages_bdd_only_where_it_ran(self):
+        row = table1_row("alu4", rounds=1)
+        wide = replace(row, name="no_bdd", bdd=None, bdd_network=None)
+        summary = summarize_table1([row, wide])
+        assert summary.avg_size["MIG"] == row.mig.size
+        assert summary.avg_depth["BDD"] == row.bdd.depth
+        assert summary.depth_improvement_vs_bdd == pytest.approx(
+            100.0 * (row.bdd.depth - row.mig.depth) / row.bdd.depth
+        )
+        best_delay = min(row.aig_mapped.delay_ns, row.cst_mapped.delay_ns)
+        assert summary.delay_improvement == pytest.approx(
+            100.0 * (best_delay - row.mig_mapped.delay_ns) / best_delay
+        )
+
+    def test_committed_report_is_self_consistent(self):
+        """The committed summary, headline and figure points are the
+        averages and totals of the committed rows."""
+        report = json.loads(REPORT.read_text())
+        rows, summary = report["rows"], report["summary"]
+        for flow, half, fields in (
+            ("mig", "MIG", ("size", "depth", "activity")),
+            ("aig", "AIG", ("size", "depth", "activity")),
+            ("bdd", "BDD", ("size", "depth", "activity")),
+            ("mig_mapped", "MIG", ("area_um2", "delay_ns", "power_uw")),
+            ("aig_mapped", "AIG", ("area_um2", "delay_ns", "power_uw")),
+            ("cst_mapped", "CST", ("area_um2", "delay_ns", "power_uw")),
+        ):
+            measured = [row[flow] for row in rows if row[flow] is not None]
+            for field in fields:
+                key = "avg_" + field.split("_")[0]
+                values = [m[field] for m in measured]
+                assert summary[key][half] == sum(values) / len(values)
+        for half in ("MIG", "AIG", "BDD"):
+            assert report["fig3_size_depth_activity"][half] == [
+                summary[key][half] for key in ("avg_size", "avg_depth", "avg_activity")
+            ]
+        for half in ("MIG", "AIG", "CST"):
+            assert report["fig4_area_delay_power"][half] == [
+                summary[key][half] for key in ("avg_area", "avg_delay", "avg_power")
+            ]
+        headline = report["headline"]
+        assert headline["mig_size"] == sum(row["mig"]["size"] for row in rows)
+        assert headline["aig_depth"] == sum(row["aig"]["depth"] for row in rows)
+        assert headline["percent"]["depth_vs_aig"]["measured"] == (
+            -summary["depth_improvement_vs_aig"]
+        )
+        assert report["ablation_library"]["with_maj_cells"]["avg_area_um2"] == (
+            summary["avg_area"]["MIG"]
+        )

@@ -1,5 +1,8 @@
 """Tests for the standard-cell library, the mapper and the estimation."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.aig.aig import Aig
@@ -115,6 +118,23 @@ class TestMappingCorrectness:
         mig = build_benchmark("my_adder", Mig)
         netlist = map_mig(mig)
         assert check_equivalence(mig, netlist, num_random_vectors=512).equivalent
+
+    @pytest.mark.parametrize("kind", [Mig, Aig])
+    def test_mapping_leaves_no_cut_state(self, kind):
+        """Regression: the mapper attached a ``(3, 6)`` cut manager to the
+        network it mapped and never detached it, so every mapped network
+        kept a manager↔network cycle that only the cyclic GC could free."""
+        net = build_benchmark("alu4", kind)
+        map_network(net)
+        assert not net.__dict__.get("_cut_managers")
+        assert not net._mutation_listeners
+        ref = weakref.ref(net)
+        gc.disable()
+        try:
+            del net
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestEstimation:

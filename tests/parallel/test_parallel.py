@@ -319,7 +319,7 @@ class TestCorpusRows:
     @pytest.mark.parametrize("workers", (1, 2))
     def test_optimization_rows_identical_serial_vs_sharded(self, workers):
         names = ["b9", "alu4"]
-        kwargs = {"rounds": 1, "include_bdd": False}
+        kwargs = {"rounds": 1}
         serial = [optimization_row(name, **kwargs) for name in names]
         sharded = parallel_map(
             functools.partial(optimization_row, **kwargs),

@@ -96,4 +96,4 @@ def test_optimization_row_rejects_uncertified_verdict(monkeypatch):
 
     monkeypatch.setattr(repro.verify, "check_equivalence", _uncertified)
     with pytest.raises(AssertionError, match="NOT certified"):
-        optimization_row("b9", rounds=1, include_bdd=False, verify=True)
+        optimization_row("b9", rounds=1, verify=True)

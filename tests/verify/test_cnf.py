@@ -1,18 +1,15 @@
-"""Tests for the Tseitin CNF encoder and miter construction (verify/cnf.py)."""
+"""Tests for the Tseitin CNF encoder (verify/cnf.py)."""
 
 import pytest
 
-from repro.aig.aig import Aig
-from repro.core import Mig
 from repro.mapping import map_mig
 from repro.verify.cnf import (
     FALSE_LIT,
     TRUE_LIT,
     GateGraph,
-    build_miter,
     encode_network,
 )
-from repro.verify.sat import SAT, UNSAT, SatSolver
+from repro.verify.sat import SAT, SatSolver
 
 
 def _models_match_simulation(network, num_pis):
@@ -121,44 +118,3 @@ class TestEncoding:
         net = network_forge(num_pis=5, num_gates=10, seed=1)
         with pytest.raises(ValueError):
             encode_network(GateGraph(4), net)
-
-
-class TestMiter:
-    def test_miter_of_copy_is_unsat(self, network_forge):
-        net = network_forge(kind="mig", gate_mix="mixed", num_pis=6, num_gates=30, seed=7)
-        miter = build_miter(net, net.copy())
-        solver = SatSolver()
-        miter.graph.load_into(solver)
-        assert solver.solve([miter.output]) == UNSAT
-
-    def test_miter_across_representations(self, network_forge):
-        from repro.network import mig_to_aig
-
-        mig = network_forge(kind="mig", gate_mix="aoig", num_pis=6, num_gates=25, seed=8)
-        miter = build_miter(mig, mig_to_aig(mig))
-        solver = SatSolver()
-        miter.graph.load_into(solver)
-        assert solver.solve([miter.output]) == UNSAT
-
-    def test_miter_finds_distinguishing_input(self):
-        first = Mig()
-        a, b = first.add_pi("a"), first.add_pi("b")
-        first.add_po(first.and_(a, b), "f")
-        second = Mig()
-        a, b = second.add_pi("a"), second.add_pi("b")
-        second.add_po(second.or_(a, b), "f")
-        miter = build_miter(first, second)
-        solver = SatSolver()
-        miter.graph.load_into(solver)
-        assert solver.solve([miter.output]) == SAT
-        assignment = [
-            solver.model_value(miter.graph.pi_lit(i)) for i in range(2)
-        ]
-        # AND and OR differ exactly when inputs disagree.
-        assert assignment[0] != assignment[1]
-
-    def test_interface_mismatch_rejected(self, network_forge):
-        first = network_forge(num_pis=5, num_gates=10, seed=1)
-        second = network_forge(num_pis=6, num_gates=10, seed=1)
-        with pytest.raises(ValueError):
-            build_miter(first, second)
