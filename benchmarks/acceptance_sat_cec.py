@@ -16,6 +16,11 @@ Two obligations, measured end-to-end through the public
    random simulation cannot separate it, so it must be refuted by the
    SAT sweep's solver queries.
 
+Every auto-dispatched verdict must also come from a sweep that started
+from ``num_random_vectors`` patterns (its ``patterns`` stat minus its
+refinements): the dispatch's random check and the sweep's signatures
+are one simulation, and the run fails if the two drift apart.
+
 Results are written as a JSON report (per-benchmark sizes, sweep
 statistics, runtimes; mutant outcome histogram) for the CI artifact
 upload, with the host (CPU count, Python version) and a fingerprint of
@@ -58,16 +63,36 @@ SMOKE_BENCHMARKS = ["my_adder", "count"]
 #: Wide benchmark the mutation refutation runs against (33 PIs).
 MUTATION_BENCHMARK = "my_adder"
 
+#: ``num_random_vectors`` of every auto-dispatched check; on these wide
+#: pairs it is also the sweep's initial signature width.
+RANDOM_VECTORS = 256
+
 #: ``sat_sweep`` counters recorded per proof in the JSON report.
 SWEEP_STATS = (
     "sat_calls", "merges", "local_merges", "refinements", "unresolved",
-    "conflicts", "decisions", "propagations",
+    "conflicts", "decisions", "propagations", "patterns",
 )
 
 
 def wide_benchmark_names():
     """Table I benchmarks beyond the exhaustive limit, in table order."""
     return [spec.name for spec in BENCHMARKS.values() if spec.num_inputs > 16]
+
+
+def check_sweep_width(name, stats):
+    """Fail unless the auto dispatch's sweep started from the random vectors.
+
+    The dispatch hands ``num_random_vectors`` to the sweep as its initial
+    patterns, so its random check and its signatures are one simulation.
+    ``patterns`` is the final signature width: the initial patterns plus
+    one per refinement, all folded in before a sweep finishes.
+    """
+    initial = stats["patterns"] - stats["refinements"]
+    if initial < RANDOM_VECTORS:
+        raise AssertionError(
+            f"{name}: the sweep started from {initial} patterns, fewer than "
+            f"num_random_vectors={RANDOM_VECTORS}"
+        )
 
 
 def cec_prove_row(name, rounds=1):
@@ -81,7 +106,7 @@ def cec_prove_row(name, rounds=1):
     t_opt = time.time()
     mighty_optimize(post, rounds=rounds)
     t_cec = time.time()
-    result = check_equivalence(pre, post, num_random_vectors=256)
+    result = check_equivalence(pre, post, num_random_vectors=RANDOM_VECTORS)
     elapsed = time.time() - t_cec
 
     if not result.equivalent:
@@ -95,6 +120,7 @@ def cec_prove_row(name, rounds=1):
         )
     if result.counterexample is not None:
         raise AssertionError(f"{name}: proof must not carry a counterexample")
+    check_sweep_width(name, result.stats)
 
     return {
         "benchmark": name,
@@ -124,7 +150,7 @@ def refute_mutants(name, count, seed_base=0):
     while refuted < count:
         mutant, description = mutate_network(base, seed=seed)
         seed += 1
-        result = check_equivalence(base, mutant, num_random_vectors=256)
+        result = check_equivalence(base, mutant, num_random_vectors=RANDOM_VECTORS)
         verdicts.update(
             repr((seed - 1, result.equivalent, result.method, result.failing_output)).encode()
         )
@@ -143,12 +169,13 @@ def refute_mutants(name, count, seed_base=0):
                 f"{name}: counterexample for mutant seed {seed - 1} "
                 f"({description}) does not replay"
             )
+        check_sweep_width(f"{name} mutant seed {seed - 1}", result.stats)
         refuted += 1
         methods[result.method] = methods.get(result.method, 0) + 1
-        # The dispatch usually refutes mutants in the cheap random stage;
-        # every 10th mutant is additionally pushed through the forced SAT
-        # backend, which must refute it too.  The sweep refutes such
-        # mutants on its initial simulation patterns, before it encodes;
+        # The dispatch's sweep usually refutes mutants on its random
+        # initial patterns, before it encodes; every 10th mutant is
+        # additionally pushed through the forced SAT backend at its own
+        # 128-pattern default, which must refute it too.
         # refute_rare_difference covers the solver's refutation path.
         if refuted % 10 == 0:
             forced = check_equivalence(base, mutant, method="sat-sweep")
@@ -172,13 +199,13 @@ def refute_mutants(name, count, seed_base=0):
 def refute_rare_difference(name):
     """Refute a mutant that differs from ``name`` on one minterm in 2^16.
 
-    The random stage of the dispatch and the sweep's initial patterns
-    miss that minterm, so the verdict must come from SAT queries.
+    The sweep's random initial patterns miss that minterm, so the
+    verdict must come from SAT queries.
     """
     base = build_benchmark(name, Mig)
     mutant = rare_difference_mutant(base)
     start = time.time()
-    result = check_equivalence(base, mutant, num_random_vectors=256)
+    result = check_equivalence(base, mutant, num_random_vectors=RANDOM_VECTORS)
     elapsed = time.time() - start
     if result.equivalent or result.method != "sat-sweep":
         raise AssertionError(
@@ -187,6 +214,7 @@ def refute_rare_difference(name):
         )
     if result.stats["sat_calls"] == 0:
         raise AssertionError(f"{name}: rare-difference refutation made no SAT call")
+    check_sweep_width(f"{name} rare-difference mutant", result.stats)
     patterns = [1 if bit else 0 for bit in result.counterexample]
     index = result.failing_output
     out_base = base.simulate_patterns(patterns, 1)

@@ -11,11 +11,14 @@ The total switching activity of a MIG is reduced along two axes:
 
 Because the probability of every node depends on its whole fanin cone, the
 probability-shaping step evaluates the global activity before and after a
-candidate rewrite on a working copy and keeps only improving rewrites.
+candidate rewrite on a working copy with the same node ids, and applies the
+rewrite to the network only when activity drops and size grows by at most
+one node.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
@@ -119,7 +122,9 @@ def _try_activity_relevance(
 ):
     """Apply Ψ.R on ``node`` if it lowers the global activity.
 
-    Returns the new activity when a rewrite was committed, else ``None``.
+    The rewrite is tried on a copy first and committed only when activity
+    drops and size grows by at most one node.  Returns the new activity
+    when a rewrite was committed, else ``None`` (``mig`` is untouched).
     """
     from ..analysis.activity import total_switching_activity
 
@@ -149,19 +154,28 @@ def _try_activity_relevance(
     if best is None:
         return None
 
-    z, x, y, x_node, cone = best
-    size_before = mig.num_gates
+    # Measure on a copy: a pickle round trip keeps node ids (``copy()``
+    # renumbers), so ``node`` and ``cone`` name the same gates there, and
+    # the rewrite reaches ``mig`` only once it has paid off.
+    trial = pickle.loads(pickle.dumps(mig))
+    if not _apply_relevance(trial, node, best):
+        return None
+    new_activity = total_switching_activity(trial, pi_probabilities)
+    if new_activity >= current_activity or trial.num_gates > mig.num_gates + 1:
+        return None
+    _apply_relevance(mig, node, best)
+    return new_activity
+
+
+def _apply_relevance(mig: Mig, node: int, move) -> bool:
+    """Replace ``node`` by ``M(x, y, z[x/y'])`` and drop dangling logic.
+
+    Deterministic, so a copy with the same node ids ends in the same
+    state.  Returns whether the substitution happened.
+    """
+    z, x, y, x_node, cone = move
     replacement_target = negate_if(negate(y), is_complemented(x))
     new_z = rebuild_cone(mig, z, cone, {x_node: replacement_target})
-    replacement = mig.maj(x, y, new_z)
-    if not mig.substitute(node, replacement):
-        mig.cleanup()
-        return None
+    substituted = mig.substitute(node, mig.maj(x, y, new_z))
     mig.cleanup()
-    new_activity = total_switching_activity(mig, pi_probabilities)
-    if new_activity < current_activity and mig.num_gates <= size_before + 1:
-        return new_activity
-    # The rewrite did not pay off; it is functionally correct, so keeping it
-    # would be safe, but we prefer to keep the activity monotone.  Rebuild is
-    # not reversible in place, so simply report no improvement.
-    return new_activity if new_activity < current_activity else None
+    return substituted

@@ -31,13 +31,20 @@ The automatic dispatch (``method="auto"``) runs, in order:
 
 1. a 64-vector **random prefilter** (fail fast on inequivalent pairs);
 2. ``num_pis <= EXHAUSTIVE_LIMIT`` → **exhaustive** simulation;
-3. otherwise **random** simulation, then **SAT sweeping** for the actual
-   proof.  If the SAT budget was exhausted the random verdict comes back
-   uncertified; a caller may then run ``method="bdd"``.
+3. otherwise **SAT sweeping**, seeded with ``num_random_vectors`` random
+   patterns: its first step simulates both networks on them, which is
+   the random check (same seed, same vectors, same counterexample as
+   ``method="random"``), and the same simulation values start its
+   candidate signatures, so few SAT calls go to refuting false
+   candidates.  If the SAT budget was exhausted the verdict comes back
+   as ``random-simulation``, equivalent and uncertified (the patterns
+   showed no mismatch); a caller may then run ``method="bdd"``.
 
-``sat-sweep``, auto-dispatched or explicit, itself refutes on its initial
-random patterns before it encodes anything: a pair whose outputs differ
-there costs two simulations, no CNF and no SAT call.
+``sat-sweep``, auto-dispatched or explicit, refutes on its initial random
+patterns before it encodes anything: a pair whose outputs differ there
+costs one simulation per network, no CNF and no SAT call.  An explicit
+``method="sat-sweep"`` starts from ``sat_sweep``'s own default of 128
+patterns unless ``sat_options`` says otherwise.
 
 Every backend that reports inequivalence returns a *replayable*
 counterexample, and every counterexample is validated by a one-vector
@@ -136,8 +143,15 @@ def check_equivalence(
     ``method`` selects a specific backend (see the module docstring's
     dispatch table) or ``"auto"`` for the layered default.  ``sat_options``
     is forwarded to :func:`repro.verify.sweep.sat_sweep` (budgets, pattern
-    counts).  When an auto-dispatched SAT sweep runs out of budget, the
-    (incomplete) random verdict is returned with ``certified=False``.
+    counts).
+
+    ``num_random_vectors`` is the width of the random backend and, on the
+    auto path past :data:`EXHAUSTIVE_LIMIT` inputs, the sweep's initial
+    signature width (``initial_patterns``, unless ``sat_options`` sets
+    it).  An auto refutation there is labelled ``sat-sweep`` whether the
+    random patterns or a SAT query found it.  When that sweep runs out of
+    budget, the verdict is ``method="random-simulation"``, equivalent,
+    with ``certified=False``.
     """
     if first.num_pis != second.num_pis:
         raise ValueError(
@@ -169,9 +183,10 @@ def check_equivalence(
 
     # --- automatic dispatch ------------------------------------------- #
     # The prefilter only pays off in front of the exhaustive backend (the
-    # wide-network paths below always start with a random sweep that
-    # subsumes it — same seed, more vectors), and only when the exhaustive
-    # sweep it precedes is actually wider than the prefilter itself.
+    # wide-network path below starts by simulating the sweep's initial
+    # patterns, which subsume it — same seed, more vectors), and only when
+    # the exhaustive sweep it precedes is actually wider than the
+    # prefilter itself.
     if _PREFILTER_VECTORS < (1 << first.num_pis) and first.num_pis <= EXHAUSTIVE_LIMIT:
         prefilter = _check_random(
             first, second, _PREFILTER_VECTORS, seed, method="random-prefilter"
@@ -182,17 +197,19 @@ def check_equivalence(
     if first.num_pis <= EXHAUSTIVE_LIMIT:
         return _validated(first, second, _check_exhaustive(first, second))
 
-    result = _check_random(first, second, num_random_vectors, seed)
-    if not result.equivalent:
-        return _validated(first, second, result)
-
-    proof = _check_sat_sweep(first, second, seed, sat_options)
+    # One stage: the sweep's initial patterns are the random vectors, so
+    # its pre-encode simulation is the random check and its signatures
+    # start that wide.
+    options = {"initial_patterns": num_random_vectors, **(sat_options or {})}
+    proof = _check_sat_sweep(first, second, seed, options)
     if proof is not None:
         return _validated(first, second, proof)
-    # SAT budget exhausted: best effort is the (incomplete) random verdict
-    # — its ``certified=False`` is what tells certifying consumers this is
-    # *not* a proof.
-    return result
+    # SAT budget exhausted: the sweep's patterns showed no mismatch, which
+    # is the random verdict — ``certified=False`` is what tells certifying
+    # consumers this is *not* a proof.
+    return EquivalenceResult(
+        equivalent=True, method="random-simulation", certified=False
+    )
 
 
 def assert_equivalent(first, second, **kwargs) -> None:

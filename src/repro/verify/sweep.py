@@ -432,6 +432,14 @@ def sat_sweep(
 ) -> SweepOutcome:
     """Decide equivalence of ``first`` and ``second`` by SAT sweeping.
 
+    ``initial_patterns`` random patterns (at least 64) are drawn from
+    ``random.Random(seed)``, one ``getrandbits`` per primary input in
+    order, as ``check_equivalence(method="random")`` draws its vectors;
+    they also start the candidate signatures, so wider patterns leave
+    fewer false candidates for SAT to refute.  The default of 128 is
+    this function's own; ``check_equivalence``'s auto dispatch passes
+    its ``num_random_vectors`` (4,096 by default) instead.
+
     The first step simulates both networks on the initial random
     patterns and returns ``inequivalent`` at the first primary-output
     pair that differs on them, before any gate is encoded (its ``stats``

@@ -179,6 +179,22 @@ class TestActivityOptimization:
         stats = optimize_activity(mig, effort=1, pi_probabilities=probabilities)
         assert stats.final_activity <= stats.initial_activity + 1e-9
 
+    @pytest.mark.parametrize("name", ["count", "mm30a"])
+    def test_post_round_network_never_gets_worse(self, name):
+        """A rejected Ψ.R trial must not stay in the network: count went
+        60.90 / 180 / 9 -> 61.05 / 181 / 10 with no rewrite reported, and
+        mm30a 498.2 / 1,250 -> 512.5 / 1,291 (activity / size / depth)."""
+        mig = build_benchmark(name, Mig)
+        mighty_optimize(mig, rounds=1, depth_effort=1)
+        reference = mig.copy()
+        activity, size, depth = total_switching_activity(mig), mig.num_gates, mig.depth()
+        optimize_activity(mig, effort=1)
+        assert total_switching_activity(mig) <= activity + 1e-9
+        assert mig.num_gates <= size
+        assert mig.depth() <= depth
+        mig.check_integrity()
+        assert_equivalent(mig, reference)
+
     def test_stats_fields(self):
         mig = random_aoig_mig(7, 30, num_pos=3, seed=2)
         stats = optimize_activity(mig, effort=1)

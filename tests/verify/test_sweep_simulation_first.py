@@ -115,7 +115,7 @@ def test_rare_difference_is_refuted_through_sat(network_forge, rare_mutant_forge
     assert outcome.failing_output == seed
     assert outcome.stats["sat_calls"] > 0, outcome.stats
     assert _replays(base, mutant, outcome)
-    # The random stage of the auto dispatch misses it too.
+    # The auto dispatch's 4,096 initial patterns miss it too.
     result = check_equivalence(base, mutant)
     assert not result.equivalent
     assert result.method == "sat-sweep"
