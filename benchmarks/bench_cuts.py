@@ -19,6 +19,11 @@ enumeration on the *same* workload with *bit-identical results asserted*:
    timings on the paper's circuits (reported, not asserted — the circuits
    are small enough that Python overhead dominates).
 
+A memory lane rides along with lane 1: the bytes per node (gates and
+primary inputs) that a full build of the manager's cut store allocates
+on each repeated-sweep network, measured with ``tracemalloc``; every
+record must stay under ``STORE_BYTES_PER_NODE_MAX``.
+
 The NPN cold start — canonical map and structure database, each derived
 from scratch vs loaded from its committed file — is timed alongside, and
 the canonical-map load must be >=10x faster than its derivation.  Results land in ``BENCH_cuts.json`` (override with
@@ -39,13 +44,14 @@ import platform
 import random
 import sys
 import time
+import tracemalloc
 
 from repro.aig.aig import Aig
 from repro.aig.rewrite import rewrite_aig_inplace
 from repro.bench_circuits import build_benchmark
 from repro.core import Mig, rewrite_mig
 from repro.core.generation import mutate_network, random_network
-from repro.network.cuts import CutManager, enumerate_cuts
+from repro.network.cuts import CutManager, enumerate_cuts, iter_cuts
 from repro.parallel.corpus import structural_fingerprint
 
 #: Fixed sweep count of the repeated-sweep lane: the length of the
@@ -53,6 +59,12 @@ from repro.parallel.corpus import structural_fingerprint
 ROUNDS = 10
 
 TABLE1_BENCHMARKS = ["C1355", "C6288", "dalu", "alu4"]
+
+#: Ceiling of the memory lane: bytes per node of a full cut-store build
+#: on the repeated-sweep networks (about 245 B on the MIGs and 320 B on
+#: the AIG with packed per-node arrays; a list of per-cut objects takes
+#: 1,100-1,600 B).
+STORE_BYTES_PER_NODE_MAX = 400
 
 
 def _dump(net):
@@ -63,7 +75,25 @@ def _dump(net):
 
 
 def _cuts_as_pairs(cuts, nodes):
-    return {n: [(c.leaves, c.table) for c in cuts[n]] for n in nodes}
+    """Every node's full cut list as ``(leaves, table)`` pairs, with the
+    implicit trivial cut ``{n}`` last."""
+    return {n: [*iter_cuts(cuts[n]), ((n,), 0b10)] for n in nodes}
+
+
+def _store_bytes_per_node(net, cut_limit):
+    """Bytes per node that a full build of ``net``'s cut store allocates.
+
+    A from-scratch enumeration first fills the table-expansion LRU and the
+    topological order, so the traced bytes are the store's alone."""
+    enumerate_cuts(net, k=4, cut_limit=cut_limit)
+    tracemalloc.start()
+    try:
+        # The network's listener list keeps the manager and its store alive.
+        CutManager(net, k=4, cut_limit=cut_limit).cuts()
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return round(allocated / (len(net._topology()) + net.num_pis), 1)
 
 
 def _warmup():
@@ -76,12 +106,14 @@ def _warmup():
         sweep(net)
 
 
-def bench_repeated_sweep(cls, sweep, num_gates, seed, rounds=ROUNDS):
-    """One repeated-sweep comparison; returns the JSON record."""
+def bench_repeated_sweep(cls, sweep, cut_limit, num_gates, seed, rounds=ROUNDS):
+    """One repeated-sweep comparison; returns the JSON record.  ``cut_limit``
+    is the sweep's, for the memory lane's store build."""
     make = lambda: random_network(  # noqa: E731 - tiny local factory
         cls, num_pis=14, num_gates=num_gates, num_pos=100, seed=seed,
         gate_mix="mixed",
     )
+    store_bytes = _store_bytes_per_node(make(), cut_limit)
     incremental = make()
     scratch = make()
     size0 = incremental.num_gates
@@ -109,6 +141,7 @@ def bench_repeated_sweep(cls, sweep, num_gates, seed, rounds=ROUNDS):
         "time_incremental_s": round(t_incremental, 3),
         "time_scratch_s": round(t_scratch, 3),
         "speedup": round(t_scratch / t_incremental, 2),
+        "store_bytes_per_node": store_bytes,
         "fingerprint": structural_fingerprint(incremental),
     }
 
@@ -268,19 +301,21 @@ def main(argv):
     aig_sweep = lambda net, incremental=True: rewrite_aig_inplace(  # noqa: E731
         net, allow_zero_gain=False, incremental=incremental
     )
-    sweeps = [(Mig, rewrite_mig, 10000, 1)]
+    # The third field is the sweep's cut limit (the pass defaults).
+    sweeps = [(Mig, rewrite_mig, 6, 10000, 1)]
     if not args.smoke:
-        sweeps += [(Mig, rewrite_mig, 10000, 3), (Aig, aig_sweep, 18000, 1)]
+        sweeps += [(Mig, rewrite_mig, 6, 10000, 3), (Aig, aig_sweep, 8, 18000, 1)]
     report["repeated_sweep"] = []
-    for cls, sweep, gates, seed in sweeps:
-        record = bench_repeated_sweep(cls, sweep, gates, seed)
+    for cls, sweep, cut_limit, gates, seed in sweeps:
+        record = bench_repeated_sweep(cls, sweep, cut_limit, gates, seed)
         report["repeated_sweep"].append(record)
         print(
             f"repeated-sweep {record['network']:3s} seed {seed}: "
             f"{record['gates_initial']} gates, {ROUNDS} rounds: "
             f"scratch {record['time_scratch_s']}s -> incremental "
             f"{record['time_incremental_s']}s ({record['speedup']}x, "
-            f"{record['converged_skips']} sweeps skipped)",
+            f"{record['converged_skips']} sweeps skipped); cut store "
+            f"{record['store_bytes_per_node']} B/node",
             flush=True,
         )
 
@@ -346,9 +381,14 @@ def main(argv):
     assert map_speedup >= 10.0, (
         f"canonical-map load regressed: {map_speedup}x < 10x over deriving it"
     )
+    store_bytes = max(record["store_bytes_per_node"] for record in lane)
+    assert store_bytes <= STORE_BYTES_PER_NODE_MAX, (
+        f"cut store grew: {store_bytes} B/node > {STORE_BYTES_PER_NODE_MAX} B/node ceiling"
+    )
     print(
         f"budget ok: repeated-sweep speedups {worst}x..{headline}x "
-        f"(floor 2x, headline target 3x); canonical-map load {map_speedup}x (floor 10x)"
+        f"(floor 2x, headline target 3x); canonical-map load {map_speedup}x (floor 10x); "
+        f"cut store {store_bytes} B/node (ceiling {STORE_BYTES_PER_NODE_MAX})"
     )
 
 

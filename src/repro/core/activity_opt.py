@@ -9,11 +9,13 @@ The total switching activity of a MIG is reduced along two axes:
    reconvergent operand with probability ≈ 0.5 by one whose probability is
    close to 0 or 1, as in the example of Fig. 2(d).
 
-Because the probability of every node depends on its whole fanin cone, the
-probability-shaping step evaluates the global activity before and after a
-candidate rewrite on a working copy with the same node ids, and applies the
-rewrite to the network only when activity drops and size grows by at most
-one node.
+Because the probability of every node depends on its whole fanin cone,
+both steps are measured on a working copy with the same node ids before
+they reach the network.  The size step is committed only when it raises
+neither activity, depth nor size.  A shaping rewrite is applied only when
+activity drops, depth does not rise, and size grows by at most one node
+without exceeding the size the network entered with.  So the whole entry
+point never raises activity, depth or size.
 """
 
 from __future__ import annotations
@@ -56,15 +58,28 @@ def optimize_activity(
     pi_probabilities: Optional[Mapping[str, float]] = None,
 ) -> ActivityOptStats:
     """Reduce the total switching activity of ``mig`` in place: Algorithm 1
-    with a non-growing Ψ.R, then shaping of the 200 most toggle-prone nodes."""
+    with a non-growing Ψ.R, then shaping of the 200 most toggle-prone nodes.
+
+    Neither step raises activity, depth or size.  ``size_opt_stats``
+    describes the Algorithm 1 run even when it was not committed."""
     from ..analysis.activity import total_switching_activity
 
     start = time.perf_counter()
     initial_size = mig.num_gates
     initial_activity = total_switching_activity(mig, pi_probabilities)
 
-    size_stats = _optimize_size(mig, effort, RESHAPE_RULES, relevance_growth=0)
-    relevance_rewrites = _shape_probabilities(mig, pi_probabilities)
+    # Algorithm 1 optimizes size and depth, not activity: run it on a copy
+    # with the same node ids, and repeat it on ``mig`` (deterministically
+    # the same result) only when that raises none of the three.
+    trial = pickle.loads(pickle.dumps(mig))
+    size_stats = _optimize_size(trial, effort, RESHAPE_RULES, relevance_growth=0)
+    if (
+        total_switching_activity(trial, pi_probabilities) <= initial_activity
+        and trial.depth() <= mig.depth()
+        and trial.num_gates <= initial_size
+    ):
+        _optimize_size(mig, effort, RESHAPE_RULES, relevance_growth=0)
+    relevance_rewrites = _shape_probabilities(mig, pi_probabilities, initial_size)
 
     return ActivityOptStats(
         initial_size=initial_size,
@@ -77,8 +92,11 @@ def optimize_activity(
     )
 
 
-def _shape_probabilities(mig: Mig, pi_probabilities: Optional[Mapping[str, float]]) -> int:
-    """Relevance-driven probability shaping (the Fig. 2(d) move)."""
+def _shape_probabilities(
+    mig: Mig, pi_probabilities: Optional[Mapping[str, float]], max_size: int
+) -> int:
+    """Relevance-driven probability shaping (the Fig. 2(d) move); the
+    network never grows beyond ``max_size`` gates."""
     from ..analysis.activity import signal_probabilities, total_switching_activity
 
     rewrites = 0
@@ -90,7 +108,7 @@ def _shape_probabilities(mig: Mig, pi_probabilities: Optional[Mapping[str, float
         if mig.is_dead(node) or not mig.is_maj(node):
             continue
         improved = _try_activity_relevance(
-            mig, node, probabilities, activity, pi_probabilities
+            mig, node, probabilities, activity, pi_probabilities, max_size
         )
         if improved is not None:
             activity = improved
@@ -119,12 +137,14 @@ def _try_activity_relevance(
     probabilities: Dict[int, float],
     current_activity: float,
     pi_probabilities: Optional[Mapping[str, float]],
+    max_size: int,
 ):
     """Apply Ψ.R on ``node`` if it lowers the global activity.
 
     The rewrite is tried on a copy first and committed only when activity
-    drops and size grows by at most one node.  Returns the new activity
-    when a rewrite was committed, else ``None`` (``mig`` is untouched).
+    drops, depth does not rise, and size grows by at most one node and
+    stays within ``max_size``.  Returns the new activity when a rewrite
+    was committed, else ``None`` (``mig`` is untouched).
     """
     from ..analysis.activity import total_switching_activity
 
@@ -161,7 +181,11 @@ def _try_activity_relevance(
     if not _apply_relevance(trial, node, best):
         return None
     new_activity = total_switching_activity(trial, pi_probabilities)
-    if new_activity >= current_activity or trial.num_gates > mig.num_gates + 1:
+    if (
+        new_activity >= current_activity
+        or trial.num_gates > min(mig.num_gates + 1, max_size)
+        or trial.depth() > mig.depth()
+    ):
         return None
     _apply_relevance(mig, node, best)
     return new_activity

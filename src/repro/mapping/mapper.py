@@ -38,7 +38,7 @@ from ..core.signal import (
     negate,
     node_of,
 )
-from ..network.cuts import cut_cone, enumerate_cuts
+from ..network.cuts import cut_cone, enumerate_cuts, iter_cuts
 from ..network.npn import (
     PROJECTIONS,
     NpnTransform,
@@ -221,11 +221,10 @@ def _match_library_cells(net, library: CellLibrary):
         if root in absorbed:
             continue
         best = None
-        for cut in cuts.get(root, ()):
-            leaves = cut.leaves
-            if len(leaves) < 2 or leaves == (root,):
+        for leaves, table in iter_cuts(cuts[root]):
+            if len(leaves) < 2:
                 continue
-            table = extend_table(cut.table, len(leaves))
+            table = extend_table(table, len(leaves))
             canonical, cut_transform = npn_canonical(table)
             candidates = templates.get(canonical)
             if candidates is None:

@@ -3,7 +3,8 @@
 :class:`~repro.network.base.LogicNetwork` is the substrate both
 :class:`repro.core.mig.Mig` and :class:`repro.aig.aig.Aig` are built on;
 :mod:`repro.network.cuts` enumerates k-feasible cuts with truth tables
-over any such network, :mod:`repro.network.npn` canonicalizes the cut
+over any such network (one packed word array per node, read with
+:func:`~repro.network.cuts.iter_cuts`), :mod:`repro.network.npn` canonicalizes the cut
 functions and stores the precomputed optimal structures, and
 :mod:`repro.network.rewrite` runs DAG-aware Boolean rewriting on top of
 both; :mod:`repro.network.convert` translates between the two concrete
@@ -11,7 +12,7 @@ types (and is imported lazily here because it depends on both).
 """
 
 from .base import LogicNetwork
-from .cuts import Cut, CutManager, cut_cone, enumerate_cuts, mffc_nodes
+from .cuts import CutManager, cut_cone, enumerate_cuts, iter_cuts, mffc_nodes
 from .npn import (
     NpnTransform,
     apply_transform,
@@ -23,10 +24,10 @@ from .rewrite import cut_rewrite
 
 __all__ = [
     "LogicNetwork",
-    "Cut",
     "CutManager",
     "cut_cone",
     "enumerate_cuts",
+    "iter_cuts",
     "mffc_nodes",
     "NpnTransform",
     "apply_transform",

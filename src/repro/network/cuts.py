@@ -20,17 +20,33 @@ gate semantics are supplied by the subclass through ``_gate_value``, so the
 same enumerator serves MIGs, AIGs and any future network type.
 
 Truth tables are little-endian over the sorted leaf tuple: bit ``m`` of
-``cut.table`` is the value of the node when leaf ``i`` carries bit ``i``
+a cut's table is the value of the node when leaf ``i`` carries bit ``i``
 of the minterm index ``m``.  Leaves are *nodes* (regular polarity); edge
 complementations inside the cone are folded into the table.
+
+Packed cut lists
+----------------
+A node's cuts are one flat machine-word array (``array("I")``), one
+record per cut, in order::
+
+    signature, table, leaf count, leaf_1, ..., leaf_n
+
+The trivial cut ``{n}`` — always the last cut of a gate, and the only
+cut of a primary input — is implicit: its leaves, table (``0b10``) and
+signature follow from ``n``, so it is never stored, and a primary input's
+list is empty.  Only this module knows the layout; consumers read a list
+through :func:`iter_cuts`, which yields ``(leaves, table)`` per stored
+cut.  One array per node and no object per cut keep the store small:
+about 165 B per node on a 16k-gate balanced MIG at ``k=4``,
+``cut_limit=6``.
 
 Hot-loop structure
 ------------------
 The fanin merge is the single hot loop of Boolean rewriting on large
 networks, so it is organised around constant-factor savings:
 
-* every :class:`Cut` carries a 64-bit *leaf signature* — the OR of
-  ``1 << (leaf % 64)`` over its leaves.  Because the signature of a union
+* every cut carries a 32-bit *leaf signature* — the OR of
+  ``1 << (leaf % 32)`` over its leaves.  Because the signature of a union
   is the OR of the signatures and a set's signature can never have more
   one-bits than the set has elements, ``popcount(sig_a | sig_b) > k``
   proves the merged leaf set is infeasible *before* any set is
@@ -38,26 +54,31 @@ networks, so it is organised around constant-factor savings:
   surviving merges still verify the real union.)  The same subset
   property prefilters the dominance check: a kept cut can only dominate a
   candidate when its signature bits are a subset of the candidate's.
+* each fanin's packed list is decoded once per merge into
+  ``(leaves, signature, table)`` tuples, with its trivial cut appended; a
+  constant fanin contributes no list at all (its edge is the all-zero or
+  all-one table in every leaf space), so a majority gate with a constant
+  fanin — an AND or OR — merges two lists instead of three.
 * a merge candidate carries the signature and leaf set the cross product
   already built, as a ``(size, leaves, sign, leaf_set, combo)`` tuple;
   leaf tuples are unique, so a plain sort orders candidates by size and
   leaves, and neither the signature nor the set is rebuilt for the
   dominance check.
-* a kept cut's table (:func:`_merge_table`) is evaluated directly on the
-  children's tables: each is re-expressed in the merged leaf space,
-  complemented by XOR with the table mask when its fanin edge is, and
-  combined by the kernel's ``_gate_value`` (majority or AND).  The
-  re-expression (:func:`_expand_positions`) is memoized by an LRU keyed
-  on ``(table, leaf-position mapping)`` rather than on concrete node ids,
-  so structurally recurring cones across the network — and across
-  networks — hit the same entries.
+* a kept cut's table is evaluated directly on the children's tables:
+  each is re-expressed in the merged leaf space, complemented by XOR
+  with the table mask when its fanin edge is, and combined by the
+  kernel's ``_gate_value`` (majority or AND).  The re-expression
+  (:func:`_expand_positions`) is memoized by an LRU keyed on ``(table,
+  leaf-position mapping)`` rather than on concrete node ids, so
+  structurally recurring cones across the network — and across networks
+  — hit the same entries.
 
 Incremental re-enumeration (:class:`CutManager`)
 ------------------------------------------------
 :func:`enumerate_cuts` recomputes every PO-reachable node from scratch and
 stays the reference implementation (and the oracle of the property tests).
-:class:`CutManager` keeps the same per-node cut lists *incrementally*
-between sweeps.  The invalidation protocol:
+:class:`CutManager` keeps the same packed lists *incrementally* between
+sweeps, in a list indexed by node id.  The invalidation protocol:
 
 * the manager registers as a kernel mutation listener
   (:meth:`LogicNetwork.register_mutation_listener`); the kernel notifies
@@ -66,77 +87,80 @@ between sweeps.  The invalidation protocol:
   ``replace_fanins``), whenever a node dies, and when ``assign_from``
   wholesale-replaces the network;
 * a retargeted node is marked *dirty*: its own cuts — and potentially
-  those of its transitive fanouts — are stale.  A dead node's cache entry
-  is dropped immediately.  A reset clears everything;
+  those of its transitive fanouts — are stale.  A dead node's entry is
+  cleared immediately.  A reset clears everything;
 * a sweep (:meth:`CutManager.cuts`) walks the current PO-reachable
   topological order and recomputes exactly the nodes that are dirty or
   uncached (a node created since the last sweep has no entry yet).  When
-  a recomputed node's cut list actually changed — lists are compared as
-  ``(leaves, table)`` sequences — its live fanouts are marked dirty in
-  turn, so staleness propagates node-by-node and stops as soon as the
-  recomputation converges back onto the cached cuts;
+  a recomputed node's packed list actually changed — the old and new
+  arrays are compared directly; the signatures in them follow from the
+  leaves, so this compares leaves and tables — its live fanouts are
+  marked dirty in turn, so staleness propagates node-by-node and stops
+  as soon as the recomputation converges back onto the cached cuts;
 * dirty marks on nodes that are currently unreachable from the primary
   outputs persist (such a node can only be *re*-reached later, at which
   point the pending mark forces the recomputation), so the cache is
-  correct under PO redirects and reconvergent substitutions.  Signatures
-  live inside the immutable :class:`Cut` objects and are rebuilt exactly
-  when the owning cut list is.
+  correct under PO redirects and reconvergent substitutions.
 
-Every cut list a sweep produces is identical — same cuts, same order — to
-what :func:`enumerate_cuts` would compute from scratch on the current
-network, which is the invariant ``tests/network/test_cuts_incremental.py``
-fuzzes over both network types.
+Every cut list a sweep produces is identical — same cuts, same order,
+same words — to what :func:`enumerate_cuts` would compute from scratch on
+the current network, which is the invariant
+``tests/network/test_cuts_incremental.py`` fuzzes over both network types.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.signal import CONST_NODE
 
 __all__ = [
-    "Cut",
     "CutManager",
     "enumerate_cuts",
+    "iter_cuts",
     "release_cut_state",
     "cut_cone",
     "mffc_nodes",
 ]
 
-
-class Cut:
-    """One k-feasible cut: sorted leaf nodes plus the root's local function.
-
-    ``sign`` is the 64-bit leaf signature (OR of ``1 << (leaf % 64)``)
-    used to reject infeasible merges and non-dominating comparisons before
-    touching the actual leaf sets.
-    """
-
-    __slots__ = ("leaves", "table", "sign")
-
-    def __init__(self, leaves: Tuple[int, ...], table: int, sign: Optional[int] = None) -> None:
-        self.leaves = leaves
-        self.table = table
-        if sign is None:
-            sign = 0
-            for leaf in leaves:
-                sign |= 1 << (leaf & 63)
-        self.sign = sign
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Cut(leaves={self.leaves}, table=0x{self.table:x})"
-
+#: Machine word of a packed cut list: unsigned 32-bit, which holds a node
+#: id, a table of at most four leaves and the 32-bit signature.
+_WORD = "I"
 
 #: Truth table of the trivial cut ``{n}``: the single leaf variable itself.
 _TRIVIAL_TABLE = 0b10
 
-#: Cut list of the constant node (used for constant fanin edges).
-_CONST_CUTS: Tuple[Cut, ...] = (Cut((), 0, 0),)
+#: Packed cut list of a node that stores no cut (a primary input: its
+#: trivial cut is implicit).  Shared, never mutated.
+_NO_CUTS = array(_WORD)
 
 
-def _trivial_cut(node: int) -> Cut:
-    return Cut((node,), _TRIVIAL_TABLE, 1 << (node & 63))
+def iter_cuts(packed: array) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """``(leaves, table)`` of every cut stored in one packed cut list, in
+    order.  The node's trivial cut is implicit and not yielded."""
+    i = 0
+    end = len(packed)
+    while i < end:
+        j = i + 3 + packed[i + 2]
+        yield tuple(packed[i + 3 : j]), packed[i + 1]
+        i = j
+
+
+def _unpack(packed: array, node: int) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """Merge view of ``node``'s cuts: ``(leaves, sign, table)`` per stored
+    cut, then the implicit trivial cut ``{node}``."""
+    words = packed.tolist()
+    out = []
+    i = 0
+    end = len(words)
+    while i < end:
+        j = i + 3 + words[i + 2]
+        out.append((tuple(words[i + 3 : j]), words[i], words[i + 1]))
+        i = j
+    out.append(((node,), 1 << (node & 31), _TRIVIAL_TABLE))
+    return out
 
 
 @lru_cache(maxsize=1 << 14)
@@ -159,44 +183,18 @@ def _expand_positions(table: int, positions: Tuple[int, ...], num_leaves: int) -
 _TABLE_MASKS = tuple((1 << (1 << n)) - 1 for n in range(5))
 
 
-def _merge_table(
-    gate_value, fanins: Tuple[int, ...], combo: Sequence[Cut], leaves: Tuple[int, ...]
-) -> int:
-    """Truth table of one gate over ``leaves`` given its fanins' cut tables.
-
-    Each child table is re-expressed in the ``leaves`` space, complemented
-    by XOR with the mask when its fanin edge is, and the kernel's
-    ``_gate_value`` combines them.
-    """
-    num_leaves = len(leaves)
-    mask = _TABLE_MASKS[num_leaves]
-    edges = []
-    for f, cut in zip(fanins, combo):
-        table = cut.table
-        child = cut.leaves
-        if table and child != leaves:
-            # A zero table (the constant cut) is zero in every space.
-            table = _expand_positions(
-                table, tuple([leaves.index(leaf) for leaf in child]), num_leaves
-            )
-        edges.append(table ^ mask if f & 1 else table)
-    return gate_value(edges)
-
-
 def _node_cuts(
-    net,
-    node: int,
+    gate_value,
     fanins: Tuple[int, ...],
-    cuts: Dict[int, List[Cut]],
+    cuts: List[Optional[array]],
     k: int,
     cut_limit: int,
-) -> List[Cut]:
-    """Cut list of one gate from its fanins' cut lists (shared by the batch
-    enumerator and the incremental manager; both produce identical lists)."""
-    child_lists: List[Sequence[Cut]] = []
-    for f in fanins:
-        fn = f >> 1
-        child_lists.append(_CONST_CUTS if fn == CONST_NODE else cuts[fn])
+) -> array:
+    """Packed cut list of one gate from its fanins' packed cut lists
+    (shared by the batch enumerator and the incremental manager; both
+    produce identical lists).  A constant fanin contributes no cut list:
+    its edge is the all-zero or all-one table in every leaf space."""
+    child_lists = [_unpack(cuts[f >> 1], f >> 1) for f in fanins if f >> 1 != CONST_NODE]
 
     # Each candidate is ``(size, leaves, sign, leaf_set, combo)``: the
     # union's signature is the OR of the children's, and leaf tuples are
@@ -206,15 +204,12 @@ def _node_cuts(
     if len(child_lists) == 2:
         first, second = child_lists
         for a in first:
-            la = a.leaves
-            if len(la) > k:
-                continue
-            sa = a.sign
+            la, sa, _ = a
             for b in second:
-                sign = sa | b.sign
+                sign = sa | b[1]
                 if sign.bit_count() > k:
                     continue
-                lb = b.leaves
+                lb = b[0]
                 if la == lb:
                     leaves = la
                     union = set(la)
@@ -230,22 +225,19 @@ def _node_cuts(
     elif len(child_lists) == 3:
         first, second, third = child_lists
         for a in first:
-            la = a.leaves
-            if len(la) > k:
-                continue
-            sa = a.sign
+            la, sa, _ = a
             for b in second:
-                sab = sa | b.sign
+                sab = sa | b[1]
                 if sab.bit_count() > k:
                     continue
-                ab = {*la, *b.leaves}
+                ab = {*la, *b[0]}
                 if len(ab) > k:
                     continue
                 for c in third:
-                    sign = sab | c.sign
+                    sign = sab | c[1]
                     if sign.bit_count() > k:
                         continue
-                    union = ab.union(c.leaves)
+                    union = ab.union(c[0])
                     if len(union) > k:
                         continue
                     leaves = tuple(sorted(union))
@@ -253,15 +245,15 @@ def _node_cuts(
                         continue
                     seen.add(leaves)
                     merged.append((len(leaves), leaves, sign, union, (a, b, c)))
-    else:  # pragma: no cover - no current network has another arity
+    else:  # a gate with two constant fanins, or another arity
         from itertools import product
 
         for combo in product(*child_lists):
             union = set()
             sign = 0
-            for cut in combo:
-                union.update(cut.leaves)
-                sign |= cut.sign
+            for leaves, child_sign, _ in combo:
+                union.update(leaves)
+                sign |= child_sign
             if len(union) > k:
                 continue
             leaves = tuple(sorted(union))
@@ -271,10 +263,9 @@ def _node_cuts(
             merged.append((len(leaves), leaves, sign, union, combo))
 
     merged.sort()
-    gate_value = net._gate_value
-    kept: List[Cut] = []
+    words: List[int] = []
     kept_filters: List[Tuple[int, Set[int]]] = []
-    for _, leaves, sign, leaf_set, combo in merged:
+    for num_leaves, leaves, sign, leaf_set, combo in merged:
         # A cut dominated by a smaller kept cut adds nothing; the signature
         # subset test rejects most non-dominating pairs without set work.
         dominated = False
@@ -284,12 +275,27 @@ def _node_cuts(
                 break
         if dominated:
             continue
-        kept.append(Cut(leaves, _merge_table(gate_value, fanins, combo, leaves), sign))
+        # The cut's table: each child table re-expressed in the merged
+        # leaf space, complemented by XOR with the mask when its fanin
+        # edge is, and combined by the kernel's ``_gate_value``.
+        mask = _TABLE_MASKS[num_leaves]
+        edges = []
+        children = iter(combo)
+        for f in fanins:
+            if f >> 1 == CONST_NODE:
+                edges.append(mask if f & 1 else 0)
+                continue
+            child, _, table = next(children)
+            if table and child != leaves:
+                table = _expand_positions(
+                    table, tuple([leaves.index(leaf) for leaf in child]), num_leaves
+                )
+            edges.append(table ^ mask if f & 1 else table)
+        words += (sign, gate_value(edges), num_leaves, *leaves)
         kept_filters.append((sign, leaf_set))
-        if len(kept) >= cut_limit:
+        if len(kept_filters) >= cut_limit:
             break
-    kept.append(_trivial_cut(node))
-    return kept
+    return array(_WORD, words)
 
 
 def _validate_k(k: int) -> None:
@@ -297,33 +303,27 @@ def _validate_k(k: int) -> None:
         raise ValueError(f"cut size must be between 1 and 4, got {k}")
 
 
-def enumerate_cuts(net, k: int = 4, cut_limit: int = 8) -> Dict[int, List[Cut]]:
+def enumerate_cuts(net, k: int = 4, cut_limit: int = 8) -> List[Optional[array]]:
     """Enumerate up to ``cut_limit`` k-feasible cuts per PO-reachable node.
 
-    Returns a mapping ``node -> [Cut, ...]``; every gate's list ends with
-    its trivial cut, and primary inputs carry only theirs.  ``k`` must be
-    at most 4 (the truth tables feed the 4-variable NPN machinery).
+    Returns the packed cut list of every node, indexed by node id
+    (``None`` for nodes that are dead or not PO-reachable); read one with
+    :func:`iter_cuts`.  Every node's trivial cut is implicit, so a primary
+    input's list is empty.  ``k`` must be at most 4 (the truth tables feed
+    the 4-variable NPN machinery).
 
     This is the from-scratch reference path; long-lived networks that are
     swept repeatedly should go through :class:`CutManager` instead.
     """
     _validate_k(k)
-    cuts: Dict[int, List[Cut]] = {}
+    cuts: List[Optional[array]] = [None] * len(net._fanins)
     for pi in net.pi_nodes():
-        cuts[pi] = [_trivial_cut(pi)]
+        cuts[pi] = _NO_CUTS
     fanins_store = net._fanins
+    gate_value = net._gate_value
     for node in net._topology():
-        cuts[node] = _node_cuts(net, node, fanins_store[node], cuts, k, cut_limit)
+        cuts[node] = _node_cuts(gate_value, fanins_store[node], cuts, k, cut_limit)
     return cuts
-
-
-def _cut_lists_equal(old: List[Cut], new: List[Cut]) -> bool:
-    if len(old) != len(new):
-        return False
-    for a, b in zip(old, new):
-        if a.leaves != b.leaves or a.table != b.table:
-            return False
-    return True
 
 
 class CutManager:
@@ -331,8 +331,8 @@ class CutManager:
 
     Attach one manager per ``(k, cut_limit)`` configuration with
     :meth:`for_network` (managers are cached on the network object so
-    consecutive passes share them); :meth:`cuts` returns the same
-    ``node -> [Cut, ...]`` mapping as :func:`enumerate_cuts` but
+    consecutive passes share them); :meth:`cuts` returns the same packed
+    lists, indexed by node id, as :func:`enumerate_cuts` but
     recomputes only the cones whose fanin closure was touched since the
     previous sweep — see the module docstring for the invalidation
     protocol.  ``stats`` accumulates per-manager sweep counters
@@ -359,7 +359,7 @@ class CutManager:
         self.net = net
         self.k = k
         self.cut_limit = cut_limit
-        self._cuts: Dict[int, List[Cut]] = {}
+        self._cuts: List[Optional[array]] = []
         self._dirty: Set[int] = set()
         self._valid = False
         self.notes: Dict[object, object] = {}
@@ -404,7 +404,8 @@ class CutManager:
 
     def network_node_died(self, node: int) -> None:
         self._dirty.discard(node)
-        self._cuts.pop(node, None)
+        if node < len(self._cuts):
+            self._cuts[node] = None
 
     def network_reset(self) -> None:
         self._cuts.clear()
@@ -415,50 +416,46 @@ class CutManager:
     # ------------------------------------------------------------------ #
     # Sweeps
     # ------------------------------------------------------------------ #
-    def cuts(self) -> Dict[int, List[Cut]]:
+    def cuts(self) -> List[Optional[array]]:
         """Bring the cache up to date and return it.
 
-        The returned mapping is the live cache (no defensive copy): it
-        covers at least every PO-reachable node and every entry equals the
-        from-scratch enumeration of the current network.  Callers must not
-        mutate it; entries of nodes that die later are dropped by the
-        death notification.
+        The returned list is the live cache (no defensive copy), indexed
+        by node id: it holds the packed cut list of at least every
+        PO-reachable node and primary input, each equal to the
+        from-scratch enumeration of the current network, and ``None`` for
+        dead nodes.  Callers must not mutate it; entries of nodes that die
+        later are cleared by the death notification.
         """
         net = self.net
         stats = self.stats
         stats["sweeps"] += 1
         cache = self._cuts
+        k, cut_limit = self.k, self.cut_limit
         if not self._valid:
-            cache.clear()
+            cache[:] = enumerate_cuts(net, k=k, cut_limit=cut_limit)
             self._dirty.clear()
-            for pi in net.pi_nodes():
-                cache[pi] = [_trivial_cut(pi)]
-            fanins_store = net._fanins
-            order = net._topology()
-            k, cut_limit = self.k, self.cut_limit
-            for node in order:
-                cache[node] = _node_cuts(net, node, fanins_store[node], cache, k, cut_limit)
             self._valid = True
             stats["full_rebuilds"] += 1
-            stats["nodes_recomputed"] += len(order)
+            stats["nodes_recomputed"] += len(net._topology())
             return cache
 
-        for pi in net.pi_nodes():
-            if pi not in cache:
-                cache[pi] = [_trivial_cut(pi)]
-        dirty = self._dirty
         fanins_store = net._fanins
+        gate_value = net._gate_value
+        cache += [None] * (len(fanins_store) - len(cache))
+        for pi in net.pi_nodes():
+            if cache[pi] is None:
+                cache[pi] = _NO_CUTS
+        dirty = self._dirty
         fanouts = net._fanouts
-        k, cut_limit = self.k, self.cut_limit
         recomputed = reused = 0
         for node in net._topology():
-            if node in dirty or node not in cache:
-                old = cache.get(node)
-                new = _node_cuts(net, node, fanins_store[node], cache, k, cut_limit)
+            old = cache[node]
+            if old is None or node in dirty:
+                new = _node_cuts(gate_value, fanins_store[node], cache, k, cut_limit)
                 cache[node] = new
                 dirty.discard(node)
                 recomputed += 1
-                if old is None or not _cut_lists_equal(old, new):
+                if new != old:
                     # Propagate: fanouts later in the order pick the mark
                     # up this sweep; unreachable fanouts keep it pending.
                     dirty.update(fanouts[node] or ())

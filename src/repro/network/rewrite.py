@@ -22,6 +22,10 @@ in-place update the kernel performs substitutes functionally equal signals
 the cone it was enumerated from; the engine only re-checks that the cut's
 leaves are still alive.
 
+The trivial cut ``{root}`` rewrites nothing; the cut store does not hold
+it (:func:`~repro.network.cuts.iter_cuts` never yields it), so the sweep
+never sees it.
+
 The *fanin cut* of a root is never costed: the cut whose leaves are the
 root's fanin nodes at visit time (constant excluded) and whose table is
 the root's own gate function over them.  Its NPN class is that of a
@@ -81,7 +85,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..core.signal import CONST_FALSE, CONST_NODE
-from .cuts import _TABLE_MASKS, CutManager, enumerate_cuts, mffc_nodes
+from .cuts import _TABLE_MASKS, CutManager, enumerate_cuts, iter_cuts, mffc_nodes
 from .npn import (
     extend_table,
     get_structures,
@@ -172,11 +176,8 @@ def cut_rewrite(
             net._settle_levels()
         best = None  # (candidate_key, gain, entry, inputs)
         fanin_leaves, fanin_table = _fanin_cut(net, fanins_store[root])
-        for cut in cuts.get(root, ()):
-            leaves = cut.leaves
-            if len(leaves) == 1 and leaves[0] == root:
-                continue  # the trivial cut rewrites nothing
-            if leaves == fanin_leaves and cut.table == fanin_table:
+        for leaves, table in iter_cuts(cuts[root]):
+            if leaves == fanin_leaves and table == fanin_table:
                 continue  # the fanin cut can only rebuild the root itself
             dead_leaf = False
             for leaf in leaves:
@@ -185,9 +186,9 @@ def cut_rewrite(
                     break
             if dead_leaf:
                 continue
-            if depth_mode and _support_too_deep(level, root, leaves, cut.table, max_level_growth):
+            if depth_mode and _support_too_deep(level, root, leaves, table, max_level_growth):
                 continue  # every structure over the cut misses the level bound
-            canonical, transform = npn_canonical(extend_table(cut.table, len(leaves)))
+            canonical, transform = npn_canonical(extend_table(table, len(leaves)))
             entries = get_structures(kind, canonical)
             if not depth_mode:
                 # Area sweeps only ever want the size-best structure.

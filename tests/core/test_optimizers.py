@@ -1,7 +1,7 @@
 """Tests for the size / depth / activity optimizers (Algorithms 1 and 2)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import total_switching_activity
@@ -193,6 +193,23 @@ class TestActivityOptimization:
         assert mig.num_gates <= size
         assert mig.depth() <= depth
         mig.check_integrity()
+        assert_equivalent(mig, reference)
+
+    @pytest.mark.parametrize("gate_mix", ["aoig", "mixed"])
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @example(seed=1)  # aoig: Algorithm 1 raised activity and depth
+    @example(seed=5)  # aoig: the result was one level deeper
+    def test_never_raises_activity_depth_or_size(self, network_forge, gate_mix, seed):
+        mig = network_forge(
+            kind="mig", gate_mix=gate_mix, num_pis=10, num_gates=120, num_pos=4, seed=seed
+        )
+        reference = mig.copy()
+        activity, size, depth = total_switching_activity(mig), mig.num_gates, mig.depth()
+        optimize_activity(mig, effort=1)
+        assert total_switching_activity(mig) <= activity + 1e-9
+        assert mig.depth() <= depth
+        assert mig.num_gates <= size
         assert_equivalent(mig, reference)
 
     def test_stats_fields(self):

@@ -9,7 +9,7 @@ from repro.aig.rewrite import rewrite_aig_inplace
 from repro.core import Mig, mutate_network, random_aoig_mig, random_mig, rewrite_mig
 from repro.core.signal import CONST_NODE, make_signal, node_of
 from repro.network import mig_to_aig
-from repro.network.cuts import CutManager, cut_cone, enumerate_cuts, mffc_nodes
+from repro.network.cuts import CutManager, cut_cone, enumerate_cuts, iter_cuts, mffc_nodes
 
 
 def _brute_force_table(net, root, leaves):
@@ -49,13 +49,10 @@ def test_mig_cut_tables_match_cone_simulation(seed):
     cuts = enumerate_cuts(mig, k=4, cut_limit=8)
     checked = 0
     for node in mig.topological_order():
-        for cut in cuts[node]:
-            assert 1 <= len(cut.leaves) <= 4
-            assert cut.leaves == tuple(sorted(cut.leaves))
-            if cut.leaves == (node,):
-                assert cut.table == 0b10
-                continue
-            assert cut.table == _brute_force_table(mig, node, cut.leaves)
+        for leaves, table in iter_cuts(cuts[node]):
+            assert 1 <= len(leaves) <= 4
+            assert leaves == tuple(sorted(leaves))
+            assert table == _brute_force_table(mig, node, leaves)
             checked += 1
     assert checked > 0
 
@@ -65,19 +62,14 @@ def test_aig_cut_tables_match_cone_simulation(seed):
     aig = mig_to_aig(random_aoig_mig(6, 30, num_pos=3, seed=seed))
     cuts = enumerate_cuts(aig, k=4, cut_limit=8)
     for node in aig.topological_order():
-        for cut in cuts[node]:
-            if cut.leaves == (node,):
-                continue
-            assert cut.table == _brute_force_table(aig, node, cut.leaves)
+        for leaves, table in iter_cuts(cuts[node]):
+            assert table == _brute_force_table(aig, node, leaves)
 
 
 def _assert_tables_match_cone_simulation(net, cuts):
     for node in net.topological_order():
-        for cut in cuts[node]:
-            if cut.leaves == (node,):
-                assert cut.table == 0b10
-                continue
-            assert cut.table == _brute_force_table(net, node, cut.leaves), (node, cut)
+        for leaves, table in iter_cuts(cuts[node]):
+            assert table == _brute_force_table(net, node, leaves), (node, leaves)
 
 
 @pytest.mark.parametrize("kind", ["mig", "aig"])
@@ -105,17 +97,25 @@ def test_manager_cut_tables_match_cone_simulation_after_edits(network_forge, kin
 
 
 def test_every_gate_keeps_its_trivial_cut():
+    """The trivial cut is implicit: never stored, always last in the merge
+    view the fanouts build on, and a primary input stores nothing."""
+    from repro.network.cuts import _unpack
+
     mig = random_mig(5, 20, num_pos=2, seed=9)
     cuts = enumerate_cuts(mig, k=3, cut_limit=2)
+    for pi in mig.pi_nodes():
+        assert len(cuts[pi]) == 0
     for node in mig.topological_order():
-        assert cuts[node][-1].leaves == (node,)
+        assert all(leaves != (node,) for leaves, _ in iter_cuts(cuts[node]))
+        leaves, sign, table = _unpack(cuts[node], node)[-1]
+        assert (leaves, table) == ((node,), 0b10)
 
 
 def test_no_dominated_cuts_are_kept():
     mig = random_mig(6, 40, num_pos=4, seed=11)
     cuts = enumerate_cuts(mig, k=4, cut_limit=8)
     for node in mig.topological_order():
-        leaf_sets = [set(c.leaves) for c in cuts[node] if c.leaves != (node,)]
+        leaf_sets = [set(leaves) for leaves, _ in iter_cuts(cuts[node])]
         for i, a in enumerate(leaf_sets):
             for j, b in enumerate(leaf_sets):
                 if i != j:
@@ -126,7 +126,7 @@ def test_cut_limit_bounds_cut_count():
     mig = random_mig(7, 60, num_pos=5, seed=13)
     cuts = enumerate_cuts(mig, k=4, cut_limit=3)
     for node in mig.topological_order():
-        assert len(cuts[node]) <= 4  # limit + trivial cut
+        assert len(list(iter_cuts(cuts[node]))) <= 3
 
 
 def test_invalid_k_rejected():

@@ -3,8 +3,8 @@
 The manager's core invariant: after *any* sequence of in-place edits, the
 cut list it reports for every live PO-reachable node — leaves *and* truth
 tables, in order — equals a from-scratch :func:`enumerate_cuts` of the
-current network.  The tests drive that invariant through seeded
-single-gate mutation sequences, real rewrite rounds, substitution-heavy
+current network: the packed lists compare equal.  The tests drive that
+invariant through seeded single-gate mutation sequences, real rewrite rounds, substitution-heavy
 optimizer passes, PO redirects and wholesale ``assign_from`` resets, over
 both MIG and AIG forges, and additionally prove the incremental rewrite
 path bit-identical to the from-scratch one.
@@ -21,40 +21,44 @@ from repro.core.generation import mutate_network
 from repro.network.cuts import CutManager, enumerate_cuts
 
 
-def _as_pairs(cut_list):
-    return [(cut.leaves, cut.table) for cut in cut_list]
-
-
 def _assert_cuts_match_scratch(net, manager):
-    """Incremental cuts == from-scratch cuts on every PO-reachable node."""
+    """Incremental cuts == from-scratch cuts on every PO-reachable node.
+
+    The packed lists are compared whole: same cuts, same order, same
+    tables and signatures."""
     actual = manager.cuts()
     expected = enumerate_cuts(net, k=manager.k, cut_limit=manager.cut_limit)
     nodes = set(net._topology()) | set(net.pi_nodes())
     for node in nodes:
-        assert node in actual, f"node {node} missing from incremental cuts"
-        assert _as_pairs(actual[node]) == _as_pairs(expected[node]), (
-            f"cut mismatch at node {node}"
-        )
-    for node in actual:
-        assert not net._dead[node], f"cache still holds dead node {node}"
-        for cut in actual[node]:
-            sign = 0
-            for leaf in cut.leaves:
-                sign |= 1 << (leaf & 63)
-            assert cut.sign == sign, f"stale signature at node {node}"
+        assert actual[node] is not None, f"node {node} missing from incremental cuts"
+        assert actual[node] == expected[node], f"cut mismatch at node {node}"
+    for node, packed in enumerate(actual):
+        if packed is not None:
+            assert not net._dead[node], f"cache still holds dead node {node}"
+
+
+def _check_mutation_sequence(network_forge, kind, seed, k, cut_limit):
+    net = network_forge(
+        kind=kind, gate_mix="mixed", num_pis=7, num_gates=60, num_pos=5, seed=seed
+    )
+    manager = CutManager.for_network(net, k=k, cut_limit=cut_limit)
+    _assert_cuts_match_scratch(net, manager)
+    for step in range(12):
+        mutate_network(net, seed=1000 * seed + step, in_place=True)
+        _assert_cuts_match_scratch(net, manager)
 
 
 @pytest.mark.parametrize("kind", ["mig", "aig"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cuts_match_scratch_after_mutation_sequences(network_forge, kind, seed):
-    net = network_forge(
-        kind=kind, gate_mix="mixed", num_pis=7, num_gates=60, num_pos=5, seed=seed
-    )
-    manager = CutManager.for_network(net, k=4, cut_limit=8)
-    _assert_cuts_match_scratch(net, manager)
-    for step in range(12):
-        mutate_network(net, seed=1000 * seed + step, in_place=True)
-        _assert_cuts_match_scratch(net, manager)
+    _check_mutation_sequence(network_forge, kind, seed, k=4, cut_limit=8)
+
+
+@pytest.mark.parametrize("kind", ["mig", "aig"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mapper_cut_setting_matches_scratch_after_mutations(network_forge, kind, seed):
+    """The ``k=3, cut_limit=6`` setting the technology mapper enumerates."""
+    _check_mutation_sequence(network_forge, kind, seed, k=3, cut_limit=6)
 
 
 @pytest.mark.parametrize("kind", ["mig", "aig"])
@@ -221,3 +225,24 @@ def test_for_network_shares_and_detach_releases(network_forge):
     # A detached manager no longer receives events.
     mutate_network(net, seed=62, in_place=True)
     assert not manager._dirty
+
+
+def test_cut_store_footprint():
+    """The manager's store is one packed array per live node — no object
+    per cut — and stays under a per-node byte ceiling (about 125 B per
+    node here; a list of per-cut objects takes about 700)."""
+    import sys
+    from array import array
+
+    from repro.bench_circuits.generator import gen_random_logic
+    from repro.core import Mig
+
+    net = Mig()
+    gen_random_logic(net, blocks=20)
+    store = CutManager.for_network(net, k=4, cut_limit=8).cuts()
+    live = len(net._topology()) + net.num_pis
+    containers = {id(packed): packed for packed in store if packed is not None}
+    assert len(containers) <= live
+    assert all(type(packed) is array for packed in containers.values())
+    total = sys.getsizeof(store) + sum(sys.getsizeof(p) for p in containers.values())
+    assert total <= 200 * live, f"{total / live:.0f} B per node"

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.generation import mutate_network
 from repro.core.signal import make_signal
-from repro.network.cuts import enumerate_cuts, mffc_nodes
+from repro.network.cuts import enumerate_cuts, iter_cuts, mffc_nodes
 from repro.network.npn import extend_table, get_structures, npn_canonical
 from repro.network.rewrite import _dry_run, _fanin_cut, _structure_inputs
 
@@ -63,9 +63,10 @@ def _assert_fanin_cuts_rebuild_their_roots(net, kind):
     enumerated = enumerate_cuts(net, k=4, cut_limit=8)
     for root in list(net.gates()):
         leaves, table = _fanin_cut(net, net._fanins[root])
-        for cut in enumerated.get(root, ()):
-            if cut.leaves == leaves:
-                assert cut.table == table, f"fanin cut table of {root}"
+        if enumerated[root] is not None:  # None: not PO-reachable
+            for cut_leaves, cut_table in iter_cuts(enumerated[root]):
+                if cut_leaves == leaves:
+                    assert cut_table == table, f"fanin cut table of {root}"
         mffc = mffc_nodes(net, root, leaves)
         assert mffc == {root}
         canonical, transform = npn_canonical(extend_table(table, len(leaves)))
