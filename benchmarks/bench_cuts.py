@@ -80,16 +80,16 @@ def _cuts_as_pairs(cuts, nodes):
     return {n: [*iter_cuts(cuts[n]), ((n,), 0b10)] for n in nodes}
 
 
-def _store_bytes_per_node(net, cut_limit):
+def _store_bytes_per_node(net, k, cut_limit):
     """Bytes per node that a full build of ``net``'s cut store allocates.
 
     A from-scratch enumeration first fills the table-expansion LRU and the
     topological order, so the traced bytes are the store's alone."""
-    enumerate_cuts(net, k=4, cut_limit=cut_limit)
+    enumerate_cuts(net, k=k, cut_limit=cut_limit)
     tracemalloc.start()
     try:
         # The network's listener list keeps the manager and its store alive.
-        CutManager(net, k=4, cut_limit=cut_limit).cuts()
+        CutManager(net, k=k, cut_limit=cut_limit).cuts()
         allocated = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -106,14 +106,12 @@ def _warmup():
         sweep(net)
 
 
-def bench_repeated_sweep(cls, sweep, cut_limit, num_gates, seed, rounds=ROUNDS):
-    """One repeated-sweep comparison; returns the JSON record.  ``cut_limit``
-    is the sweep's, for the memory lane's store build."""
+def bench_repeated_sweep(cls, sweep, num_gates, seed, rounds=ROUNDS):
+    """One repeated-sweep comparison; returns the JSON record."""
     make = lambda: random_network(  # noqa: E731 - tiny local factory
         cls, num_pis=14, num_gates=num_gates, num_pos=100, seed=seed,
         gate_mix="mixed",
     )
-    store_bytes = _store_bytes_per_node(make(), cut_limit)
     incremental = make()
     scratch = make()
     size0 = incremental.num_gates
@@ -130,6 +128,9 @@ def bench_repeated_sweep(cls, sweep, cut_limit, num_gates, seed, rounds=ROUNDS):
     assert _dump(incremental) == _dump(scratch), (
         f"incremental result diverged from scratch ({cls.__name__}, seed {seed})"
     )
+    # The memory lane builds the store the sweep kept, in its configuration.
+    ((k, cut_limit),) = incremental.__dict__["_cut_managers"]
+    store_bytes = _store_bytes_per_node(make(), k, cut_limit)
     return {
         "network": cls.__name__,
         "seed": seed,
@@ -301,13 +302,12 @@ def main(argv):
     aig_sweep = lambda net, incremental=True: rewrite_aig_inplace(  # noqa: E731
         net, allow_zero_gain=False, incremental=incremental
     )
-    # The third field is the sweep's cut limit (the pass defaults).
-    sweeps = [(Mig, rewrite_mig, 6, 10000, 1)]
+    sweeps = [(Mig, rewrite_mig, 10000, 1)]
     if not args.smoke:
-        sweeps += [(Mig, rewrite_mig, 6, 10000, 3), (Aig, aig_sweep, 8, 18000, 1)]
+        sweeps += [(Mig, rewrite_mig, 10000, 3), (Aig, aig_sweep, 18000, 1)]
     report["repeated_sweep"] = []
-    for cls, sweep, cut_limit, gates, seed in sweeps:
-        record = bench_repeated_sweep(cls, sweep, cut_limit, gates, seed)
+    for cls, sweep, gates, seed in sweeps:
+        record = bench_repeated_sweep(cls, sweep, gates, seed)
         report["repeated_sweep"].append(record)
         print(
             f"repeated-sweep {record['network']:3s} seed {seed}: "

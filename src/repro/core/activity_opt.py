@@ -10,12 +10,13 @@ The total switching activity of a MIG is reduced along two axes:
    close to 0 or 1, as in the example of Fig. 2(d).
 
 Because the probability of every node depends on its whole fanin cone,
-both steps are measured on a working copy with the same node ids before
-they reach the network.  The size step is committed only when it raises
-neither activity, depth nor size.  A shaping rewrite is applied only when
-activity drops, depth does not rise, and size grows by at most one node
-without exceeding the size the network entered with.  So the whole entry
-point never raises activity, depth or size.
+both steps are measured on the whole network.  The size step runs on the
+network and is rolled back when it raises activity, depth or size.  A
+shaping rewrite is measured on a working copy with the same node ids and
+reaches the network only when activity drops, depth does not rise, and
+size grows by at most one node without exceeding the size the network
+entered with.  So the whole entry point never raises activity, depth or
+size.
 """
 
 from __future__ import annotations
@@ -61,24 +62,24 @@ def optimize_activity(
     with a non-growing Ψ.R, then shaping of the 200 most toggle-prone nodes.
 
     Neither step raises activity, depth or size.  ``size_opt_stats``
-    describes the Algorithm 1 run even when it was not committed."""
+    describes the Algorithm 1 run even when it was rolled back."""
     from ..analysis.activity import total_switching_activity
 
     start = time.perf_counter()
     initial_size = mig.num_gates
     initial_activity = total_switching_activity(mig, pi_probabilities)
 
-    # Algorithm 1 optimizes size and depth, not activity: run it on a copy
-    # with the same node ids, and repeat it on ``mig`` (deterministically
-    # the same result) only when that raises none of the three.
-    trial = pickle.loads(pickle.dumps(mig))
-    size_stats = _optimize_size(trial, effort, RESHAPE_RULES, relevance_growth=0)
+    # Algorithm 1 optimizes size and depth, not activity: roll it back
+    # when it raises any of the three.
+    before = mig.copy()
+    initial_depth = mig.depth()
+    size_stats = _optimize_size(mig, effort, RESHAPE_RULES, relevance_growth=0)
     if (
-        total_switching_activity(trial, pi_probabilities) <= initial_activity
-        and trial.depth() <= mig.depth()
-        and trial.num_gates <= initial_size
+        total_switching_activity(mig, pi_probabilities) > initial_activity
+        or mig.depth() > initial_depth
+        or mig.num_gates > initial_size
     ):
-        _optimize_size(mig, effort, RESHAPE_RULES, relevance_growth=0)
+        mig.assign_from(before)
     relevance_rewrites = _shape_probabilities(mig, pi_probabilities, initial_size)
 
     return ActivityOptStats(

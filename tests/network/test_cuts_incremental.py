@@ -4,8 +4,8 @@ The manager's core invariant: after *any* sequence of in-place edits, the
 cut list it reports for every live PO-reachable node — leaves *and* truth
 tables, in order — equals a from-scratch :func:`enumerate_cuts` of the
 current network: the packed lists compare equal.  The tests drive that
-invariant through seeded single-gate mutation sequences, real rewrite rounds, substitution-heavy
-optimizer passes, PO redirects and wholesale ``assign_from`` resets, over
+invariant through seeded single-gate mutation sequences, real rewrite
+rounds, substitution-heavy optimizer passes, PO redirects and wholesale ``assign_from`` resets, over
 both MIG and AIG forges, and additionally prove the incremental rewrite
 path bit-identical to the from-scratch one.
 """
@@ -18,14 +18,16 @@ import pytest
 from repro.aig.rewrite import rewrite_aig_inplace
 from repro.core import rewrite_mig
 from repro.core.generation import mutate_network
-from repro.network.cuts import CutManager, enumerate_cuts
+from repro.network.cuts import CutManager, _unpack, enumerate_cuts
 
 
 def _assert_cuts_match_scratch(net, manager):
     """Incremental cuts == from-scratch cuts on every PO-reachable node.
 
     The packed lists are compared whole: same cuts, same order, same
-    tables and signatures."""
+    tables and signatures.  Both build signatures in the same code, so
+    every signature, the implicit trivial cut's included, is also rebuilt
+    from its leaves."""
     actual = manager.cuts()
     expected = enumerate_cuts(net, k=manager.k, cut_limit=manager.cut_limit)
     nodes = set(net._topology()) | set(net.pi_nodes())
@@ -35,6 +37,11 @@ def _assert_cuts_match_scratch(net, manager):
     for node, packed in enumerate(actual):
         if packed is not None:
             assert not net._dead[node], f"cache still holds dead node {node}"
+            for leaves, sign, _table in _unpack(packed, node):
+                expected_sign = 0
+                for leaf in leaves:
+                    expected_sign |= 1 << (leaf & 31)
+                assert sign == expected_sign, f"stale signature at node {node}"
 
 
 def _check_mutation_sequence(network_forge, kind, seed, k, cut_limit):
